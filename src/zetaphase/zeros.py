@@ -2,10 +2,11 @@
 
 The scanner samples the Hardy Z function on a fixed lattice (anchored at
 t = 0 so that scans over sub-ranges land on identical sample points),
-brackets sign changes, and refines every bracket by bisection against the
-accurate Euler-Maclaurin evaluator.  A post-pass compares each unit
-interval's count against the smooth-phase prediction and rescans at a
-quarter step where they disagree by two or more.
+brackets sign changes, and refines every bracket by safeguarded Illinois
+(regula falsi) steps against the accurate Euler-Maclaurin evaluator.  A
+post-pass compares each unit interval's count against the smooth-phase
+prediction and rescans at a quarter step where they disagree by two or
+more.
 
 Also here: the interval-count container, floor-difference counters with
 their Bessel/Airy zero oracles, and the plain-text zero cache format.
@@ -261,28 +262,29 @@ def _grid(t_lo: float, t_hi: float, step: float) -> np.ndarray:
 
 def _sample_grid(ts: np.ndarray) -> np.ndarray:
     split = int(np.searchsorted(ts, _T_FAST_MIN))
-    parts = []
-    if split:
-        low = ts[:split]
-        zs_low = np.empty_like(low)
-        order = np.arange(len(low))
-        for pos in range(0, len(low), 2048):
-            chunk = low[pos:pos + 2048]
-            n_big = max(_em_truncation(float(chunk[-1])), 2)
-            zeta = _zeta_em_chunk(chunk, n_big)
-            th = _theta_vec(chunk)
-            zs_low[pos:pos + 2048] = np.cos(th) * zeta.real - np.sin(th) * zeta.imag
-        parts.append(zs_low)
+    zs = _z_accurate_vec(ts[:split])
     if split < len(ts):
-        parts.append(_z_fast_vec(ts[split:]))
-    return np.concatenate(parts) if parts else np.empty(0)
+        zs = np.concatenate([zs, _z_fast_vec(ts[split:])])
+    return zs
 
 
 def _refine(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect [a, b] (verified sign-change brackets) down to width tol.
+    """Shrink verified sign-change brackets [a, b] to width tol.
+
+    Each step is a regula falsi point with the Illinois rule (the retained
+    endpoint's stored value is halved whenever the same side is replaced
+    twice in a row), clipped at least tol/2 inside the bracket so that a
+    converged iterate is closed off by one step across the root.  A bracket
+    whose width has not halved within the last three steps takes a
+    bisection step instead, and an exact zero of the accurate evaluator
+    closes its bracket at once.  Each ordinate is the linear interpolant of
+    the final endpoint values, inside an accurate sign-change bracket of
+    width at most tol.
 
     Returns (ordinates, dropped_mask); a bracket whose endpoints agree in
     sign even after one step of widening is dropped and reported upstream.
+    Raises ArithmeticError if a bracket is still wider than tol after the
+    step cap.
     """
     fa = _z_accurate_vec(a)
     fb = _z_accurate_vec(b)
@@ -300,22 +302,42 @@ def _refine(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
         dropped = np.zeros(len(a), dtype=bool)
 
     live = ~dropped
-    a = a.copy()
-    b = b.copy()
-    for _ in range(80):
-        width = b - a
-        open_mask = live & (width > tol)
-        if not open_mask.any():
-            break
-        mid = 0.5 * (a + b)
-        fm = np.zeros_like(mid)
-        fm[open_mask] = _z_accurate_vec(mid[open_mask])
-        go_left = np.sign(fa) * np.sign(fm) < 0
-        b = np.where(open_mask & go_left, mid, b)
-        fb = np.where(open_mask & go_left, fm, fb)
-        a = np.where(open_mask & ~go_left, mid, a)
-        fa = np.where(open_mask & ~go_left, fm, fa)
-    return 0.5 * (a + b), dropped
+    ga, gb = fa, fb  # endpoint values as the secant sees them (Illinois-halved)
+    last = np.zeros(len(a), dtype=np.int64)  # side replaced by the last step: -1 a, +1 b
+    ref = b - a  # width when the bracket last halved
+    stalled = np.zeros(len(a), dtype=np.int64)  # steps since then
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(80):
+            width = b - a
+            open_mask = live & (width > tol)
+            if not open_mask.any():
+                break
+            halved = width <= 0.5 * ref
+            ref = np.where(halved, width, ref)
+            stalled = np.where(halved, 0, stalled)
+            x = np.clip(a - ga * width / (gb - ga), a + 0.5 * tol, b - 0.5 * tol)
+            x = np.where(stalled >= 3, 0.5 * (a + b), x)
+            stalled += 1
+            fx = np.zeros_like(x)
+            fx[open_mask] = _z_accurate_vec(x[open_mask])
+            root = open_mask & (fx == 0.0)
+            to_a = open_mask & (np.sign(fx) == np.sign(fa))
+            to_b = open_mask & ~to_a & ~root
+            ga = np.where(to_b & (last == 1), 0.5 * ga, ga)
+            gb = np.where(to_a & (last == -1), 0.5 * gb, gb)
+            move_a = to_a | root
+            move_b = to_b | root
+            a = np.where(move_a, x, a)
+            fa = np.where(move_a, fx, fa)
+            ga = np.where(move_a, fx, ga)
+            b = np.where(move_b, x, b)
+            fb = np.where(move_b, fx, fb)
+            gb = np.where(move_b, fx, gb)
+            last = np.where(to_a, -1, np.where(to_b, 1, last))
+        if np.any(live & (b - a > tol)):
+            raise ArithmeticError("bracket refinement did not reach refine_tol")
+        interp = np.clip(a - fa * (b - a) / (fb - fa), a, b)
+    return np.where(b > a, interp, a), dropped
 
 
 def _scan_ordinates(t_lo: float, t_hi: float, step: float, tol: float) -> np.ndarray:
@@ -358,7 +380,8 @@ def _smooth_count(t: float) -> int:
 def scan_zeros(config: ScanConfig) -> ZeroList:
     """Locate all critical-line zeros in [t_lo, t_hi].
 
-    Sign changes of Z on the lattice are bisected to refine_tol; unit
+    Sign changes of Z on the lattice are refined by safeguarded Illinois
+    steps to accurate sign-change brackets of width refine_tol; unit
     intervals whose count disagrees with the smooth-phase prediction by two
     or more are rescanned once at a quarter of the step, and flagged as
     suspect if the disagreement survives.
@@ -621,6 +644,7 @@ def read_zero_cache(path: str | os.PathLike) -> ZeroList:
     """Parse a cache file back into an ingested ZeroList.
 
     Malformed lines and ordering violations report their line number.
+    Without a '# range:' comment the coverage is [0, last ordinate].
     """
     t_lo = 0.0
     t_hi: float | None = None
@@ -660,7 +684,7 @@ def read_zero_cache(path: str | os.PathLike) -> ZeroList:
     if declared is not None and declared != len(ordinates):
         raise ValueError(f"{path}: declared count {declared} != {len(ordinates)} ordinates")
     if t_hi is None:
-        t_hi = math.floor(ordinates[-1]) if ordinates else 1.0
+        t_hi = ordinates[-1] if ordinates else 1.0
     return ZeroList(
         ordinates=tuple(ordinates),
         source="ingested",

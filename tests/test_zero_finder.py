@@ -6,9 +6,13 @@ oracles come from scipy Bessel and Airy zero finders.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import zetaphase.zeros as zeros_module
 from zetaphase import (
     CoverageError,
     ScanConfig,
@@ -109,6 +113,61 @@ class TestScanZeros:
             assert abs(hardy_z(y)) < 1e-6
 
 
+class TestRefinement:
+    def test_evaluation_budget(self, monkeypatch):
+        # Bisection needs about 29 accurate evaluations per zero.
+        evaluated = []
+        accurate = zeros_module._z_accurate_vec
+
+        def counting(ts):
+            evaluated.append(np.size(ts))
+            return accurate(ts)
+
+        monkeypatch.setattr(zeros_module, "_z_accurate_vec", counting)
+        zeros = scan_zeros(ScanConfig(t_lo=1000.0, t_hi=1100.0))
+        assert zeros.count == 81
+        assert sum(evaluated) <= 12 * zeros.count
+
+    def test_exact_zero_taken_as_root(self, monkeypatch):
+        monkeypatch.setattr(zeros_module, "_z_accurate_vec", lambda ts: np.asarray(ts) - 10.25)
+        roots, dropped = zeros_module._refine(np.array([10.0]), np.array([10.5]), 1e-9)
+        assert roots.tolist() == [10.25]
+        assert not dropped.any()
+
+    def test_unclosed_bracket_raises(self, monkeypatch):
+        # A sign step between adjacent doubles cannot be closed to 1e-30.
+        monkeypatch.setattr(
+            zeros_module, "_z_accurate_vec", lambda ts: np.where(np.asarray(ts) < 10.3, -1.0, 1.0)
+        )
+        with pytest.raises(ArithmeticError):
+            zeros_module._refine(np.array([10.0]), np.array([10.5]), 1e-30)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(st.floats(min_value=14.0, max_value=6500.0))
+    def test_public_z_changes_sign_at_each_ordinate(self, a):
+        config = ScanConfig(t_lo=a, t_hi=a + 1.0)
+        tol = config.refine_tol
+        for y in scan_zeros(config).ordinates:
+            assert hardy_z(y - tol) * hardy_z(y + tol) < 0.0, y
+
+    @pytest.mark.parametrize(
+        "t_lo, count",
+        [
+            (3045.5, 2),  # widened bracket near 3046.05
+            (3882.5, 1),  # widened bracket near 3882.9
+            (6213.5, 1),  # widened bracket near 6213.8
+            (5229.0, 2),  # the closest pair, found by the quarter-step rescan
+        ],
+    )
+    def test_against_mpmath_oracle(self, t_lo, count):
+        zeros = scan_zeros(ScanConfig(t_lo=t_lo, t_hi=t_lo + 1.0))
+        assert zeros.count == count
+        assert zeros.suspect_intervals == ()
+        with mpmath.workdps(20):
+            for y in zeros.ordinates:
+                assert abs(float(mpmath.findroot(mpmath.siegelz, y)) - y) <= 1e-9
+
+
 class TestZeroList:
     def test_count_below(self):
         zeros = scan_zeros(ScanConfig(t_lo=0.0, t_hi=50.0))
@@ -204,6 +263,14 @@ class TestZeroCache:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             read_zero_cache(path)
+
+    def test_missing_range_covers_last_ordinate(self, tmp_path):
+        path = tmp_path / "zeros.txt"
+        path.write_text("14.134725141735\n21.022039638772\n")
+        loaded = read_zero_cache(path)
+        assert loaded.ordinates == (14.134725141735, 21.022039638772)
+        assert loaded.t_lo == 0.0
+        assert loaded.t_hi == 21.022039638772
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "zeros.txt"
