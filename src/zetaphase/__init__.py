@@ -27,11 +27,8 @@ from .argexpr import (
     symbolic_expression,
 )
 from .estimate import (
-    ZeroEstimate,
     carrier_g,
     carrier_gamma,
-    estimate_zero,
-    solve_smooth_transcendental,
     staircase,
     staircase_jumps,
     staircase_levels,
@@ -40,7 +37,6 @@ from .estimate import (
 from .render import DensityImage, beat_width, read_pgm, render_counts, write_pgm
 from .special import (
     AtZeroError,
-    ThetaSeries,
     arg_gamma_quarter,
     arg_zeta_principal,
     hardy_z,
@@ -81,9 +77,7 @@ __all__ = [
     "GENERATOR_VERSION",
     "ScanConfig",
     "SymbolicArgExpression",
-    "ThetaSeries",
     "UnitIntervalCounts",
-    "ZeroEstimate",
     "ZeroList",
     "airy_counter",
     "airy_counter_corrected",
@@ -104,7 +98,6 @@ __all__ = [
     "corrected_approx",
     "counter_from_counting_function",
     "divergence_report",
-    "estimate_zero",
     "first_missed_zero",
     "floor_counter",
     "hardy_z",
@@ -118,7 +111,6 @@ __all__ = [
     "render_counts",
     "ruler_normalized",
     "scan_zeros",
-    "solve_smooth_transcendental",
     "staircase",
     "staircase_jumps",
     "staircase_levels",

@@ -17,7 +17,7 @@ import os
 import sys
 import time
 
-from . import GENERATOR_VERSION, argexpr, estimate, render, special, verify
+from . import argexpr, estimate, render, special, verify
 from . import zeros as zmod
 
 
@@ -170,8 +170,7 @@ def cmd_sequences(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     for n in args.n:
-        est = estimate.estimate_zero(n, args.method)
-        print(_fmt(est.estimate))
+        print(_fmt(estimate.zero_estimate_lambert(n)))
     return 0
 
 
@@ -282,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="closed-form n-th zero estimates")
     p.add_argument("n", type=int, nargs="+")
-    p.add_argument("--method", choices=("lambert_closed_form", "smooth_solve"),
-                   default="lambert_closed_form")
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("staircase", help="carrier plus principal argument staircase")

@@ -2,8 +2,7 @@
 
 The n-th critical-line zero is estimated by inverting the smooth phase
 count: solve (y/2pi) ln(y/(2pi e)) = n - 11/8 for y.  The closed form uses
-the Lambert W function; the Newton solver exists to confirm the two agree,
-since the W form inverts the smooth equation exactly.
+the Lambert W function, which inverts the smooth equation exactly.
 
 The staircase s(n) adds the principal argument of zeta back onto the smooth
 carrier g(n) and recovers the per-unit-interval zero counts by watching s
@@ -13,28 +12,10 @@ cross half-integer levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .special import TWO_PI, arg_zeta_principal, lambert_w0, smooth_main
-
-_METHODS = ("lambert_closed_form", "smooth_solve")
-
-
-@dataclass(frozen=True)
-class ZeroEstimate:
-    index_n: int
-    estimate: float
-    method: str
-
-    def __post_init__(self) -> None:
-        if self.index_n < 1:
-            raise ValueError("index_n must be >= 1")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
-        if not self.estimate > 0.0:
-            raise ValueError("estimate must be positive")
 
 
 def zero_estimate_lambert(n: int) -> float:
@@ -44,42 +25,6 @@ def zero_estimate_lambert(n: int) -> float:
     a = n - 11.0 / 8.0
     w = lambert_w0(a / math.e)
     return TWO_PI * a / w
-
-
-def _smooth_phase_lhs(y: float) -> float:
-    x = y / TWO_PI
-    return x * math.log(x) - x
-
-
-def solve_smooth_transcendental(n: int, tol: float = 1e-12, max_iter: int = 50) -> float:
-    """Solve (y/2pi) ln(y/(2pi e)) = n - 11/8 by Newton on the monotone branch.
-
-    Seeded from the Lambert closed form, which is already the exact inverse;
-    the iteration is a residual polish plus a cross-check that the iterate
-    stays in the region y > 2 pi where the left side is increasing.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    target = n - 11.0 / 8.0
-    y = zero_estimate_lambert(n)
-    for _ in range(max_iter):
-        if y <= TWO_PI:
-            raise ValueError("iterate left the monotone region y > 2 pi")
-        resid = _smooth_phase_lhs(y) - target
-        if abs(resid) <= tol:
-            return y
-        y -= resid * TWO_PI / math.log(y / TWO_PI)
-    raise ArithmeticError(f"no convergence after {max_iter} iterations (n = {n})")
-
-
-def estimate_zero(n: int, method: str = "lambert_closed_form") -> ZeroEstimate:
-    if method == "lambert_closed_form":
-        value = zero_estimate_lambert(n)
-    elif method == "smooth_solve":
-        value = solve_smooth_transcendental(n)
-    else:
-        raise ValueError(f"method must be one of {_METHODS}")
-    return ZeroEstimate(index_n=n, estimate=value, method=method)
 
 
 def carrier_g(n: float) -> float:

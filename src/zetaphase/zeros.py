@@ -23,25 +23,15 @@ import numpy as np
 from scipy.special import airy as _airy
 from scipy.special import j0 as _j0
 from scipy.special import j1 as _j1
-from scipy.special import loggamma as _scipy_loggamma
 
-from .special import (
-    T_WINDOW_MAX,
-    TWO_PI,
-    _BERNOULLI_SIGNED,
-    _em_truncation,
-    _THETA_COEFFS,
-)
+from . import GENERATOR_VERSION
+from .special import T_WINDOW_MAX, TWO_PI, hardy_z_vec, theta_vec
 
 CACHE_MAGIC = "zetaphase zero cache v1"
-_GENERATOR = "zetaphase 0.1.0"
 
 # Above this the fast Riemann-Siegel main-sum sampler is used on the grid;
 # below, the Euler-Maclaurin evaluator is cheap enough to sample directly.
 _T_FAST_MIN = 200.0
-
-_CHUNK = 256
-_K_BLOCK = 4096
 
 
 class CoverageError(ValueError):
@@ -49,86 +39,7 @@ class CoverageError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# vector kernels
-
-
-def _theta_vec(ts: np.ndarray) -> np.ndarray:
-    """theta on an array, float-precision (abs error ~5e-12, plenty here)."""
-    ts = np.asarray(ts, dtype=np.float64)
-    out = np.empty_like(ts)
-    low = ts < 50.0
-    if low.any():
-        tl = ts[low]
-        out_l = np.zeros_like(tl)
-        pos = tl > 0.0
-        if pos.any():
-            z = 0.25 + 0.5j * tl[pos]
-            out_l[pos] = _scipy_loggamma(z).imag - 0.5 * tl[pos] * math.log(math.pi)
-        out[low] = out_l
-    high = ~low
-    if high.any():
-        t = ts[high]
-        x = t / TWO_PI
-        main = math.pi * (x * np.log(x) - x - 0.125)
-        w = 1.0 / (t * t)
-        corr = np.zeros_like(t)
-        for c in reversed(_THETA_COEFFS):
-            corr = corr * w + c
-        out[high] = main + corr / t
-    return out
-
-
-def _neumaier_add(total: np.ndarray, comp: np.ndarray, inc: np.ndarray) -> None:
-    fresh = total + inc
-    comp += np.where(np.abs(total) >= np.abs(inc),
-                     (total - fresh) + inc,
-                     (inc - fresh) + total)
-    total[:] = fresh
-
-
-def _zeta_em_chunk(ts: np.ndarray, n_big: int) -> np.ndarray:
-    """Euler-Maclaurin zeta(1/2+it) for a small array sharing one truncation."""
-    m = len(ts)
-    sum_re = np.zeros(m)
-    comp_re = np.zeros(m)
-    sum_im = np.zeros(m)
-    comp_im = np.zeros(m)
-    for k0 in range(1, n_big, _K_BLOCK):
-        ks = np.arange(k0, min(k0 + _K_BLOCK, n_big), dtype=np.float64)
-        w = 1.0 / np.sqrt(ks)
-        ph = np.outer(ts, np.log(ks))
-        _neumaier_add(sum_re, comp_re, (w * np.cos(ph)).sum(axis=1))
-        _neumaier_add(sum_im, comp_im, (w * np.sin(ph)).sum(axis=1))
-    s = 0.5 + 1j * ts
-    total = (sum_re + comp_re) - 1j * (sum_im + comp_im)
-    n_f = float(n_big)
-    total = total + n_f ** (1 - s) / (s - 1.0) + 0.5 * n_f ** (-s)
-    rising = s.copy()
-    power = n_f ** (-s - 1.0)
-    fact = 2.0
-    for j, b2j in enumerate(_BERNOULLI_SIGNED, start=1):
-        total = total + (float(b2j) / fact) * rising * power
-        rising = rising * (s + (2 * j - 1)) * (s + 2 * j)
-        power = power * n_f ** -2.0
-        fact *= (2 * j + 1) * (2 * j + 2)
-    return total
-
-
-def _z_accurate_vec(ts: np.ndarray) -> np.ndarray:
-    """Hardy Z via Euler-Maclaurin for an arbitrary array of ordinates."""
-    ts = np.asarray(ts, dtype=np.float64)
-    if ts.size == 0:
-        return np.empty(0)
-    order = np.argsort(ts, kind="stable")
-    zs = np.empty_like(ts)
-    sorted_ts = ts[order]
-    for pos in range(0, len(sorted_ts), _CHUNK):
-        chunk = sorted_ts[pos:pos + _CHUNK]
-        n_big = max(_em_truncation(float(chunk[-1])), 2)
-        zeta = _zeta_em_chunk(chunk, n_big)
-        th = _theta_vec(chunk)
-        zs[order[pos:pos + _CHUNK]] = np.cos(th) * zeta.real - np.sin(th) * zeta.imag
-    return zs
+# Riemann-Siegel grid sampler
 
 
 def _rs_psi(p: np.ndarray) -> np.ndarray:
@@ -164,7 +75,7 @@ def _z_fast_vec(ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=np.float64)
     x = np.sqrt(ts / TWO_PI)
     kmax_arr = np.floor(x).astype(np.int64)
-    th = _theta_vec(ts)
+    th = theta_vec(ts)
     acc = np.zeros_like(ts)
     for k in range(1, int(kmax_arr[-1]) + 1):
         lo = np.searchsorted(ts, TWO_PI * k * k)
@@ -262,7 +173,7 @@ def _grid(t_lo: float, t_hi: float, step: float) -> np.ndarray:
 
 def _sample_grid(ts: np.ndarray) -> np.ndarray:
     split = int(np.searchsorted(ts, _T_FAST_MIN))
-    zs = _z_accurate_vec(ts[:split])
+    zs = hardy_z_vec(ts[:split])
     if split < len(ts):
         zs = np.concatenate([zs, _z_fast_vec(ts[split:])])
     return zs
@@ -286,15 +197,15 @@ def _refine(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
     Raises ArithmeticError if a bracket is still wider than tol after the
     step cap.
     """
-    fa = _z_accurate_vec(a)
-    fb = _z_accurate_vec(b)
+    fa = hardy_z_vec(a)
+    fb = hardy_z_vec(b)
     bad = np.sign(fa) * np.sign(fb) >= 0
     if bad.any():
         width = b - a
         a2 = np.where(bad, np.maximum(a - width, 0.0), a)
         b2 = np.where(bad, b + width, b)
-        fa2 = np.where(bad, _z_accurate_vec(a2), fa)
-        fb2 = np.where(bad, _z_accurate_vec(b2), fb)
+        fa2 = np.where(bad, hardy_z_vec(a2), fa)
+        fb2 = np.where(bad, hardy_z_vec(b2), fb)
         still = np.sign(fa2) * np.sign(fb2) >= 0
         a, b, fa, fb = a2, b2, fa2, fb2
         dropped = still
@@ -319,7 +230,7 @@ def _refine(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
             x = np.where(stalled >= 3, 0.5 * (a + b), x)
             stalled += 1
             fx = np.zeros_like(x)
-            fx[open_mask] = _z_accurate_vec(x[open_mask])
+            fx[open_mask] = hardy_z_vec(x[open_mask])
             root = open_mask & (fx == 0.0)
             to_a = open_mask & (np.sign(fx) == np.sign(fa))
             to_b = open_mask & ~to_a & ~root
@@ -348,7 +259,7 @@ def _scan_ordinates(t_lo: float, t_hi: float, step: float, tol: float) -> np.nda
     on_grid = zs == 0.0
     if on_grid.any():
         # A zero landing exactly on a sample: nudge the sample by step/10.
-        zs[on_grid] = _z_accurate_vec(ts[on_grid] + step / 10.0)
+        zs[on_grid] = hardy_z_vec(ts[on_grid] + step / 10.0)
     sign_change = np.sign(zs[:-1]) * np.sign(zs[1:]) < 0
     idx = np.nonzero(sign_change)[0]
     if idx.size == 0:
@@ -365,7 +276,7 @@ def _scan_ordinates(t_lo: float, t_hi: float, step: float, tol: float) -> np.nda
 def _predicted_counts(n_lo: int, n_hi: int) -> np.ndarray:
     """Smooth-phase prediction of per-unit-interval zero counts."""
     edges = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-    smooth = np.where(edges > 0.0, _theta_vec(edges) / math.pi + 1.0, 0.0)
+    smooth = np.where(edges > 0.0, theta_vec(edges) / math.pi + 1.0, 0.0)
     rounded = np.round(smooth)
     return np.diff(rounded).astype(np.int64)
 
@@ -374,7 +285,7 @@ def _smooth_count(t: float) -> int:
     """Rounded smooth-phase zero count below t (zero below the first peak)."""
     if t < 14.0:
         return 0
-    return int(round(float(_theta_vec(np.array([t]))[0]) / math.pi + 1.0))
+    return int(round(float(theta_vec(np.array([t]))[0]) / math.pi + 1.0))
 
 
 def scan_zeros(config: ScanConfig) -> ZeroList:
@@ -627,7 +538,7 @@ def first_missed_zero(report: list[tuple[int, int, int]]) -> int | None:
 def write_zero_cache(zeros: ZeroList, path: str | os.PathLike) -> None:
     """ASCII cache: '#' header comments, one 12-decimal ordinate per line."""
     lines = [f"# {CACHE_MAGIC}"]
-    lines.append(f"# generator: {_GENERATOR}")
+    lines.append(f"# generator: {GENERATOR_VERSION}")
     lines.append(f"# source: {zeros.source}")
     lines.append(f"# range: {zeros.t_lo:.6f} {zeros.t_hi:.6f}")
     if zeros.step is not None:
@@ -659,18 +570,19 @@ def read_zero_cache(path: str | os.PathLike) -> ZeroList:
                 continue
             if line.startswith("#"):
                 body = line[1:].strip()
-                if body.startswith("range:"):
-                    try:
-                        lo_s, hi_s = body.split(":", 1)[1].split()
+                key, _, value = body.partition(":")
+                try:
+                    if key == "range":
+                        lo_s, hi_s = value.split()
                         t_lo, t_hi = float(lo_s), float(hi_s)
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{lineno}: bad range comment") from exc
-                elif body.startswith("step:"):
-                    step = float(body.split(":", 1)[1])
-                elif body.startswith("refine_tol:"):
-                    tol = float(body.split(":", 1)[1])
-                elif body.startswith("count:"):
-                    declared = int(body.split(":", 1)[1])
+                    elif key == "step":
+                        step = float(value)
+                    elif key == "refine_tol":
+                        tol = float(value)
+                    elif key == "count":
+                        declared = int(value)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad {key} comment") from exc
                 continue
             try:
                 y = float(line)

@@ -182,11 +182,6 @@ class TestEstimateCommand:
             "1419.517764572191",
         ]
 
-    def test_solver_method(self, capsys):
-        code, out, _ = run_cli(capsys, "estimate", "3", "--method", "smooth_solve")
-        assert code == 0
-        assert out.strip() == "25.492675432264"
-
 
 class TestStaircaseCommand:
     def test_csv(self, capsys):

@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from zetaphase import (
-    ZeroEstimate,
     arg_zeta_principal,
     carrier_g,
     carrier_gamma,
-    estimate_zero,
-    solve_smooth_transcendental,
     staircase,
     staircase_jumps,
     staircase_levels,
@@ -64,26 +61,6 @@ class TestLambertEstimate:
     def test_domain(self):
         with pytest.raises(ValueError):
             zero_estimate_lambert(0)
-
-
-class TestSmoothSolve:
-    def test_agrees_with_closed_form(self):
-        # The closed form already satisfies the smooth equation to
-        # residual ~1e-13, inside the solver tolerance, so the iteration
-        # accepts the seed unchanged.
-        for n in (1, 2, 10, 50, 777):
-            assert solve_smooth_transcendental(n) == zero_estimate_lambert(n)
-
-    def test_estimate_zero_wrapper(self):
-        ze = estimate_zero(3, method="smooth_solve")
-        assert isinstance(ze, ZeroEstimate)
-        assert ze.index_n == 3
-        assert ze.method == "smooth_solve"
-        assert ze.estimate == pytest.approx(25.492675432264, abs=1e-9)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_zero(3, method="newton")
 
 
 class TestCarriers:

@@ -11,10 +11,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaphase import (
     AtZeroError,
-    ThetaSeries,
     arg_gamma_quarter,
     arg_zeta_principal,
     hardy_z,
@@ -97,12 +98,6 @@ class TestThetaSeries:
         with pytest.raises(ValueError):
             theta_series(100.0, order=-1)
 
-    def test_series_object(self):
-        series = ThetaSeries(order=2)
-        assert series(100.0) == theta_series(100.0, order=2)
-        with pytest.raises(ValueError):
-            ThetaSeries(order=99)
-
 
 def test_smooth_main_correlates_with_theta():
     # theta(t)/pi + 1 - smooth_main(t) equals the small tail correction
@@ -166,6 +161,24 @@ class TestZetaCriticalLine:
             zeta_critical_line(-1.0)
         with pytest.raises(ValueError):
             zeta_critical_line(10001.0)
+
+
+def zeta_error_bound(t):
+    # The bound stated in the special.py docstrings.
+    return 5e-15 * max(t, 100.0)
+
+
+class TestKernelOracle:
+    # The scalar zeta and Z are one-element calls into the vector kernel
+    # that the zero scan uses, so this also checks the scan's evaluator.
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(st.floats(min_value=2.0, max_value=1e4))
+    def test_against_mpmath(self, t):
+        with mp.workdps(20):
+            z_ref = float(mp.siegelz(t))
+            zeta_ref = complex(mp.zeta(mp.mpc(0.5, t)))
+        assert abs(hardy_z(t) - z_ref) <= zeta_error_bound(t)
+        assert abs(zeta_critical_line(t) - zeta_ref) <= zeta_error_bound(t)
 
 
 class TestHardyZ:

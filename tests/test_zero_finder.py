@@ -117,19 +117,19 @@ class TestRefinement:
     def test_evaluation_budget(self, monkeypatch):
         # Bisection needs about 29 accurate evaluations per zero.
         evaluated = []
-        accurate = zeros_module._z_accurate_vec
+        accurate = zeros_module.hardy_z_vec
 
         def counting(ts):
             evaluated.append(np.size(ts))
             return accurate(ts)
 
-        monkeypatch.setattr(zeros_module, "_z_accurate_vec", counting)
+        monkeypatch.setattr(zeros_module, "hardy_z_vec", counting)
         zeros = scan_zeros(ScanConfig(t_lo=1000.0, t_hi=1100.0))
         assert zeros.count == 81
         assert sum(evaluated) <= 12 * zeros.count
 
     def test_exact_zero_taken_as_root(self, monkeypatch):
-        monkeypatch.setattr(zeros_module, "_z_accurate_vec", lambda ts: np.asarray(ts) - 10.25)
+        monkeypatch.setattr(zeros_module, "hardy_z_vec", lambda ts: np.asarray(ts) - 10.25)
         roots, dropped = zeros_module._refine(np.array([10.0]), np.array([10.5]), 1e-9)
         assert roots.tolist() == [10.25]
         assert not dropped.any()
@@ -137,7 +137,7 @@ class TestRefinement:
     def test_unclosed_bracket_raises(self, monkeypatch):
         # A sign step between adjacent doubles cannot be closed to 1e-30.
         monkeypatch.setattr(
-            zeros_module, "_z_accurate_vec", lambda ts: np.where(np.asarray(ts) < 10.3, -1.0, 1.0)
+            zeros_module, "hardy_z_vec", lambda ts: np.where(np.asarray(ts) < 10.3, -1.0, 1.0)
         )
         with pytest.raises(ArithmeticError):
             zeros_module._refine(np.array([10.0]), np.array([10.5]), 1e-30)
@@ -241,6 +241,21 @@ class TestZeroCache:
         lines[8] = "not-a-number"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=":9: not an ordinate"):
+            read_zero_cache(path)
+
+    @pytest.mark.parametrize(
+        "key, lineno", [("range", 4), ("step", 5), ("refine_tol", 6), ("count", 7)]
+    )
+    def test_malformed_header_reported_with_number(self, tmp_path, key, lineno):
+        zeros = ZeroList(ordinates=(14.1, 21.0), source="scanned", t_lo=0.0, t_hi=30.0,
+                         step=0.05, refine_tol=1e-9)
+        path = tmp_path / "zeros.txt"
+        write_zero_cache(zeros, path)
+        lines = path.read_text().splitlines()
+        assert lines[lineno - 1].startswith(f"# {key}:")
+        lines[lineno - 1] = f"# {key}: two"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f":{lineno}: bad {key} comment"):
             read_zero_cache(path)
 
     def test_out_of_order_rejected(self, tmp_path):
