@@ -62,9 +62,11 @@ from .zeros import (
     divergence_report,
     first_missed_zero,
     floor_counter,
+    interval_counts,
     point_density_zeta,
     read_zero_cache,
     scan_zeros,
+    smooth_count,
     unit_interval_counts,
     write_zero_cache,
 )
@@ -101,6 +103,7 @@ __all__ = [
     "first_missed_zero",
     "floor_counter",
     "hardy_z",
+    "interval_counts",
     "lambert_w0",
     "log_gamma_complex",
     "main_term",
@@ -111,6 +114,7 @@ __all__ = [
     "render_counts",
     "ruler_normalized",
     "scan_zeros",
+    "smooth_count",
     "staircase",
     "staircase_jumps",
     "staircase_levels",

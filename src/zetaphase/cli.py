@@ -144,7 +144,8 @@ def cmd_table(args: argparse.Namespace) -> int:
             "expr": e,
         })
     if args.format == "json":
-        payload = [{"n": r["n"], "true": r["true"], "approx": r["approx"],
+        payload = [{"n": r["n"], "true": float(_fmt(r["true"])),
+                    "approx": float(_fmt(r["approx"])),
                     "expr": _expr_record(r["expr"])} for r in rows]
         _emit(json.dumps(payload, indent=None, separators=(",", ":")) + "\n", args.out)
     elif args.format == "csv":
@@ -178,7 +179,7 @@ def cmd_staircase(args: argparse.Namespace) -> int:
     values = estimate.staircase(args.max)
     levels = estimate.staircase_levels(values)
     if args.format == "json":
-        rows = [{"n": n, "s": values[n - 1], "level": int(levels[n - 1])}
+        rows = [{"n": n, "s": float(_fmt(values[n - 1])), "level": int(levels[n - 1])}
                 for n in range(1, args.max + 1)]
         _emit(json.dumps(rows, indent=None, separators=(",", ":")) + "\n", args.out)
     else:
@@ -314,13 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

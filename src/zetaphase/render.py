@@ -41,11 +41,10 @@ def render_counts(counts: UnitIntervalCounts, width: int) -> DensityImage:
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    height = math.ceil(counts.n_max / width)
+    height = counts.n_max // width + 1
     buf = bytearray(b"\xff" * (width * height))
     for n, c in counts.nonzero_items():
-        if n < width * height:
-            buf[n] = max(0, 255 - _SHADE_STEP * c)
+        buf[n] = max(0, 255 - _SHADE_STEP * c)
     return DensityImage(width=width, height=height, pixels=bytes(buf))
 
 

@@ -86,7 +86,7 @@ class CheckResult:
     def record(self) -> dict:
         return {
             "check": self.name,
-            "passed": self.passed,
+            "passed": bool(self.passed),
             "expected": self.expected,
             "got": self.got,
             "tolerance": self.tolerance,
@@ -163,14 +163,10 @@ def check_census_landmarks(zero_list: zmod.ZeroList,
 
 def check_count_consistency(zero_list: zmod.ZeroList) -> CheckResult:
     """Cumulative zero counts must track the smooth phase within 2."""
-    checkpoints = [float(t) for t in range(250, int(zero_list.t_hi) + 1, 250)]
-    checkpoints.append(zero_list.t_hi)
-    worst = 0
-    worst_t = checkpoints[0]
-    for t in checkpoints:
-        gap = abs(zero_list.count_below(t) - zmod._smooth_count(t))
-        if gap > worst:
-            worst, worst_t = gap, t
+    checkpoints = np.append(np.arange(250.0, int(zero_list.t_hi) + 1, 250.0), zero_list.t_hi)
+    below = np.searchsorted(np.asarray(zero_list.ordinates), checkpoints, side="right")
+    gaps = np.abs(below - zmod.smooth_count(checkpoints))
+    worst, worst_t = int(gaps.max()), float(checkpoints[gaps.argmax()])
     return CheckResult(
         name="count consistency",
         passed=worst <= 2,
@@ -182,11 +178,7 @@ def check_count_consistency(zero_list: zmod.ZeroList) -> CheckResult:
 
 def check_staircase_anomaly(zero_list: zmod.ZeroList) -> CheckResult:
     jumps = estimate.staircase_jumps(1009)
-    f = np.zeros(1010, dtype=np.int64)
-    for y in zero_list.ordinates:
-        if y >= 1010.0:
-            break
-        f[int(y)] += 1
+    f = zmod.interval_counts(zero_list.ordinates, 0, 1010)
     mismatch = [n for n in range(1, 1009) if jumps[n - 1] != f[n]]
     cum_900 = int(jumps[:900].sum()) == int(f[1:901].sum())
     shape = (mismatch == [1007, 1008]
@@ -272,10 +264,10 @@ def check_carriers() -> CheckResult:
 def check_counters() -> CheckResult:
     b_zeros = zmod.bessel_j0_zeros(80)
     a_zeros = zmod.airy_neg_zeros(700)
-    b_oracle = zmod._oracle_interval_counts(b_zeros, 200)
-    a_oracle = zmod._oracle_interval_counts(a_zeros, 200)
-    corrected_ok = all(zmod.bessel_j0_counter_corrected(n) == b_oracle[n]
-                       and zmod.airy_counter_corrected(n) == a_oracle[n]
+    b_oracle = zmod.interval_counts(b_zeros, 1, 201)
+    a_oracle = zmod.interval_counts(a_zeros, 1, 201)
+    corrected_ok = all(zmod.bessel_j0_counter_corrected(n) == b_oracle[n - 1]
+                       and zmod.airy_counter_corrected(n) == a_oracle[n - 1]
                        for n in range(1, 201))
     b_first = zmod.first_missed_zero(zmod.divergence_report("bessel", 60))
     a_first = zmod.first_missed_zero(zmod.divergence_report("airy", 60))
@@ -310,21 +302,22 @@ def check_beat_and_render(zero_list: zmod.ZeroList,
     )
 
 
-def _checks_without_zeros() -> list[tuple[str, Callable[[], CheckResult]]]:
-    return [
-        ("table rows", check_table_rows),
-        ("gamma point", check_gamma_point),
-        ("point 4000", check_point_4000),
-        ("phase residual", check_phase_residual),
-        ("symbolic closure", check_symbolic_closure),
-        ("carriers", check_carriers),
-        ("counters vs oracles", check_counters),
-    ]
-
-
-def _checks_with_zeros() -> list[str]:
-    return ["census landmarks", "count consistency", "staircase anomaly",
-            "lambert band", "beat and render"]
+# (name, needs the zero census, check) in output order; census checks get
+# (zero_list, partitioned, scan_seconds).
+_CHECKS: tuple[tuple[str, bool, Callable[..., CheckResult]], ...] = (
+    ("table rows", False, check_table_rows),
+    ("gamma point", False, check_gamma_point),
+    ("point 4000", False, check_point_4000),
+    ("phase residual", False, check_phase_residual),
+    ("symbolic closure", False, check_symbolic_closure),
+    ("carriers", False, check_carriers),
+    ("counters vs oracles", False, check_counters),
+    ("census landmarks", True, lambda zl, part, secs: check_census_landmarks(zl, secs)),
+    ("count consistency", True, lambda zl, part, secs: check_count_consistency(zl)),
+    ("staircase anomaly", True, lambda zl, part, secs: check_staircase_anomaly(zl)),
+    ("lambert band", True, lambda zl, part, secs: check_lambert_band(zl)),
+    ("beat and render", True, lambda zl, part, secs: check_beat_and_render(zl, part)),
+)
 
 
 def run_checks(only: str | None = None,
@@ -336,25 +329,16 @@ def run_checks(only: str | None = None,
     Checks that need the zero census receive `zero_list`; when it is None
     and they are selected, a full scan over [0, 6501] is performed once.
     """
-    selected_simple = [(name, fn) for name, fn in _checks_without_zeros()
-                       if only is None or only in name]
-    selected_zero_names = [name for name in _checks_with_zeros()
-                           if only is None or only in name]
-
-    results = [fn() for _, fn in selected_simple]
-
-    if selected_zero_names:
+    results = []
+    for name, needs_zeros, fn in _CHECKS:
+        if only is not None and only not in name:
+            continue
+        if not needs_zeros:
+            results.append(fn())
+            continue
         if zero_list is None:
             t0 = time.perf_counter()
             zero_list = zmod.scan_zeros(zmod.ScanConfig(t_lo=0.0, t_hi=CENSUS_T_HI))
             scan_seconds = time.perf_counter() - t0
-        zero_checks = {
-            "census landmarks": lambda: check_census_landmarks(zero_list, scan_seconds),
-            "count consistency": lambda: check_count_consistency(zero_list),
-            "staircase anomaly": lambda: check_staircase_anomaly(zero_list),
-            "lambert band": lambda: check_lambert_band(zero_list),
-            "beat and render": lambda: check_beat_and_render(zero_list, partitioned),
-        }
-        for name in selected_zero_names:
-            results.append(zero_checks[name]())
+        results.append(fn(zero_list, partitioned, scan_seconds))
     return results

@@ -8,6 +8,12 @@ post-pass compares each unit interval's count against the smooth-phase
 prediction and rescans at a quarter step where they disagree by two or
 more.
 
+Every count goes through two functions: interval_counts, the number of
+ordinates with floor(y) = n over a range of n (the census F(n), the
+scanner's post-pass and the counter oracles), and smooth_count, the
+rounded smooth-phase count round(theta(t)/pi + 1) whose differences are
+the per-interval prediction.
+
 Also here: the interval-count container, floor-difference counters with
 their Bessel/Airy zero oracles, and the plain-text zero cache format.
 """
@@ -16,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,19 +278,26 @@ def _scan_ordinates(t_lo: float, t_hi: float, step: float, tol: float) -> np.nda
     return roots
 
 
-def _predicted_counts(n_lo: int, n_hi: int) -> np.ndarray:
-    """Smooth-phase prediction of per-unit-interval zero counts."""
-    edges = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-    smooth = np.where(edges > 0.0, theta_vec(edges) / math.pi + 1.0, 0.0)
-    rounded = np.round(smooth)
-    return np.diff(rounded).astype(np.int64)
+def interval_counts(ordinates, n_lo: int, n_hi: int) -> np.ndarray:
+    """Zeros per unit interval: entry k counts the ordinates with floor(y) = n_lo + k.
+
+    Covers n_lo <= n < n_hi; ordinates outside [n_lo, n_hi) are ignored.
+    """
+    ys = np.asarray(ordinates, dtype=np.float64)
+    inside = ys[(ys >= n_lo) & (ys < n_hi)]
+    return np.bincount(np.floor(inside).astype(np.int64) - n_lo, minlength=n_hi - n_lo)
 
 
-def _smooth_count(t: float) -> int:
-    """Rounded smooth-phase zero count below t (zero below the first peak)."""
-    if t < 14.0:
-        return 0
-    return int(round(float(theta_vec(np.array([t]))[0]) / math.pi + 1.0))
+def smooth_count(t):
+    """Rounded smooth-phase zero count below t: round(theta(t)/pi + 1), 0 below t = 14.
+
+    Takes a float (returns an int) or an array (returns an int64 array).
+    """
+    ts = np.asarray(t, dtype=np.float64)
+    out = np.zeros(ts.shape, dtype=np.int64)
+    above = ts >= 14.0
+    out[above] = np.round(theta_vec(ts[above]) / math.pi + 1.0)
+    return int(out) if out.ndim == 0 else out
 
 
 def scan_zeros(config: ScanConfig) -> ZeroList:
@@ -301,11 +313,8 @@ def scan_zeros(config: ScanConfig) -> ZeroList:
 
     n_lo = int(math.floor(config.t_lo))
     n_hi = int(math.ceil(config.t_hi))
-    predicted = _predicted_counts(n_lo, n_hi)
-    got = np.zeros(n_hi - n_lo, dtype=np.int64)
-    for n, c in Counter(np.floor(roots).astype(np.int64)).items():
-        if n_lo <= n < n_hi:
-            got[int(n) - n_lo] = c
+    predicted = np.diff(smooth_count(np.arange(n_lo, n_hi + 1, dtype=np.float64)))
+    got = interval_counts(roots, n_lo, n_hi)
 
     suspects: list[int] = []
     for offset in np.nonzero(np.abs(got - predicted) >= 2)[0]:
@@ -321,7 +330,7 @@ def scan_zeros(config: ScanConfig) -> ZeroList:
             # zero.  Flag as suspect only when the cumulative count has also
             # drifted away from the smooth phase at this height.
             edge = float(n + 1)
-            expected = _smooth_count(edge) - _smooth_count(config.t_lo)
+            expected = smooth_count(edge) - smooth_count(config.t_lo)
             cum_gap = int(np.searchsorted(roots, edge)) - expected
             # A scan anchored below the first zero has a noise-free left
             # baseline; a partial scan carries phase noise at both ends.
@@ -380,9 +389,9 @@ def unit_interval_counts(zeros: ZeroList, n_max: int) -> UnitIntervalCounts:
             f"zero list covers [{zeros.t_lo:g}, {zeros.t_hi:g}], "
             f"counts to n_max = {n_max} need [1, {n_max + 1}]"
         )
-    counts = Counter(int(math.floor(y)) for y in zeros.ordinates)
-    kept = {n: c for n, c in counts.items() if 1 <= n <= n_max}
-    return UnitIntervalCounts(n_max=n_max, counts=kept)
+    f = interval_counts(zeros.ordinates, 1, n_max + 1)
+    counts = {int(k) + 1: int(f[k]) for k in np.flatnonzero(f)}
+    return UnitIntervalCounts(n_max=n_max, counts=counts)
 
 
 def point_density_zeta(n: float) -> float:
@@ -490,14 +499,6 @@ def airy_neg_zeros(count: int) -> np.ndarray:
     return x
 
 
-def _oracle_interval_counts(zeros: np.ndarray, n_max: int) -> np.ndarray:
-    counts = np.zeros(n_max + 1, dtype=np.int64)
-    for n, c in Counter(np.floor(zeros[zeros < n_max + 1]).astype(np.int64)).items():
-        if 1 <= n <= n_max:
-            counts[n] = c
-    return counts
-
-
 def divergence_report(kind: str, n_max: int) -> list[tuple[int, int, int]]:
     """(n, formula count, oracle count) wherever a counter and its oracle differ.
 
@@ -513,14 +514,10 @@ def divergence_report(kind: str, n_max: int) -> list[tuple[int, int, int]]:
         zeros = airy_neg_zeros(int(2.0 * (n_max + 1) ** 1.5 / (3.0 * math.pi)) + 4)
     else:
         raise ValueError(f"unknown counter kind {kind!r}")
-    oracle = _oracle_interval_counts(zeros, n_max)
-    report = []
-    for n in range(1, n_max + 1):
-        got = counter(n)
-        want = int(oracle[n])
-        if got != want:
-            report.append((n, got, want))
-    return report
+    oracle = interval_counts(zeros, 1, n_max + 1).tolist()
+    formula = [counter(n) for n in range(1, n_max + 1)]
+    return [(n, got, want) for n, (got, want) in enumerate(zip(formula, oracle), start=1)
+            if got != want]
 
 
 def first_missed_zero(report: list[tuple[int, int, int]]) -> int | None:

@@ -148,6 +148,17 @@ class TestTableCommand:
         assert first["expr"]["lnpi"] == 4
         assert first["expr"]["primes"] == [[2, 4]]
 
+    def test_json_values_have_twelve_decimals(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "table", "--start", "9990", "--end", "10000", "--format", "json"
+        )
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 11
+        for row in rows:
+            for key in ("true", "approx"):
+                assert row[key] == float(f"{row[key]:.12f}"), (row["n"], key)
+
     def test_text_contains_expression(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--start", "1", "--end", "1")
         assert code == 0
@@ -195,6 +206,14 @@ class TestStaircaseCommand:
         assert int(first[0]) == 1
         assert float(first[1]) == pytest.approx(0.485966, abs=2e-5)
 
+    def test_json_values_have_twelve_decimals(self, capsys):
+        code, out, _ = run_cli(capsys, "staircase", "--max", "200", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 200
+        for row in rows:
+            assert row["s"] == float(f"{row['s']:.12f}"), row["n"]
+
 
 class TestRenderCommand:
     def test_writes_graymap(self, capsys, census_cache, tmp_path):
@@ -233,6 +252,16 @@ class TestVerifyCommand:
         assert code == 0
         records = json.loads(out)
         assert len(records) == 1
+        assert records[0]["passed"] is True
+
+    def test_json_format_with_census_checks(self, capsys, census_cache):
+        code, out, _ = run_cli(
+            capsys, "verify", "--cache", str(census_cache), "--only", "staircase",
+            "--format", "json",
+        )
+        assert code == 0
+        records = json.loads(out)
+        assert [r["check"] for r in records] == ["staircase anomaly"]
         assert records[0]["passed"] is True
 
     def test_corrupted_cache_fails_consistency(self, capsys, census_cache, tmp_path):

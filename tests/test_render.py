@@ -34,14 +34,14 @@ class TestRenderCounts:
     def test_all_empty_is_white(self):
         img = render_counts(make_counts(100, {}), width=10)
         assert img.width == 10
-        assert img.height == 10
-        assert img.pixels == b"\xff" * 100
+        assert img.height == 11
+        assert img.pixels == b"\xff" * 110
 
     def test_single_count_cell(self):
         img = render_counts(make_counts(100, {14: 1}), width=100)
-        assert img.height == 1
+        assert img.height == 2
         assert img.pixels[14] == 195
-        assert img.pixels.count(b"\xff") == 99
+        assert img.pixels.count(b"\xff") == 199
 
     def test_row_column_mapping(self):
         img = render_counts(make_counts(100, {57: 1}), width=10)
@@ -70,7 +70,13 @@ class TestRenderCounts:
 
     def test_height_formula(self):
         assert render_counts(make_counts(100, {}), width=30).height == 4
-        assert render_counts(make_counts(90, {}), width=30).height == 3
+        assert render_counts(make_counts(90, {}), width=30).height == 4
+        assert render_counts(make_counts(89, {}), width=30).height == 3
+
+    def test_last_interval_shaded_when_width_divides_n_max(self):
+        img = render_counts(make_counts(90, {90: 1}), width=30)
+        assert img.pixels[90] == 195
+        assert img.pixels.count(b"\xff") == img.width * img.height - 1
 
     def test_width_validation(self):
         with pytest.raises(ValueError):

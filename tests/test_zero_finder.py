@@ -28,9 +28,11 @@ from zetaphase import (
     first_missed_zero,
     floor_counter,
     hardy_z,
+    interval_counts,
     point_density_zeta,
     read_zero_cache,
     scan_zeros,
+    smooth_count,
     unit_interval_counts,
     write_zero_cache,
 )
@@ -314,6 +316,54 @@ class TestUnitIntervalCounts:
         assert set(nonzero) == {14, 21, 25, 30, 32, 37, 40, 43, 48, 49}
         with pytest.raises(ValueError):
             counts.get(0)
+
+
+class TestIntervalCounts:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-3, max_value=30).map(float),
+                st.floats(min_value=-3.0, max_value=30.0, allow_nan=False),
+            ),
+            max_size=40,
+        ),
+        st.integers(min_value=-2, max_value=20),
+        st.integers(min_value=0, max_value=15),
+    )
+    def test_matches_brute_force(self, ordinates, n_lo, width):
+        n_hi = n_lo + width
+        got = interval_counts(ordinates, n_lo, n_hi)
+        want = [sum(1 for y in ordinates if math.floor(y) == n) for n in range(n_lo, n_hi)]
+        assert got.tolist() == want
+
+    def test_empty_input(self):
+        assert interval_counts((), 1, 4).tolist() == [0, 0, 0]
+        assert interval_counts(np.empty(0), 5, 5).tolist() == []
+
+
+class TestSmoothCount:
+    # Intervals [n, n+1), 0 <= n < 60, where the rounded smooth phase steps
+    # by one, frozen from the scanner's per-interval prediction.
+    PREDICTED_ONE = {14, 20, 25, 29, 33, 37, 40, 43, 47, 50, 53, 56, 58}
+
+    def test_scalar_and_array_agree(self):
+        ts = np.array([0.0, 13.99, 14.0, 14.2, 100.0, 1009.5, 6501.0])
+        arr = smooth_count(ts)
+        assert arr.dtype == np.int64
+        scalars = [smooth_count(float(t)) for t in ts]
+        assert all(type(c) is int for c in scalars)
+        assert arr.tolist() == scalars
+
+    def test_zero_below_fourteen(self):
+        assert smooth_count(np.linspace(0.0, 13.999, 200)).tolist() == [0] * 200
+        assert smooth_count(14.0) == 0
+        assert smooth_count(100.0) == 29
+
+    def test_frozen_prediction_on_first_edges(self):
+        steps = np.diff(smooth_count(np.arange(0.0, 61.0)))
+        want = [1 if n in self.PREDICTED_ONE else 0 for n in range(60)]
+        assert steps.tolist() == want
 
 
 class TestPointDensity:
