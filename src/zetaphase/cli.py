@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from . import argexpr, estimate, render, special, verify
 from . import zeros as zmod
@@ -202,20 +201,15 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     zero_list = None
-    scan_seconds = None
     if args.cache:
         zero_list = _load_zeros(args.cache)
     partitioned = None
     if args.partition_check and not args.only:
         mid = float(int(verify.CENSUS_T_HI) // 2)
-        t0 = time.perf_counter()
         lo = zmod.scan_zeros(zmod.ScanConfig(t_lo=0.0, t_hi=mid))
         hi = zmod.scan_zeros(zmod.ScanConfig(t_lo=mid, t_hi=verify.CENSUS_T_HI))
         partitioned = lo.merge(hi)
-        if zero_list is None:
-            scan_seconds = time.perf_counter() - t0
-    results = verify.run_checks(only=args.only, zero_list=zero_list,
-                                partitioned=partitioned, scan_seconds=scan_seconds)
+    results = verify.run_checks(only=args.only, zero_list=zero_list, partitioned=partitioned)
     if args.format == "json":
         print(json.dumps([r.record() for r in results], indent=2))
     else:

@@ -170,7 +170,12 @@ def theta_series(t: float, order: int = 4) -> float:
     return _theta_from_main(t, order)
 
 
-def lambert_w0(x: float, tol: float = 1e-15, max_iter: int = 50) -> float:
+# Halley iteration for lambert_w0: relative step tolerance and step cap.
+_LAMBERT_TOL = 1e-15
+_LAMBERT_MAX_ITER = 50
+
+
+def lambert_w0(x: float) -> float:
     """Principal branch W0 of the Lambert W function on [-1/e, inf).
 
     Halley iteration from a log-based initial guess, blended toward the
@@ -198,7 +203,7 @@ def lambert_w0(x: float, tol: float = 1e-15, max_iter: int = 50) -> float:
         lx = math.log(x)
         w = lx - math.log(lx)
 
-    for _ in range(max_iter):
+    for _ in range(_LAMBERT_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - x
         if f == 0.0:
@@ -207,7 +212,7 @@ def lambert_w0(x: float, tol: float = 1e-15, max_iter: int = 50) -> float:
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         step = f / denom
         w -= step
-        if abs(step) <= tol * max(1.0, abs(w)):
+        if abs(step) <= _LAMBERT_TOL * max(1.0, abs(w)):
             break
     else:
         raise ArithmeticError(f"lambert_w0 failed to converge for x = {x}")

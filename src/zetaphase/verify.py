@@ -322,14 +322,14 @@ _CHECKS: tuple[tuple[str, bool, Callable[..., CheckResult]], ...] = (
 
 def run_checks(only: str | None = None,
                zero_list: zmod.ZeroList | None = None,
-               partitioned: zmod.ZeroList | None = None,
-               scan_seconds: float | None = None) -> list[CheckResult]:
+               partitioned: zmod.ZeroList | None = None) -> list[CheckResult]:
     """Run the acceptance checks, optionally filtered by name substring.
 
     Checks that need the zero census receive `zero_list`; when it is None
     and they are selected, a full scan over [0, 6501] is performed once.
     """
     results = []
+    scan_seconds = None
     for name, needs_zeros, fn in _CHECKS:
         if only is not None and only not in name:
             continue

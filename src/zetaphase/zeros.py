@@ -2,11 +2,13 @@
 
 The scanner samples the Hardy Z function on a fixed lattice (anchored at
 t = 0 so that scans over sub-ranges land on identical sample points),
-brackets sign changes, and refines every bracket by safeguarded Illinois
-(regula falsi) steps against the accurate Euler-Maclaurin evaluator.  A
-post-pass compares each unit interval's count against the smooth-phase
-prediction and rescans at a quarter step where they disagree by two or
-more.
+re-evaluates with the accurate Euler-Maclaurin evaluator every sample that
+ends a sign change or reads 0.0 until the sign changes are the accurate
+evaluator's, and refines every bracket by safeguarded Illinois (regula
+falsi) steps against that evaluator; a sample that is exactly 0.0 is an
+ordinate itself.  A post-pass compares each unit interval's count
+against the smooth-phase prediction and rescans at a quarter step where
+they disagree by two or more.
 
 Every count goes through two functions: interval_counts, the number of
 ordinates with floor(y) = n over a range of n (the census F(n), the
@@ -170,54 +172,31 @@ class ZeroList:
 
 
 def _grid(t_lo: float, t_hi: float, step: float) -> np.ndarray:
-    # Lattice anchored at t = 0 so disjoint sub-scans share sample points.
-    i_lo = int(math.ceil(t_lo / step - 1e-9))
-    i_hi = int(math.floor(t_hi / step + 1e-9))
+    # Lattice anchored at t = 0 so disjoint sub-scans share sample points;
+    # the enclosing lattice points are sampled so no edge cell goes unseen.
+    i_lo = int(math.floor(t_lo / step + 1e-9))
+    i_hi = int(math.ceil(t_hi / step - 1e-9))
     return np.arange(i_lo, i_hi + 1, dtype=np.float64) * step
 
 
-def _sample_grid(ts: np.ndarray) -> np.ndarray:
-    split = int(np.searchsorted(ts, _T_FAST_MIN))
-    zs = hardy_z_vec(ts[:split])
-    if split < len(ts):
-        zs = np.concatenate([zs, _z_fast_vec(ts[split:])])
-    return zs
+def _refine(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+            tol: float) -> np.ndarray:
+    """Shrink sign-change brackets [a, b] to width tol.
 
-
-def _refine(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shrink verified sign-change brackets [a, b] to width tol.
-
-    Each step is a regula falsi point with the Illinois rule (the retained
-    endpoint's stored value is halved whenever the same side is replaced
-    twice in a row), clipped at least tol/2 inside the bracket so that a
-    converged iterate is closed off by one step across the root.  A bracket
-    whose width has not halved within the last three steps takes a
-    bisection step instead, and an exact zero of the accurate evaluator
+    fa and fb are the accurate evaluator's values at the endpoints, of
+    opposite sign.  Each step is a regula falsi point with the Illinois rule
+    (the retained endpoint's stored value is halved whenever the same side
+    is replaced twice in a row), clipped at least tol/2 inside the bracket
+    so that a converged iterate is closed off by one step across the root.
+    A bracket whose width has not halved within the last three steps takes
+    a bisection step instead, and an exact zero of the accurate evaluator
     closes its bracket at once.  Each ordinate is the linear interpolant of
     the final endpoint values, inside an accurate sign-change bracket of
     width at most tol.
 
-    Returns (ordinates, dropped_mask); a bracket whose endpoints agree in
-    sign even after one step of widening is dropped and reported upstream.
     Raises ArithmeticError if a bracket is still wider than tol after the
     step cap.
     """
-    fa = hardy_z_vec(a)
-    fb = hardy_z_vec(b)
-    bad = np.sign(fa) * np.sign(fb) >= 0
-    if bad.any():
-        width = b - a
-        a2 = np.where(bad, np.maximum(a - width, 0.0), a)
-        b2 = np.where(bad, b + width, b)
-        fa2 = np.where(bad, hardy_z_vec(a2), fa)
-        fb2 = np.where(bad, hardy_z_vec(b2), fb)
-        still = np.sign(fa2) * np.sign(fb2) >= 0
-        a, b, fa, fb = a2, b2, fa2, fb2
-        dropped = still
-    else:
-        dropped = np.zeros(len(a), dtype=bool)
-
-    live = ~dropped
     ga, gb = fa, fb  # endpoint values as the secant sees them (Illinois-halved)
     last = np.zeros(len(a), dtype=np.int64)  # side replaced by the last step: -1 a, +1 b
     ref = b - a  # width when the bracket last halved
@@ -225,7 +204,7 @@ def _refine(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(80):
             width = b - a
-            open_mask = live & (width > tol)
+            open_mask = width > tol
             if not open_mask.any():
                 break
             halved = width <= 0.5 * ref
@@ -250,32 +229,35 @@ def _refine(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
             fb = np.where(move_b, fx, fb)
             gb = np.where(move_b, fx, gb)
             last = np.where(to_a, -1, np.where(to_b, 1, last))
-        if np.any(live & (b - a > tol)):
+        if np.any(b - a > tol):
             raise ArithmeticError("bracket refinement did not reach refine_tol")
         interp = np.clip(a - fa * (b - a) / (fb - fa), a, b)
-    return np.where(b > a, interp, a), dropped
+    return np.where(b > a, interp, a)
 
 
 def _scan_ordinates(t_lo: float, t_hi: float, step: float, tol: float) -> np.ndarray:
     ts = _grid(t_lo, t_hi, step)
-    if len(ts) < 2:
-        return np.empty(0)
-    zs = _sample_grid(ts)
-    on_grid = zs == 0.0
-    if on_grid.any():
-        # A zero landing exactly on a sample: nudge the sample by step/10.
-        zs[on_grid] = hardy_z_vec(ts[on_grid] + step / 10.0)
-    sign_change = np.sign(zs[:-1]) * np.sign(zs[1:]) < 0
-    idx = np.nonzero(sign_change)[0]
-    if idx.size == 0:
-        return np.empty(0)
-    roots, dropped = _refine(ts[idx], ts[idx + 1], tol)
-    roots = np.sort(roots[~dropped])
-    if len(roots) > 1:
-        # Widened brackets may converge onto the same zero from both sides.
-        keep = np.concatenate([[True], np.diff(roots) > 2.0 * tol])
-        roots = roots[keep]
-    return roots
+    accurate = ts < _T_FAST_MIN
+    zs = np.empty_like(ts)
+    zs[accurate] = hardy_z_vec(ts[accurate])
+    if not accurate.all():
+        zs[~accurate] = _z_fast_vec(ts[~accurate])
+    # Re-evaluate accurately every sample that ends a sign change or reads
+    # 0.0, until the sign changes are those of the accurate evaluator.
+    while True:
+        change = np.sign(zs[:-1]) * np.sign(zs[1:]) < 0
+        ends = zs == 0.0
+        ends[:-1] |= change
+        ends[1:] |= change
+        todo = ends & ~accurate
+        if not todo.any():
+            break
+        zs[todo] = hardy_z_vec(ts[todo])
+        accurate |= todo
+    idx = np.flatnonzero(change)
+    roots = np.sort(np.concatenate([
+        ts[zs == 0.0], _refine(ts[idx], ts[idx + 1], zs[idx], zs[idx + 1], tol)]))
+    return roots[(roots >= t_lo) & (roots <= t_hi)]
 
 
 def interval_counts(ordinates, n_lo: int, n_hi: int) -> np.ndarray:
@@ -303,8 +285,8 @@ def smooth_count(t):
 def scan_zeros(config: ScanConfig) -> ZeroList:
     """Locate all critical-line zeros in [t_lo, t_hi].
 
-    Sign changes of Z on the lattice are refined by safeguarded Illinois
-    steps to accurate sign-change brackets of width refine_tol; unit
+    Sign changes of the accurate Z between lattice samples are refined by
+    safeguarded Illinois steps to brackets of width refine_tol; unit
     intervals whose count disagrees with the smooth-phase prediction by two
     or more are rescanned once at a quarter of the step, and flagged as
     suspect if the disagreement survives.
@@ -322,7 +304,7 @@ def scan_zeros(config: ScanConfig) -> ZeroList:
         lo = max(float(n), config.t_lo)
         hi = min(float(n + 1), config.t_hi)
         redone = _scan_ordinates(lo, hi, config.step / 4.0, config.refine_tol)
-        inside = (roots >= n) & (roots < n + 1)
+        inside = (roots >= lo) & (roots <= hi)
         roots = np.sort(np.concatenate([roots[~inside], redone]))
         if abs(len(redone) - int(predicted[offset])) >= 2:
             # The phase fluctuation routinely reaches 2 inside one interval,
