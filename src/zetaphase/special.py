@@ -16,7 +16,9 @@ within one ulp of the true value and all phase functions share the same
 smooth-term double.  Zeta and Z carry an absolute error that grows with t,
 from the binary64 rounding of the phases t*ln(k): below 5e-15 * max(t, 100)
 inside the supported window 0 <= t <= 1e4, measured against mpmath over
-2,500 stratified heights (worst 3.3e-11, at t = 9771.3).
+2,500 stratified heights, one in each [4i, 4i + 4) (worst 1.9e-11, at
+t = 7187.1, 0.53 of the bound).  The value at t does not depend on the
+batch it is evaluated in.
 """
 
 from __future__ import annotations
@@ -53,15 +55,27 @@ _BERNOULLI_ABS = (
     Fraction(3617, 510),
 )
 
-# Signed B_2, ..., B_12 for the Euler-Maclaurin correction terms.
-_BERNOULLI_SIGNED = tuple((-1) ** j * b for j, b in enumerate(_BERNOULLI_ABS[:6]))
-
 MAX_SERIES_ORDER = len(_BERNOULLI_ABS)
 
-# Euler-Maclaurin zeta is summed over chunks of this many ascending
-# ordinates sharing one truncation, in blocks of this many terms.
+# B_2j / (2j)! for j = 1..30, the Euler-Maclaurin correction coefficients,
+# frozen from 60-digit mpmath.bernoulli so that importing needs no mpmath work.
+_EM_BERNOULLI = np.array([
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
+    -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
+    9.336734257095045e-31, -2.36502241570063e-32, 5.990671762482134e-34,
+    -1.5174548844682903e-35, 3.843758125454189e-37, -9.736353072646691e-39,
+    2.466247044200681e-40, -6.247076741820743e-42, 1.5824030244644914e-43,
+    -4.008273685948936e-45, 1.0153075855569557e-46, -2.5718041582418717e-48,
+])
+
+# Euler-Maclaurin zeta is evaluated over chunks of this many ascending
+# ordinates; its main sum is added in column blocks of this many terms.
 _CHUNK = 256
-_K_BLOCK = 4096
+_EM_BLOCK = 64
 
 # Coefficient of t**-(2k+1) in the theta asymptotic series,
 # c_k = (1 - 2**(1-2n)) * |B_2n| / (4n(2n-1)) with n = k + 1.
@@ -244,51 +258,51 @@ def theta_vec(ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _neumaier_add(total: np.ndarray, comp: np.ndarray, inc: np.ndarray) -> None:
-    fresh = total + inc
-    comp += np.where(np.abs(total) >= np.abs(inc),
-                     (total - fresh) + inc,
-                     (inc - fresh) + total)
-    total[:] = fresh
+def _em_truncation(ts: np.ndarray) -> np.ndarray:
+    """Euler-Maclaurin truncation N = ceil(t/4) + 20 per ordinate, as floats."""
+    return np.ceil(ts / 4.0) + 20.0
 
 
 def _zeta_em_chunk(ts: np.ndarray) -> np.ndarray:
-    """Euler-Maclaurin zeta(1/2+it) for a small ascending array.
+    """Euler-Maclaurin zeta(1/2+it) for an array of ordinates t >= 0.
 
-    All ordinates share the truncation N = ceil(1.3 t) + 30 of the last
-    one and six Bernoulli correction terms; the main sum is accumulated
-    in Neumaier-compensated blocks.
+    Each ordinate t gets its own truncation N = ceil(t/4) + 20: the terms
+    k < N are summed directly, and the tail carries m = 30 Bernoulli
+    corrections B_2..B_60.  Backlund's bound on the remainder (Rubinstein,
+    Computational methods and experiments in analytic number theory, 2005)
+    is then at most 6.9e-13 at t = 1e4, 1.4% of the documented error bound.
+    The main sum is one masked term matrix whose 64-column blocks are summed
+    pairwise and combined in sequence, and the tail is combined in sequence,
+    so the value at t does not depend on the other ordinates in the batch:
+    the blocks past a row's truncation add exact zeros.
     """
-    n_big = int(math.ceil(1.3 * float(ts[-1]))) + 30
     m = len(ts)
-    sum_re = np.zeros(m)
-    comp_re = np.zeros(m)
-    sum_im = np.zeros(m)
-    comp_im = np.zeros(m)
-    for k0 in range(1, n_big, _K_BLOCK):
-        ks = np.arange(k0, min(k0 + _K_BLOCK, n_big), dtype=np.float64)
-        w = 1.0 / np.sqrt(ks)
-        ph = np.outer(ts, np.log(ks))
-        _neumaier_add(sum_re, comp_re, (w * np.cos(ph)).sum(axis=1))
-        _neumaier_add(sum_im, comp_im, (w * np.sin(ph)).sum(axis=1))
+    n_big = _em_truncation(ts)
+    width = -(-(int(n_big.max()) - 1) // _EM_BLOCK) * _EM_BLOCK
+    ks = np.arange(1.0, width + 1.0)
+    w = np.where(ks < n_big[:, None], 1.0 / np.sqrt(ks), 0.0)
+    ph = np.outer(ts, np.log(ks))
+
+    def main_sum(terms):
+        return terms.reshape(m, -1, _EM_BLOCK).sum(axis=2).cumsum(axis=1)[:, -1]
+
     s = 0.5 + 1j * ts
-    total = (sum_re + comp_re) - 1j * (sum_im + comp_im)
-    n_f = float(n_big)
-    total = total + n_f ** (1 - s) / (s - 1.0) + 0.5 * n_f ** (-s)
-    # Bernoulli tail: sum_j B_2j/(2j)! * s(s+1)...(s+2j-2) * N^(1-s-2j)
-    rising = s.copy()
-    power = n_f ** (-s - 1.0)
-    fact = 2.0
-    for j, b2j in enumerate(_BERNOULLI_SIGNED, start=1):
-        total = total + (float(b2j) / fact) * rising * power
-        rising = rising * (s + (2 * j - 1)) * (s + 2 * j)
-        power = power * n_f ** -2.0
-        fact *= (2 * j + 1) * (2 * j + 2)
-    return total
+    n_pow = n_big ** -s
+    total = (main_sum(w * np.cos(ph)) - 1j * main_sum(w * np.sin(ph))
+             + n_big * n_pow / (s - 1.0) + 0.5 * n_pow)
+    # Tail sum_j B_2j/(2j)! * s(s+1)...(s+2j-2) * N^(1-s-2j) as a running
+    # product of term ratios (s+2j-1)(s+2j)/N^2, one row per j.
+    j = np.arange(1, len(_EM_BERNOULLI))[:, None]
+    ratios = (s + (2 * j - 1)) * (s + 2 * j) / (n_big * n_big)
+    terms = np.vstack([s * n_pow / n_big, ratios]).cumprod(axis=0)
+    return total + (_EM_BERNOULLI[:, None] * terms).cumsum(axis=0)[-1]
 
 
 def hardy_z_vec(ts: np.ndarray) -> np.ndarray:
-    """Hardy Z via Euler-Maclaurin zeta for an arbitrary array of ordinates t >= 0."""
+    """Hardy Z via Euler-Maclaurin zeta for an arbitrary array of ordinates t >= 0.
+
+    Each value depends on its own t alone, not on the rest of the batch.
+    """
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size == 0:
         return np.empty(0)

@@ -26,7 +26,13 @@ from zetaphase import (
     wrap_half_turns,
     zeta_critical_line,
 )
-from zetaphase.special import smooth_main
+from zetaphase.special import (
+    _BERNOULLI_ABS,
+    _EM_BERNOULLI,
+    _em_truncation,
+    hardy_z_vec,
+    smooth_main,
+)
 
 # mp.siegeltheta at 40 digits, rounded to double.
 THETA_REFERENCE = {
@@ -179,6 +185,54 @@ class TestKernelOracle:
             zeta_ref = complex(mp.zeta(mp.mpc(0.5, t)))
         assert abs(hardy_z(t) - z_ref) <= zeta_error_bound(t)
         assert abs(zeta_critical_line(t) - zeta_ref) <= zeta_error_bound(t)
+
+    # The smallest truncations (N = 20 at t = 0) and the largest (t = 1e4),
+    # the first zero, and both sides of the grid's evaluator switch at 200.
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_zeta_edges(self, t):
+        with mp.workdps(20):
+            zeta_ref = complex(mp.zeta(mp.mpc(0.5, t)))
+        assert abs(zeta_critical_line(t) - zeta_ref) <= zeta_error_bound(t)
+
+    @pytest.mark.parametrize("t", [2.0, 14.134725, 199.99, 200.01, 1e4])
+    def test_z_edges(self, t):
+        with mp.workdps(20):
+            z_ref = float(mp.siegelz(t))
+        assert abs(hardy_z(t) - z_ref) <= zeta_error_bound(t)
+
+
+class TestEulerMaclaurinKernel:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=400))
+    def test_batch_independent(self, ts):
+        # A mixed, unsorted batch with duplicates spanning several chunks:
+        # every value equals the element's own one-element evaluation.
+        batch = np.array(ts + ts[::2])
+        alone = np.array([hardy_z_vec(np.array([t]))[0] for t in batch])
+        assert np.array_equal(hardy_z_vec(batch), alone)
+
+    def test_bernoulli_table(self):
+        with mp.workdps(60):
+            derived = [float(mp.bernoulli(2 * j) / mp.factorial(2 * j))
+                       for j in range(1, len(_EM_BERNOULLI) + 1)]
+        assert list(_EM_BERNOULLI) == derived
+        for j, b in enumerate(_BERNOULLI_ABS, start=1):
+            assert _EM_BERNOULLI[j - 1] == (-1) ** (j + 1) * float(b / math.factorial(2 * j))
+
+    @pytest.mark.parametrize("t", [0.0, 14.0, 100.0, 1000.0, 5000.0, 1e4])
+    def test_backlund_bound(self, t):
+        # Backlund: with m corrections at truncation N the remainder is below
+        # |s + 2m + 1| / (sigma + 2m + 1) times the first omitted term
+        # B_2m+2 / (2m+2)! * s(s+1)...(s+2m) * N^(-s-2m-1).
+        m = len(_EM_BERNOULLI)
+        n = int(_em_truncation(np.array([t]))[0])
+        with mp.workdps(30):
+            s = mp.mpc(0.5, t)
+            omitted = (abs(mp.bernoulli(2 * m + 2)) / mp.factorial(2 * m + 2)
+                       * mp.fprod(abs(s + k) for k in range(2 * m + 1))
+                       * mp.mpf(n) ** (-0.5 - 2 * m - 1))
+            bound = float(abs(s + 2 * m + 1) / (0.5 + 2 * m + 1) * omitted)
+        assert bound <= 0.02 * zeta_error_bound(t)
 
 
 class TestHardyZ:

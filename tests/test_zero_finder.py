@@ -533,9 +533,8 @@ class TestCensusLandmarks:
 class TestPartitionedScan:
     def test_same_census_from_chunks(self, census_zeros, partitioned_census):
         assert partitioned_census.count == census_zeros.count
-        a = np.asarray(census_zeros.ordinates)
-        b = np.asarray(partitioned_census.ordinates)
-        assert np.max(np.abs(a - b)) <= 2e-9
+        # Z(t) does not depend on its batch, so the ordinates are identical.
+        assert partitioned_census.ordinates == census_zeros.ordinates
 
     def test_identical_interval_counts(self, census_counts, partitioned_census):
         other = unit_interval_counts(partitioned_census, census_counts.n_max)
