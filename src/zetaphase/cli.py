@@ -52,6 +52,13 @@ def _obtain_zeros(args: argparse.Namespace) -> zmod.ZeroList:
     return zero_list
 
 
+def _counts_from_args(args: argparse.Namespace) -> zmod.UnitIntervalCounts:
+    """F(n) up to --n-max, or up to the last whole interval the zero list covers."""
+    zero_list = _obtain_zeros(args)
+    n_max = int(zero_list.t_hi) - 1 if args.n_max is None else args.n_max
+    return zmod.unit_interval_counts(zero_list, n_max)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -107,15 +114,14 @@ def cmd_zeros(args: argparse.Namespace) -> int:
 
 
 def cmd_counts(args: argparse.Namespace) -> int:
-    zero_list = _obtain_zeros(args)
-    n_max = args.n_max or int(zero_list.t_hi) - 1
-    counts = zmod.unit_interval_counts(zero_list, n_max)
+    counts = _counts_from_args(args)
+    per_n = enumerate(counts.counts.tolist(), start=1)
     if args.format == "json":
-        rows = [{"n": n, "count": counts.get(n)} for n in range(1, n_max + 1)]
+        rows = [{"n": n, "count": c} for n, c in per_n]
         _emit(json.dumps(rows, indent=None, separators=(",", ":")) + "\n", args.out)
     elif args.format == "csv":
         lines = ["n,count"]
-        lines.extend(f"{n},{counts.get(n)}" for n in range(1, n_max + 1))
+        lines.extend(f"{n},{c}" for n, c in per_n)
         _emit("\n".join(lines) + "\n", args.out)
     else:
         lines = [f"{n}\t{c}" for n, c in counts.nonzero_items()]
@@ -190,10 +196,7 @@ def cmd_staircase(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    zero_list = _obtain_zeros(args)
-    n_max = args.n_max or int(zero_list.t_hi) - 1
-    counts = zmod.unit_interval_counts(zero_list, n_max)
-    image = render.render_counts(counts, args.width)
+    image = render.render_counts(_counts_from_args(args), args.width)
     render.write_pgm(image, args.out)
     print(f"{image.width}x{image.height} graymap -> {args.out}")
     return 0

@@ -12,6 +12,8 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .zeros import UnitIntervalCounts
 
 _SHADE_STEP = 60
@@ -42,10 +44,9 @@ def render_counts(counts: UnitIntervalCounts, width: int) -> DensityImage:
     if width < 1:
         raise ValueError("width must be >= 1")
     height = counts.n_max // width + 1
-    buf = bytearray(b"\xff" * (width * height))
-    for n, c in counts.nonzero_items():
-        buf[n] = max(0, 255 - _SHADE_STEP * c)
-    return DensityImage(width=width, height=height, pixels=bytes(buf))
+    buf = np.full(width * height, 255, dtype=np.uint8)
+    buf[1:counts.n_max + 1] = np.maximum(0, 255 - _SHADE_STEP * counts.counts)
+    return DensityImage(width=width, height=height, pixels=buf.tobytes())
 
 
 def beat_width(scale: float) -> float:

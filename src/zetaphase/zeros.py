@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import airy as _airy
@@ -116,15 +116,16 @@ class ScanConfig:
             raise ValueError("refine_tol must be in (0, 1e-6]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroList:
     """Ordinates of critical-line zeros over a covered range.
 
-    source is 'scanned' for lists produced here and 'ingested' for lists
-    read back from cache files; the two are never merged together.
+    ordinates is a read-only float64 array, copied from the input.  source
+    is 'scanned' for lists produced here and 'ingested' for lists read back
+    from cache files; the two are never merged together.
     """
 
-    ordinates: tuple[float, ...]
+    ordinates: np.ndarray
     source: str
     t_lo: float
     t_hi: float
@@ -137,19 +138,22 @@ class ZeroList:
             raise ValueError(f"unknown source {self.source!r}")
         if not 0.0 <= self.t_lo < self.t_hi:
             raise ValueError("coverage must satisfy 0 <= t_lo < t_hi")
-        if self.ordinates:
-            ys = np.asarray(self.ordinates)
-            if np.any(np.diff(ys) <= 0.0):
-                raise ValueError("ordinates must be strictly ascending")
-            if ys[0] < self.t_lo or ys[-1] > self.t_hi:
-                raise ValueError("ordinate outside declared coverage")
+        ys = np.array(self.ordinates, dtype=np.float64)
+        ys.flags.writeable = False
+        object.__setattr__(self, "ordinates", ys)
+        if ys.ndim != 1:
+            raise ValueError("ordinates must be one-dimensional")
+        if np.any(np.diff(ys) <= 0.0):
+            raise ValueError("ordinates must be strictly ascending")
+        if ys.size and (ys[0] < self.t_lo or ys[-1] > self.t_hi):
+            raise ValueError("ordinate outside declared coverage")
 
     @property
     def count(self) -> int:
         return len(self.ordinates)
 
     def count_below(self, t: float) -> int:
-        return int(np.searchsorted(np.asarray(self.ordinates), t, side="right"))
+        return int(np.searchsorted(self.ordinates, t, side="right"))
 
     def merge(self, other: "ZeroList") -> "ZeroList":
         """Concatenate two lists of the same source with abutting coverage."""
@@ -161,7 +165,7 @@ class ZeroList:
         if hi_first.t_lo - lo_first.t_hi > 1e-9:
             raise ValueError("coverage ranges leave a gap")
         return ZeroList(
-            ordinates=lo_first.ordinates + hi_first.ordinates,
+            ordinates=np.concatenate([lo_first.ordinates, hi_first.ordinates]),
             source=self.source,
             t_lo=lo_first.t_lo,
             t_hi=hi_first.t_hi,
@@ -321,7 +325,7 @@ def scan_zeros(config: ScanConfig) -> ZeroList:
                 suspects.append(n)
 
     return ZeroList(
-        ordinates=tuple(float(r) for r in roots),
+        ordinates=roots,
         source="scanned",
         t_lo=config.t_lo,
         t_hi=config.t_hi,
@@ -335,31 +339,39 @@ def scan_zeros(config: ScanConfig) -> ZeroList:
 # unit-interval counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitIntervalCounts:
-    """F(n): number of zero ordinates with floor(y) = n, for 1 <= n <= n_max."""
+    """F(n): number of zero ordinates with floor(y) = n, for 1 <= n <= n_max.
 
-    n_max: int
-    counts: dict[int, int] = field(default_factory=dict)
+    counts is a read-only int64 array, copied from the input, with
+    counts[n - 1] = F(n); n_max is its length.
+    """
+
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
-        for n, c in self.counts.items():
-            if not (1 <= n <= self.n_max):
-                raise ValueError(f"count key {n} outside [1, {self.n_max}]")
-            if c < 0:
-                raise ValueError("counts must be nonnegative")
+        f = np.array(self.counts)
+        if f.ndim != 1 or f.size == 0 or f.dtype.kind not in "iu":
+            raise ValueError("counts must be a non-empty one-dimensional integer array")
+        if np.any(f < 0):
+            raise ValueError("counts must be nonnegative")
+        f = f.astype(np.int64, copy=False)
+        f.flags.writeable = False
+        object.__setattr__(self, "counts", f)
+
+    @property
+    def n_max(self) -> int:
+        return len(self.counts)
 
     def get(self, n: int) -> int:
         if not 1 <= n <= self.n_max:
             raise ValueError(f"n = {n} outside [1, {self.n_max}]")
-        return self.counts.get(n, 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts[n - 1])
 
     def nonzero_items(self) -> list[tuple[int, int]]:
-        return sorted(self.counts.items())
+        """(n, F(n)) for every n with F(n) > 0, ascending in n."""
+        k = np.flatnonzero(self.counts)
+        return list(zip((k + 1).tolist(), self.counts[k].tolist()))
 
 
 def unit_interval_counts(zeros: ZeroList, n_max: int) -> UnitIntervalCounts:
@@ -371,9 +383,7 @@ def unit_interval_counts(zeros: ZeroList, n_max: int) -> UnitIntervalCounts:
             f"zero list covers [{zeros.t_lo:g}, {zeros.t_hi:g}], "
             f"counts to n_max = {n_max} need [1, {n_max + 1}]"
         )
-    f = interval_counts(zeros.ordinates, 1, n_max + 1)
-    counts = {int(k) + 1: int(f[k]) for k in np.flatnonzero(f)}
-    return UnitIntervalCounts(n_max=n_max, counts=counts)
+    return UnitIntervalCounts(interval_counts(zeros.ordinates, 1, n_max + 1))
 
 
 def point_density_zeta(n: float) -> float:
@@ -519,7 +529,10 @@ def write_zero_cache(zeros: ZeroList, path: str | os.PathLike) -> None:
     lines = [f"# {CACHE_MAGIC}"]
     lines.append(f"# generator: {GENERATOR_VERSION}")
     lines.append(f"# source: {zeros.source}")
-    lines.append(f"# range: {zeros.t_lo:.6f} {zeros.t_hi:.6f}")
+    # Shortest digits that parse back to the same floats, at least six decimals.
+    lo, hi = (np.format_float_positional(x, unique=True, min_digits=6)
+              for x in (zeros.t_lo, zeros.t_hi))
+    lines.append(f"# range: {lo} {hi}")
     if zeros.step is not None:
         lines.append(f"# step: {zeros.step:.6f}")
     if zeros.refine_tol is not None:
@@ -576,11 +589,7 @@ def read_zero_cache(path: str | os.PathLike) -> ZeroList:
         raise ValueError(f"{path}: declared count {declared} != {len(ordinates)} ordinates")
     if t_hi is None:
         t_hi = ordinates[-1] if ordinates else 1.0
-    return ZeroList(
-        ordinates=tuple(ordinates),
-        source="ingested",
-        t_lo=t_lo,
-        t_hi=float(t_hi),
-        step=step,
-        refine_tol=tol,
-    )
+    try:
+        return ZeroList(ordinates, "ingested", t_lo, float(t_hi), step=step, refine_tol=tol)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -133,6 +133,14 @@ class TestCountsCommand:
         assert code == 2
         assert "/nonexistent/zeros.txt" in err
 
+    def test_zero_n_max_is_error(self, capsys, census_cache):
+        code, out, err = run_cli(
+            capsys, "counts", "--cache", str(census_cache), "--n-max", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "n_max must be >= 1" in err
+
 
 class TestTableCommand:
     def test_json_schema(self, capsys):
@@ -237,6 +245,16 @@ class TestRenderCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_zero_n_max_is_error(self, capsys, census_cache, tmp_path):
+        out_path = tmp_path / "x.pgm"
+        code, _, err = run_cli(
+            capsys, "render", "--cache", str(census_cache), "--n-max", "0",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert "n_max must be >= 1" in err
+        assert not out_path.exists()
+
 
 class TestVerifyCommand:
     def test_filtered_pass(self, capsys):
@@ -284,6 +302,18 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
         assert "count consistency" in out
+
+    def test_empty_census_fails_landmarks(self, capsys, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# zetaphase zero cache v1\n# range: 0.000000 6501.000000\n# count: 0\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--cache", str(empty), "--only", "landmarks"
+        )
+        assert code == 1, err
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("FAIL  census landmarks")
+        assert "got first at none" in lines[0]
 
     def test_intact_cache_passes_consistency(self, capsys, census_cache):
         code, out, _ = run_cli(

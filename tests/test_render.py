@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaphase import (
     DensityImage,
@@ -15,7 +18,10 @@ from zetaphase import (
 
 
 def make_counts(n_max, mapping):
-    return UnitIntervalCounts(n_max=n_max, counts=dict(mapping))
+    f = np.zeros(n_max, dtype=np.int64)
+    for n, c in mapping.items():
+        f[n - 1] = c
+    return UnitIntervalCounts(f)
 
 
 class TestDensityImage:
@@ -77,6 +83,16 @@ class TestRenderCounts:
         img = render_counts(make_counts(90, {90: 1}), width=30)
         assert img.pixels[90] == 195
         assert img.pixels.count(b"\xff") == img.width * img.height - 1
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=60),
+           st.integers(min_value=1, max_value=20))
+    def test_matches_per_cell_formula(self, f, width):
+        img = render_counts(UnitIntervalCounts(np.array(f)), width=width)
+        want = bytearray(b"\xff" * (width * (len(f) // width + 1)))
+        for n, c in enumerate(f, start=1):
+            want[n] = max(0, 255 - 60 * c)
+        assert img.pixels == bytes(want)
 
     def test_width_validation(self):
         with pytest.raises(ValueError):

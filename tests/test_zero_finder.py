@@ -5,6 +5,7 @@ oracles come from scipy Bessel and Airy zero finders.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ import zetaphase.zeros as zeros_module
 from zetaphase import (
     CoverageError,
     ScanConfig,
+    UnitIntervalCounts,
     ZeroList,
     airy_counter,
     airy_counter_corrected,
@@ -87,7 +89,7 @@ class TestScanZeros:
     def test_empty_below_first_zero(self):
         zeros = scan_zeros(ScanConfig(t_lo=0.0, t_hi=14.0))
         assert zeros.count == 0
-        assert zeros.ordinates == ()
+        assert zeros.ordinates.size == 0
 
     def test_twenty_nine_below_hundred(self):
         zeros = scan_zeros(ScanConfig(t_lo=0.0, t_hi=100.0))
@@ -106,7 +108,7 @@ class TestScanZeros:
     def test_determinism(self):
         a = scan_zeros(ScanConfig(t_lo=100.0, t_hi=200.0))
         b = scan_zeros(ScanConfig(t_lo=100.0, t_hi=200.0))
-        assert a.ordinates == b.ordinates
+        assert np.array_equal(a.ordinates, b.ordinates)
 
     def test_high_window_uses_fast_path(self):
         zeros = scan_zeros(ScanConfig(t_lo=1000.0, t_hi=1020.0))
@@ -163,7 +165,7 @@ class TestRefinement:
         monkeypatch.setattr(zeros_module, "hardy_z_vec", linear)
         monkeypatch.setattr(zeros_module, "_z_fast_vec", linear)
         zeros = scan_zeros(ScanConfig(t_lo=root - 0.75, t_hi=root + 0.75))
-        assert zeros.ordinates == (root,)
+        assert np.array_equal(zeros.ordinates, [root])
 
     @pytest.mark.parametrize(
         "t_lo, t_hi, count",
@@ -218,6 +220,18 @@ class TestZeroList:
                 refine_tol=1e-9,
                 suspect_intervals=(),
             )
+
+    def test_ordinates_read_only(self):
+        zeros = ZeroList(ordinates=[14.1, 21.0], source="ingested", t_lo=0.0, t_hi=30.0)
+        assert zeros.ordinates.dtype == np.float64
+        with pytest.raises(ValueError):
+            zeros.ordinates[0] = 15.0
+
+    def test_input_copied(self):
+        ys = np.array([14.1, 21.0])
+        zeros = ZeroList(ordinates=ys, source="ingested", t_lo=0.0, t_hi=30.0)
+        ys[0] = 15.0
+        assert zeros.ordinates[0] == 14.1
 
     def test_merge_requires_abutting_coverage(self):
         a = scan_zeros(ScanConfig(t_lo=0.0, t_hi=30.0))
@@ -315,9 +329,33 @@ class TestZeroCache:
         path = tmp_path / "zeros.txt"
         path.write_text("14.134725141735\n21.022039638772\n")
         loaded = read_zero_cache(path)
-        assert loaded.ordinates == (14.134725141735, 21.022039638772)
+        assert np.array_equal(loaded.ordinates, [14.134725141735, 21.022039638772])
         assert loaded.t_lo == 0.0
         assert loaded.t_hi == 21.022039638772
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(14.0, 14.1347252), (14.13472514, 14.2)])
+    def test_range_round_trips(self, tmp_path, t_lo, t_hi):
+        # A six-decimal header would put the first zero outside the first
+        # window's range and claim unscanned coverage for the second.
+        zeros = scan_zeros(ScanConfig(t_lo=t_lo, t_hi=t_hi))
+        assert zeros.count == 1
+        path = tmp_path / "zeros.txt"
+        write_zero_cache(zeros, path)
+        loaded = read_zero_cache(path)
+        assert (loaded.t_lo, loaded.t_hi) == (t_lo, t_hi)
+        assert loaded.ordinates[0] == pytest.approx(zeros.ordinates[0], abs=1e-12)
+
+    def test_whole_number_range_keeps_six_decimals(self, tmp_path):
+        zeros = ZeroList(ordinates=(14.1,), source="scanned", t_lo=0.0, t_hi=6501.0)
+        path = tmp_path / "zeros.txt"
+        write_zero_cache(zeros, path)
+        assert "# range: 0.000000 6501.000000" in path.read_text().splitlines()
+
+    def test_coverage_error_names_file(self, tmp_path):
+        path = tmp_path / "zeros.txt"
+        path.write_text("# range: 0.000000 20.000000\n14.134725141735\n21.022039638772\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ordinate outside")):
+            read_zero_cache(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "zeros.txt"
@@ -341,11 +379,38 @@ class TestUnitIntervalCounts:
         assert counts.get(14) == 1
         assert counts.get(21) == 1
         assert counts.get(15) == 0
-        assert counts.total == 10
+        assert counts.counts.sum() == 10
         nonzero = dict(counts.nonzero_items())
         assert set(nonzero) == {14, 21, 25, 30, 32, 37, 40, 43, 48, 49}
         with pytest.raises(ValueError):
             counts.get(0)
+
+    def test_n_max_is_length(self):
+        counts = UnitIntervalCounts(np.array([0, 1, 0, 2]))
+        assert counts.n_max == len(counts.counts) == 4
+        assert counts.nonzero_items() == [(2, 1), (4, 2)]
+
+    def test_counts_read_only(self):
+        counts = UnitIntervalCounts(np.array([0, 1, 0]))
+        assert counts.counts.dtype == np.int64
+        with pytest.raises(ValueError):
+            counts.counts[0] = 5
+
+    def test_input_copied(self):
+        f = np.array([0, 1, 0])
+        counts = UnitIntervalCounts(f)
+        f[0] = 5
+        assert counts.get(1) == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([0, -1, 2]), np.zeros((2, 3), dtype=np.int64), np.array([], dtype=np.int64),
+         np.array([0.0, 1.5])],
+        ids=["negative", "two-dimensional", "empty", "fractional"],
+    )
+    def test_rejects_bad_input(self, bad):
+        with pytest.raises(ValueError):
+            UnitIntervalCounts(bad)
 
 
 class TestIntervalCounts:
@@ -534,7 +599,7 @@ class TestPartitionedScan:
     def test_same_census_from_chunks(self, census_zeros, partitioned_census):
         assert partitioned_census.count == census_zeros.count
         # Z(t) does not depend on its batch, so the ordinates are identical.
-        assert partitioned_census.ordinates == census_zeros.ordinates
+        assert np.array_equal(partitioned_census.ordinates, census_zeros.ordinates)
 
     def test_identical_interval_counts(self, census_counts, partitioned_census):
         other = unit_interval_counts(partitioned_census, census_counts.n_max)
