@@ -1,12 +1,14 @@
 """Zero location on the critical line and unit-interval censuses.
 
 The scanner samples the Hardy Z function on a fixed lattice (anchored at
-t = 0 so that scans over sub-ranges land on identical sample points),
-re-evaluates with the accurate Euler-Maclaurin evaluator every sample that
-ends a sign change or reads 0.0 until the sign changes are the accurate
-evaluator's, and refines every bracket by safeguarded Illinois (regula
-falsi) steps against that evaluator; a sample that is exactly 0.0 is an
-ordinate itself.  A post-pass compares each unit interval's count
+t = 0 so that scans over sub-ranges land on identical sample points):
+below t = 200 with the accurate evaluator hardy_z_vec, from 200 up with
+the Riemann-Siegel evaluator, which from special.T_RS up is the accurate
+evaluator itself.  Every sample in [200, T_RS) that ends a sign change or
+reads 0.0 is re-evaluated accurately until the sign changes are the
+accurate evaluator's, and every bracket is refined by safeguarded Illinois
+(regula falsi) steps against that evaluator; a sample that is exactly 0.0
+is an ordinate itself.  A post-pass compares each unit interval's count
 against the smooth-phase prediction and rescans at a quarter step where
 they disagree by two or more.
 
@@ -32,66 +34,17 @@ from scipy.special import j0 as _j0
 from scipy.special import j1 as _j1
 
 from . import GENERATOR_VERSION
-from .special import T_WINDOW_MAX, TWO_PI, hardy_z_vec, theta_vec
+from .special import T_RS, T_WINDOW_MAX, TWO_PI, hardy_z_vec, riemann_siegel_z_vec, theta_vec
 
 CACHE_MAGIC = "zetaphase zero cache v1"
 
-# Above this the fast Riemann-Siegel main-sum sampler is used on the grid;
-# below, the Euler-Maclaurin evaluator is cheap enough to sample directly.
+# From this height up the grid is sampled by the Riemann-Siegel evaluator,
+# whose remainder Gabcke bounds from t = 200 up; below, by hardy_z_vec.
 _T_FAST_MIN = 200.0
 
 
 class CoverageError(ValueError):
     """Raised when a zero list does not cover the requested range."""
-
-
-# ----------------------------------------------------------------------
-# Riemann-Siegel grid sampler
-
-
-def _rs_psi(p: np.ndarray) -> np.ndarray:
-    """C0 shape cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p), stable on [0, 1).
-
-    Near the removable singularities at p = 1/4 and 3/4 the equivalent
-    sinc-ratio forms are used.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    out = np.empty_like(p)
-    near_q = np.abs(p - 0.25) < 0.05
-    near_r = np.abs(p - 0.75) < 0.05
-    rest = ~(near_q | near_r)
-    if near_q.any():
-        q = p[near_q] - 0.25
-        out[near_q] = 0.5 * (1.0 - 2.0 * q) * np.sinc(q * (1.0 - 2.0 * q)) / np.sinc(2.0 * q)
-    if near_r.any():
-        r = p[near_r] - 0.75
-        out[near_r] = 0.5 * (1.0 + 2.0 * r) * np.sinc(r * (1.0 + 2.0 * r)) / np.sinc(2.0 * r)
-    if rest.any():
-        pr = p[rest]
-        out[rest] = np.cos(TWO_PI * (pr * pr - pr - 0.0625)) / np.cos(TWO_PI * pr)
-    return out
-
-
-def _z_fast_vec(ts: np.ndarray) -> np.ndarray:
-    """Riemann-Siegel main sum with the leading remainder term.
-
-    Bracketing-grade accuracy (absolute error below ~3e-3 for t >= 200);
-    every bracket is re-verified and refined against the accurate evaluator.
-    Expects ts ascending.
-    """
-    ts = np.asarray(ts, dtype=np.float64)
-    x = np.sqrt(ts / TWO_PI)
-    kmax_arr = np.floor(x).astype(np.int64)
-    th = theta_vec(ts)
-    acc = np.zeros_like(ts)
-    for k in range(1, int(kmax_arr[-1]) + 1):
-        lo = np.searchsorted(ts, TWO_PI * k * k)
-        if lo >= len(ts):
-            break
-        acc[lo:] += np.cos(th[lo:] - ts[lo:] * math.log(k)) / math.sqrt(k)
-    p = x - kmax_arr
-    sign = np.where(kmax_arr % 2 == 1, 1.0, -1.0)
-    return 2.0 * acc + sign * x ** -0.5 * _rs_psi(p)
 
 
 # ----------------------------------------------------------------------
@@ -241,13 +194,13 @@ def _refine(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
 
 def _scan_ordinates(t_lo: float, t_hi: float, step: float, tol: float) -> np.ndarray:
     ts = _grid(t_lo, t_hi, step)
-    accurate = ts < _T_FAST_MIN
+    low = ts < _T_FAST_MIN
     zs = np.empty_like(ts)
-    zs[accurate] = hardy_z_vec(ts[accurate])
-    if not accurate.all():
-        zs[~accurate] = _z_fast_vec(ts[~accurate])
-    # Re-evaluate accurately every sample that ends a sign change or reads
-    # 0.0, until the sign changes are those of the accurate evaluator.
+    zs[low] = hardy_z_vec(ts[low])
+    zs[~low] = riemann_siegel_z_vec(ts[~low])
+    accurate = low | (ts >= T_RS)
+    # Re-evaluate accurately every sample in [200, T_RS) that ends a sign
+    # change or reads 0.0, until the sign changes are the accurate evaluator's.
     while True:
         change = np.sign(zs[:-1]) * np.sign(zs[1:]) < 0
         ends = zs == 0.0
@@ -525,20 +478,28 @@ def first_missed_zero(report: list[tuple[int, int, int]]) -> int | None:
 
 
 def write_zero_cache(zeros: ZeroList, path: str | os.PathLike) -> None:
-    """ASCII cache: '#' header comments, one 12-decimal ordinate per line."""
+    """ASCII cache: '#' header comments, one 12-decimal ordinate per line.
+
+    The '# range:' bounds are the list's coverage, widened where an ordinate
+    within 5e-13 of a bound rounds past it, so that the file reads back; they
+    are written in the shortest digits that parse back to the same floats.
+    """
+    ordinates = [f"{y:.12f}" for y in zeros.ordinates]
+    t_lo, t_hi = zeros.t_lo, zeros.t_hi
+    if ordinates:
+        t_lo, t_hi = min(t_lo, float(ordinates[0])), max(t_hi, float(ordinates[-1]))
     lines = [f"# {CACHE_MAGIC}"]
     lines.append(f"# generator: {GENERATOR_VERSION}")
     lines.append(f"# source: {zeros.source}")
-    # Shortest digits that parse back to the same floats, at least six decimals.
-    lo, hi = (np.format_float_positional(x, unique=True, min_digits=6)
-              for x in (zeros.t_lo, zeros.t_hi))
+    # At least six decimals.
+    lo, hi = (np.format_float_positional(x, unique=True, min_digits=6) for x in (t_lo, t_hi))
     lines.append(f"# range: {lo} {hi}")
     if zeros.step is not None:
         lines.append(f"# step: {zeros.step:.6f}")
     if zeros.refine_tol is not None:
         lines.append(f"# refine_tol: {zeros.refine_tol:.3e}")
     lines.append(f"# count: {zeros.count}")
-    lines.extend(f"{y:.12f}" for y in zeros.ordinates)
+    lines.extend(ordinates)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -30,9 +30,8 @@ class TestArgCommands:
         code, out, _ = run_cli(capsys, "arg-zeta", "1", "4000")
         assert code == 0
         lines = out.strip().splitlines()
-        # mpmath gives -0.38234352033977 at n = 4000; |zeta| = 0.048 there
-        # magnifies the kernel's error into the 12th decimal.
-        assert lines == ["-0.437372012316", "-0.382343520338"]
+        # mpmath gives -0.38234352033977 at n = 4000.
+        assert lines == ["-0.437372012316", "-0.382343520340"]
 
     def test_arg_zeta_approx(self, capsys):
         code, out, _ = run_cli(capsys, "arg-zeta", "1", "--approx")

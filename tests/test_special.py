@@ -5,7 +5,9 @@ Reference values are frozen from 40-digit mpmath evaluations
 is forced by the definition itself.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -29,10 +31,18 @@ from zetaphase import (
 from zetaphase.special import (
     _BERNOULLI_ABS,
     _EM_BERNOULLI,
+    _RS_CHEBYSHEV,
+    _RS_MU_HI,
+    _RS_MU_LO,
+    _RS_TWO_PI_HI,
+    _RS_TWO_PI_LO,
+    T_RS,
     _em_truncation,
     hardy_z_vec,
     smooth_main,
 )
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 # mp.siegeltheta at 40 digits, rounded to double.
 THETA_REFERENCE = {
@@ -50,6 +60,63 @@ ZETA_REFERENCE = {
     100.0: complex(2.6926198856813241, -0.020386029602598162),
     1000.0: complex(0.35633436719439606, 0.93199783123299367),
     6500.0: complex(-0.10290070191834146, -0.37278653389112664),
+}
+
+
+# mp.siegelz at 20 digits, rounded to double: one height in each of 48 equal
+# strata of [T_RS, 1e4], and T_RS with its neighbours at +-0.01.
+RS_REFERENCE = {
+    799.99: 1.8897067137822834,
+    800.0: 1.9454175211869156,
+    800.01: 2.000741599488697,
+    834.295839: 3.0733204384157164,
+    1114.31669: -4.9750404134650035,
+    1272.89311: -1.0279929539208175,
+    1446.012601: 0.6822226620558942,
+    1634.692489: -0.8111801511690657,
+    1909.84933: 2.0319830601698357,
+    2123.485902: 0.6550434492511301,
+    2175.659362: 3.7941444036315013,
+    2458.450421: 0.47336084805748235,
+    2582.174697: -0.15308500773731232,
+    2902.001088: -0.2925425629717155,
+    3084.637947: 0.8390740390561072,
+    3221.875237: -0.755228929410816,
+    3435.940319: 3.301634380447464,
+    3582.071125: -1.0757511887096831,
+    3833.296591: -3.737264606121341,
+    3952.606271: 3.6562682364157886,
+    4123.272387: -0.47702391359907453,
+    4303.264016: -0.1408220261159708,
+    4485.047169: 0.042259008365156656,
+    4734.114895: 0.8289007276390217,
+    4907.591478: -4.439546257805533,
+    5143.776286: 0.5186785186730851,
+    5210.794426: 0.14278862258579159,
+    5485.809531: -2.346643257052869,
+    5661.659654: -1.503232330124835,
+    5820.78454: 2.6635666795638113,
+    6089.015959: -0.36213577815204917,
+    6250.101688: -0.14202487928639482,
+    6415.831705: 1.3634630782837893,
+    6590.13809: 8.867228015736437,
+    6909.302944: -3.7738236568428496,
+    7086.180277: 1.111369711390476,
+    7241.286021: 0.8375472088213481,
+    7382.810944: -1.783489798915678,
+    7689.807127: -0.14005020859674788,
+    7807.980663: -2.4220289848081773,
+    7974.612858: -0.4381055413419783,
+    8255.919506: 1.870237112324422,
+    8336.207179: -0.7506951425926381,
+    8600.065683: 2.2490668092951767,
+    8718.482229: 1.744819903141096,
+    8900.131001: 0.03309647121196961,
+    9175.994504: -0.3027536414695238,
+    9277.012629: -0.8625400689146355,
+    9519.512812: 0.15574759517888487,
+    9727.838787: -0.33989562313775296,
+    9844.540387: 3.5171249358884324,
 }
 
 
@@ -187,18 +254,28 @@ class TestKernelOracle:
         assert abs(zeta_critical_line(t) - zeta_ref) <= zeta_error_bound(t)
 
     # The smallest truncations (N = 20 at t = 0) and the largest (t = 1e4),
-    # the first zero, and both sides of the grid's evaluator switch at 200.
-    @pytest.mark.parametrize("t", [0.0, 0.5])
+    # the first zero, both sides of the grid's evaluator switch at 200 and
+    # both sides of the kernel's switch at T_RS.
+    @pytest.mark.parametrize("t", [0.0, 0.5, T_RS - 0.01, T_RS + 0.01])
     def test_zeta_edges(self, t):
         with mp.workdps(20):
             zeta_ref = complex(mp.zeta(mp.mpc(0.5, t)))
         assert abs(zeta_critical_line(t) - zeta_ref) <= zeta_error_bound(t)
 
-    @pytest.mark.parametrize("t", [2.0, 14.134725, 199.99, 200.01, 1e4])
+    @pytest.mark.parametrize("t", [2.0, 14.134725, 199.99, 200.01, T_RS - 0.01, T_RS + 0.01, 1e4])
     def test_z_edges(self, t):
         with mp.workdps(20):
             z_ref = float(mp.siegelz(t))
         assert abs(hardy_z(t) - z_ref) <= zeta_error_bound(t)
+
+    def test_riemann_siegel_against_frozen_oracle(self):
+        assert T_RS in RS_REFERENCE
+        ratios = []
+        for t, z_ref in RS_REFERENCE.items():
+            err = abs(hardy_z(t) - z_ref)
+            assert err <= zeta_error_bound(t), t
+            ratios.append(err / zeta_error_bound(t))
+        assert max(ratios) <= 0.5
 
 
 class TestEulerMaclaurinKernel:
@@ -208,6 +285,12 @@ class TestEulerMaclaurinKernel:
         # A mixed, unsorted batch with duplicates spanning several chunks:
         # every value equals the element's own one-element evaluation.
         batch = np.array(ts + ts[::2])
+        alone = np.array([hardy_z_vec(np.array([t]))[0] for t in batch])
+        assert np.array_equal(hardy_z_vec(batch), alone)
+
+    def test_batch_independent_across_cutoff(self):
+        below = np.nextafter(T_RS, 0.0)
+        batch = np.array([1e4, T_RS, 200.0, below, T_RS, 1e4, below, 200.0, 5000.0])
         alone = np.array([hardy_z_vec(np.array([t]))[0] for t in batch])
         assert np.array_equal(hardy_z_vec(batch), alone)
 
@@ -302,3 +385,30 @@ class TestArgGammaQuarter:
         for t in np.linspace(0.5, 300.0, 61):
             v = arg_gamma_quarter(float(t))
             assert -1.0 < v <= 1.0
+
+
+class TestRiemannSiegelTables:
+    @pytest.fixture(scope="class")
+    def derive(self):
+        spec = importlib.util.spec_from_file_location(
+            "derive_rs_coefficients", SCRIPTS / "derive_rs_coefficients.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_corrections_rederived(self, derive):
+        # C_0 and C_1; the full table takes the same route through C_6.
+        assert np.array_equal(derive.correction_coefficients(1), _RS_CHEBYSHEV[:2])
+
+    def test_phase_table_rederived(self, derive):
+        hi, lo = derive.phase_table()
+        assert np.array_equal(hi, _RS_MU_HI) and np.array_equal(lo, _RS_MU_LO)
+        assert derive.two_pi_split() == (_RS_TWO_PI_HI, _RS_TWO_PI_LO)
+
+    def test_first_correction_is_psi(self):
+        # C_0(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p), Gabcke's Psi.
+        p = np.array([0.0, 0.1, 0.3, 0.5, 0.7, 0.95])
+        y = 2.0 * (2.0 * p - 1.0) ** 2 - 1.0
+        c0 = np.polynomial.chebyshev.chebval(y, _RS_CHEBYSHEV[0])
+        psi = np.cos(2 * np.pi * (p * p - p - 0.0625)) / np.cos(2 * np.pi * p)
+        assert np.allclose(c0, psi, rtol=0.0, atol=1e-15)

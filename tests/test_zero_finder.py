@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zetaphase.special as special
 import zetaphase.zeros as zeros_module
 from zetaphase import (
     CoverageError,
@@ -119,7 +120,8 @@ class TestScanZeros:
 
 class TestRefinement:
     def test_evaluation_budget(self, monkeypatch):
-        # Bisection needs about 29 accurate evaluations per zero.
+        # Above T_RS the grid samples are accurate already, and the Illinois
+        # steps take about 5 accurate evaluations per zero.
         evaluated = []
         accurate = zeros_module.hardy_z_vec
 
@@ -130,7 +132,7 @@ class TestRefinement:
         monkeypatch.setattr(zeros_module, "hardy_z_vec", counting)
         cases = [
             (1000.0, 1100.0, 81, 12),
-            (3000.0, 3100.0, 98, 8),  # holds the fast-sampler sign error near 3046.05
+            (3000.0, 3100.0, 98, 8),  # old fast-sampler sign error near 3046.05
         ]
         for t_lo, t_hi, count, per_zero in cases:
             evaluated.clear()
@@ -158,14 +160,30 @@ class TestRefinement:
     @pytest.mark.parametrize("root", [10.25, 1000.25])
     def test_zero_on_lattice_reported_once(self, monkeypatch, root):
         # 10.25 is sampled by the Euler-Maclaurin evaluator, 1000.25 by the
-        # Riemann-Siegel sampler; both are lattice points of step 0.05.
+        # Riemann-Siegel one; both are lattice points of step 0.05.
         def linear(ts):
             return np.asarray(ts, dtype=np.float64) - root
 
         monkeypatch.setattr(zeros_module, "hardy_z_vec", linear)
-        monkeypatch.setattr(zeros_module, "_z_fast_vec", linear)
+        monkeypatch.setattr(zeros_module, "riemann_siegel_z_vec", linear)
         zeros = scan_zeros(ScanConfig(t_lo=root - 0.75, t_hi=root + 0.75))
         assert np.array_equal(zeros.ordinates, [root])
+
+    def test_no_euler_maclaurin_rows_above_cutoff(self, monkeypatch):
+        # From T_RS up, grid samples and refinement steps alike go to the
+        # Riemann-Siegel evaluator.
+        rows = []
+        kernel = special._zeta_em_chunk
+
+        def recording(ts):
+            rows.append(np.array(ts))
+            return kernel(ts)
+
+        monkeypatch.setattr(special, "_zeta_em_chunk", recording)
+        zeros = scan_zeros(ScanConfig(t_lo=0.0, t_hi=2001.0))
+        assert zeros.count == 1519
+        evaluated = np.concatenate(rows)
+        assert evaluated.size > 0 and evaluated.max() < special.T_RS
 
     @pytest.mark.parametrize(
         "t_lo, t_hi, count",
@@ -187,9 +205,9 @@ class TestRefinement:
     @pytest.mark.parametrize(
         "t_lo, count",
         [
-            (3045.5, 2),  # fast-sampler sign error near 3046.05
-            (3882.5, 1),  # fast-sampler sign error near 3882.9
-            (6213.5, 1),  # fast-sampler sign error near 6213.8
+            (3045.5, 2),  # old fast-sampler sign error near 3046.05
+            (3882.5, 1),  # old fast-sampler sign error near 3882.9
+            (6213.5, 1),  # old fast-sampler sign error near 6213.8
             (5229.0, 2),  # the closest pair, found by the quarter-step rescan
         ],
     )
@@ -344,6 +362,19 @@ class TestZeroCache:
         loaded = read_zero_cache(path)
         assert (loaded.t_lo, loaded.t_hi) == (t_lo, t_hi)
         assert loaded.ordinates[0] == pytest.approx(zeros.ordinates[0], abs=1e-12)
+
+    @pytest.mark.parametrize("t_hi", [14.134725141734693, 14.134725141734894])
+    def test_ordinate_rounding_past_range_end(self, tmp_path, t_hi):
+        # The first zero, 14.134725141734694, is written as 14.134725141735,
+        # above either window's end; the written range widens to cover it.
+        zeros = scan_zeros(ScanConfig(t_lo=14.0, t_hi=t_hi))
+        assert zeros.count == 1
+        path = tmp_path / "zeros.txt"
+        write_zero_cache(zeros, path)
+        assert "# range: 14.000000 14.134725141735" in path.read_text().splitlines()
+        loaded = read_zero_cache(path)
+        assert (loaded.t_lo, loaded.t_hi) == (14.0, 14.134725141735)
+        assert loaded.ordinates.tolist() == [14.134725141735]
 
     def test_whole_number_range_keeps_six_decimals(self, tmp_path):
         zeros = ZeroList(ordinates=(14.1,), source="scanned", t_lo=0.0, t_hi=6501.0)
