@@ -15,7 +15,10 @@ Accuracy targets are "working precision": phases whose magnitude grows like
 t*log(t) are computed through one extended-precision smooth term and a
 single error-free product with pi, so every returned binary64 phase is
 within one ulp of the true value and all phase functions share the same
-smooth-term double.  Zeta and Z carry an absolute error below
+smooth-term double.  That term, smooth_main, is exact integer arithmetic
+on 136-bit fixed-point values (as many bits as EXTENDED_DPS = 40 digits
+give) ended by one correctly rounded integer division; it enters no mpmath
+precision context.  Zeta and Z carry an absolute error below
 5e-15 * max(t, 100) inside the supported window 0 <= t <= 1e4, measured
 against mpmath at stratified heights, one in each [4i, 4i + 4).  Below
 T_RS the error comes from the binary64 rounding of the phases t*ln(k) in
@@ -37,6 +40,7 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import dps_to_prec, from_int, ln2_fixed, mpf_log, mpf_pi, pi_fixed, to_fixed
 from scipy.special import loggamma as _scipy_loggamma
 
 TWO_PI = 2.0 * math.pi
@@ -46,6 +50,17 @@ T_WINDOW_MAX = 1.0e4
 
 # Working precision (decimal digits) for extended-precision paths.
 EXTENDED_DPS = 40
+
+# smooth_main works on integers v * 2^_FIXED_BITS.  Logarithms are taken
+# with 16 more bits of relative precision: ln m < 2^10 for the numerator m
+# of any double, so each is within about one unit of 2^-_FIXED_BITS, the
+# rounding down of to_fixed, of its true value.
+_FIXED_BITS = dps_to_prec(EXTENDED_DPS)
+_LOG_BITS = _FIXED_BITS + 16
+_TWO_PI_FIXED = 2 * pi_fixed(_FIXED_BITS)
+_LN2_FIXED = ln2_fixed(_FIXED_BITS)
+_LN_TWO_PI_E_FIXED = (_LN2_FIXED + (1 << _FIXED_BITS)
+                      + to_fixed(mpf_log(mpf_pi(_LOG_BITS), _LOG_BITS), _FIXED_BITS))
 
 # Switch point between the log-gamma route and the asymptotic route for the
 # exact phase.  Above this the 8-term series is exact to far below one ulp.
@@ -231,12 +246,21 @@ def smooth_main(t: float) -> float:
     This single double anchors the whole phase pipeline: the integer-argument
     approximations, the carriers, and both theta evaluators are built from
     it, so their binary64 rounding errors cancel in cross-identities.
+
+    With t = m / 2^e exactly and ln t = ln m - e ln 2, the value
+    (m (ln t - ln 2 pi - 1) + (7/8) 2^e 2 pi) / (2^e 2 pi) is formed on
+    integers with 136 fraction bits, each constant within about one unit of
+    the last of them, and rounded once by Python's correctly rounded integer
+    true division.  A value beyond the binary64 range (t above about 1e306)
+    raises OverflowError.
     """
     if t <= 0.0:
         raise ValueError("smooth main term requires t > 0")
-    with mp.workdps(EXTENDED_DPS):
-        x = mp.mpf(t) / (2 * mp.pi)
-        return float(x * mp.log(x) - x + mp.mpf(7) / 8)
+    m, d = float(t).as_integer_ratio()
+    e = d.bit_length() - 1
+    log_t = to_fixed(mpf_log(from_int(m), _LOG_BITS), _FIXED_BITS) - e * _LN2_FIXED
+    den = _TWO_PI_FIXED << e
+    return (8 * m * (log_t - _LN_TWO_PI_E_FIXED) + 7 * den) / (8 * den)
 
 
 def _two_prod(a: float, b: float) -> tuple[float, float]:

@@ -2,10 +2,11 @@
 
 Each check pins expected values that were either transcribed from the
 reference tables this package reproduces or derived from independent
-computations (bisection scans, extended-precision evaluation, Newton
-zero oracles).  Where a transcribed entry is internally inconsistent,
-the canonical value asserted here is the numerically validated one; the
-corrections ledger shipped with the tests records each such case.
+computations (sign-change scans refined by a safeguarded Illinois
+iteration, extended-precision evaluation, Newton zero oracles).  Where
+a transcribed entry is internally inconsistent, the canonical value
+asserted here is the numerically validated one; the corrections ledger
+shipped with the tests records each such case.
 
 The same checks back the command-line `verify` subcommand and the
 acceptance test suite.

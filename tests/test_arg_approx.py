@@ -224,6 +224,23 @@ class TestSymbolicExpression:
             gap = abs(float(symbolic_expression(n).evaluate()) - approx_arg_zeta(n))
             assert gap <= 1e-12, n
 
+    def test_evaluate_against_60_digit_oracle(self):
+        # evaluate() is the combination correctly rounded to binary64: equal
+        # bit for bit to the 60-digit value rounded to nearest.  One n in
+        # each of 300 strata of [1, 1e4], then primes, high prime powers and
+        # a prime factor above 10^6.
+        rng = np.random.default_rng(2024)
+        edges = np.linspace(1, 10001, 301).astype(int)
+        sample = [int(rng.integers(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+        sample += [1, 2, 9973, 10000, 999983, 2**40, 3**25, 8 * 1000003]
+        with mp.workdps(60):
+            for n in sample:
+                e = symbolic_expression(n)
+                total = e.c_pi * mp.pi + e.c_const + e.c_lnpi * mp.log(mp.pi)
+                for p, c in e.prime_terms:
+                    total += c * mp.log(p)
+                assert e.evaluate() == float(total / (8 * mp.pi)), n
+
     def test_text_form(self):
         assert symbolic_expression(1).text() == (
             "(1/(8*pi))*(-7*pi +4 +4*ln(pi) +4*ln(2))"
@@ -237,6 +254,9 @@ class TestSymbolicExpression:
             SymbolicArgExpression(
                 n=6, c_pi=1, c_const=24, c_lnpi=24, prime_terms=((3, -24), (2, 0))
             )
+        for p in (-3, 0, 1):
+            with pytest.raises(ValueError):
+                SymbolicArgExpression(n=1, c_pi=1, c_const=4, c_lnpi=4, prime_terms=((p, 4),))
 
     def test_large_prime_factor_rejected(self):
         with pytest.raises(OverflowError):
