@@ -36,8 +36,8 @@ _TRIAL_BOUND = 10 ** 6
 
 # SymbolicArgExpression.evaluate sums integers v * 2^_FIXED_BITS.
 # Logarithms are taken with 16 more bits of relative precision: ln p < 2^10
-# for p < 2^1024, so each is within about one unit of 2^-_FIXED_BITS, the
-# rounding down of to_fixed, of its true value.
+# for p < 2^1024, so each is within about one unit, 2^-_FIXED_BITS, of its
+# true value.
 _FIXED_BITS = dps_to_prec(EXTENDED_DPS)
 _LOG_BITS = _FIXED_BITS + 16
 _PI_FIXED = pi_fixed(_FIXED_BITS)

@@ -53,8 +53,8 @@ EXTENDED_DPS = 40
 
 # smooth_main works on integers v * 2^_FIXED_BITS.  Logarithms are taken
 # with 16 more bits of relative precision: ln m < 2^10 for the numerator m
-# of any double, so each is within about one unit of 2^-_FIXED_BITS, the
-# rounding down of to_fixed, of its true value.
+# of any double, so each is within about one unit, 2^-_FIXED_BITS, of its
+# true value.
 _FIXED_BITS = dps_to_prec(EXTENDED_DPS)
 _LOG_BITS = _FIXED_BITS + 16
 _TWO_PI_FIXED = 2 * pi_fixed(_FIXED_BITS)
