@@ -105,6 +105,10 @@ _EM_BLOCK = 64
 # 1/20 of the documented bound, and about 1/5 of the Euler-Maclaurin
 # kernel's at the same heights (see the module docstring).
 T_RS = 800.0
+# The Riemann-Siegel evaluator takes ordinates from here up, where Gabcke
+# bounds its remainder, to below 2 pi 43^2, where N would outgrow the
+# 42 rows of its phase tables.
+T_RS_MIN = 200.0
 
 # Riemann-Siegel tables, frozen from scripts/derive_rs_coefficients.py,
 # which tests/test_special.py checks them against.  C_k(p) has the parity
@@ -446,7 +450,7 @@ def _zeta_em_chunk(ts: np.ndarray) -> np.ndarray:
 
 
 def _rs_z_theta(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Riemann-Siegel Z(t) and theta(t) mod 2 pi for ordinates 200 <= t <= 1e4.
+    """Riemann-Siegel Z(t) and theta(t) mod 2 pi for ordinates T_RS_MIN <= t < 2 pi 43^2.
 
     Z = 2 sum_{n<=N} n^(-1/2) cos(theta - t ln n) + (-1)^(N-1) a^(-1/2)
     sum_{k<=6} C_k(p) a^(-k), with a = sqrt(t/(2 pi)), N = floor(a) and
@@ -461,6 +465,9 @@ def _rs_z_theta(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m = len(ts)
     n = np.floor(np.sqrt(ts / TWO_PI))
+    n_top = n.max()
+    if not n_top <= len(_RS_MU_HI):
+        raise ValueError("Riemann-Siegel Z needs t < 2 pi 43^2, within its phase tables")
     n2 = n * n
     # r = t/(2 pi N^2) - 1, with t - hi N^2 exact: hi N^2 is exact and
     # within a factor 2 of t.
@@ -471,7 +478,7 @@ def _rs_z_theta(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # One row per column n = 1..width: turns[n - 1] = t mu_n mod 1.
     c = _SPLITTER * ts
     t_hi = c - (c - ts)
-    width = _RS_BLOCK * -(-int(n.max()) // _RS_BLOCK)
+    width = _RS_BLOCK * -(-int(n_top) // _RS_BLOCK)
     mu_hi = _RS_MU_HI[:width, None]
     turns = np.modf(mu_hi * t_hi)[0] + (mu_hi * (ts - t_hi) + _RS_MU_LO[:width, None] * ts)
     g = (ts * log_a_n + theta_tail(ts, 2)) / TWO_PI - 0.0625
@@ -502,9 +509,12 @@ def riemann_siegel_z_vec(ts: np.ndarray) -> np.ndarray:
     From T_RS up this is hardy_z_vec itself.  Below T_RS the truncation
     error grows, to about 2e-11 near t = 200 (Gabcke's bound: 1.6e-9): fine
     for sampling a grid, not within the documented bound.  Each value
-    depends on its own t alone.
+    depends on its own t alone.  Raises ValueError for t below T_RS_MIN = 200,
+    past the phase tables (t >= 2 pi 43^2, about 11617) or not a number.
     """
     ts = np.asarray(ts, dtype=np.float64)
+    if ts.size and not ts.min() >= T_RS_MIN:
+        raise ValueError(f"Riemann-Siegel Z needs t >= {T_RS_MIN:g}")
     zs = np.empty_like(ts)
     for pos in range(0, len(ts), _RS_CHUNK):
         zs[pos:pos + _RS_CHUNK] = _rs_z_theta(ts[pos:pos + _RS_CHUNK])[0]
@@ -516,13 +526,17 @@ def hardy_z_vec(ts: np.ndarray) -> np.ndarray:
 
     Below T_RS via the Euler-Maclaurin zeta, from T_RS up by the
     Riemann-Siegel formula.  Each value depends on its own t alone, not on
-    the rest of the batch.
+    the rest of the batch.  Raises ValueError for negative or non-finite t
+    and, as riemann_siegel_z_vec does, for t past its phase tables.
     """
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size == 0:
         return np.empty(0)
     order = np.argsort(ts, kind="stable")
     sorted_ts = ts[order]
+    # NaN sorts last.
+    if not (sorted_ts[0] >= 0.0 and sorted_ts[-1] < math.inf):
+        raise ValueError("hardy_z_vec needs finite t >= 0")
     zs = np.empty_like(ts)
     split = int(np.searchsorted(sorted_ts, T_RS))
     for pos in range(0, split, _CHUNK):
@@ -530,8 +544,8 @@ def hardy_z_vec(ts: np.ndarray) -> np.ndarray:
         zeta = _zeta_em_chunk(chunk)
         th = theta_vec(chunk)
         zs[order[pos:pos + len(chunk)]] = np.cos(th) * zeta.real - np.sin(th) * zeta.imag
-    if split < len(ts):
-        zs[order[split:]] = riemann_siegel_z_vec(sorted_ts[split:])
+    for pos in range(split, len(ts), _RS_CHUNK):
+        zs[order[pos:pos + _RS_CHUNK]] = _rs_z_theta(sorted_ts[pos:pos + _RS_CHUNK])[0]
     return zs
 
 

@@ -9,8 +9,9 @@ reads 0.0 is re-evaluated accurately until the sign changes are the
 accurate evaluator's, and every bracket is refined by safeguarded Illinois
 (regula falsi) steps against that evaluator; a sample that is exactly 0.0
 is an ordinate itself.  A post-pass compares each unit interval's count
-against the smooth-phase prediction and rescans at a quarter step where
-they disagree by two or more.
+against the smooth-phase prediction and rescans at a quarter step every
+interval where they disagree by two or more, all of them in one batched
+pass: the same scanner run once over all their windows.
 
 Every count goes through two functions: interval_counts, the number of
 ordinates with floor(y) = n over a range of n (the census F(n), the
@@ -34,13 +35,17 @@ from scipy.special import j0 as _j0
 from scipy.special import j1 as _j1
 
 from . import GENERATOR_VERSION
-from .special import T_RS, T_WINDOW_MAX, TWO_PI, hardy_z_vec, riemann_siegel_z_vec, theta_vec
+from .special import (
+    T_RS,
+    T_RS_MIN,
+    T_WINDOW_MAX,
+    TWO_PI,
+    hardy_z_vec,
+    riemann_siegel_z_vec,
+    theta_vec,
+)
 
 CACHE_MAGIC = "zetaphase zero cache v1"
-
-# From this height up the grid is sampled by the Riemann-Siegel evaluator,
-# whose remainder Gabcke bounds from t = 200 up; below, by hardy_z_vec.
-_T_FAST_MIN = 200.0
 
 
 class CoverageError(ValueError):
@@ -128,12 +133,17 @@ class ZeroList:
         )
 
 
-def _grid(t_lo: float, t_hi: float, step: float) -> np.ndarray:
+def _grid(t_lo: np.ndarray, t_hi: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice samples of every window [t_lo[i], t_hi[i]], concatenated.
+
+    Returns the samples and the index of the window each belongs to.
+    """
     # Lattice anchored at t = 0 so disjoint sub-scans share sample points;
     # the enclosing lattice points are sampled so no edge cell goes unseen.
-    i_lo = int(math.floor(t_lo / step + 1e-9))
-    i_hi = int(math.ceil(t_hi / step - 1e-9))
-    return np.arange(i_lo, i_hi + 1, dtype=np.float64) * step
+    spans = [np.arange(math.floor(lo / step + 1e-9), math.ceil(hi / step - 1e-9) + 1,
+                       dtype=np.float64) for lo, hi in zip(t_lo.tolist(), t_hi.tolist())]
+    window = np.repeat(np.arange(len(spans)), [len(span) for span in spans])
+    return np.concatenate(spans) * step, window
 
 
 def _refine(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
@@ -192,17 +202,26 @@ def _refine(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
     return np.where(b > a, interp, a)
 
 
-def _scan_ordinates(t_lo: float, t_hi: float, step: float, tol: float) -> np.ndarray:
-    ts = _grid(t_lo, t_hi, step)
-    low = ts < _T_FAST_MIN
+def _scan_ordinates(t_lo: np.ndarray, t_hi: np.ndarray, step: float,
+                    tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ordinates in the ascending windows [t_lo[i], t_hi[i]], scanned in one pass.
+
+    No sign change spans two windows, so each window finds what a scan of
+    it alone would.  Returns the ordinates, ascending, and per window the
+    number it found.  A root on an endpoint that window i shares with
+    window i + 1 is counted by both and returned once, as window i + 1's.
+    """
+    ts, window = _grid(t_lo, t_hi, step)
+    low = ts < T_RS_MIN
     zs = np.empty_like(ts)
     zs[low] = hardy_z_vec(ts[low])
     zs[~low] = riemann_siegel_z_vec(ts[~low])
     accurate = low | (ts >= T_RS)
+    same_window = window[:-1] == window[1:]
     # Re-evaluate accurately every sample in [200, T_RS) that ends a sign
     # change or reads 0.0, until the sign changes are the accurate evaluator's.
     while True:
-        change = np.sign(zs[:-1]) * np.sign(zs[1:]) < 0
+        change = (np.sign(zs[:-1]) * np.sign(zs[1:]) < 0) & same_window
         ends = zs == 0.0
         ends[:-1] |= change
         ends[1:] |= change
@@ -212,9 +231,15 @@ def _scan_ordinates(t_lo: float, t_hi: float, step: float, tol: float) -> np.nda
         zs[todo] = hardy_z_vec(ts[todo])
         accurate |= todo
     idx = np.flatnonzero(change)
-    roots = np.sort(np.concatenate([
-        ts[zs == 0.0], _refine(ts[idx], ts[idx + 1], zs[idx], zs[idx + 1], tol)]))
-    return roots[(roots >= t_lo) & (roots <= t_hi)]
+    exact = np.flatnonzero(zs == 0.0)
+    roots = np.concatenate([ts[exact], _refine(ts[idx], ts[idx + 1], zs[idx], zs[idx + 1], tol)])
+    owner = window[np.concatenate([exact, idx])]
+    top = t_hi[owner]
+    inside = (roots >= t_lo[owner]) & (roots <= top)
+    counts = np.bincount(owner[inside], minlength=len(t_lo))
+    shared = np.concatenate([t_lo[1:] == t_hi[:-1], [False]])
+    inside &= (roots < top) | ~shared[owner]
+    return np.sort(roots[inside]), counts
 
 
 def interval_counts(ordinates, n_lo: int, n_hi: int) -> np.ndarray:
@@ -243,39 +268,42 @@ def scan_zeros(config: ScanConfig) -> ZeroList:
     """Locate all critical-line zeros in [t_lo, t_hi].
 
     Sign changes of the accurate Z between lattice samples are refined by
-    safeguarded Illinois steps to brackets of width refine_tol; unit
+    safeguarded Illinois steps to brackets of width refine_tol.  The unit
     intervals whose count disagrees with the smooth-phase prediction by two
-    or more are rescanned once at a quarter of the step, and flagged as
-    suspect if the disagreement survives.
+    or more are then rescanned at a quarter of the step, all in one batched
+    pass, and each is flagged as suspect if its disagreement survives.
     """
-    roots = _scan_ordinates(config.t_lo, config.t_hi, config.step, config.refine_tol)
+    roots, _ = _scan_ordinates(np.array([config.t_lo]), np.array([config.t_hi]),
+                               config.step, config.refine_tol)
 
     n_lo = int(math.floor(config.t_lo))
     n_hi = int(math.ceil(config.t_hi))
-    predicted = np.diff(smooth_count(np.arange(n_lo, n_hi + 1, dtype=np.float64)))
-    got = interval_counts(roots, n_lo, n_hi)
+    smooth = smooth_count(np.arange(n_lo, n_hi + 1, dtype=np.float64))
+    predicted = np.diff(smooth)
+    flagged = np.flatnonzero(np.abs(interval_counts(roots, n_lo, n_hi) - predicted) >= 2)
 
-    suspects: list[int] = []
-    for offset in np.nonzero(np.abs(got - predicted) >= 2)[0]:
-        n = n_lo + int(offset)
-        lo = max(float(n), config.t_lo)
-        hi = min(float(n + 1), config.t_hi)
-        redone = _scan_ordinates(lo, hi, config.step / 4.0, config.refine_tol)
-        inside = (roots >= lo) & (roots <= hi)
-        roots = np.sort(np.concatenate([roots[~inside], redone]))
-        if abs(len(redone) - int(predicted[offset])) >= 2:
-            # The phase fluctuation routinely reaches 2 inside one interval,
-            # so a persistent local gap alone is not evidence of a missed
-            # zero.  Flag as suspect only when the cumulative count has also
-            # drifted away from the smooth phase at this height.
-            edge = float(n + 1)
-            expected = smooth_count(edge) - smooth_count(config.t_lo)
-            cum_gap = int(np.searchsorted(roots, edge)) - expected
-            # A scan anchored below the first zero has a noise-free left
-            # baseline; a partial scan carries phase noise at both ends.
-            limit = 2 if config.t_lo < 14.0 else 3
-            if abs(cum_gap) >= limit:
-                suspects.append(n)
+    suspects: tuple[int, ...] = ()
+    if flagged.size:
+        ns = n_lo + flagged
+        lo = np.maximum(ns.astype(np.float64), config.t_lo)
+        hi = np.minimum(ns + 1.0, config.t_hi)
+        redone, counts = _scan_ordinates(lo, hi, config.step / 4.0, config.refine_tol)
+        # Replace the main pass's ordinates inside every rescanned window;
+        # window k is the first whose top end reaches the ordinate.
+        k = np.minimum(np.searchsorted(hi, roots), len(hi) - 1)
+        rescanned = (roots >= lo[k]) & (roots <= hi[k])
+        roots = np.sort(np.concatenate([roots[~rescanned], redone]))
+        # The phase fluctuation routinely reaches 2 inside one interval, so
+        # a persistent local gap alone is not evidence of a missed zero.
+        # Flag as suspect only when the cumulative count has also drifted
+        # away from the smooth phase at this height.
+        still = np.abs(counts - predicted[flagged]) >= 2
+        expected = smooth[flagged[still] + 1] - smooth_count(config.t_lo)
+        cum_gap = np.searchsorted(roots, ns[still] + 1.0) - expected
+        # A scan anchored below the first zero has a noise-free left
+        # baseline; a partial scan carries phase noise at both ends.
+        limit = 2 if config.t_lo < 14.0 else 3
+        suspects = tuple(ns[still][np.abs(cum_gap) >= limit].tolist())
 
     return ZeroList(
         ordinates=roots,
@@ -284,7 +312,7 @@ def scan_zeros(config: ScanConfig) -> ZeroList:
         t_hi=config.t_hi,
         step=config.step,
         refine_tol=config.refine_tol,
-        suspect_intervals=tuple(suspects),
+        suspect_intervals=suspects,
     )
 
 

@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 
 from zetaphase import (
     AtZeroError,
+    ScanConfig,
     arg_gamma_quarter,
     arg_zeta_principal,
     hardy_z,
     lambert_w0,
     log_gamma_complex,
+    scan_zeros,
     theta_exact,
     theta_series,
     wrap_half_turns,
@@ -37,8 +39,10 @@ from zetaphase.special import (
     _RS_TWO_PI_HI,
     _RS_TWO_PI_LO,
     T_RS,
+    T_RS_MIN,
     _em_truncation,
     hardy_z_vec,
+    riemann_siegel_z_vec,
     smooth_main,
 )
 
@@ -351,6 +355,29 @@ class TestEulerMaclaurinKernel:
                        * mp.mpf(n) ** (-0.5 - 2 * m - 1))
             bound = float(abs(s + 2 * m + 1) / (0.5 + 2 * m + 1) * omitted)
         assert bound <= 0.02 * zeta_error_bound(t)
+
+
+class TestVectorDomain:
+    # 2 pi 43^2 = 11617.6...: from there on N = 43 outgrows the 42 phase rows.
+    @pytest.mark.parametrize("t", [-5.0, -1e-300, math.nan, math.inf, -math.inf, 2e4])
+    def test_hardy_z_vec_rejects(self, t):
+        with pytest.raises(ValueError):
+            hardy_z_vec(np.array([300.0, t, 20.0]))
+
+    @pytest.mark.parametrize("t", [1.0, np.nextafter(T_RS_MIN, 0.0), 11617.7, 2e4, math.nan])
+    def test_riemann_siegel_z_vec_rejects(self, t):
+        with pytest.raises(ValueError):
+            riemann_siegel_z_vec(np.array([900.0, t]))
+
+    def test_edges_accepted(self):
+        ends = np.array([T_RS_MIN, 11617.5])
+        assert np.all(np.isfinite(riemann_siegel_z_vec(ends)))
+        assert hardy_z_vec(ends[1:])[0] == riemann_siegel_z_vec(ends)[1]
+
+    def test_scan_grid_past_window_end(self):
+        # The lattice of step 0.03 ends at 10000.02, past the window.
+        zeros = scan_zeros(ScanConfig(t_lo=9998.0, t_hi=1e4, step=0.03))
+        assert zeros.count == 2 and zeros.suspect_intervals == ()
 
 
 class TestHardyZ:

@@ -208,7 +208,7 @@ class TestRefinement:
             (3045.5, 2),  # old fast-sampler sign error near 3046.05
             (3882.5, 1),  # old fast-sampler sign error near 3882.9
             (6213.5, 1),  # old fast-sampler sign error near 6213.8
-            (5229.0, 2),  # the closest pair, found by the quarter-step rescan
+            (5229.0, 2),  # the closest pair, 5229.1986 and 5229.2418: found by the main pass
         ],
     )
     def test_against_mpmath_oracle(self, t_lo, count):
@@ -218,6 +218,100 @@ class TestRefinement:
         with mpmath.workdps(20):
             for y in zeros.ordinates:
                 assert abs(float(mpmath.findroot(mpmath.siegelz, y)) - y) <= 1e-9
+
+
+def _patch_evaluators(monkeypatch, wrap):
+    """Replace both evaluators the scanner calls by wrap(evaluator)."""
+    for name in ("hardy_z_vec", "riemann_siegel_z_vec"):
+        monkeypatch.setattr(zeros_module, name, wrap(getattr(zeros_module, name)))
+
+
+def _scan_one_by_one(config):
+    """scan_zeros with its post-pass run one flagged interval at a time."""
+    def scan(lo, hi, step):
+        return zeros_module._scan_ordinates(np.array([lo]), np.array([hi]), step,
+                                            config.refine_tol)[0]
+
+    smooth = zeros_module.smooth_count
+    roots = scan(config.t_lo, config.t_hi, config.step)
+    n_lo, n_hi = math.floor(config.t_lo), math.ceil(config.t_hi)
+    predicted = np.diff(smooth(np.arange(n_lo, n_hi + 1.0)))
+    suspects = []
+    for offset in np.flatnonzero(np.abs(interval_counts(roots, n_lo, n_hi) - predicted) >= 2):
+        n = n_lo + int(offset)
+        lo, hi = max(float(n), config.t_lo), min(n + 1.0, config.t_hi)
+        redone = scan(lo, hi, config.step / 4.0)
+        roots = np.sort(np.concatenate([roots[(roots < lo) | (roots > hi)], redone]))
+        if abs(len(redone) - predicted[offset]) >= 2:
+            cum_gap = np.searchsorted(roots, n + 1.0) - (smooth(n + 1.0) - smooth(config.t_lo))
+            if abs(cum_gap) >= (2 if config.t_lo < 14.0 else 3):
+                suspects.append(n)
+    return roots, tuple(suspects)
+
+
+class TestRescanPostPass:
+    # All flagged unit intervals are rescanned in one batched pass, which
+    # must give what rescanning them one at a time gives.
+
+    @pytest.mark.parametrize(
+        "t_lo, t_hi",
+        [
+            (5995.0, 6015.0),  # ten adjacent flagged intervals
+            (6003.5, 6012.0),  # the first flagged interval clipped by t_lo
+            (5990.0, 6004.5),  # the last flagged interval clipped by t_hi
+        ],
+    )
+    def test_suspects_match_one_by_one(self, monkeypatch, t_lo, t_hi):
+        # On [6000, 6010] Z is replaced by one with a zero every third of a
+        # unit, 3 per interval where 1 or 2 are predicted, so the intervals
+        # there are flagged, and suspect once the surplus has accumulated.
+        def thirds(evaluator):
+            def sabotaged(ts):
+                ts = np.asarray(ts, dtype=np.float64)
+                zs = evaluator(ts)
+                inside = (ts >= 6000.0) & (ts <= 6010.0)
+                return np.where(inside, np.sin(3.0 * np.pi * ts) * (np.abs(zs) + 0.5), zs)
+            return sabotaged
+
+        _patch_evaluators(monkeypatch, thirds)
+        config = ScanConfig(t_lo=t_lo, t_hi=t_hi)
+        zeros = scan_zeros(config)
+        roots, suspects = _scan_one_by_one(config)
+        assert zeros.ordinates.tobytes() == roots.tobytes()
+        assert zeros.suspect_intervals == suspects
+        assert len(suspects) >= 2 and set(suspects) <= set(range(6000, 6010))
+
+    @pytest.mark.parametrize("root", [100.0, 1000.0])
+    def test_root_on_shared_endpoint_kept_once(self, monkeypatch, root):
+        # Both unit intervals next to the root are flagged, so the windows
+        # [root - 1, root] and [root, root + 1] both find it.
+        _patch_evaluators(monkeypatch, lambda _: lambda ts: np.asarray(ts, dtype=np.float64) - root)
+        monkeypatch.setattr(zeros_module, "smooth_count",
+                            lambda t: 3 * np.floor(np.asarray(t)).astype(np.int64))
+        config = ScanConfig(t_lo=root - 1.5, t_hi=root + 1.5)
+        zeros = scan_zeros(config)
+        assert zeros.ordinates.tolist() == [root]
+        roots, suspects = _scan_one_by_one(config)
+        assert zeros.ordinates.tobytes() == roots.tobytes()
+        assert zeros.suspect_intervals == suspects
+
+    def test_evaluator_calls_do_not_grow_with_flagged_intervals(self, monkeypatch):
+        # [0, 2001] flags 36 intervals.  Rescanned one at a time they took
+        # 238 hardy_z_vec and 37 riemann_siegel_z_vec calls for these rows.
+        calls = {"hardy_z_vec": [], "riemann_siegel_z_vec": []}
+
+        def counting(evaluator):
+            sizes = calls[evaluator.__name__]
+            def counted(ts):
+                sizes.append(np.size(ts))
+                return evaluator(ts)
+            return counted
+
+        _patch_evaluators(monkeypatch, counting)
+        assert scan_zeros(ScanConfig(t_lo=0.0, t_hi=2001.0)).count == 1519
+        assert sum(calls["hardy_z_vec"]) == 13181 and len(calls["hardy_z_vec"]) <= 20
+        assert sum(calls["riemann_siegel_z_vec"]) == 38694
+        assert len(calls["riemann_siegel_z_vec"]) <= 2
 
 
 class TestZeroList:
