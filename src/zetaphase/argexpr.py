@@ -20,34 +20,19 @@ from functools import lru_cache
 from typing import Callable
 
 import mpmath as mp
-from mpmath.libmp import dps_to_prec, from_int, mpf_log, mpf_pi, pi_fixed, to_fixed
 
 from .special import (
     EXTENDED_DPS,
     LN_PI,
     MAX_SERIES_ORDER,
     TWO_PI,
+    combination_over_8pi,
     smooth_main,
     theta_tail,
     wrap_half_turns,
 )
 
 _TRIAL_BOUND = 10 ** 6
-
-# SymbolicArgExpression.evaluate sums integers v * 2^_FIXED_BITS.
-# Logarithms are taken with 16 more bits of relative precision: ln p < 2^10
-# for p < 2^1024, so each is within about one unit, 2^-_FIXED_BITS, of its
-# true value.
-_FIXED_BITS = dps_to_prec(EXTENDED_DPS)
-_LOG_BITS = _FIXED_BITS + 16
-_PI_FIXED = pi_fixed(_FIXED_BITS)
-_LN_PI_FIXED = to_fixed(mpf_log(mpf_pi(_LOG_BITS), _LOG_BITS), _FIXED_BITS)
-
-
-@lru_cache(maxsize=4096)
-def _ln_fixed(p: int) -> int:
-    """ln p as an integer ln(p) * 2^_FIXED_BITS, rounded down."""
-    return to_fixed(mpf_log(from_int(p), _LOG_BITS), _FIXED_BITS)
 
 
 def main_term(n: float) -> float:
@@ -174,17 +159,10 @@ class SymbolicArgExpression:
     def evaluate(self) -> float:
         """Numeric value over the basis, rounded once to binary64.
 
-        pi, ln pi and each ln p are integers with 136 fraction bits (as many
-        as EXTENDED_DPS = 40 digits give), each within about one unit of the
-        last of them.  The combination is summed on them exactly and divided
-        by 8 pi in one correctly rounded integer true division, with no
-        mpmath precision context.
+        Summed exactly in special.combination_over_8pi, on the fixed-point
+        pi and logarithms that smooth_main uses.
         """
-        total = (self.c_pi * _PI_FIXED + (self.c_const << _FIXED_BITS)
-                 + self.c_lnpi * _LN_PI_FIXED)
-        for p, c in self.prime_terms:
-            total += c * _ln_fixed(p)
-        return total / (8 * _PI_FIXED)
+        return combination_over_8pi(self.c_pi, self.c_const, self.c_lnpi, self.prime_terms)
 
     def text(self) -> str:
         """Canonical form "(1/(8*pi))*(...)", terms pi, 1, ln(pi), ln(p)."""

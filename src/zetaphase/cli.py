@@ -16,6 +16,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import argexpr, estimate, render, special, verify
 from . import zeros as zmod
 
@@ -78,14 +80,15 @@ def cmd_theta(args: argparse.Namespace) -> int:
 
 
 def cmd_arg_zeta(args: argparse.Namespace) -> int:
+    if not args.approx:
+        for value in special.arg_zeta_principal(np.array(args.t)).tolist():
+            print(_fmt(value))
+        return 0
     for t in args.t:
-        if args.approx:
-            n = int(t)
-            if n != t:
-                raise ValueError("--approx needs integer heights")
-            print(_fmt(argexpr.approx_arg_zeta(n)))
-        else:
-            print(_fmt(special.arg_zeta_principal(t)))
+        n = int(t)
+        if n != t:
+            raise ValueError("--approx needs integer heights")
+        print(_fmt(argexpr.approx_arg_zeta(n)))
     return 0
 
 
@@ -139,15 +142,10 @@ def _expr_record(e: argexpr.SymbolicArgExpression) -> dict:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = []
-    for n in range(args.start, args.end + 1):
-        e = argexpr.symbolic_expression(n)
-        rows.append({
-            "n": n,
-            "true": special.arg_zeta_principal(float(n)),
-            "approx": argexpr.approx_arg_zeta(n),
-            "expr": e,
-        })
+    ns = range(args.start, args.end + 1)
+    trues = special.arg_zeta_principal(np.array(ns, dtype=np.float64)).tolist()
+    rows = [{"n": n, "true": true, "approx": argexpr.approx_arg_zeta(n),
+             "expr": argexpr.symbolic_expression(n)} for n, true in zip(ns, trues)]
     if args.format == "json":
         payload = [{"n": r["n"], "true": float(_fmt(r["true"])),
                     "approx": float(_fmt(r["approx"])),

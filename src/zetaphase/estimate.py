@@ -43,8 +43,8 @@ def staircase(n_max: int) -> np.ndarray:
     """s(n) = g(n) + (1/pi) Arg zeta(1/2 + i n) for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return np.array([carrier_g(n) + arg_zeta_principal(float(n))
-                     for n in range(1, n_max + 1)])
+    carrier = np.array([carrier_g(n) for n in range(1, n_max + 1)])
+    return carrier + arg_zeta_principal(np.arange(1.0, n_max + 1.0))
 
 
 def staircase_levels(values: np.ndarray) -> np.ndarray:

@@ -4,12 +4,14 @@ Evaluators for the phase machinery on Re(s) = 1/2: the Riemann-Siegel
 theta function (exact and asymptotic-series forms, plus a float-precision
 vector form), complex log-gamma, the principal branch of Lambert W, zeta on
 the critical line and the Hardy Z function, and principal-branch argument
-extractors normalized by pi.  Zeta and Z have one evaluator, the vectorized
-kernel behind hardy_z_vec, with two regimes: below T_RS = 800 an
-Euler-Maclaurin sum, from T_RS up the Riemann-Siegel formula with the
-corrections C0..C6.  The scalar zeta_critical_line and hardy_z make the
-same split on one-element arrays.  One Horner loop, theta_tail, sums the
-theta series tail for every caller.
+extractors normalized by pi.  Zeta and Z have one evaluator: a private
+dispatcher sorts the ordinates, sends those below T_RS = 800 to an
+Euler-Maclaurin kernel and those from T_RS up to a Riemann-Siegel kernel
+with the corrections C0..C6, in chunks, and puts every value back in its
+place.  hardy_z_vec, zeta_critical_line and arg_zeta_principal are calls
+into it; the last two take a float or an array, and a float is a
+one-element call, so scalar and array values agree bit for bit.  One
+Horner loop, theta_tail, sums the theta series tail for every caller.
 
 Accuracy targets are "working precision": phases whose magnitude grows like
 t*log(t) are computed through one extended-precision smooth term and a
@@ -35,6 +37,7 @@ at t does not depend on the batch it is evaluated in.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 
@@ -51,16 +54,16 @@ T_WINDOW_MAX = 1.0e4
 # Working precision (decimal digits) for extended-precision paths.
 EXTENDED_DPS = 40
 
-# smooth_main works on integers v * 2^_FIXED_BITS.  Logarithms are taken
-# with 16 more bits of relative precision: ln m < 2^10 for the numerator m
-# of any double, so each is within about one unit, 2^-_FIXED_BITS, of its
-# true value.
+# smooth_main and combination_over_8pi work on integers v * 2^_FIXED_BITS.
+# Logarithms are taken with 16 more bits of relative precision: ln m < 2^10
+# for the numerator m of any double and for any integer m < 2^1024, so each
+# is within about one unit, 2^-_FIXED_BITS, of its true value.
 _FIXED_BITS = dps_to_prec(EXTENDED_DPS)
 _LOG_BITS = _FIXED_BITS + 16
-_TWO_PI_FIXED = 2 * pi_fixed(_FIXED_BITS)
+_PI_FIXED = pi_fixed(_FIXED_BITS)
 _LN2_FIXED = ln2_fixed(_FIXED_BITS)
-_LN_TWO_PI_E_FIXED = (_LN2_FIXED + (1 << _FIXED_BITS)
-                      + to_fixed(mpf_log(mpf_pi(_LOG_BITS), _LOG_BITS), _FIXED_BITS))
+_LN_PI_FIXED = to_fixed(mpf_log(mpf_pi(_LOG_BITS), _LOG_BITS), _FIXED_BITS)
+_LN_TWO_PI_E_FIXED = _LN2_FIXED + (1 << _FIXED_BITS) + _LN_PI_FIXED
 
 # Switch point between the log-gamma route and the asymptotic route for the
 # exact phase.  Above this the 8-term series is exact to far below one ulp.
@@ -262,9 +265,31 @@ def smooth_main(t: float) -> float:
         raise ValueError("smooth main term requires t > 0")
     m, d = float(t).as_integer_ratio()
     e = d.bit_length() - 1
-    log_t = to_fixed(mpf_log(from_int(m), _LOG_BITS), _FIXED_BITS) - e * _LN2_FIXED
-    den = _TWO_PI_FIXED << e
+    log_t = _ln_fixed(m) - e * _LN2_FIXED
+    den = 2 * _PI_FIXED << e
     return (8 * m * (log_t - _LN_TWO_PI_E_FIXED) + 7 * den) / (8 * den)
+
+
+def _ln_fixed(m: int) -> int:
+    """ln m as an integer ln(m) * 2^_FIXED_BITS, rounded down."""
+    return to_fixed(mpf_log(from_int(m), _LOG_BITS), _FIXED_BITS)
+
+
+_ln_prime_fixed = lru_cache(maxsize=4096)(_ln_fixed)
+
+
+def combination_over_8pi(c_pi: int, c_const: int, c_lnpi: int,
+                         prime_terms: tuple[tuple[int, int], ...]) -> float:
+    """(c_pi pi + c_const + c_lnpi ln pi + sum c_p ln p) / (8 pi), rounded once to binary64.
+
+    The sum is exact on the 136-bit fixed-point pi and logarithms that
+    smooth_main uses; one correctly rounded integer true division by 8 pi
+    ends it.  prime_terms holds the pairs (p, c_p).
+    """
+    total = c_pi * _PI_FIXED + (c_const << _FIXED_BITS) + c_lnpi * _LN_PI_FIXED
+    for p, c in prime_terms:
+        total += c * _ln_prime_fixed(p)
+    return total / (8 * _PI_FIXED)
 
 
 def _two_prod(a: float, b: float) -> tuple[float, float]:
@@ -504,13 +529,14 @@ def _rs_z_theta(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def riemann_siegel_z_vec(ts: np.ndarray) -> np.ndarray:
-    """Hardy Z by the Riemann-Siegel formula for an array of ordinates 200 <= t <= 1e4.
+    """Hardy Z by the Riemann-Siegel formula for an array of ordinates 200 <= t < 2 pi 43^2.
 
+    The top, about 11617, is where N = 43 would outgrow the phase tables.
     From T_RS up this is hardy_z_vec itself.  Below T_RS the truncation
     error grows, to about 2e-11 near t = 200 (Gabcke's bound: 1.6e-9): fine
     for sampling a grid, not within the documented bound.  Each value
     depends on its own t alone.  Raises ValueError for t below T_RS_MIN = 200,
-    past the phase tables (t >= 2 pi 43^2, about 11617) or not a number.
+    past the phase tables or not a number.
     """
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size and not ts.min() >= T_RS_MIN:
@@ -521,47 +547,74 @@ def riemann_siegel_z_vec(ts: np.ndarray) -> np.ndarray:
     return zs
 
 
-def hardy_z_vec(ts: np.ndarray) -> np.ndarray:
-    """Hardy Z for an arbitrary array of ordinates 0 <= t <= 1e4.
+def _critical_line(ts: np.ndarray, from_em, from_rs, dtype, t_max: float = math.inf) -> np.ndarray:
+    """Zeta-kernel values for a one-dimensional array of ordinates, in input order.
 
-    Below T_RS via the Euler-Maclaurin zeta, from T_RS up by the
-    Riemann-Siegel formula.  Each value depends on its own t alone, not on
-    the rest of the batch.  Raises ValueError for negative or non-finite t
-    and, as riemann_siegel_z_vec does, for t past its phase tables.
+    The ordinates are stable-sorted; those below T_RS go to the
+    Euler-Maclaurin kernel in chunks of _CHUNK and give from_em(chunk, zeta),
+    the rest go to the Riemann-Siegel kernel in chunks of _RS_CHUNK and give
+    from_rs(z, theta).  Both kernels evaluate each ordinate on its own, so no
+    value depends on the rest of the batch.  Raises ValueError unless every
+    t satisfies 0 <= t <= t_max (NaN does not).
     """
-    ts = np.asarray(ts, dtype=np.float64)
-    if ts.size == 0:
-        return np.empty(0)
+    out = np.empty(len(ts), dtype)
+    if not len(ts):
+        return out
     order = np.argsort(ts, kind="stable")
     sorted_ts = ts[order]
     # NaN sorts last.
-    if not (sorted_ts[0] >= 0.0 and sorted_ts[-1] < math.inf):
-        raise ValueError("hardy_z_vec needs finite t >= 0")
-    zs = np.empty_like(ts)
-    split = int(np.searchsorted(sorted_ts, T_RS))
+    if not (sorted_ts[0] >= 0.0 and sorted_ts[-1] <= t_max):
+        raise ValueError(f"t outside [0, {t_max:g}]")
+    split = bisect_left(sorted_ts, T_RS)
     for pos in range(0, split, _CHUNK):
         chunk = sorted_ts[pos:min(pos + _CHUNK, split)]
-        zeta = _zeta_em_chunk(chunk)
-        th = theta_vec(chunk)
-        zs[order[pos:pos + len(chunk)]] = np.cos(th) * zeta.real - np.sin(th) * zeta.imag
+        out[order[pos:pos + len(chunk)]] = from_em(chunk, _zeta_em_chunk(chunk))
     for pos in range(split, len(ts), _RS_CHUNK):
-        zs[order[pos:pos + _RS_CHUNK]] = _rs_z_theta(sorted_ts[pos:pos + _RS_CHUNK])[0]
-    return zs
+        out[order[pos:pos + _RS_CHUNK]] = from_rs(*_rs_z_theta(sorted_ts[pos:pos + _RS_CHUNK]))
+    return out
 
 
-def zeta_critical_line(t: float) -> complex:
+def _z_from_zeta(ts: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """Z = Re(e^(i theta) zeta)."""
+    th = theta_vec(ts)
+    return np.cos(th) * zeta.real - np.sin(th) * zeta.imag
+
+
+def _zeta_from_z(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """zeta = e^(-i theta) Z, with the real and imaginary parts each rounded once."""
+    zeta = np.empty(len(z), np.complex128)
+    zeta.real = z * np.cos(theta)
+    zeta.imag = -z * np.sin(theta)
+    return zeta
+
+
+def hardy_z_vec(ts: np.ndarray) -> np.ndarray:
+    """Hardy Z for an arbitrary array of ordinates 0 <= t < 2 pi 43^2, about 11617.
+
+    The documented error bound is measured up to t = 1e4; the top is where
+    the Riemann-Siegel phase tables end.  Each value depends on its own t
+    alone, not on the rest of the batch.  Raises ValueError for negative or
+    non-finite t and, as riemann_siegel_z_vec does, for t past the tables.
+    """
+    ts = np.asarray(ts, dtype=np.float64)
+    return _critical_line(ts, _z_from_zeta, lambda z, theta: z, np.float64)
+
+
+def _zeta_vec(ts: np.ndarray) -> np.ndarray:
+    """zeta(1/2 + it) for a one-dimensional array of ordinates 0 <= t <= 1e4."""
+    return _critical_line(ts, lambda ts, zeta: zeta, _zeta_from_z, np.complex128, T_WINDOW_MAX)
+
+
+def zeta_critical_line(t):
     """zeta(1/2 + it) for 0 <= t <= 1e4, absolute error below 5e-15 * max(t, 100).
 
-    From T_RS up this is e^(-i theta) Z with Z and theta from the
-    Riemann-Siegel evaluator.
+    Takes a float (returns a complex) or an array (returns a complex array
+    of its shape).  From T_RS up this is e^(-i theta) Z with Z and theta
+    from the Riemann-Siegel evaluator.
     """
-    t = float(t)
-    if not 0.0 <= t <= T_WINDOW_MAX:
-        raise ValueError(f"t outside supported window [0, {T_WINDOW_MAX:g}]")
-    if t < T_RS:
-        return complex(_zeta_em_chunk(np.array([t]))[0])
-    z, theta = _rs_z_theta(np.array([t]))
-    return complex(z[0] * math.cos(theta[0]), -z[0] * math.sin(theta[0]))
+    ts = np.asarray(t, dtype=np.float64)
+    zeta = _zeta_vec(ts.ravel())
+    return complex(zeta[0]) if ts.ndim == 0 else zeta.reshape(ts.shape)
 
 
 def hardy_z(t: float) -> float:
@@ -583,12 +636,23 @@ def wrap_half_turns(u: float) -> float:
     return w
 
 
-def arg_zeta_principal(t: float) -> float:
-    """(1/pi) Arg zeta(1/2 + it) with the principal branch, in (-1, 1]."""
-    z = zeta_critical_line(t)
-    if abs(z) < 1e-12:
-        raise AtZeroError(f"zeta vanishes at t = {t} to working precision")
-    return math.atan2(z.imag, z.real) / math.pi
+def arg_zeta_principal(t):
+    """(1/pi) Arg zeta(1/2 + it) with the principal branch, in (-1, 1].
+
+    Takes a float (returns a float) or an array (returns an array of its
+    shape), for 0 <= t <= 1e4.  Raises AtZeroError naming the first height
+    where |zeta| < 1e-12.
+    """
+    ts = np.asarray(t, dtype=np.float64)
+    flat = ts.ravel()
+    zeta = _zeta_vec(flat).tolist()
+    at_zero = [k for k, z in enumerate(zeta) if abs(z) < 1e-12]
+    if at_zero:
+        raise AtZeroError(f"zeta vanishes at t = {float(flat[at_zero[0]])} to working precision")
+    # libm's atan2 is within 0.52 ulp of the true angle at the integer
+    # heights 1..1e4, where numpy's vectorized arctan2 reaches 0.73 ulp.
+    phase = [math.atan2(z.imag, z.real) / math.pi for z in zeta]
+    return phase[0] if ts.ndim == 0 else np.array(phase).reshape(ts.shape)
 
 
 def arg_gamma_quarter(t: float) -> float:
@@ -599,6 +663,8 @@ def arg_gamma_quarter(t: float) -> float:
     the phase route is the only stable one.
     """
     t = float(t)
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     if abs(t) > 2.0 * T_WINDOW_MAX:
         raise ValueError(f"|t| beyond supported window {2.0 * T_WINDOW_MAX:g}")
     if t == 0.0:

@@ -370,8 +370,8 @@ def unit_interval_counts(zeros: ZeroList, n_max: int) -> UnitIntervalCounts:
 def point_density_zeta(n: float) -> float:
     """Mean zero density log(n)/(2 pi) per unit interval near height n."""
     n = float(n)
-    if n <= TWO_PI * math.e:
-        raise ValueError("density formula needs n > 2 pi e")
+    if not TWO_PI * math.e < n < math.inf:
+        raise ValueError("density formula needs finite n > 2 pi e")
     return math.log(n) / TWO_PI
 
 

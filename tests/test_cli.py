@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import hashlib
 import json
 
 import pytest
@@ -57,6 +58,33 @@ class TestArgCommands:
         code, _, err = run_cli(capsys, "arg-zeta", "14.134725141734694")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_arg_gamma_non_finite_is_error(self, capsys, t):
+        code, out, err = run_cli(capsys, "arg-gamma", t)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+
+class TestGoldenBytes:
+    # SHA-256 of the output bytes: no value printed to 12 decimals may move.
+    @pytest.mark.parametrize("argv, digest", [
+        (("table", "--start", "1", "--end", "10000"),
+         "2234c584d8a2a643205da8486f928dd0bd5036fa96f9b72d63ddf12277a57416"),
+        (("table", "--start", "1", "--end", "10000", "--format", "json"),
+         "c98ce98a87112d464863be8a2c3a1128d9132b48af257b947ff5a2ea696862cf"),
+        (("staircase", "--max", "1009"),
+         "eac56826fef1e70737c6df0ec7a5ac17c7652b00ed759b93e70058a3346182f8"),
+        (("staircase", "--max", "1009", "--format", "json"),
+         "9869e680b31c16146c869fac93df8a9b617330b73b5b6d97a9dcb3d23c607c04"),
+        (("arg-zeta", "1", "4000", "14.5"),
+         "8735fa4a8506f65edc1c96b30fcb5d815e0a33e1c5190b7cadaf57038e491176"),
+    ], ids=["table-text", "table-json", "staircase-csv", "staircase-json", "arg-zeta"])
+    def test_output_digest(self, capsys, argv, digest):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 class TestZerosCommand:

@@ -14,6 +14,7 @@ from zetaphase import (
     staircase_levels,
     zero_estimate_lambert,
 )
+from zetaphase import special
 from zetaphase.special import smooth_main
 
 from test_zero_finder import FIRST_ORDINATES
@@ -98,6 +99,22 @@ class TestStaircase:
         want[20] = 1
         want[24] = 1
         assert list(jumps) == want
+
+    def test_one_kernel_call_per_chunk(self, monkeypatch):
+        # Heights 1..799 fill 4 Euler-Maclaurin chunks of 256 and 800..1009
+        # one Riemann-Siegel chunk: 5 kernel calls, not one per height.
+        calls = []
+        for name in ("_zeta_em_chunk", "_rs_z_theta"):
+            kernel = getattr(special, name)
+
+            def counting(ts, kernel=kernel, name=name):
+                calls.append((name, len(ts)))
+                return kernel(ts)
+
+            monkeypatch.setattr(special, name, counting)
+        staircase(1009)
+        assert calls == [("_zeta_em_chunk", 256)] * 3 + [("_zeta_em_chunk", 31),
+                                                       ("_rs_z_theta", 210)]
 
     def test_levels_convention(self):
         # Values sit near half-integers; the level is the nearest rung

@@ -7,6 +7,7 @@ is forced by the definition itself.
 
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import mpmath as mp
@@ -434,9 +435,63 @@ class TestArgZetaPrincipal:
             arg_zeta_principal(14.134725141734694)
 
 
+# Ordinates on both sides of T_RS, and T_RS with its lower neighbour.
+_HEIGHTS = st.one_of(
+    st.floats(min_value=0.0, max_value=1e4),
+    st.floats(min_value=T_RS - 2.0, max_value=T_RS + 2.0),
+    st.sampled_from([0.0, T_RS, float(np.nextafter(T_RS, 0.0)), 1e4]),
+)
+
+
+class TestArrayAPI:
+    # zeta_critical_line and arg_zeta_principal take a float or an array; a
+    # float is a one-element call into the same evaluator.
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.lists(_HEIGHTS, min_size=1, max_size=300), st.data())
+    def test_elements_equal_scalar_calls(self, ts, data):
+        batch = np.array(ts + ts[::3])
+        batch = batch[data.draw(st.permutations(range(len(batch))))]
+        zeta = zeta_critical_line(batch)
+        arg = arg_zeta_principal(batch)
+        assert zeta.shape == arg.shape == batch.shape
+        assert np.array_equal(zeta, [zeta_critical_line(float(t)) for t in batch])
+        assert np.array_equal(arg, [arg_zeta_principal(float(t)) for t in batch])
+        order = np.array(data.draw(st.permutations(range(len(batch)))))
+        subset = order[:data.draw(st.integers(min_value=0, max_value=len(batch)))]
+        for idx in (order, subset):
+            assert np.array_equal(zeta_critical_line(batch[idx]), zeta[idx])
+            assert np.array_equal(arg_zeta_principal(batch[idx]), arg[idx])
+
+    def test_scalar_types(self):
+        assert type(zeta_critical_line(1000.0)) is complex
+        assert type(arg_zeta_principal(1000.0)) is float
+
+    def test_empty(self):
+        assert zeta_critical_line(np.array([])).shape == (0,)
+        assert arg_zeta_principal(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, 10001.0])
+    def test_out_of_window_rejected(self, bad):
+        batch = np.array([5.0, 900.0, bad, 20.0])
+        with pytest.raises(ValueError):
+            zeta_critical_line(batch)
+        with pytest.raises(ValueError):
+            arg_zeta_principal(batch)
+
+    def test_at_zero_names_height(self):
+        t = 14.134725141734694
+        with pytest.raises(AtZeroError, match=f"t = {re.escape(repr(t))} "):
+            arg_zeta_principal(np.array([1.0, 900.0, t, 20.0]))
+
+
 class TestArgGammaQuarter:
     def test_reference_value(self):
         assert arg_gamma_quarter(1.0) == pytest.approx(-0.380438567847, abs=1e-9)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_rejected(self, t):
+        with pytest.raises(ValueError):
+            arg_gamma_quarter(t)
 
     def test_odd_and_zero(self):
         assert arg_gamma_quarter(0.0) == 0.0

@@ -598,6 +598,11 @@ class TestPointDensity:
         with pytest.raises(ValueError):
             point_density_zeta(2.0 * math.pi * math.e)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_non_finite_rejected(self, n):
+        with pytest.raises(ValueError):
+            point_density_zeta(n)
+
     def test_tracks_running_mean(self, census_counts):
         # The measured mean count over [5000, 6000] sits ln(2 pi)/(2 pi)
         # below the ln(n)/(2 pi) figure, matching the smooth zero count.
