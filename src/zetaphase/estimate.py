@@ -36,7 +36,10 @@ def carrier_g(n: float) -> float:
 
 def carrier_gamma(n: float) -> float:
     """Linear carrier n ln(sqrt(pi)) / pi of the gamma-argument lattice."""
-    return float(n) * (0.5 * math.log(math.pi)) / math.pi
+    n = float(n)
+    if not math.isfinite(n):
+        raise ValueError("n must be finite")
+    return n * (0.5 * math.log(math.pi)) / math.pi
 
 
 def staircase(n_max: int) -> np.ndarray:

@@ -629,7 +629,12 @@ def hardy_z(t: float) -> float:
 
 
 def wrap_half_turns(u: float) -> float:
-    """Wrap to (-1, 1], units of half turns (value of angle/pi)."""
+    """Wrap to (-1, 1], units of half turns (value of angle/pi).
+
+    Raises ValueError for NaN and infinite u.
+    """
+    if not math.isfinite(u):
+        raise ValueError("cannot wrap a non-finite angle")
     w = math.remainder(u, 2.0)
     if w <= -1.0:
         w += 2.0

@@ -83,6 +83,11 @@ class TestCarriers:
         for n in (1, 7, 100):
             assert carrier_gamma(n) == pytest.approx(n * slope, rel=1e-14)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_carrier_gamma_non_finite_rejected(self, n):
+        with pytest.raises(ValueError):
+            carrier_gamma(n)
+
 
 class TestStaircase:
     def test_printed_prefix(self):

@@ -416,6 +416,11 @@ class TestWrapHalfTurns:
             assert wrap_half_turns(x + 2.0) == pytest.approx(x, abs=1e-12)
             assert wrap_half_turns(x - 4.0) == pytest.approx(x, abs=1e-12)
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, u):
+        with pytest.raises(ValueError):
+            wrap_half_turns(u)
+
 
 class TestArgZetaPrincipal:
     def test_small_heights(self):

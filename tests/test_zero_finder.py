@@ -120,8 +120,10 @@ class TestScanZeros:
 
 class TestRefinement:
     def test_evaluation_budget(self, monkeypatch):
-        # Above T_RS the grid samples are accurate already, and the Illinois
-        # steps take about 5 accurate evaluations per zero.
+        # Above T_RS the grid samples are accurate already.  Each bracket
+        # takes the closing pair around its interpolated root, 2 accurate
+        # evaluations in one call for all brackets; Illinois steps for the
+        # few that the pair misses were about 5 per zero on their own.
         evaluated = []
         accurate = zeros_module.hardy_z_vec
 
@@ -131,14 +133,55 @@ class TestRefinement:
 
         monkeypatch.setattr(zeros_module, "hardy_z_vec", counting)
         cases = [
-            (1000.0, 1100.0, 81, 12),
-            (3000.0, 3100.0, 98, 8),  # old fast-sampler sign error near 3046.05
+            (1000.0, 1100.0, 81),
+            (3000.0, 3100.0, 98),  # old fast-sampler sign error near 3046.05
         ]
-        for t_lo, t_hi, count, per_zero in cases:
+        for t_lo, t_hi, count in cases:
             evaluated.clear()
             zeros = scan_zeros(ScanConfig(t_lo=t_lo, t_hi=t_hi))
             assert zeros.count == count
-            assert sum(evaluated) <= per_zero * zeros.count, (t_lo, sum(evaluated))
+            assert sum(evaluated) <= 3 * zeros.count, (t_lo, sum(evaluated))
+            assert np.count_nonzero(evaluated) <= 3, (t_lo, evaluated)
+
+    def test_illinois_fallback_when_estimate_misses(self, monkeypatch):
+        # Sampler values 1e-6 off move every interpolated root far more than
+        # the closing pair's 0.9 refine_tol, so every bracket goes on to the
+        # Illinois steps, which must reach the same ordinates.
+        config = ScanConfig(t_lo=600.0, t_hi=610.0)
+        calls = []
+        accurate = zeros_module.hardy_z_vec
+
+        def counting(ts):
+            calls.append(np.size(ts))
+            return accurate(ts)
+
+        monkeypatch.setattr(zeros_module, "hardy_z_vec", counting)
+        want = scan_zeros(config).ordinates
+        unperturbed_calls = np.count_nonzero(calls)
+        sampler = zeros_module.riemann_siegel_z_vec
+        monkeypatch.setattr(zeros_module, "riemann_siegel_z_vec",
+                            lambda ts: sampler(ts) + np.where(np.asarray(ts) < special.T_RS, 1e-6, 0.0))
+        calls.clear()
+        got = scan_zeros(config).ordinates
+        assert np.count_nonzero(calls) > unperturbed_calls + 2
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("root", [0.02, 0.07, 0.1])
+    def test_bracket_near_origin(self, monkeypatch, root):
+        # Below t = 3 * step the lattice has fewer than 3 samples under the
+        # bracket, so its estimate is the secant point, exact for a linear Z:
+        # the closing pair needs no Illinois step.  0.1 is a lattice point.
+        calls = []
+
+        def linear(ts):
+            calls.append(np.size(ts))
+            return np.asarray(ts, dtype=np.float64) - root
+
+        monkeypatch.setattr(zeros_module, "hardy_z_vec", linear)
+        zeros = scan_zeros(ScanConfig(t_lo=0.0, t_hi=1.0))
+        assert zeros.ordinates.tolist() == pytest.approx([root], abs=1e-15)
+        assert np.count_nonzero(calls) <= 2, calls
 
     def test_exact_zero_taken_as_root(self, monkeypatch):
         monkeypatch.setattr(zeros_module, "hardy_z_vec", lambda ts: np.asarray(ts) - 10.25)
@@ -227,10 +270,13 @@ def _patch_evaluators(monkeypatch, wrap):
 
 
 def _scan_one_by_one(config):
-    """scan_zeros with its post-pass run one flagged interval at a time."""
+    """scan_zeros with its post-pass run one flagged interval at a time.
+
+    Each rescanned window is [n, n + 1), or closed where it ends at t_hi.
+    """
     def scan(lo, hi, step):
         return zeros_module._scan_ordinates(np.array([lo]), np.array([hi]), step,
-                                            config.refine_tol)[0]
+                                            config.refine_tol, config.t_hi)[0]
 
     smooth = zeros_module.smooth_count
     roots = scan(config.t_lo, config.t_hi, config.step)
@@ -241,12 +287,28 @@ def _scan_one_by_one(config):
         n = n_lo + int(offset)
         lo, hi = max(float(n), config.t_lo), min(n + 1.0, config.t_hi)
         redone = scan(lo, hi, config.step / 4.0)
-        roots = np.sort(np.concatenate([roots[(roots < lo) | (roots > hi)], redone]))
+        inside = (roots >= lo) & ((roots < hi) | (roots == hi) & (hi == config.t_hi))
+        roots = np.sort(np.concatenate([roots[~inside], redone]))
         if abs(len(redone) - predicted[offset]) >= 2:
             cum_gap = np.searchsorted(roots, n + 1.0) - (smooth(n + 1.0) - smooth(config.t_lo))
             if abs(cum_gap) >= (2 if config.t_lo < 14.0 else 3):
                 suspects.append(n)
     return roots, tuple(suspects)
+
+
+def _thirds(evaluator):
+    """evaluator with Z on [6000, 6010] replaced by one with a zero every third of a unit.
+
+    That is 3 zeros per interval where 1 or 2 are predicted, so the
+    intervals there are flagged, and suspect once the surplus has
+    accumulated.  Every integer in [6000, 6010] is a zero.
+    """
+    def sabotaged(ts):
+        ts = np.asarray(ts, dtype=np.float64)
+        zs = evaluator(ts)
+        inside = (ts >= 6000.0) & (ts <= 6010.0)
+        return np.where(inside, np.sin(3.0 * np.pi * ts) * (np.abs(zs) + 0.5), zs)
+    return sabotaged
 
 
 class TestRescanPostPass:
@@ -262,18 +324,7 @@ class TestRescanPostPass:
         ],
     )
     def test_suspects_match_one_by_one(self, monkeypatch, t_lo, t_hi):
-        # On [6000, 6010] Z is replaced by one with a zero every third of a
-        # unit, 3 per interval where 1 or 2 are predicted, so the intervals
-        # there are flagged, and suspect once the surplus has accumulated.
-        def thirds(evaluator):
-            def sabotaged(ts):
-                ts = np.asarray(ts, dtype=np.float64)
-                zs = evaluator(ts)
-                inside = (ts >= 6000.0) & (ts <= 6010.0)
-                return np.where(inside, np.sin(3.0 * np.pi * ts) * (np.abs(zs) + 0.5), zs)
-            return sabotaged
-
-        _patch_evaluators(monkeypatch, thirds)
+        _patch_evaluators(monkeypatch, _thirds)
         config = ScanConfig(t_lo=t_lo, t_hi=t_hi)
         zeros = scan_zeros(config)
         roots, suspects = _scan_one_by_one(config)
@@ -284,7 +335,8 @@ class TestRescanPostPass:
     @pytest.mark.parametrize("root", [100.0, 1000.0])
     def test_root_on_shared_endpoint_kept_once(self, monkeypatch, root):
         # Both unit intervals next to the root are flagged, so the windows
-        # [root - 1, root] and [root, root + 1] both find it.
+        # [root - 1, root) and [root, root + 1) both sample it; only the
+        # upper one keeps it.
         _patch_evaluators(monkeypatch, lambda _: lambda ts: np.asarray(ts, dtype=np.float64) - root)
         monkeypatch.setattr(zeros_module, "smooth_count",
                             lambda t: 3 * np.floor(np.asarray(t)).astype(np.int64))
@@ -294,6 +346,20 @@ class TestRescanPostPass:
         roots, suspects = _scan_one_by_one(config)
         assert zeros.ordinates.tobytes() == roots.tobytes()
         assert zeros.suspect_intervals == suspects
+
+    def test_ordinate_on_integer_kept_once(self, monkeypatch):
+        # The zeros on 6000, ..., 6010 come out exactly on the integers.  A
+        # rescan window [n, n + 1) keeps the one on n and leaves the one on
+        # n + 1 to the interval above.
+        want = scan_zeros(ScanConfig(t_lo=5995.0, t_hi=6015.0)).ordinates
+        _patch_evaluators(monkeypatch, _thirds)
+        zeros = scan_zeros(ScanConfig(t_lo=5995.0, t_hi=6015.0))
+        ys = zeros.ordinates
+        inside = (ys > 5999.99) & (ys < 6010.01)
+        assert ys[inside] == pytest.approx(np.arange(18000, 18031) / 3.0, abs=1e-9)
+        assert {6008.0, 6009.0} <= set(ys.tolist())
+        assert ys[~inside] == pytest.approx(want[(want < 6000.0) | (want > 6010.0)], abs=1e-9)
+        assert zeros.count == 43
 
     def test_evaluator_calls_do_not_grow_with_flagged_intervals(self, monkeypatch):
         # [0, 2001] flags 36 intervals.  Rescanned one at a time they took
@@ -309,8 +375,8 @@ class TestRescanPostPass:
 
         _patch_evaluators(monkeypatch, counting)
         assert scan_zeros(ScanConfig(t_lo=0.0, t_hi=2001.0)).count == 1519
-        assert sum(calls["hardy_z_vec"]) == 13181 and len(calls["hardy_z_vec"]) <= 20
-        assert sum(calls["riemann_siegel_z_vec"]) == 38694
+        assert sum(calls["hardy_z_vec"]) == 8325 and len(calls["hardy_z_vec"]) <= 20
+        assert sum(calls["riemann_siegel_z_vec"]) == 38962
         assert len(calls["riemann_siegel_z_vec"]) <= 2
 
 
@@ -579,6 +645,11 @@ class TestSmoothCount:
         assert smooth_count(np.linspace(0.0, 13.999, 200)).tolist() == [0] * 200
         assert smooth_count(14.0) == 0
         assert smooth_count(100.0) == 29
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, np.array([100.0, math.nan])])
+    def test_nan_and_infinity_rejected(self, t):
+        with pytest.raises(ValueError):
+            smooth_count(t)
 
     def test_frozen_prediction_on_first_edges(self):
         steps = np.diff(smooth_count(np.arange(0.0, 61.0)))
