@@ -32,6 +32,12 @@ after C6: worst 1.7e-13, 0.033 of the bound, over the 2,300 heights in
 stays below 1/20 of the bound; Gabcke's rigorous bound 0.661 t^(-15/4) on
 the truncation meets the documented bound only from t = 940 up.  The value
 at t does not depend on the batch it is evaluated in.
+
+grid_z_vec samples Z for the zero scanner through the same dispatcher with
+the Riemann-Siegel split lowered to T_RS_MIN = 200.  Its contract is the
+accurate evaluator's sign, not its value: outside [200, T_RS) its values
+are hardy_z_vec's, and inside, a Riemann-Siegel value within _RS_SIGN_BOUND
+of 0, which Gabcke's bound cannot sign, is replaced by hardy_z_vec's.
 """
 
 from __future__ import annotations
@@ -108,10 +114,17 @@ _EM_BLOCK = 64
 # 1/20 of the documented bound, and about 1/5 of the Euler-Maclaurin
 # kernel's at the same heights (see the module docstring).
 T_RS = 800.0
-# The Riemann-Siegel evaluator takes ordinates from here up, where Gabcke
-# bounds its remainder, to below 2 pi 43^2, where N would outgrow the
-# 42 rows of its phase tables.
+# The grid sampler takes Riemann-Siegel values from here up, where Gabcke
+# bounds their remainder.  The kernel's top is 2 pi 43^2, where N would
+# outgrow the 42 rows of its phase tables.
 T_RS_MIN = 200.0
+# Gabcke (1979) bounds the Riemann-Siegel remainder after C6 by
+# 0.661 t^(-15/4), 1.6e-9 at t = 200 and less above.  Rounding adds far
+# less (the kernel's whole measured error from T_RS up is below 2e-13), and
+# hardy_z_vec's own error is below 4e-12 in [200, T_RS).  So a
+# Riemann-Siegel value there farther than this from 0 has the sign of Z and
+# of hardy_z_vec.
+_RS_SIGN_BOUND = 2e-9
 
 # Riemann-Siegel tables, frozen from scripts/derive_rs_coefficients.py,
 # which tests/test_special.py checks them against.  C_k(p) has the parity
@@ -528,34 +541,17 @@ def _rs_z_theta(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * main + remainder, TWO_PI * theta
 
 
-def riemann_siegel_z_vec(ts: np.ndarray) -> np.ndarray:
-    """Hardy Z by the Riemann-Siegel formula for an array of ordinates 200 <= t < 2 pi 43^2.
-
-    The top, about 11617, is where N = 43 would outgrow the phase tables.
-    From T_RS up this is hardy_z_vec itself.  Below T_RS the truncation
-    error grows, to about 2e-11 near t = 200 (Gabcke's bound: 1.6e-9): fine
-    for sampling a grid, not within the documented bound.  Each value
-    depends on its own t alone.  Raises ValueError for t below T_RS_MIN = 200,
-    past the phase tables or not a number.
-    """
-    ts = np.asarray(ts, dtype=np.float64)
-    if ts.size and not ts.min() >= T_RS_MIN:
-        raise ValueError(f"Riemann-Siegel Z needs t >= {T_RS_MIN:g}")
-    zs = np.empty_like(ts)
-    for pos in range(0, len(ts), _RS_CHUNK):
-        zs[pos:pos + _RS_CHUNK] = _rs_z_theta(ts[pos:pos + _RS_CHUNK])[0]
-    return zs
-
-
-def _critical_line(ts: np.ndarray, from_em, from_rs, dtype, t_max: float = math.inf) -> np.ndarray:
+def _critical_line(ts: np.ndarray, from_em, from_rs, dtype, t_max: float = math.inf,
+                   t_rs: float = T_RS) -> np.ndarray:
     """Zeta-kernel values for a one-dimensional array of ordinates, in input order.
 
-    The ordinates are stable-sorted; those below T_RS go to the
-    Euler-Maclaurin kernel in chunks of _CHUNK and give from_em(chunk, zeta),
-    the rest go to the Riemann-Siegel kernel in chunks of _RS_CHUNK and give
-    from_rs(z, theta).  Both kernels evaluate each ordinate on its own, so no
-    value depends on the rest of the batch.  Raises ValueError unless every
-    t satisfies 0 <= t <= t_max (NaN does not).
+    The ordinates are stable-sorted; those below t_rs (T_RS, or T_RS_MIN for
+    the grid sampler) go to the Euler-Maclaurin kernel in chunks of _CHUNK
+    and give from_em(chunk, zeta), the rest go to the Riemann-Siegel kernel
+    in chunks of _RS_CHUNK and give from_rs(z, theta).  Both kernels evaluate
+    each ordinate on its own, so no value depends on the rest of the batch.
+    Raises ValueError unless every t satisfies 0 <= t <= t_max (NaN does
+    not).
     """
     out = np.empty(len(ts), dtype)
     if not len(ts):
@@ -565,7 +561,7 @@ def _critical_line(ts: np.ndarray, from_em, from_rs, dtype, t_max: float = math.
     # NaN sorts last.
     if not (sorted_ts[0] >= 0.0 and sorted_ts[-1] <= t_max):
         raise ValueError(f"t outside [0, {t_max:g}]")
-    split = bisect_left(sorted_ts, T_RS)
+    split = bisect_left(sorted_ts, t_rs)
     for pos in range(0, split, _CHUNK):
         chunk = sorted_ts[pos:min(pos + _CHUNK, split)]
         out[order[pos:pos + len(chunk)]] = from_em(chunk, _zeta_em_chunk(chunk))
@@ -594,10 +590,28 @@ def hardy_z_vec(ts: np.ndarray) -> np.ndarray:
     The documented error bound is measured up to t = 1e4; the top is where
     the Riemann-Siegel phase tables end.  Each value depends on its own t
     alone, not on the rest of the batch.  Raises ValueError for negative or
-    non-finite t and, as riemann_siegel_z_vec does, for t past the tables.
+    non-finite t and for t past the tables.  grid_z_vec gives the same
+    signs at less cost in [200, T_RS).
     """
     ts = np.asarray(ts, dtype=np.float64)
     return _critical_line(ts, _z_from_zeta, lambda z, theta: z, np.float64)
+
+
+def grid_z_vec(ts: np.ndarray) -> np.ndarray:
+    """Hardy Z for sampling a grid: the sign of hardy_z_vec, on the same domain.
+
+    Below T_RS_MIN = 200 and from T_RS = 800 up the values are hardy_z_vec's.
+    In [200, T_RS) they come from the Riemann-Siegel kernel, within about
+    2.3e-11 of hardy_z_vec but not within its documented bound; each one
+    within _RS_SIGN_BOUND of 0 is replaced by hardy_z_vec's value, so every
+    sign is the accurate evaluator's.  Each value depends on its own t
+    alone.  Raises ValueError where hardy_z_vec does.
+    """
+    ts = np.asarray(ts, dtype=np.float64)
+    zs = _critical_line(ts, _z_from_zeta, lambda z, theta: z, np.float64, t_rs=T_RS_MIN)
+    unsigned = (np.abs(zs) <= _RS_SIGN_BOUND) & (ts >= T_RS_MIN) & (ts < T_RS)
+    zs[unsigned] = hardy_z_vec(ts[unsigned])
+    return zs
 
 
 def _zeta_vec(ts: np.ndarray) -> np.ndarray:

@@ -1,16 +1,14 @@
 """Zero location on the critical line and unit-interval censuses.
 
 The scanner samples the Hardy Z function on a fixed lattice (anchored at
-t = 0 so that scans over sub-ranges land on identical sample points):
-below t = 200 with the accurate evaluator hardy_z_vec, from 200 up with
-the Riemann-Siegel evaluator, which from special.T_RS up is the accurate
-evaluator itself.  Every sample in [200, T_RS) that ends a sign change or
-reads 0.0 is re-evaluated accurately until the sign changes are the
-accurate evaluator's; a sample that is exactly 0.0 is an ordinate itself.
-Each bracket starts at the root of the degree-7 polynomial through the
-eight lattice samples around it, and one accurate evaluation on either
-side of that estimate, 0.45 refine_tol away, closes the bracket where the
-pair straddles the root.  The few brackets the pair misses go on, narrowed
+t = 0 so that scans over sub-ranges land on identical sample points) in
+one call of the grid sampler grid_z_vec, whose every value has the sign of
+the accurate evaluator hardy_z_vec and depends on its own t alone; a
+sample that is exactly 0.0 is an ordinate itself.  Each bracket starts at
+the root of the degree-7 polynomial through the eight lattice samples
+around it, and one accurate evaluation on either side of that estimate,
+0.45 refine_tol away, closes the bracket where the pair straddles the
+root.  The few brackets the pair misses go on, narrowed
 to the side of the pair that holds the root, to safeguarded Illinois
 (regula falsi) steps.  A post-pass compares each unit interval's count
 against the smooth-phase prediction and rescans at a quarter step every
@@ -39,15 +37,7 @@ from scipy.special import j0 as _j0
 from scipy.special import j1 as _j1
 
 from . import GENERATOR_VERSION
-from .special import (
-    T_RS,
-    T_RS_MIN,
-    T_WINDOW_MAX,
-    TWO_PI,
-    hardy_z_vec,
-    riemann_siegel_z_vec,
-    theta_vec,
-)
+from .special import T_WINDOW_MAX, TWO_PI, grid_z_vec, hardy_z_vec, theta_vec
 
 CACHE_MAGIC = "zetaphase zero cache v1"
 
@@ -130,7 +120,10 @@ class ZeroList:
         return int(np.searchsorted(self.ordinates, t, side="right"))
 
     def merge(self, other: "ZeroList") -> "ZeroList":
-        """Concatenate two lists of the same source with abutting coverage."""
+        """Concatenate two lists of the same source with abutting coverage.
+
+        Scans that share an end both keep an ordinate on it; it is kept once.
+        """
         if self.source != other.source:
             raise ValueError("refusing to merge zero lists from different sources")
         lo_first, hi_first = (self, other) if self.t_lo <= other.t_lo else (other, self)
@@ -138,8 +131,11 @@ class ZeroList:
             raise ValueError("coverage ranges overlap; merge expects disjoint ranges")
         if hi_first.t_lo - lo_first.t_hi > 1e-9:
             raise ValueError("coverage ranges leave a gap")
+        upper = hi_first.ordinates
+        if lo_first.count and upper.size and upper[0] == lo_first.ordinates[-1]:
+            upper = upper[1:]
         return ZeroList(
-            ordinates=np.concatenate([lo_first.ordinates, hi_first.ordinates]),
+            ordinates=np.concatenate([lo_first.ordinates, upper]),
             source=self.source,
             t_lo=lo_first.t_lo,
             t_hi=hi_first.t_hi,
@@ -201,8 +197,8 @@ def _refine(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
             tol: float) -> np.ndarray:
     """Shrink sign-change brackets [a, b] to width tol.
 
-    fa and fb are the accurate evaluator's values at the endpoints, of
-    opposite sign or one of them 0.0.  Each step is a regula falsi point
+    fa and fb are values at the endpoints with the accurate evaluator's
+    signs, opposite or one of them 0.0.  Each step is a regula falsi point
     with the Illinois rule (the retained endpoint's stored value is halved
     whenever the same side is replaced twice in a row), clipped at least
     tol/2 inside the bracket so that a converged iterate is closed off by
@@ -275,31 +271,12 @@ def _scan_ordinates(t_lo: np.ndarray, t_hi: np.ndarray, step: float, tol: float,
     otherwise the part of the bracket beyond it goes to _refine.
     """
     ts, window, core = _grid(t_lo, t_hi, step)
-    low = ts < T_RS_MIN
-    zs = np.empty_like(ts)
-    zs[low] = hardy_z_vec(ts[low])
-    zs[~low] = riemann_siegel_z_vec(ts[~low])
-    # The sampled values are a function of t alone, so the root estimates
-    # read them: the re-evaluated values would depend on the partition.
-    sampled = zs.copy()
-    accurate = low | (ts >= T_RS)
+    zs = grid_z_vec(ts)
     cell = (window[:-1] == window[1:]) & core[:-1] & core[1:]
-    # Re-evaluate accurately every core sample in [200, T_RS) that ends a sign
-    # change or reads 0.0, until the sign changes are the accurate evaluator's.
-    while True:
-        change = (np.sign(zs[:-1]) * np.sign(zs[1:]) < 0) & cell
-        ends = core & (zs == 0.0)
-        ends[:-1] |= change
-        ends[1:] |= change
-        todo = ends & ~accurate
-        if not todo.any():
-            break
-        zs[todo] = hardy_z_vec(ts[todo])
-        accurate |= todo
-    idx = np.flatnonzero(change)
+    idx = np.flatnonzero((np.sign(zs[:-1]) * np.sign(zs[1:]) < 0) & cell)
     exact = np.flatnonzero(core & (zs == 0.0))
     a, b, fa, fb = ts[idx], ts[idx + 1], zs[idx], zs[idx + 1]
-    x0 = a + _lattice_roots(sampled, window, idx, fa / (fa - fb)) * (b - a)
+    x0 = a + _lattice_roots(zs, window, idx, fa / (fa - fb)) * (b - a)
     half = 0.45 * tol
     x0 = np.clip(np.where(np.isfinite(x0), x0, 0.5 * (a + b)), a + half, b - half)
     pair = np.concatenate([np.maximum(x0 - half, a), np.minimum(x0 + half, b)])

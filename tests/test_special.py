@@ -37,17 +37,21 @@ from zetaphase.special import (
     _RS_CHEBYSHEV,
     _RS_MU_HI,
     _RS_MU_LO,
+    _RS_SIGN_BOUND,
     _RS_TWO_PI_HI,
     _RS_TWO_PI_LO,
     T_RS,
     T_RS_MIN,
     _em_truncation,
+    _rs_z_theta,
+    grid_z_vec,
     hardy_z_vec,
-    riemann_siegel_z_vec,
     smooth_main,
 )
+from zetaphase.zeros import read_zero_cache
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 # mp.siegeltheta at 40 digits, rounded to double.
 THETA_REFERENCE = {
@@ -325,14 +329,16 @@ class TestEulerMaclaurinKernel:
         # A mixed, unsorted batch with duplicates spanning several chunks:
         # every value equals the element's own one-element evaluation.
         batch = np.array(ts + ts[::2])
-        alone = np.array([hardy_z_vec(np.array([t]))[0] for t in batch])
-        assert np.array_equal(hardy_z_vec(batch), alone)
+        for evaluator in (hardy_z_vec, grid_z_vec):
+            alone = np.array([evaluator(np.array([t]))[0] for t in batch])
+            assert np.array_equal(evaluator(batch), alone)
 
     def test_batch_independent_across_cutoff(self):
         below = np.nextafter(T_RS, 0.0)
         batch = np.array([1e4, T_RS, 200.0, below, T_RS, 1e4, below, 200.0, 5000.0])
-        alone = np.array([hardy_z_vec(np.array([t]))[0] for t in batch])
-        assert np.array_equal(hardy_z_vec(batch), alone)
+        for evaluator in (hardy_z_vec, grid_z_vec):
+            alone = np.array([evaluator(np.array([t]))[0] for t in batch])
+            assert np.array_equal(evaluator(batch), alone)
 
     def test_bernoulli_table(self):
         with mp.workdps(60):
@@ -365,20 +371,58 @@ class TestVectorDomain:
         with pytest.raises(ValueError):
             hardy_z_vec(np.array([300.0, t, 20.0]))
 
-    @pytest.mark.parametrize("t", [1.0, np.nextafter(T_RS_MIN, 0.0), 11617.7, 2e4, math.nan])
-    def test_riemann_siegel_z_vec_rejects(self, t):
+    @pytest.mark.parametrize("t", [-5.0, 11617.7, 2e4, math.nan])
+    def test_grid_z_vec_rejects(self, t):
         with pytest.raises(ValueError):
-            riemann_siegel_z_vec(np.array([900.0, t]))
+            grid_z_vec(np.array([900.0, t]))
 
     def test_edges_accepted(self):
-        ends = np.array([T_RS_MIN, 11617.5])
-        assert np.all(np.isfinite(riemann_siegel_z_vec(ends)))
-        assert hardy_z_vec(ends[1:])[0] == riemann_siegel_z_vec(ends)[1]
+        ends = np.array([0.0, T_RS_MIN, 11617.5])
+        assert np.all(np.isfinite(grid_z_vec(ends)))
+        assert hardy_z_vec(ends[2:])[0] == grid_z_vec(ends)[2]
 
     def test_scan_grid_past_window_end(self):
         # The lattice of step 0.03 ends at 10000.02, past the window.
         zeros = scan_zeros(ScanConfig(t_lo=9998.0, t_hi=1e4, step=0.03))
         assert zeros.count == 2 and zeros.suspect_intervals == ()
+
+
+class TestGridSampler:
+    # grid_z_vec's contract: hardy_z_vec's values outside [T_RS_MIN, T_RS),
+    # and its signs inside.
+
+    def test_accurate_outside_sampler_range(self):
+        # One height in each [4i, 4i + 4) below T_RS_MIN and in each
+        # [T_RS + 40i, T_RS + 40i + 40) up to 1e4, and the range ends.
+        rng = np.random.default_rng(13)
+        low = 4.0 * np.arange(50) + rng.uniform(0.0, 4.0, 50)
+        high = T_RS + 40.0 * np.arange(230) + rng.uniform(0.0, 40.0, 230)
+        ends = [0.0, np.nextafter(T_RS_MIN, 0.0), T_RS, 1e4, 11617.5]
+        ts = np.concatenate([low, high, ends])
+        assert np.array_equal(grid_z_vec(ts), hardy_z_vec(ts))
+
+    def test_lattice_signs(self):
+        # All 12,000 lattice points of step 0.05 in [200, 800).
+        ts = np.arange(4000, 16000) * 0.05
+        grid, accurate = grid_z_vec(ts), hardy_z_vec(ts)
+        assert np.array_equal(np.sign(grid), np.sign(accurate))
+        assert np.max(np.abs(grid - accurate)) <= _RS_SIGN_BOUND
+
+    def test_accurate_fallback_near_zeros(self):
+        # At the reference ordinates in [T_RS_MIN, T_RS) most Riemann-Siegel
+        # values lie within the sign bound, and those become hardy_z_vec's.
+        # The other 12 ordinates, rounded to 12 decimals, lie far enough from
+        # their zeros that the Riemann-Siegel sign holds and is kept.
+        ys = read_zero_cache(ROOT / "perfbench" / "reference" / "census_0_6501.txt").ordinates
+        ys = ys[(ys >= T_RS_MIN) & (ys < T_RS)]
+        sampled = _rs_z_theta(ys)[0]
+        near = np.abs(sampled) <= _RS_SIGN_BOUND
+        assert len(ys) == 412 and np.count_nonzero(near) == 400
+        grid = grid_z_vec(ys)
+        assert np.array_equal(grid[near], hardy_z_vec(ys[near]))
+        assert not np.any(grid[near] == sampled[near])
+        assert np.array_equal(grid[~near], sampled[~near])
+        assert np.array_equal(np.sign(grid), np.sign(hardy_z_vec(ys)))
 
 
 class TestHardyZ:

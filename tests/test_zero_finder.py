@@ -158,8 +158,8 @@ class TestRefinement:
         monkeypatch.setattr(zeros_module, "hardy_z_vec", counting)
         want = scan_zeros(config).ordinates
         unperturbed_calls = np.count_nonzero(calls)
-        sampler = zeros_module.riemann_siegel_z_vec
-        monkeypatch.setattr(zeros_module, "riemann_siegel_z_vec",
+        sampler = zeros_module.grid_z_vec
+        monkeypatch.setattr(zeros_module, "grid_z_vec",
                             lambda ts: sampler(ts) + np.where(np.asarray(ts) < special.T_RS, 1e-6, 0.0))
         calls.clear()
         got = scan_zeros(config).ordinates
@@ -172,13 +172,14 @@ class TestRefinement:
         # Below t = 3 * step the lattice has fewer than 3 samples under the
         # bracket, so its estimate is the secant point, exact for a linear Z:
         # the closing pair needs no Illinois step.  0.1 is a lattice point.
+        # The calls are the grid's and the closing pair's.
         calls = []
 
         def linear(ts):
             calls.append(np.size(ts))
             return np.asarray(ts, dtype=np.float64) - root
 
-        monkeypatch.setattr(zeros_module, "hardy_z_vec", linear)
+        _patch_evaluators(monkeypatch, lambda _: linear)
         zeros = scan_zeros(ScanConfig(t_lo=0.0, t_hi=1.0))
         assert zeros.ordinates.tolist() == pytest.approx([root], abs=1e-15)
         assert np.count_nonzero(calls) <= 2, calls
@@ -202,19 +203,17 @@ class TestRefinement:
 
     @pytest.mark.parametrize("root", [10.25, 1000.25])
     def test_zero_on_lattice_reported_once(self, monkeypatch, root):
-        # 10.25 is sampled by the Euler-Maclaurin evaluator, 1000.25 by the
+        # 10.25 lies in the Euler-Maclaurin range, 1000.25 in the
         # Riemann-Siegel one; both are lattice points of step 0.05.
-        def linear(ts):
-            return np.asarray(ts, dtype=np.float64) - root
-
-        monkeypatch.setattr(zeros_module, "hardy_z_vec", linear)
-        monkeypatch.setattr(zeros_module, "riemann_siegel_z_vec", linear)
+        _patch_evaluators(monkeypatch, lambda _: lambda ts: np.asarray(ts, dtype=np.float64) - root)
         zeros = scan_zeros(ScanConfig(t_lo=root - 0.75, t_hi=root + 0.75))
         assert np.array_equal(zeros.ordinates, [root])
 
     def test_no_euler_maclaurin_rows_above_cutoff(self, monkeypatch):
         # From T_RS up, grid samples and refinement steps alike go to the
-        # Riemann-Siegel evaluator.
+        # Riemann-Siegel evaluator.  In [200, T_RS) the Euler-Maclaurin
+        # rows are refinement points only: the grid sampler re-evaluates no
+        # lattice sample there, of step 0.05 or of the post-pass's 0.0125.
         rows = []
         kernel = special._zeta_em_chunk
 
@@ -227,6 +226,8 @@ class TestRefinement:
         assert zeros.count == 1519
         evaluated = np.concatenate(rows)
         assert evaluated.size > 0 and evaluated.max() < special.T_RS
+        lattice = np.arange(16000, 64000) * 0.0125
+        assert not np.isin(evaluated, lattice).any()
 
     @pytest.mark.parametrize(
         "t_lo, t_hi, count",
@@ -265,7 +266,7 @@ class TestRefinement:
 
 def _patch_evaluators(monkeypatch, wrap):
     """Replace both evaluators the scanner calls by wrap(evaluator)."""
-    for name in ("hardy_z_vec", "riemann_siegel_z_vec"):
+    for name in ("hardy_z_vec", "grid_z_vec"):
         monkeypatch.setattr(zeros_module, name, wrap(getattr(zeros_module, name)))
 
 
@@ -363,8 +364,9 @@ class TestRescanPostPass:
 
     def test_evaluator_calls_do_not_grow_with_flagged_intervals(self, monkeypatch):
         # [0, 2001] flags 36 intervals.  Rescanned one at a time they took
-        # 238 hardy_z_vec and 37 riemann_siegel_z_vec calls for these rows.
-        calls = {"hardy_z_vec": [], "riemann_siegel_z_vec": []}
+        # 238 hardy_z_vec and 37 grid-sampler calls.  Batched, each pass takes
+        # one grid_z_vec call and one hardy_z_vec call for the closing pairs.
+        calls = {"hardy_z_vec": [], "grid_z_vec": []}
 
         def counting(evaluator):
             sizes = calls[evaluator.__name__]
@@ -375,9 +377,8 @@ class TestRescanPostPass:
 
         _patch_evaluators(monkeypatch, counting)
         assert scan_zeros(ScanConfig(t_lo=0.0, t_hi=2001.0)).count == 1519
-        assert sum(calls["hardy_z_vec"]) == 8325 and len(calls["hardy_z_vec"]) <= 20
-        assert sum(calls["riemann_siegel_z_vec"]) == 38962
-        assert len(calls["riemann_siegel_z_vec"]) <= 2
+        assert sum(calls["hardy_z_vec"]) == 3182 and len(calls["hardy_z_vec"]) <= 2
+        assert sum(calls["grid_z_vec"]) == 43229 and len(calls["grid_z_vec"]) <= 2
 
 
 class TestZeroList:
@@ -435,6 +436,15 @@ class TestZeroList:
         )
         with pytest.raises(ValueError):
             a.merge(foreign)
+
+    def test_merge_keeps_shared_endpoint_ordinate_once(self, monkeypatch):
+        # Both scans keep the ordinate on their shared end t = 100.
+        _patch_evaluators(monkeypatch, lambda _: lambda ts: np.asarray(ts, dtype=np.float64) - 100.0)
+        lower = scan_zeros(ScanConfig(t_lo=99.0, t_hi=100.0))
+        upper = scan_zeros(ScanConfig(t_lo=100.0, t_hi=101.0))
+        assert lower.ordinates.tolist() == upper.ordinates.tolist() == [100.0]
+        assert lower.merge(upper).ordinates.tolist() == [100.0]
+        assert upper.merge(lower).ordinates.tolist() == [100.0]
 
 
 class TestZeroCache:
@@ -788,7 +798,8 @@ class TestCensusLandmarks:
 
     def test_close_pair_resolved(self, census_zeros):
         # The tightest gap in the window is narrower than the scan step,
-        # so finding both members exercises the recheck pass.
+        # and the main pass finds both members: the post-pass rescans
+        # change no count on [0, 6501].
         ords = np.asarray(census_zeros.ordinates)
         gaps = np.diff(ords)
         k = int(np.argmin(gaps))
