@@ -2,11 +2,11 @@
 
 Each check pins expected values that were either transcribed from the
 reference tables this package reproduces or derived from independent
-computations (sign-change scans refined by a safeguarded Illinois
-iteration, extended-precision evaluation, Newton zero oracles).  Where
-a transcribed entry is internally inconsistent, the canonical value
-asserted here is the numerically validated one; the corrections ledger
-shipped with the tests records each such case.
+computations (sign-change scans closed by accurate pairs around Newton
+or midpoint estimates, extended-precision evaluation, Newton zero
+oracles).  Where a transcribed entry is internally inconsistent, the
+canonical value asserted here is the numerically validated one; the
+corrections ledger shipped with the tests records each such case.
 
 The same checks back the command-line `verify` subcommand and the
 acceptance test suite.
@@ -153,7 +153,7 @@ def check_census_landmarks(zero_list: zmod.ZeroList,
     detail = ""
     if scan_seconds is not None:
         ok = ok and scan_seconds < 180.0
-        detail = f"scan took {scan_seconds:.0f}s (limit 180s)"
+        detail = f"scan took {scan_seconds:.2f}s (limit 180s)"
     return CheckResult(
         name="census landmarks",
         passed=ok,

@@ -6,14 +6,14 @@ one call of the grid sampler grid_z_vec, whose every value has the sign of
 the accurate evaluator hardy_z_vec and depends on its own t alone; a
 sample that is exactly 0.0 is an ordinate itself.  Each bracket starts at
 the root of the degree-7 polynomial through the eight lattice samples
-around it, and one accurate evaluation on either side of that estimate,
-0.45 refine_tol away, closes the bracket where the pair straddles the
-root.  The few brackets the pair misses go on, narrowed
-to the side of the pair that holds the root, to safeguarded Illinois
-(regula falsi) steps.  A post-pass compares each unit interval's count
-against the smooth-phase prediction and rescans at a quarter step every
-interval where they disagree by two or more, all of them in one batched
-pass: the same scanner run once over the half-open windows [n, n + 1).
+around it, and one closing loop refines every bracket: an accurate pair
+0.45 refine_tol either side of the estimate, which closes the bracket
+where it straddles the root, and otherwise the pair's Newton point or the
+midpoint of what is left as the next estimate.  A post-pass compares
+each unit interval's count against the smooth-phase prediction and
+rescans at a quarter step every interval where they disagree by two or
+more, all of them in one batched pass: the same scanner run once over the
+half-open windows [n, n + 1).
 
 Every count goes through two functions: interval_counts, the number of
 ordinates with floor(y) = n over a range of n (the census F(n), the
@@ -52,6 +52,9 @@ _NODES = np.arange(-_PAD, _PAD + 2)
 _TO_NEWTON = np.array([[(-1) ** (k - j) * math.comb(k, j) / math.factorial(k)
                         for k in range(len(_NODES))] for j in range(len(_NODES))])
 _NEWTON_STEPS = 3
+# A midpoint round halves a bracket: 26 of them take the 0.05 lattice step
+# below 1e-9.  The cap leaves room for a Newton round between every two.
+_ROUNDS = 64
 
 
 class CoverageError(ValueError):
@@ -194,59 +197,55 @@ def _lattice_roots(sampled: np.ndarray, window: np.ndarray, idx: np.ndarray,
 
 
 def _refine(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
-            tol: float) -> np.ndarray:
-    """Shrink sign-change brackets [a, b] to width tol.
+            x: np.ndarray, tol: float) -> np.ndarray:
+    """Close sign-change brackets [a, b] from their starts x to width at most tol.
 
-    fa and fb are values at the endpoints with the accurate evaluator's
-    signs, opposite or one of them 0.0.  Each step is a regula falsi point
-    with the Illinois rule (the retained endpoint's stored value is halved
-    whenever the same side is replaced twice in a row), clipped at least
-    tol/2 inside the bracket so that a converged iterate is closed off by
-    one step across the root.  A bracket whose width has not halved within
-    the last three steps takes a bisection step instead, and an exact zero
-    of the accurate evaluator closes its bracket at once.  Each ordinate is
-    the linear interpolant of the final endpoint values, inside an accurate
-    sign-change bracket of width at most tol.
+    fa and fb are values at the ends with the accurate evaluator's signs,
+    opposite.  Each round evaluates the pair x -/+ 0.45 tol, x clipped that
+    far inside the bracket, in one hardy_z_vec call for all open brackets,
+    and keeps the piece of the bracket that holds the sign change: the pair
+    itself where it straddles the root, which closes the bracket.  An exact
+    0.0 is the root.  The next x is the root of the pair's secant, a Newton
+    step on an accurate slope, if it lies inside the new bracket and moves
+    less than half as far as the last x did, and the midpoint otherwise (the
+    safeguard of rtsafe, Numerical Recipes 9.4).  Each ordinate is the
+    linear interpolant of its final bracket, clipped to it.  Only
+    elementwise operations are used, so no ordinate depends on the batch.
 
-    Raises ArithmeticError if a bracket is still wider than tol after the
-    step cap.
+    Raises ArithmeticError if a bracket is still wider than tol after
+    _ROUNDS rounds.
     """
-    ga, gb = fa, fb  # endpoint values as the secant sees them (Illinois-halved)
-    last = np.zeros(len(a), dtype=np.int64)  # side replaced by the last step: -1 a, +1 b
-    ref = b - a  # width when the bracket last halved
-    stalled = np.zeros(len(a), dtype=np.int64)  # steps since then
+    half = 0.45 * tol
+    x = np.where(np.isfinite(x), x, 0.5 * (a + b))
+    moved = b - a  # how far x moved in the last round; the width to start
+    live = np.arange(len(a))  # the input rows of the open brackets
+    out = np.empty(len(a))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(80):
-            width = b - a
-            open_mask = width > tol
-            if not open_mask.any():
+        for _ in range(_ROUNDS):
+            if not live.size:
                 break
-            halved = width <= 0.5 * ref
-            ref = np.where(halved, width, ref)
-            stalled = np.where(halved, 0, stalled)
-            x = np.clip(a - ga * width / (gb - ga), a + 0.5 * tol, b - 0.5 * tol)
-            x = np.where(stalled >= 3, 0.5 * (a + b), x)
-            stalled += 1
-            fx = np.zeros_like(x)
-            fx[open_mask] = hardy_z_vec(x[open_mask])
-            root = open_mask & (fx == 0.0)
-            to_a = open_mask & (np.sign(fx) == np.sign(fa))
-            to_b = open_mask & ~to_a & ~root
-            ga = np.where(to_b & (last == 1), 0.5 * ga, ga)
-            gb = np.where(to_a & (last == -1), 0.5 * gb, gb)
-            move_a = to_a | root
-            move_b = to_b | root
-            a = np.where(move_a, x, a)
-            fa = np.where(move_a, fx, fa)
-            ga = np.where(move_a, fx, ga)
-            b = np.where(move_b, x, b)
-            fb = np.where(move_b, fx, fb)
-            gb = np.where(move_b, fx, gb)
-            last = np.where(to_a, -1, np.where(to_b, 1, last))
-        if np.any(b - a > tol):
-            raise ArithmeticError("bracket refinement did not reach refine_tol")
-        interp = np.clip(a - fa * (b - a) / (fb - fa), a, b)
-    return np.where(b > a, interp, a)
+            n, rows = len(live), np.arange(len(live))
+            x = np.clip(x, a + half, b - half)
+            pair = np.concatenate([np.maximum(x - half, a), np.minimum(x + half, b)])
+            fpair = hardy_z_vec(pair)
+            # Points a <= x - half < x + half <= b; the sign change lies past
+            # every one whose sign is fa's.
+            xs = np.stack([a, pair[:n], pair[n:], b], axis=1)
+            fs = np.stack([fa, fpair[:n], fpair[n:], fb], axis=1)
+            j = (np.sign(fs[:, 1:3]) == np.sign(fa)[:, None]).sum(axis=1)
+            a, b, fa, fb = xs[rows, j], xs[rows, j + 1], fs[rows, j], fs[rows, j + 1]
+            a = np.where(fb == 0.0, b, a)  # a zero value closes on itself
+            newton = pair[:n] - fpair[:n] * (pair[n:] - pair[:n]) / (fpair[n:] - fpair[:n])
+            step = (newton > a) & (newton < b) & (np.abs(newton - x) < 0.5 * moved)
+            nxt = np.where(step, newton, 0.5 * (a + b))
+            moved, x = np.abs(nxt - x), nxt
+            done = b - a <= tol
+            interp = np.where(b > a, np.clip(a - fa * (b - a) / (fb - fa), a, b), a)
+            out[live[done]] = interp[done]
+            a, b, fa, fb, x, moved, live = (v[~done] for v in (a, b, fa, fb, x, moved, live))
+    if live.size:
+        raise ArithmeticError("bracket refinement did not reach refine_tol")
+    return out
 
 
 def _in_windows(ys: np.ndarray, lo: np.ndarray, hi: np.ndarray, t_end: float) -> np.ndarray:
@@ -265,10 +264,8 @@ def _scan_ordinates(t_lo: np.ndarray, t_hi: np.ndarray, step: float, tol: float,
     and per window the number it found.
 
     Each bracket starts from the root of the lattice interpolant
-    (_lattice_roots), clipped at least 0.45 tol inside the bracket.  One
-    hardy_z_vec call evaluates the closing pair x0 -/+ 0.45 tol of every
-    bracket; where the pair straddles the root it is the final bracket, and
-    otherwise the part of the bracket beyond it goes to _refine.
+    (_lattice_roots) and is closed by _refine, whose first round evaluates
+    the pair around every start in one hardy_z_vec call.
     """
     ts, window, core = _grid(t_lo, t_hi, step)
     zs = grid_z_vec(ts)
@@ -277,17 +274,7 @@ def _scan_ordinates(t_lo: np.ndarray, t_hi: np.ndarray, step: float, tol: float,
     exact = np.flatnonzero(core & (zs == 0.0))
     a, b, fa, fb = ts[idx], ts[idx + 1], zs[idx], zs[idx + 1]
     x0 = a + _lattice_roots(zs, window, idx, fa / (fa - fb)) * (b - a)
-    half = 0.45 * tol
-    x0 = np.clip(np.where(np.isfinite(x0), x0, 0.5 * (a + b)), a + half, b - half)
-    pair = np.concatenate([np.maximum(x0 - half, a), np.minimum(x0 + half, b)])
-    fpair = hardy_z_vec(pair)
-    # Points a <= x0 - half < x0 + half <= b; the root lies past every one
-    # whose sign is fa's.
-    xs = np.stack([a, pair[:len(a)], pair[len(a):], b], axis=1)
-    fs = np.stack([fa, fpair[:len(a)], fpair[len(a):], fb], axis=1)
-    j = (np.sign(fs[:, 1:3]) == np.sign(fa)[:, None]).sum(axis=1)
-    rows = np.arange(len(a))
-    refined = _refine(xs[rows, j], xs[rows, j + 1], fs[rows, j], fs[rows, j + 1], tol)
+    refined = _refine(a, b, fa, fb, x0, tol)
     roots = np.concatenate([ts[exact], refined])
     owner = window[np.concatenate([exact, idx])]
     inside = _in_windows(roots, t_lo[owner], t_hi[owner], t_end)
@@ -324,10 +311,10 @@ def scan_zeros(config: ScanConfig) -> ZeroList:
     """Locate all critical-line zeros in [t_lo, t_hi].
 
     Sign changes of the accurate Z between lattice samples are closed to
-    brackets of width at most refine_tol: by the accurate pair 0.45
-    refine_tol either side of the root of the lattice interpolant, or,
-    where that pair does not straddle the root, by safeguarded Illinois
-    steps.  The unit intervals whose count disagrees with the smooth-phase
+    brackets of width at most refine_tol by accurate pairs 0.45 refine_tol
+    either side of an estimate: first the root of the lattice interpolant,
+    then, where a pair does not straddle the root, its Newton point or a
+    midpoint.  The unit intervals whose count disagrees with the smooth-phase
     prediction by two or more are then rescanned at a quarter of the step,
     all in one batched pass over windows [n, n + 1) (closed at t_hi), and
     each is flagged as suspect if its disagreement survives.

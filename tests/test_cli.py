@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from zetaphase import verify
 from zetaphase.cli import main
 
 
@@ -284,6 +285,10 @@ class TestRenderCommand:
 
 
 class TestVerifyCommand:
+    def test_landmarks_show_scan_time_to_hundredths(self, census_zeros):
+        # The census scan takes well under a second.
+        assert "0.30s" in verify.check_census_landmarks(census_zeros, 0.3).detail
+
     def test_filtered_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--only", "gamma point")
         assert code == 0
