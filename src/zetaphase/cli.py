@@ -105,9 +105,7 @@ def cmd_arg_gamma(args: argparse.Namespace) -> int:
 
 
 def cmd_zeros(args: argparse.Namespace) -> int:
-    config = zmod.ScanConfig(t_lo=args.min, t_hi=args.max,
-                             step=args.step, refine_tol=args.tol)
-    zero_list = zmod.scan_zeros(config)
+    zero_list = zmod.scan_zeros(zmod.ScanConfig(t_lo=args.min, t_hi=args.max))
     zmod.write_zero_cache(zero_list, args.out)
     print(f"{zero_list.count} zeros in [{args.min:g}, {args.max:g}] -> {args.out}")
     if zero_list.suspect_intervals:
@@ -248,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeros", help="scan for zeros and write a cache file")
     p.add_argument("--min", type=float, default=0.0)
     p.add_argument("--max", type=float, required=True)
-    p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_zeros)
 

@@ -9,15 +9,17 @@ the root of the degree-7 polynomial through the eight lattice samples
 around it, and one closing loop refines every bracket: an accurate pair
 0.45 refine_tol either side of the estimate, which closes the bracket
 where it straddles the root, and otherwise the pair's Newton point or the
-midpoint of what is left as the next estimate.  A post-pass compares
-each unit interval's count against the smooth-phase prediction and
-rescans at a quarter step every interval where they disagree by two or
-more, all of them in one batched pass: the same scanner run once over the
-half-open windows [n, n + 1).
+midpoint of what is left as the next estimate.  Every window sees the sign
+changes of the one 0.05 lattice, and on [0, 1e4] they are all 10,142
+zeros: the two gaps there narrower than the step, 5229.1986-5229.2419 and
+7005.0629-7005.1006, each hold a lattice point.  A unit interval whose
+count disagrees with the smooth-phase prediction by two or more is flagged
+as suspect where the cumulative count has drifted too, which catches a
+faulty evaluator.
 
 Every count goes through two functions: interval_counts, the number of
 ordinates with floor(y) = n over a range of n (the census F(n), the
-scanner's post-pass and the counter oracles), and smooth_count, the
+scanner's suspect rule and the counter oracles), and smooth_count, the
 rounded smooth-phase count round(theta(t)/pi + 1) whose differences are
 the per-interval prediction.
 
@@ -41,6 +43,10 @@ from .special import T_WINDOW_MAX, TWO_PI, grid_z_vec, hardy_z_vec, theta_vec
 
 CACHE_MAGIC = "zetaphase zero cache v1"
 
+# The scan lattice t = k _STEP, and the width every bracket is closed to.
+_STEP = 0.05
+_REFINE_TOL = 1e-9
+
 # Root estimates interpolate the lattice samples idx - _PAD .. idx + _PAD + 1
 # around the bracket [ts[idx], ts[idx + 1]], a polynomial of degree 7.  On
 # [0, 6501] it puts 98.6% of the roots inside their closing pair, degree 5
@@ -52,8 +58,8 @@ _NODES = np.arange(-_PAD, _PAD + 2)
 _TO_NEWTON = np.array([[(-1) ** (k - j) * math.comb(k, j) / math.factorial(k)
                         for k in range(len(_NODES))] for j in range(len(_NODES))])
 _NEWTON_STEPS = 3
-# A midpoint round halves a bracket: 26 of them take the 0.05 lattice step
-# below 1e-9.  The cap leaves room for a Newton round between every two.
+# A midpoint round halves a bracket: 26 of them take a _STEP bracket below
+# _REFINE_TOL.  The cap leaves room for a Newton round between every two.
 _ROUNDS = 64
 
 
@@ -71,16 +77,10 @@ class ScanConfig:
 
     t_lo: float
     t_hi: float
-    step: float = 0.05
-    refine_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.t_lo < self.t_hi <= T_WINDOW_MAX:
             raise ValueError(f"scan range must satisfy 0 <= t_lo < t_hi <= {T_WINDOW_MAX:g}")
-        if not 0.0 < self.step <= 0.05:
-            raise ValueError("grid step must be in (0, 0.05]")
-        if not 0.0 < self.refine_tol <= 1e-6:
-            raise ValueError("refine_tol must be in (0, 1e-6]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,42 +148,33 @@ class ZeroList:
         )
 
 
-def _grid(t_lo: np.ndarray, t_hi: np.ndarray, step: float
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Padded lattice samples of every window [t_lo[i], t_hi[i]], concatenated.
+def _grid(t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Padded lattice samples of the window [t_lo, t_hi] and a mask of its core.
 
-    Returns the samples, the index of the window each belongs to, and a mask
-    of the core samples: those from the last lattice point below t_lo[i]
-    (or t = 0) to the first above t_hi[i].  The _PAD samples on either side
-    of a core (fewer below where they would reach past t = 0) only feed the
-    root estimates.
+    The core runs from the last lattice point below t_lo (or t = 0) to the
+    first above t_hi.  The _PAD samples on either side of it (fewer below
+    where they would reach past t = 0) only feed the root estimates.
     """
-    # Lattice anchored at t = 0 so disjoint sub-scans share sample points.
-    # The core takes in every cell that touches the window, the cell that
-    # ends on a window end too: a root refined there can round onto the end.
-    first = np.maximum(np.ceil(t_lo / step - 1e-9) - 1.0, 0.0)
-    last = np.floor(t_hi / step + 1e-9) + 1.0
-    start = np.maximum(first - _PAD, 0.0)
-    sizes = (last + _PAD + 1.0 - start).astype(np.int64)
-    window = np.repeat(np.arange(len(sizes)), sizes)
-    k = start[window] + (np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes))
-    core = (k >= first[window]) & (k <= last[window])
-    return k * step, window, core
+    # Anchored at t = 0, so disjoint sub-scans share sample points.  The
+    # core takes in the cells that end on a window end too: a root refined
+    # there can round onto the end.
+    first = max(math.ceil(t_lo / _STEP - 1e-9) - 1, 0)
+    last = math.floor(t_hi / _STEP + 1e-9) + 1
+    k = np.arange(max(first - _PAD, 0), last + _PAD + 1)
+    return k * _STEP, (k >= first) & (k <= last)
 
 
-def _lattice_roots(sampled: np.ndarray, window: np.ndarray, idx: np.ndarray,
-                   start: np.ndarray) -> np.ndarray:
+def _lattice_roots(sampled: np.ndarray, idx: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Root of the degree-7 interpolant through samples idx - 3 .. idx + 4, per bracket.
 
     Roots are in steps from sample idx.  Each takes _NEWTON_STEPS Newton
     steps on the Newton form of the interpolant from start; a bracket
-    without all eight samples in its window keeps start.  A root may come
-    out non-finite.  Only elementwise operations and running sums and
-    products are used, so no root depends on the rest of the batch.
+    without all eight samples keeps start.  A root may come out non-finite.
+    Only elementwise operations and running sums and products are used, so
+    no root depends on the rest of the batch.
     """
     rows = np.clip(idx[:, None] + _NODES, 0, len(sampled) - 1)
-    full = ((idx >= _PAD) & (idx + _PAD + 1 < len(sampled))
-            & (window[rows[:, 0]] == window[rows[:, -1]]))
+    full = (idx >= _PAD) & (idx + _PAD + 1 < len(sampled))
     coef = np.add.accumulate(sampled[rows][:, :, None] * _TO_NEWTON, axis=1)[:, -1]
     u = start
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -248,38 +239,20 @@ def _refine(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
     return out
 
 
-def _in_windows(ys: np.ndarray, lo: np.ndarray, hi: np.ndarray, t_end: float) -> np.ndarray:
-    """Whether each ys[i] lies in [lo[i], hi[i]), or in [lo[i], hi[i]] where hi[i] is t_end."""
-    return (ys >= lo) & np.where(hi == t_end, ys <= hi, ys < hi)
-
-
-def _scan_ordinates(t_lo: np.ndarray, t_hi: np.ndarray, step: float, tol: float,
-                    t_end: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ordinates in the ascending windows [t_lo[i], t_hi[i]), scanned in one pass.
-
-    A window whose top end is t_end is closed at the top; the others are
-    half-open, so a root on an endpoint two windows share is found once, by
-    the upper window.  No sign change spans two windows, so each window
-    finds what a scan of it alone would.  Returns the ordinates, ascending,
-    and per window the number it found.
+def _scan_ordinates(t_lo: float, t_hi: float) -> np.ndarray:
+    """Ordinates in the closed window [t_lo, t_hi], ascending.
 
     Each bracket starts from the root of the lattice interpolant
     (_lattice_roots) and is closed by _refine, whose first round evaluates
     the pair around every start in one hardy_z_vec call.
     """
-    ts, window, core = _grid(t_lo, t_hi, step)
+    ts, core = _grid(t_lo, t_hi)
     zs = grid_z_vec(ts)
-    cell = (window[:-1] == window[1:]) & core[:-1] & core[1:]
-    idx = np.flatnonzero((np.sign(zs[:-1]) * np.sign(zs[1:]) < 0) & cell)
-    exact = np.flatnonzero(core & (zs == 0.0))
+    idx = np.flatnonzero((np.sign(zs[:-1]) * np.sign(zs[1:]) < 0) & core[:-1] & core[1:])
     a, b, fa, fb = ts[idx], ts[idx + 1], zs[idx], zs[idx + 1]
-    x0 = a + _lattice_roots(zs, window, idx, fa / (fa - fb)) * (b - a)
-    refined = _refine(a, b, fa, fb, x0, tol)
-    roots = np.concatenate([ts[exact], refined])
-    owner = window[np.concatenate([exact, idx])]
-    inside = _in_windows(roots, t_lo[owner], t_hi[owner], t_end)
-    counts = np.bincount(owner[inside], minlength=len(t_lo))
-    return np.sort(roots[inside]), counts
+    x0 = a + _lattice_roots(zs, idx, fa / (fa - fb)) * (b - a)
+    roots = np.concatenate([ts[core & (zs == 0.0)], _refine(a, b, fa, fb, x0, _REFINE_TOL)])
+    return np.sort(roots[(roots >= t_lo) & (roots <= t_hi)])
 
 
 def interval_counts(ordinates, n_lo: int, n_hi: int) -> np.ndarray:
@@ -310,55 +283,38 @@ def smooth_count(t):
 def scan_zeros(config: ScanConfig) -> ZeroList:
     """Locate all critical-line zeros in [t_lo, t_hi].
 
-    Sign changes of the accurate Z between lattice samples are closed to
-    brackets of width at most refine_tol by accurate pairs 0.45 refine_tol
-    either side of an estimate: first the root of the lattice interpolant,
-    then, where a pair does not straddle the root, its Newton point or a
-    midpoint.  The unit intervals whose count disagrees with the smooth-phase
-    prediction by two or more are then rescanned at a quarter of the step,
-    all in one batched pass over windows [n, n + 1) (closed at t_hi), and
-    each is flagged as suspect if its disagreement survives.
+    Sign changes of the accurate Z between samples of the 0.05 lattice are
+    closed to brackets of width at most refine_tol = 1e-9 by accurate pairs
+    0.45 refine_tol either side of an estimate: first the root of the
+    lattice interpolant, then, where a pair does not straddle the root, its
+    Newton point or a midpoint.  A unit interval whose count disagrees with
+    the smooth-phase prediction by two or more is flagged as suspect when
+    the cumulative count has drifted from the smooth phase there too.
     """
-    roots, _ = _scan_ordinates(np.array([config.t_lo]), np.array([config.t_hi]),
-                               config.step, config.refine_tol, config.t_hi)
+    roots = _scan_ordinates(config.t_lo, config.t_hi)
 
     n_lo = int(math.floor(config.t_lo))
     n_hi = int(math.ceil(config.t_hi))
     smooth = smooth_count(np.arange(n_lo, n_hi + 1, dtype=np.float64))
-    predicted = np.diff(smooth)
-    flagged = np.flatnonzero(np.abs(interval_counts(roots, n_lo, n_hi) - predicted) >= 2)
-
-    suspects: tuple[int, ...] = ()
-    if flagged.size:
-        ns = n_lo + flagged
-        lo = np.maximum(ns.astype(np.float64), config.t_lo)
-        hi = np.minimum(ns + 1.0, config.t_hi)
-        redone, counts = _scan_ordinates(lo, hi, config.step / 4.0, config.refine_tol,
-                                         config.t_hi)
-        # Replace the main pass's ordinates inside every rescanned window;
-        # window k is the first whose top end lies above the ordinate.
-        k = np.minimum(np.searchsorted(hi, roots, side="right"), len(hi) - 1)
-        rescanned = _in_windows(roots, lo[k], hi[k], config.t_hi)
-        roots = np.sort(np.concatenate([roots[~rescanned], redone]))
-        # The phase fluctuation routinely reaches 2 inside one interval, so
-        # a persistent local gap alone is not evidence of a missed zero.
-        # Flag as suspect only when the cumulative count has also drifted
-        # away from the smooth phase at this height.
-        still = np.abs(counts - predicted[flagged]) >= 2
-        expected = smooth[flagged[still] + 1] - smooth_count(config.t_lo)
-        cum_gap = np.searchsorted(roots, ns[still] + 1.0) - expected
-        # A scan anchored below the first zero has a noise-free left
-        # baseline; a partial scan carries phase noise at both ends.
-        limit = 2 if config.t_lo < 14.0 else 3
-        suspects = tuple(ns[still][np.abs(cum_gap) >= limit].tolist())
+    flagged = np.flatnonzero(np.abs(interval_counts(roots, n_lo, n_hi) - np.diff(smooth)) >= 2)
+    # The phase fluctuation routinely reaches 2 inside one interval, so a
+    # local gap alone is not evidence of a missed zero.  Flag as suspect
+    # only when the cumulative count has also drifted away from the smooth
+    # phase at this height.
+    expected = smooth[flagged + 1] - smooth_count(config.t_lo)
+    cum_gap = np.searchsorted(roots, n_lo + flagged + 1.0) - expected
+    # A scan anchored below the first zero has a noise-free left baseline;
+    # a partial scan carries phase noise at both ends.
+    limit = 2 if config.t_lo < 14.0 else 3
+    suspects = tuple((n_lo + flagged[np.abs(cum_gap) >= limit]).tolist())
 
     return ZeroList(
         ordinates=roots,
         source="scanned",
         t_lo=config.t_lo,
         t_hi=config.t_hi,
-        step=config.step,
-        refine_tol=config.refine_tol,
+        step=_STEP,
+        refine_tol=_REFINE_TOL,
         suspect_intervals=suspects,
     )
 

@@ -382,8 +382,8 @@ class TestVectorDomain:
         assert hardy_z_vec(ends[2:])[0] == grid_z_vec(ends)[2]
 
     def test_scan_grid_past_window_end(self):
-        # The lattice of step 0.03 ends at 10000.02, past the window.
-        zeros = scan_zeros(ScanConfig(t_lo=9998.0, t_hi=1e4, step=0.03))
+        # The lattice core ends at 10000.05, past the window.
+        zeros = scan_zeros(ScanConfig(t_lo=9998.0, t_hi=1e4))
         assert zeros.count == 2 and zeros.suspect_intervals == ()
 
 

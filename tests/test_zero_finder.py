@@ -65,9 +65,10 @@ FIRST_ORDINATES = [
 
 class TestScanConfig:
     def test_defaults(self):
-        config = ScanConfig(t_lo=0.0, t_hi=100.0)
-        assert config.step == 0.05
-        assert config.refine_tol == 1e-9
+        # The lattice step and the bracket width are constants, recorded
+        # on every scanned list for the cache header.
+        zeros = scan_zeros(ScanConfig(0.0, 14.0))
+        assert (zeros.step, zeros.refine_tol) == (0.05, 1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -76,10 +77,6 @@ class TestScanConfig:
             ScanConfig(t_lo=50.0, t_hi=50.0)
         with pytest.raises(ValueError):
             ScanConfig(t_lo=0.0, t_hi=10001.0)
-        with pytest.raises(ValueError):
-            ScanConfig(t_lo=0.0, t_hi=100.0, step=0.2)
-        with pytest.raises(ValueError):
-            ScanConfig(t_lo=0.0, t_hi=100.0, refine_tol=1e-3)
 
 
 class TestScanZeros:
@@ -115,6 +112,13 @@ class TestScanZeros:
         a = scan_zeros(ScanConfig(t_lo=100.0, t_hi=200.0))
         b = scan_zeros(ScanConfig(t_lo=100.0, t_hi=200.0))
         assert np.array_equal(a.ordinates, b.ordinates)
+
+    def test_all_zeros_below_ten_thousand(self):
+        # Only two gaps below 1e4 are narrower than the 0.05 step, near
+        # 5229.2 and 7005.08, and a lattice point splits each pair.
+        zeros = scan_zeros(ScanConfig(0.0, 1e4))
+        assert zeros.count == mpmath.nzeros(10000) == 10142
+        assert zeros.suspect_intervals == ()
 
     def test_high_window_uses_fast_path(self):
         zeros = scan_zeros(ScanConfig(t_lo=1000.0, t_hi=1020.0))
@@ -244,11 +248,11 @@ class TestRefinement:
         # Partitioned scans are bit-identical only if no bracket's ordinate
         # depends on which others share its batch.  Four of the 107
         # brackets on [5000, 5100] need a second round.
-        ts, window, _ = zeros_module._grid(np.array([5000.0]), np.array([5100.0]), 0.05)
+        ts, _ = zeros_module._grid(5000.0, 5100.0)
         zs = zeros_module.grid_z_vec(ts)
         idx = np.flatnonzero(np.sign(zs[:-1]) * np.sign(zs[1:]) < 0)
         a, b, fa, fb = ts[idx], ts[idx + 1], zs[idx], zs[idx + 1]
-        x0 = a + zeros_module._lattice_roots(zs, window, idx, fa / (fa - fb)) * (b - a)
+        x0 = a + zeros_module._lattice_roots(zs, idx, fa / (fa - fb)) * (b - a)
         full = zeros_module._refine(a, b, fa, fb, x0, 1e-9)
         keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a))))
         part = zeros_module._refine(a[keep], b[keep], fa[keep], fb[keep], x0[keep], 1e-9)
@@ -257,7 +261,7 @@ class TestRefinement:
     @pytest.mark.parametrize("root", [10.25, 1000.25])
     def test_zero_on_lattice_reported_once(self, monkeypatch, root):
         # 10.25 lies in the Euler-Maclaurin range, 1000.25 in the
-        # Riemann-Siegel one; both are lattice points of step 0.05.
+        # Riemann-Siegel one; both are lattice points.
         _patch_evaluators(monkeypatch, lambda _: lambda ts: np.asarray(ts, dtype=np.float64) - root)
         zeros = scan_zeros(ScanConfig(t_lo=root - 0.75, t_hi=root + 0.75))
         assert np.array_equal(zeros.ordinates, [root])
@@ -266,7 +270,7 @@ class TestRefinement:
         # From T_RS up, grid samples and refinement steps alike go to the
         # Riemann-Siegel evaluator.  In [200, T_RS) the Euler-Maclaurin
         # rows are refinement points only: the grid sampler re-evaluates no
-        # lattice sample there, of step 0.05 or of the post-pass's 0.0125.
+        # lattice sample there.
         rows = []
         kernel = special._zeta_em_chunk
 
@@ -279,7 +283,7 @@ class TestRefinement:
         assert zeros.count == 1519
         evaluated = np.concatenate(rows)
         assert evaluated.size > 0 and evaluated.max() < special.T_RS
-        lattice = np.arange(16000, 64000) * 0.0125
+        lattice = np.arange(4000, 16000) * 0.05
         assert not np.isin(evaluated, lattice).any()
 
     @pytest.mark.parametrize(
@@ -294,9 +298,8 @@ class TestRefinement:
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(st.floats(min_value=14.0, max_value=6500.0))
     def test_public_z_changes_sign_at_each_ordinate(self, a):
-        config = ScanConfig(t_lo=a, t_hi=a + 1.0)
-        tol = config.refine_tol
-        for y in scan_zeros(config).ordinates:
+        tol = zeros_module._REFINE_TOL
+        for y in scan_zeros(ScanConfig(t_lo=a, t_hi=a + 1.0)).ordinates:
             assert hardy_z(y - tol) * hardy_z(y + tol) < 0.0, y
 
     @pytest.mark.parametrize(
@@ -305,7 +308,8 @@ class TestRefinement:
             (3045.5, 2),  # old fast-sampler sign error near 3046.05
             (3882.5, 1),  # old fast-sampler sign error near 3882.9
             (6213.5, 1),  # old fast-sampler sign error near 6213.8
-            (5229.0, 2),  # the closest pair, 5229.1986 and 5229.2418: found by the main pass
+            (5229.0, 2),  # 5229.1986 and 5229.2419, gap 0.0433
+            (7005.0, 2),  # Lehmer's pair, 7005.0629 and 7005.1006: the closest below 1e4
         ],
     )
     def test_against_mpmath_oracle(self, t_lo, count):
@@ -321,33 +325,6 @@ def _patch_evaluators(monkeypatch, wrap):
     """Replace both evaluators the scanner calls by wrap(evaluator)."""
     for name in ("hardy_z_vec", "grid_z_vec"):
         monkeypatch.setattr(zeros_module, name, wrap(getattr(zeros_module, name)))
-
-
-def _scan_one_by_one(config):
-    """scan_zeros with its post-pass run one flagged interval at a time.
-
-    Each rescanned window is [n, n + 1), or closed where it ends at t_hi.
-    """
-    def scan(lo, hi, step):
-        return zeros_module._scan_ordinates(np.array([lo]), np.array([hi]), step,
-                                            config.refine_tol, config.t_hi)[0]
-
-    smooth = zeros_module.smooth_count
-    roots = scan(config.t_lo, config.t_hi, config.step)
-    n_lo, n_hi = math.floor(config.t_lo), math.ceil(config.t_hi)
-    predicted = np.diff(smooth(np.arange(n_lo, n_hi + 1.0)))
-    suspects = []
-    for offset in np.flatnonzero(np.abs(interval_counts(roots, n_lo, n_hi) - predicted) >= 2):
-        n = n_lo + int(offset)
-        lo, hi = max(float(n), config.t_lo), min(n + 1.0, config.t_hi)
-        redone = scan(lo, hi, config.step / 4.0)
-        inside = (roots >= lo) & ((roots < hi) | (roots == hi) & (hi == config.t_hi))
-        roots = np.sort(np.concatenate([roots[~inside], redone]))
-        if abs(len(redone) - predicted[offset]) >= 2:
-            cum_gap = np.searchsorted(roots, n + 1.0) - (smooth(n + 1.0) - smooth(config.t_lo))
-            if abs(cum_gap) >= (2 if config.t_lo < 14.0 else 3):
-                suspects.append(n)
-    return roots, tuple(suspects)
 
 
 def _thirds(evaluator):
@@ -366,8 +343,8 @@ def _thirds(evaluator):
 
 
 class TestRescanPostPass:
-    # All flagged unit intervals are rescanned in one batched pass, which
-    # must give what rescanning them one at a time gives.
+    # The suspect rule on the unit intervals whose count is off the
+    # smooth-phase prediction, under a Z sabotaged on [6000, 6010].
 
     @pytest.mark.parametrize(
         "t_lo, t_hi",
@@ -378,33 +355,21 @@ class TestRescanPostPass:
         ],
     )
     def test_suspects_match_one_by_one(self, monkeypatch, t_lo, t_hi):
+        # Frozen from a scan that rescanned each flagged interval alone at
+        # a quarter step: the main pass's counts flag the same suspects.
+        count, suspects = {
+            5995.0: (43, (6000, 6002, 6003, 6004, 6005, 6006, 6007, 6008, 6009)),
+            6003.5: (22, (6005, 6006, 6007, 6008, 6009)),
+            5990.0: (25, (6002, 6003)),
+        }[t_lo]
         _patch_evaluators(monkeypatch, _thirds)
-        config = ScanConfig(t_lo=t_lo, t_hi=t_hi)
-        zeros = scan_zeros(config)
-        roots, suspects = _scan_one_by_one(config)
-        assert zeros.ordinates.tobytes() == roots.tobytes()
-        assert zeros.suspect_intervals == suspects
-        assert len(suspects) >= 2 and set(suspects) <= set(range(6000, 6010))
-
-    @pytest.mark.parametrize("root", [100.0, 1000.0])
-    def test_root_on_shared_endpoint_kept_once(self, monkeypatch, root):
-        # Both unit intervals next to the root are flagged, so the windows
-        # [root - 1, root) and [root, root + 1) both sample it; only the
-        # upper one keeps it.
-        _patch_evaluators(monkeypatch, lambda _: lambda ts: np.asarray(ts, dtype=np.float64) - root)
-        monkeypatch.setattr(zeros_module, "smooth_count",
-                            lambda t: 3 * np.floor(np.asarray(t)).astype(np.int64))
-        config = ScanConfig(t_lo=root - 1.5, t_hi=root + 1.5)
-        zeros = scan_zeros(config)
-        assert zeros.ordinates.tolist() == [root]
-        roots, suspects = _scan_one_by_one(config)
-        assert zeros.ordinates.tobytes() == roots.tobytes()
+        zeros = scan_zeros(ScanConfig(t_lo=t_lo, t_hi=t_hi))
+        assert zeros.count == count
         assert zeros.suspect_intervals == suspects
 
     def test_ordinate_on_integer_kept_once(self, monkeypatch):
-        # The zeros on 6000, ..., 6010 come out exactly on the integers.  A
-        # rescan window [n, n + 1) keeps the one on n and leaves the one on
-        # n + 1 to the interval above.
+        # The zeros on 6000, ..., 6010 come out exactly on the integers and
+        # each is kept once.
         want = scan_zeros(ScanConfig(t_lo=5995.0, t_hi=6015.0)).ordinates
         _patch_evaluators(monkeypatch, _thirds)
         zeros = scan_zeros(ScanConfig(t_lo=5995.0, t_hi=6015.0))
@@ -416,9 +381,9 @@ class TestRescanPostPass:
         assert zeros.count == 43
 
     def test_evaluator_calls_do_not_grow_with_flagged_intervals(self, monkeypatch):
-        # [0, 2001] flags 36 intervals.  Rescanned one at a time they took
-        # 238 hardy_z_vec and 37 grid-sampler calls.  Batched, each pass takes
-        # one grid_z_vec call and one hardy_z_vec call for the closing pairs.
+        # [0, 2001] flags 36 intervals, and the scan still takes one
+        # grid_z_vec call for the lattice and one hardy_z_vec call for the
+        # closing pairs: every pair there straddles its root.
         calls = {"hardy_z_vec": [], "grid_z_vec": []}
 
         def counting(evaluator):
@@ -430,8 +395,8 @@ class TestRescanPostPass:
 
         _patch_evaluators(monkeypatch, counting)
         assert scan_zeros(ScanConfig(t_lo=0.0, t_hi=2001.0)).count == 1519
-        assert sum(calls["hardy_z_vec"]) == 3182 and len(calls["hardy_z_vec"]) <= 2
-        assert sum(calls["grid_z_vec"]) == 43229 and len(calls["grid_z_vec"]) <= 2
+        assert calls["hardy_z_vec"] == [3038]
+        assert calls["grid_z_vec"] == [40025]
 
 
 class TestZeroList:
@@ -851,8 +816,7 @@ class TestCensusLandmarks:
 
     def test_close_pair_resolved(self, census_zeros):
         # The tightest gap in the window is narrower than the scan step,
-        # and the main pass finds both members: the post-pass rescans
-        # change no count on [0, 6501].
+        # and the lattice point 5229.20 between its members splits it.
         ords = np.asarray(census_zeros.ordinates)
         gaps = np.diff(ords)
         k = int(np.argmin(gaps))
