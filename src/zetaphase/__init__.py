@@ -41,7 +41,6 @@ from .special import (
     arg_zeta_principal,
     hardy_z,
     lambert_w0,
-    log_gamma_complex,
     theta_exact,
     theta_series,
     wrap_half_turns,
@@ -105,7 +104,6 @@ __all__ = [
     "hardy_z",
     "interval_counts",
     "lambert_w0",
-    "log_gamma_complex",
     "main_term",
     "p_adic_valuation",
     "point_density_zeta",

@@ -40,7 +40,11 @@ def _load_zeros(path: str) -> zmod.ZeroList:
 
 
 def _obtain_zeros(args: argparse.Namespace) -> zmod.ZeroList:
-    """Zero list from --cache if given, otherwise scan (and memoize on disk)."""
+    """Zero list from --cache if given, otherwise scan (and memoize on disk).
+
+    A scan with suspect intervals raises ValueError and writes no memo: the
+    cache format cannot carry them.
+    """
     if getattr(args, "cache", None):
         return _load_zeros(args.cache)
     t_hi = float(getattr(args, "max", verify.CENSUS_T_HI))
@@ -49,6 +53,9 @@ def _obtain_zeros(args: argparse.Namespace) -> zmod.ZeroList:
     if os.path.exists(path):
         return zmod.read_zero_cache(path)
     zero_list = zmod.scan_zeros(zmod.ScanConfig(t_lo=0.0, t_hi=t_hi))
+    if zero_list.suspect_intervals:
+        raise ValueError(f"scan of [0, {t_hi:g}] has suspect intervals "
+                         f"{list(zero_list.suspect_intervals)}")
     os.makedirs(_cache_dir(), exist_ok=True)
     zmod.write_zero_cache(zero_list, path)
     return zero_list

@@ -2,14 +2,17 @@
 
 Evaluators for the phase machinery on Re(s) = 1/2: the Riemann-Siegel
 theta function (exact and asymptotic-series forms, plus a float-precision
-vector form), complex log-gamma, the principal branch of Lambert W, zeta on
-the critical line and the Hardy Z function, and principal-branch argument
-extractors normalized by pi.  Zeta and Z have one evaluator: a private
-dispatcher sorts the ordinates, sends those below T_RS = 800 to an
+vector form), the principal branch of Lambert W, zeta on the critical line
+and the Hardy Z function, and principal-branch argument extractors
+normalized by pi.  Arg gamma(1/4 + it/2) is theta_exact's phase plus
+(t/2) ln pi, wrapped.  Each quantity has one domain: theta and Arg gamma
+take |t| <= T_THETA_MAX = 2e4, zeta and Z take 0 <= t < T_Z_MAX = 2 pi 43^2
+(about 11617.61).  Zeta and Z have one evaluator: a private dispatcher
+checks that domain, sorts the ordinates, sends those below T_RS = 800 to an
 Euler-Maclaurin kernel and those from T_RS up to a Riemann-Siegel kernel
 with the corrections C0..C6, in chunks, and puts every value back in its
-place.  hardy_z_vec, zeta_critical_line and arg_zeta_principal are calls
-into it; the last two take a float or an array, and a float is a
+place.  hardy_z_vec, hardy_z, zeta_critical_line and arg_zeta_principal
+are calls into it; the last two take a float or an array, and a float is a
 one-element call, so scalar and array values agree bit for bit.  One
 Horner loop, theta_tail, sums the theta series tail for every caller.
 
@@ -21,17 +24,18 @@ smooth-term double.  That term, smooth_main, is exact integer arithmetic
 on 136-bit fixed-point values (as many bits as EXTENDED_DPS = 40 digits
 give) ended by one correctly rounded integer division; it enters no mpmath
 precision context.  Zeta and Z carry an absolute error below
-5e-15 * max(t, 100) inside the supported window 0 <= t <= 1e4, measured
-against mpmath at stratified heights, one in each [4i, 4i + 4).  Below
-T_RS the error comes from the binary64 rounding of the phases t*ln(k) in
-up to 220 Euler-Maclaurin terms: worst 7.4e-13, 0.22 of the bound, over the
-200 heights in [2, 800).  From T_RS up the Riemann-Siegel phases are
-reduced in extended precision and the error is mostly the truncation
-after C6: worst 1.7e-13, 0.033 of the bound, over the 2,300 heights in
-[800, 1e4].  T_RS is the lowest hundred above which that measured error
-stays below 1/20 of the bound; Gabcke's rigorous bound 0.661 t^(-15/4) on
-the truncation meets the documented bound only from t = 940 up.  The value
-at t does not depend on the batch it is evaluated in.
+5e-15 * max(t, 100) on their domain, measured against mpmath at stratified
+heights, one in each [4i, 4i + 4).  Below T_RS the error comes from the
+binary64 rounding of the phases t*ln(k) in up to 220 Euler-Maclaurin terms:
+worst 7.4e-13, 0.22 of the bound, over the 200 heights in [2, 800).  From
+T_RS up the Riemann-Siegel phases are reduced in extended precision and the
+error is mostly the truncation after C6: worst 1.7e-13, 0.033 of the bound,
+over the 2,300 heights in [800, 1e4], and 0.003 of the bound over 40
+stratified heights in [1e4, T_Z_MAX).  T_RS is the lowest hundred above
+which that measured error stays below 1/20 of the bound; Gabcke's rigorous
+bound 0.661 t^(-15/4) on the truncation meets the documented bound only
+from t = 940 up.  The value at t does not depend on the batch it is
+evaluated in.
 
 grid_z_vec samples Z for the zero scanner through the same dispatcher with
 the Riemann-Siegel split lowered to T_RS_MIN = 200.  Its contract is the
@@ -55,7 +59,11 @@ from scipy.special import loggamma as _scipy_loggamma
 TWO_PI = 2.0 * math.pi
 LN_PI = math.log(math.pi)
 
-T_WINDOW_MAX = 1.0e4
+# The domains: theta and Arg gamma take |t| <= T_THETA_MAX; zeta and Z take
+# 0 <= t < T_Z_MAX, from which on the Riemann-Siegel N = floor(sqrt(t / 2 pi))
+# outgrows the 42 rows of the phase tables.
+T_THETA_MAX = 2.0e4
+T_Z_MAX = TWO_PI * 43 ** 2
 
 # Working precision (decimal digits) for extended-precision paths.
 EXTENDED_DPS = 40
@@ -115,8 +123,7 @@ _EM_BLOCK = 64
 # kernel's at the same heights (see the module docstring).
 T_RS = 800.0
 # The grid sampler takes Riemann-Siegel values from here up, where Gabcke
-# bounds their remainder.  The kernel's top is 2 pi 43^2, where N would
-# outgrow the 42 rows of its phase tables.
+# bounds their remainder.
 T_RS_MIN = 200.0
 # Gabcke (1979) bounds the Riemann-Siegel remainder after C6 by
 # 0.661 t^(-15/4), 1.6e-9 at t = 200 and less above.  Rounding adds far
@@ -247,18 +254,6 @@ class AtZeroError(ArithmeticError):
     """Raised when an argument is requested at a point where zeta vanishes."""
 
 
-def log_gamma_complex(z: complex) -> complex:
-    """Principal-branch log-gamma, continuous along vertical lines Re z > 0.
-
-    Thin wrapper over a library evaluator; the imaginary part is the
-    continuously tracked phase, not the principal argument of gamma(z).
-    """
-    z = complex(z)
-    if z.real <= 0.0 and z.imag == 0.0 and z.real == int(z.real):
-        raise ValueError(f"log-gamma pole at z = {z}")
-    return complex(_scipy_loggamma(z))
-
-
 @lru_cache(maxsize=131072)
 def smooth_main(t: float) -> float:
     """Smooth main term (t/2pi) log(t/(2 pi e)) + 7/8, correctly rounded.
@@ -349,8 +344,8 @@ def theta_exact(t: float) -> float:
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    if abs(t) > 2.0 * T_WINDOW_MAX:
-        raise ValueError(f"|t| beyond supported window {2.0 * T_WINDOW_MAX:g}")
+    if abs(t) > T_THETA_MAX:
+        raise ValueError(f"|t| beyond supported window {T_THETA_MAX:g}")
     if t == 0.0:
         return 0.0
     sign, mag = math.copysign(1.0, t), abs(t)
@@ -427,18 +422,17 @@ def lambert_w0(x: float) -> float:
 
 
 def theta_vec(ts: np.ndarray) -> np.ndarray:
-    """theta on an array, float-precision (abs error ~5e-12, plenty for Z)."""
+    """theta on an array of t >= 0, float-precision (abs error ~5e-12, plenty for Z).
+
+    Below t = 50 this is the library log-gamma's phase, whose error there
+    reaches about 2e-14; theta_exact takes extended precision instead.
+    """
     ts = np.asarray(ts, dtype=np.float64)
     out = np.empty_like(ts)
     low = ts < _THETA_SERIES_MIN
     if low.any():
         tl = ts[low]
-        out_l = np.zeros_like(tl)
-        pos = tl > 0.0
-        if pos.any():
-            z = 0.25 + 0.5j * tl[pos]
-            out_l[pos] = _scipy_loggamma(z).imag - 0.5 * tl[pos] * LN_PI
-        out[low] = out_l
+        out[low] = _scipy_loggamma(0.25 + 0.5j * tl).imag - 0.5 * tl * LN_PI
     high = ~low
     if high.any():
         t = ts[high]
@@ -488,7 +482,7 @@ def _zeta_em_chunk(ts: np.ndarray) -> np.ndarray:
 
 
 def _rs_z_theta(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Riemann-Siegel Z(t) and theta(t) mod 2 pi for ordinates T_RS_MIN <= t < 2 pi 43^2.
+    """Riemann-Siegel Z(t) and theta(t) mod 2 pi for ordinates T_RS_MIN <= t < T_Z_MAX.
 
     Z = 2 sum_{n<=N} n^(-1/2) cos(theta - t ln n) + (-1)^(N-1) a^(-1/2)
     sum_{k<=6} C_k(p) a^(-k), with a = sqrt(t/(2 pi)), N = floor(a) and
@@ -504,8 +498,6 @@ def _rs_z_theta(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = len(ts)
     n = np.floor(np.sqrt(ts / TWO_PI))
     n_top = n.max()
-    if not n_top <= len(_RS_MU_HI):
-        raise ValueError("Riemann-Siegel Z needs t < 2 pi 43^2, within its phase tables")
     n2 = n * n
     # r = t/(2 pi N^2) - 1, with t - hi N^2 exact: hi N^2 is exact and
     # within a factor 2 of t.
@@ -541,8 +533,7 @@ def _rs_z_theta(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * main + remainder, TWO_PI * theta
 
 
-def _critical_line(ts: np.ndarray, from_em, from_rs, dtype, t_max: float = math.inf,
-                   t_rs: float = T_RS) -> np.ndarray:
+def _critical_line(ts: np.ndarray, from_em, from_rs, dtype, t_rs: float = T_RS) -> np.ndarray:
     """Zeta-kernel values for a one-dimensional array of ordinates, in input order.
 
     The ordinates are stable-sorted; those below t_rs (T_RS, or T_RS_MIN for
@@ -550,7 +541,7 @@ def _critical_line(ts: np.ndarray, from_em, from_rs, dtype, t_max: float = math.
     and give from_em(chunk, zeta), the rest go to the Riemann-Siegel kernel
     in chunks of _RS_CHUNK and give from_rs(z, theta).  Both kernels evaluate
     each ordinate on its own, so no value depends on the rest of the batch.
-    Raises ValueError unless every t satisfies 0 <= t <= t_max (NaN does
+    Raises ValueError unless every t satisfies 0 <= t < T_Z_MAX (NaN does
     not).
     """
     out = np.empty(len(ts), dtype)
@@ -559,8 +550,8 @@ def _critical_line(ts: np.ndarray, from_em, from_rs, dtype, t_max: float = math.
     order = np.argsort(ts, kind="stable")
     sorted_ts = ts[order]
     # NaN sorts last.
-    if not (sorted_ts[0] >= 0.0 and sorted_ts[-1] <= t_max):
-        raise ValueError(f"t outside [0, {t_max:g}]")
+    if not (sorted_ts[0] >= 0.0 and sorted_ts[-1] < T_Z_MAX):
+        raise ValueError(f"t outside [0, 2 pi 43^2 = {T_Z_MAX!r})")
     split = bisect_left(sorted_ts, t_rs)
     for pos in range(0, split, _CHUNK):
         chunk = sorted_ts[pos:min(pos + _CHUNK, split)]
@@ -585,13 +576,11 @@ def _zeta_from_z(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 
 def hardy_z_vec(ts: np.ndarray) -> np.ndarray:
-    """Hardy Z for an arbitrary array of ordinates 0 <= t < 2 pi 43^2, about 11617.
+    """Hardy Z for an arbitrary array of ordinates 0 <= t < T_Z_MAX.
 
-    The documented error bound is measured up to t = 1e4; the top is where
-    the Riemann-Siegel phase tables end.  Each value depends on its own t
-    alone, not on the rest of the batch.  Raises ValueError for negative or
-    non-finite t and for t past the tables.  grid_z_vec gives the same
-    signs at less cost in [200, T_RS).
+    Each value depends on its own t alone, not on the rest of the batch.
+    Raises ValueError for t outside the domain, NaN included.  grid_z_vec
+    gives the same signs at less cost in [200, T_RS).
     """
     ts = np.asarray(ts, dtype=np.float64)
     return _critical_line(ts, _z_from_zeta, lambda z, theta: z, np.float64)
@@ -615,12 +604,12 @@ def grid_z_vec(ts: np.ndarray) -> np.ndarray:
 
 
 def _zeta_vec(ts: np.ndarray) -> np.ndarray:
-    """zeta(1/2 + it) for a one-dimensional array of ordinates 0 <= t <= 1e4."""
-    return _critical_line(ts, lambda ts, zeta: zeta, _zeta_from_z, np.complex128, T_WINDOW_MAX)
+    """zeta(1/2 + it) for a one-dimensional array of ordinates 0 <= t < T_Z_MAX."""
+    return _critical_line(ts, lambda ts, zeta: zeta, _zeta_from_z, np.complex128)
 
 
 def zeta_critical_line(t):
-    """zeta(1/2 + it) for 0 <= t <= 1e4, absolute error below 5e-15 * max(t, 100).
+    """zeta(1/2 + it) for 0 <= t < T_Z_MAX, absolute error below 5e-15 * max(t, 100).
 
     Takes a float (returns a complex) or an array (returns a complex array
     of its shape).  From T_RS up this is e^(-i theta) Z with Z and theta
@@ -634,12 +623,10 @@ def zeta_critical_line(t):
 def hardy_z(t: float) -> float:
     """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it), real on the critical line.
 
-    Absolute error below 5e-15 * max(t, 100), as for zeta_critical_line.
+    A one-element hardy_z_vec call: 0 <= t < T_Z_MAX, absolute error below
+    5e-15 * max(t, 100), as for zeta_critical_line.
     """
-    t = float(t)
-    if not 2.0 <= t <= T_WINDOW_MAX:
-        raise ValueError(f"t outside supported window [2, {T_WINDOW_MAX:g}]")
-    return float(hardy_z_vec(np.array([t]))[0])
+    return float(hardy_z_vec([t])[0])
 
 
 def wrap_half_turns(u: float) -> float:
@@ -659,7 +646,7 @@ def arg_zeta_principal(t):
     """(1/pi) Arg zeta(1/2 + it) with the principal branch, in (-1, 1].
 
     Takes a float (returns a float) or an array (returns an array of its
-    shape), for 0 <= t <= 1e4.  Raises AtZeroError naming the first height
+    shape), for 0 <= t < T_Z_MAX.  Raises AtZeroError naming the first height
     where |zeta| < 1e-12.
     """
     ts = np.asarray(t, dtype=np.float64)
@@ -677,18 +664,8 @@ def arg_zeta_principal(t):
 def arg_gamma_quarter(t: float) -> float:
     """(1/pi) Arg gamma(1/4 + it/2) with the principal branch, in (-1, 1].
 
-    Odd in t.  Computed from the continuous phase of log-gamma, wrapped to
-    the principal range; the gamma value itself underflows for large t so
-    the phase route is the only stable one.
+    Im log gamma(1/4 + it/2) = theta(t) + (t/2) ln pi, so this is
+    theta_exact's phase plus a linear term, wrapped to the principal range;
+    it takes theta_exact's domain |t| <= T_THETA_MAX and is odd in t.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    if abs(t) > 2.0 * T_WINDOW_MAX:
-        raise ValueError(f"|t| beyond supported window {2.0 * T_WINDOW_MAX:g}")
-    if t == 0.0:
-        return 0.0
-    if t < 0.0:
-        return -arg_gamma_quarter(-t)
-    phase = log_gamma_complex(complex(0.25, 0.5 * t)).imag / math.pi
-    return wrap_half_turns(phase)
+    return wrap_half_turns(theta_exact(t) / math.pi + t * LN_PI / TWO_PI)

@@ -39,9 +39,12 @@ from scipy.special import j0 as _j0
 from scipy.special import j1 as _j1
 
 from . import GENERATOR_VERSION
-from .special import T_WINDOW_MAX, TWO_PI, grid_z_vec, hardy_z_vec, theta_vec
+from .special import TWO_PI, grid_z_vec, hardy_z_vec, theta_vec
 
 CACHE_MAGIC = "zetaphase zero cache v1"
+
+# Scans end by here, inside Z's domain [0, T_Z_MAX) with their padded lattice.
+T_WINDOW_MAX = 1.0e4
 
 # The scan lattice t = k _STEP, and the width every bracket is closed to.
 _STEP = 0.05
@@ -538,8 +541,9 @@ def write_zero_cache(zeros: ZeroList, path: str | os.PathLike) -> None:
 def read_zero_cache(path: str | os.PathLike) -> ZeroList:
     """Parse a cache file back into an ingested ZeroList.
 
-    Malformed lines and ordering violations report their line number.
-    Without a '# range:' comment the coverage is [0, last ordinate].
+    The first non-empty line must be '# ' + CACHE_MAGIC.  Malformed lines
+    and ordering violations report their line number.  Without a
+    '# range:' comment the coverage is [0, last ordinate].
     """
     t_lo = 0.0
     t_hi: float | None = None
@@ -547,10 +551,16 @@ def read_zero_cache(path: str | os.PathLike) -> ZeroList:
     tol = None
     declared = None
     ordinates: list[float] = []
+    magic_seen = False
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
+                continue
+            if not magic_seen:
+                if line != f"# {CACHE_MAGIC}":
+                    raise ValueError(f"{path}:{lineno}: not a zero cache: {line!r}")
+                magic_seen = True
                 continue
             if line.startswith("#"):
                 body = line[1:].strip()
@@ -577,6 +587,8 @@ def read_zero_cache(path: str | os.PathLike) -> ZeroList:
             if ordinates and y <= ordinates[-1]:
                 raise ValueError(f"{path}:{lineno}: ordinates must be strictly ascending")
             ordinates.append(y)
+    if not magic_seen:
+        raise ValueError(f"{path}: empty, not a zero cache")
     if declared is not None and declared != len(ordinates):
         raise ValueError(f"{path}: declared count {declared} != {len(ordinates)} ordinates")
     if t_hi is None:

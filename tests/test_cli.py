@@ -6,6 +6,7 @@ import json
 import pytest
 
 from zetaphase import verify
+from zetaphase import zeros as zmod
 from zetaphase.cli import main
 
 
@@ -168,6 +169,35 @@ class TestCountsCommand:
         assert code == 2
         assert out == ""
         assert "n_max must be >= 1" in err
+
+
+class TestScanMemo:
+    # Without --cache, counts and render scan [0, --max] and memoize the
+    # result in $ZETA_CACHE_DIR; the cache format cannot hold suspects.
+    @pytest.fixture
+    def scan(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+
+        def patch(suspects):
+            def scan_zeros(config):
+                return zmod.ZeroList((14.134725141734694,), "scanned", config.t_lo, config.t_hi,
+                                     suspect_intervals=suspects)
+            monkeypatch.setattr(zmod, "scan_zeros", scan_zeros)
+        return patch
+
+    def test_memo_written(self, capsys, scan, tmp_path):
+        scan(())
+        code, out, _ = run_cli(capsys, "counts", "--max", "200", "--n-max", "20")
+        assert code == 0 and "14\t1" in out.splitlines()
+        assert [p.name for p in tmp_path.iterdir()] == ["zeros_0_200_0.05.txt"]
+
+    @pytest.mark.parametrize("command", [("counts",), ("render", "--out", "image.pgm")])
+    def test_suspect_scan_is_error(self, capsys, scan, tmp_path, command):
+        scan((100,))
+        code, out, err = run_cli(capsys, *command, "--max", "200", "--n-max", "20")
+        assert code == 2 and out == ""
+        assert "suspect intervals [100]" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTableCommand:

@@ -1,8 +1,8 @@
 """Tests for the phase and zeta building blocks.
 
 Reference values are frozen from 40-digit mpmath evaluations
-(mp.siegeltheta, mp.zeta, mp.lambertw, mp.loggamma) unless a value
-is forced by the definition itself.
+(mp.siegeltheta, mp.siegelz, mp.zeta, mp.lambertw, mp.loggamma) unless a
+value is forced by the definition itself.
 """
 
 import importlib.util
@@ -24,7 +24,6 @@ from zetaphase import (
     arg_zeta_principal,
     hardy_z,
     lambert_w0,
-    log_gamma_complex,
     scan_zeros,
     theta_exact,
     theta_series,
@@ -42,6 +41,8 @@ from zetaphase.special import (
     _RS_TWO_PI_LO,
     T_RS,
     T_RS_MIN,
+    T_THETA_MAX,
+    T_Z_MAX,
     _em_truncation,
     _rs_z_theta,
     grid_z_vec,
@@ -55,7 +56,12 @@ SCRIPTS = ROOT / "scripts"
 
 # mp.siegeltheta at 40 digits, rounded to double.
 THETA_REFERENCE = {
+    0.5: -1.125052715405563,
+    3.0: -2.9945646960108254,
     10.0: -3.0670743962898953,
+    17.8456: 2.398478509505297e-07,
+    30.0: 8.05780013656399,
+    49.9: 26.357709641639094,
     50.0: 26.461366070161410,
     100.0: 87.972165231787220,
     1000.0: 2034.5464280380316,
@@ -69,6 +75,20 @@ ZETA_REFERENCE = {
     100.0: complex(2.6926198856813241, -0.020386029602598162),
     1000.0: complex(0.35633436719439606, 0.93199783123299367),
     6500.0: complex(-0.10290070191834146, -0.37278653389112664),
+}
+
+# (mp.siegelz, mp.zeta(1/2 + it)) at 40 digits: one height in each of 8
+# equal strata of [1e4, T_Z_MAX), and the last double below T_Z_MAX.
+TOP_REFERENCE = {
+    10131.895696: (-1.571646326542656, complex(1.4320758727200167, 0.647480401640256)),
+    10211.052627: (0.09106138747285633, complex(0.09030314192197601, 0.011726843032169209)),
+    10408.452415: (1.7715029518849479, complex(-0.21430225770242117, -1.7584928919050908)),
+    10776.293407: (-1.0489786871883264, complex(-0.053256076028951695, -1.0476259239544157)),
+    10927.525848: (-1.0984299385925214, complex(1.075247692190355, 0.22447879729650574)),
+    11056.441689: (1.0504493024550963, complex(0.9502613959758744, -0.4477130960183994)),
+    11365.220527: (0.7835360782246049, complex(0.7670286961776416, -0.15998676545146243)),
+    11468.727309: (0.6740171945917575, complex(0.3954007715649147, 0.5458547503239422)),
+    11617.609632975053: (0.7660370744244035, complex(0.6097274940742593, 0.46372964360996294)),
 }
 
 
@@ -224,23 +244,6 @@ def test_smooth_main_correlates_with_theta():
         assert 0.0 < gap < 1.0 / (40.0 * t)
 
 
-class TestLogGamma:
-    def test_against_mpmath(self):
-        cases = {
-            complex(0.25, 0.5): complex(0.34025042040841979, -1.1951830098875903),
-            complex(0.25, 2.5): complex(-3.2358405107546571, -0.59779566073996210),
-        }
-        for z, want in cases.items():
-            got = log_gamma_complex(z)
-            assert got.real == pytest.approx(want.real, abs=1e-12)
-            assert got.imag == pytest.approx(want.imag, abs=1e-12)
-
-    def test_pole_rejected(self):
-        for z in (0.0, -1.0, -2.0 + 0.0j):
-            with pytest.raises(ValueError):
-                log_gamma_complex(complex(z))
-
-
 class TestLambertW:
     def test_fixed_points(self):
         assert lambert_w0(0.0) == 0.0
@@ -274,10 +277,11 @@ class TestZetaCriticalLine:
             assert abs(got - want) < 1e-9, t
 
     def test_window_enforced(self):
-        with pytest.raises(ValueError):
-            zeta_critical_line(-1.0)
-        with pytest.raises(ValueError):
-            zeta_critical_line(10001.0)
+        for t in (-1.0, math.nan, T_Z_MAX):
+            with pytest.raises(ValueError):
+                zeta_critical_line(t)
+        for t in (0.0, np.nextafter(T_Z_MAX, 0.0)):
+            assert math.isfinite(abs(zeta_critical_line(t)))
 
 
 def zeta_error_bound(t):
@@ -320,6 +324,12 @@ class TestKernelOracle:
             assert err <= zeta_error_bound(t), t
             ratios.append(err / zeta_error_bound(t))
         assert max(ratios) <= 0.5
+
+    def test_top_of_domain_against_frozen_oracle(self):
+        assert max(TOP_REFERENCE) == np.nextafter(T_Z_MAX, 0.0)
+        for t, (z_ref, zeta_ref) in TOP_REFERENCE.items():
+            assert abs(hardy_z(t) - z_ref) <= zeta_error_bound(t), t
+            assert abs(zeta_critical_line(t) - zeta_ref) <= zeta_error_bound(t), t
 
 
 class TestEulerMaclaurinKernel:
@@ -438,10 +448,11 @@ class TestHardyZ:
             assert abs(rotated.imag) <= 1e-8 * max(1.0, abs(z))
 
     def test_window_enforced(self):
-        with pytest.raises(ValueError):
-            hardy_z(1.0)
-        with pytest.raises(ValueError):
-            hardy_z(10500.0)
+        for t in (-1.0, math.nan, T_Z_MAX):
+            with pytest.raises(ValueError):
+                hardy_z(t)
+        for t in (0.0, 1.0, np.nextafter(T_Z_MAX, 0.0)):
+            assert math.isfinite(hardy_z(t))
 
     def test_sign_change_at_first_zero(self):
         assert hardy_z(14.0) * hardy_z(14.2) < 0.0
@@ -519,7 +530,7 @@ class TestArrayAPI:
         assert zeta_critical_line(np.array([])).shape == (0,)
         assert arg_zeta_principal(np.array([])).shape == (0,)
 
-    @pytest.mark.parametrize("bad", [math.nan, -1.0, 10001.0])
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, T_Z_MAX])
     def test_out_of_window_rejected(self, bad):
         batch = np.array([5.0, 900.0, bad, 20.0])
         with pytest.raises(ValueError):
@@ -541,6 +552,22 @@ class TestArgGammaQuarter:
     def test_non_finite_rejected(self, t):
         with pytest.raises(ValueError):
             arg_gamma_quarter(t)
+
+    def test_theta_domain(self):
+        assert -1.0 < arg_gamma_quarter(-T_THETA_MAX) <= 1.0
+        with pytest.raises(ValueError):
+            arg_gamma_quarter(np.nextafter(T_THETA_MAX, math.inf))
+
+    def test_against_mpmath(self):
+        # One height in each of 40 strata of (0, 2e4].  The unwrapped phase
+        # reaches 2.6e4 half turns; two of its ulps are 7.3e-12 at the top.
+        rng = np.random.default_rng(17)
+        edges = np.linspace(0.0, T_THETA_MAX, 41)
+        for t in rng.uniform(edges[:-1], edges[1:]).tolist() + [T_THETA_MAX]:
+            with mp.workdps(40):
+                phase = float(mp.loggamma(mp.mpc(0.25, t / 2)).imag / mp.pi)
+            err = abs(math.remainder(arg_gamma_quarter(t) - phase, 2.0))
+            assert err <= 2.0 * math.ulp(max(abs(phase), 1.0)), t
 
     def test_odd_and_zero(self):
         assert arg_gamma_quarter(0.0) == 0.0

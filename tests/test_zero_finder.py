@@ -533,7 +533,7 @@ class TestZeroCache:
 
     def test_missing_range_covers_last_ordinate(self, tmp_path):
         path = tmp_path / "zeros.txt"
-        path.write_text("14.134725141735\n21.022039638772\n")
+        path.write_text("# zetaphase zero cache v1\n14.134725141735\n21.022039638772\n")
         loaded = read_zero_cache(path)
         assert np.array_equal(loaded.ordinates, [14.134725141735, 21.022039638772])
         assert loaded.t_lo == 0.0
@@ -572,7 +572,8 @@ class TestZeroCache:
 
     def test_coverage_error_names_file(self, tmp_path):
         path = tmp_path / "zeros.txt"
-        path.write_text("# range: 0.000000 20.000000\n14.134725141735\n21.022039638772\n")
+        path.write_text("# zetaphase zero cache v1\n# range: 0.000000 20.000000\n"
+                        "14.134725141735\n21.022039638772\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: ordinate outside")):
             read_zero_cache(path)
 
@@ -580,6 +581,20 @@ class TestZeroCache:
         path = tmp_path / "zeros.txt"
         path.write_text("something else\n")
         with pytest.raises(ValueError):
+            read_zero_cache(path)
+
+    def test_bad_magic_with_valid_body_rejected(self, tmp_path):
+        # Past its first non-empty line the file is a valid list of one zero.
+        path = tmp_path / "zeros.txt"
+        path.write_text("\n# not a zetaphase file\n14.134725141898\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: not a zero cache: "
+                                                       "'# not a zetaphase file'")):
+            read_zero_cache(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "zeros.txt"
+        path.write_text("\n")
+        with pytest.raises(ValueError, match="not a zero cache"):
             read_zero_cache(path)
 
 
