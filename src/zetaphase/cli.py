@@ -48,7 +48,8 @@ def _obtain_zeros(args: argparse.Namespace) -> zmod.ZeroList:
     if getattr(args, "cache", None):
         return _load_zeros(args.cache)
     t_hi = float(getattr(args, "max", verify.CENSUS_T_HI))
-    name = f"zeros_0_{t_hi:g}_0.05.txt"
+    # The shortest decimal that reads back as t_hi: one memo per window.
+    name = f"zeros_0_{np.format_float_positional(t_hi, trim='-')}_0.05.txt"
     path = os.path.join(_cache_dir(), name)
     if os.path.exists(path):
         return zmod.read_zero_cache(path)

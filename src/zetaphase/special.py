@@ -48,13 +48,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import dps_to_prec, from_int, ln2_fixed, mpf_log, mpf_pi, pi_fixed, to_fixed
-from scipy.special import loggamma as _scipy_loggamma
 
 TWO_PI = 2.0 * math.pi
 LN_PI = math.log(math.pi)
@@ -96,6 +96,14 @@ _BERNOULLI_ABS = (
 )
 
 MAX_SERIES_ORDER = len(_BERNOULLI_ABS)
+
+# theta_vec below _THETA_SERIES_MIN takes Stirling's series for log gamma(w),
+# with coefficients B_2k / (2k (2k - 1)), at w = z + _STIRLING_SHIFT.
+_STIRLING_SHIFT = 10
+_STIRLING_COEFFS = tuple(
+    float((-1) ** (k + 1) * b / (2 * k * (2 * k - 1)))
+    for k, b in enumerate(_BERNOULLI_ABS, start=1)
+)
 
 # B_2j / (2j)! for j = 1..30, the Euler-Maclaurin correction coefficients,
 # frozen from 60-digit mpmath.bernoulli so that importing needs no mpmath work.
@@ -316,8 +324,8 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
 def theta_tail(t, order: int):
     """Sum of c_k * t**-(2k+1) for k < order (theta units); t a float or an array."""
     w = 1.0 / (t * t)
-    acc = 0.0
-    for k in range(order - 1, -1, -1):
+    acc = _THETA_COEFFS[order - 1] if order else 0.0
+    for k in range(order - 2, -1, -1):
         acc = acc * w + _THETA_COEFFS[k]
     return acc / t
 
@@ -421,18 +429,39 @@ def lambert_w0(x: float) -> float:
     return w
 
 
+def _im_log_gamma_quarter(ts: np.ndarray) -> np.ndarray:
+    """Im log gamma(1/4 + it/2) on the continuous branch, for an array of t >= 0.
+
+    log gamma(z) = log gamma(z + 10) - sum_{k<10} log(z + k), and Stirling's
+    series at w = z + 10, |w| > 10, is cut after B_16 with a truncation
+    error below 2e-18; rounding leaves about 3e-14 below t = 50.  The ten
+    phases are added in sequence, so a value does not depend on the batch.
+    """
+    half_t = 0.5 * ts
+    w = (0.25 + _STIRLING_SHIFT) + 1j * half_t
+    u = 1.0 / (w * w)
+    acc = _STIRLING_COEFFS[-1]
+    for c in reversed(_STIRLING_COEFFS[:-1]):
+        acc = acc * u + c
+    shift = np.arctan2(half_t, 0.25)
+    for k in range(1, _STIRLING_SHIFT):
+        shift += np.arctan2(half_t, 0.25 + k)
+    return ((w - 0.5) * np.log(w) - w + acc / w).imag - shift
+
+
 def theta_vec(ts: np.ndarray) -> np.ndarray:
     """theta on an array of t >= 0, float-precision (abs error ~5e-12, plenty for Z).
 
-    Below t = 50 this is the library log-gamma's phase, whose error there
-    reaches about 2e-14; theta_exact takes extended precision instead.
+    Below t = 50 this is the phase of Stirling's series for log gamma, whose
+    error there reaches about 3e-14; theta_exact takes extended precision
+    instead.
     """
     ts = np.asarray(ts, dtype=np.float64)
     out = np.empty_like(ts)
     low = ts < _THETA_SERIES_MIN
     if low.any():
         tl = ts[low]
-        out[low] = _scipy_loggamma(0.25 + 0.5j * tl).imag - 0.5 * tl * LN_PI
+        out[low] = _im_log_gamma_quarter(tl) - 0.5 * tl * LN_PI
     high = ~low
     if high.any():
         t = ts[high]
@@ -441,12 +470,49 @@ def theta_vec(ts: np.ndarray) -> np.ndarray:
     return out
 
 
+# Bytes per ordinate of a kernel's largest scratch view: a term row of at
+# most 256 columns (N <= 220 below T_RS), and the three phase matrices of at
+# most 42 rows of the Riemann-Siegel kernel.
+_EM_ROW_BYTES = 8 * 256
+_RS_ROW_BYTES = 3 * 8 * 42
+
+
+def _fresh_array(slot: int, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """_workspace's take where nothing is reused: a new array, whatever the slot."""
+    return np.empty(shape, dtype)
+
+
+def _workspace(em_rows: int, rs_rows: int) -> Callable[..., np.ndarray]:
+    """take(slot, shape, dtype) for the kernel chunks of one _critical_line call.
+
+    A kernel takes its large temporaries as views on three slots, 0 to 2,
+    and writes them with out=; a view is valid until its slot is taken
+    again.  Each slot holds the largest view of a chunk of the em_rows
+    Euler-Maclaurin or the rs_rows Riemann-Siegel ordinates, and every chunk
+    reuses it: fresh arrays, freed at the top of the heap after each chunk,
+    would go back to the system and be faulted in again by the next one.
+    Pages no view touches are never faulted in.  A view is C-contiguous from
+    the start of its slot, laid out as a fresh array of its shape, so the
+    kernels' values do not change.  Where each kernel takes at most one
+    chunk nothing is reused, and take returns fresh arrays.
+    """
+    if em_rows <= _CHUNK and rs_rows <= _RS_CHUNK:
+        return _fresh_array
+    capacity = max(min(em_rows, _CHUNK) * _EM_ROW_BYTES, min(rs_rows, _RS_CHUNK) * _RS_ROW_BYTES)
+    memory = np.empty(3 * capacity, np.uint8)
+
+    def take(slot: int, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        return np.ndarray(shape, dtype, memory, slot * capacity)
+
+    return take
+
+
 def _em_truncation(ts: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin truncation N = ceil(t/4) + 20 per ordinate, as floats."""
     return np.ceil(ts / 4.0) + 20.0
 
 
-def _zeta_em_chunk(ts: np.ndarray) -> np.ndarray:
+def _zeta_em_chunk(ts: np.ndarray, ws: Callable[..., np.ndarray]) -> np.ndarray:
     """Euler-Maclaurin zeta(1/2+it) for an array of ordinates t >= 0.
 
     Each ordinate t gets its own truncation N = ceil(t/4) + 20: the terms
@@ -457,31 +523,39 @@ def _zeta_em_chunk(ts: np.ndarray) -> np.ndarray:
     The main sum is one masked term matrix whose 64-column blocks are summed
     pairwise and combined in sequence, and the tail is combined in sequence,
     so the value at t does not depend on the other ordinates in the batch:
-    the blocks past a row's truncation add exact zeros.
+    the blocks past a row's truncation add exact zeros.  The term matrices
+    are written into ws.
     """
     m = len(ts)
     n_big = _em_truncation(ts)
     width = -(-(int(n_big.max()) - 1) // _EM_BLOCK) * _EM_BLOCK
     ks = np.arange(1.0, width + 1.0)
-    w = np.where(ks < n_big[:, None], 1.0 / np.sqrt(ks), 0.0)
-    ph = np.outer(ts, np.log(ks))
+    w, terms, ph = ws(0, (m, width)), ws(1, (m, width)), ws(2, (m, width))
+    # The weights k^(-1/2) for k < N, exact zeros beyond.
+    np.multiply(np.less(ks, n_big[:, None], out=w), 1.0 / np.sqrt(ks), out=w)
+    np.multiply(ts[:, None], np.log(ks), out=ph)
 
     def main_sum(terms):
         return terms.reshape(m, -1, _EM_BLOCK).sum(axis=2).cumsum(axis=1)[:, -1]
 
     s = 0.5 + 1j * ts
     n_pow = n_big ** -s
-    total = (main_sum(w * np.cos(ph)) - 1j * main_sum(w * np.sin(ph))
+    total = (main_sum(np.multiply(w, np.cos(ph, out=terms), out=terms))
+             - 1j * main_sum(np.multiply(w, np.sin(ph, out=ph), out=ph))
              + n_big * n_pow / (s - 1.0) + 0.5 * n_pow)
     # Tail sum_j B_2j/(2j)! * s(s+1)...(s+2j-2) * N^(1-s-2j) as a running
     # product of term ratios (s+2j-1)(s+2j)/N^2, one row per j.
     j = np.arange(1, len(_EM_BERNOULLI))[:, None]
-    ratios = (s + (2 * j - 1)) * (s + 2 * j) / (n_big * n_big)
-    terms = np.vstack([s * n_pow / n_big, ratios]).cumprod(axis=0)
-    return total + (_EM_BERNOULLI[:, None] * terms).cumsum(axis=0)[-1]
+    tail, acc = ws(0, (2, len(_EM_BERNOULLI), m), np.complex128)
+    tail[0] = s * n_pow / n_big
+    ratios = np.add(s, 2 * j - 1, out=tail[1:])
+    ratios *= np.add(s, 2 * j, out=acc[1:])
+    ratios /= n_big * n_big
+    tail.cumprod(axis=0, out=acc)
+    return total + np.multiply(_EM_BERNOULLI[:, None], acc, out=tail).cumsum(axis=0, out=acc)[-1]
 
 
-def _rs_z_theta(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rs_z_theta(ts: np.ndarray, ws: Callable[..., np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Riemann-Siegel Z(t) and theta(t) mod 2 pi for ordinates T_RS_MIN <= t < T_Z_MAX.
 
     Z = 2 sum_{n<=N} n^(-1/2) cos(theta - t ln n) + (-1)^(N-1) a^(-1/2)
@@ -493,7 +567,7 @@ def _rs_z_theta(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tail/(2 pi), and t ln n/(2 pi) = t mu_n - t mu_1.  Each sum runs over fewer
     than 8 terms per axis and the columns past N add exact zeros, so a
     value does not depend on the rest of the batch.  The returned theta lies
-    in (-2 pi, 2 pi).
+    in (-2 pi, 2 pi).  The phase and correction matrices are written into ws.
     """
     m = len(ts)
     n = np.floor(np.sqrt(ts / TWO_PI))
@@ -510,12 +584,19 @@ def _rs_z_theta(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t_hi = c - (c - ts)
     width = _RS_BLOCK * -(-int(n_top) // _RS_BLOCK)
     mu_hi = _RS_MU_HI[:width, None]
-    turns = np.modf(mu_hi * t_hi)[0] + (mu_hi * (ts - t_hi) + _RS_MU_LO[:width, None] * ts)
+    turns, a, b = ws(0, (3, width, m))
+    np.modf(np.multiply(mu_hi, t_hi, out=turns), out=(turns, a))
+    np.add(np.multiply(mu_hi, ts - t_hi, out=a), np.multiply(_RS_MU_LO[:width, None], ts, out=b),
+           out=a)
+    turns += a
     g = (ts * log_a_n + theta_tail(ts, 2)) / TWO_PI - 0.0625
     n_idx = n.astype(np.intp)
     theta = turns[n_idx - 1, np.arange(m)] + (g - np.rint(g))
-    phase = (theta + turns[0]) - turns
-    terms = np.cos(TWO_PI * (phase - np.rint(phase))) * _RS_TRUNCATED_WEIGHTS[:width, n_idx]
+    phase = np.subtract(theta + turns[0], turns, out=turns)
+    np.subtract(phase, np.rint(phase, out=a), out=phase)
+    terms = np.cos(np.multiply(TWO_PI, phase, out=phase), out=phase)
+    # mode="clip" takes the columns straight into b; every N is in range.
+    terms *= _RS_TRUNCATED_WEIGHTS[:width].take(n_idx, axis=1, out=b, mode="clip")
     main = terms.reshape(-1, _RS_BLOCK, m).sum(axis=1).sum(axis=0)
 
     # C_k / x^(k % 2) = sum_j b_kj T_j(y), y = 2x^2 - 1, x = 2p - 1, with
@@ -523,11 +604,12 @@ def _rs_z_theta(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (abs: a rounded N may leave p a hair outside [0, 1]).
     x = 2.0 * p - 1.0
     e_psi = x + 2j * np.sqrt(np.abs(p * (1.0 - p)))
-    powers = np.empty((_RS_CHEBYSHEV.shape[1], m), dtype=np.complex128)
+    powers, products = ws(1, (2, _RS_CHEBYSHEV.shape[1], m), np.complex128)
     powers[0] = 1.0
     powers[1:] = e_psi * e_psi
-    cheb = powers.cumprod(axis=0).real
-    corrections = (cheb * _RS_CHEBYSHEV[:, :, None]).reshape(len(_RS_CHEBYSHEV), 2, -1, m)
+    cheb = powers.cumprod(axis=0, out=products).real
+    corrections = np.multiply(cheb, _RS_CHEBYSHEV[:, :, None], out=ws(0, _RS_CHEBYSHEV.shape + (m,)))
+    corrections = corrections.reshape(len(_RS_CHEBYSHEV), 2, -1, m)
     scale = np.exp(_RS_POWERS[:, None] * np.log(n + p)) * np.where(_RS_ODD[:, None], x, 1.0)
     remainder = _RS_SIGNS[n_idx] * (corrections.sum(axis=2).sum(axis=1) * scale).sum(axis=0)
     return 2.0 * main + remainder, TWO_PI * theta
@@ -540,9 +622,9 @@ def _critical_line(ts: np.ndarray, from_em, from_rs, dtype, t_rs: float = T_RS) 
     the grid sampler) go to the Euler-Maclaurin kernel in chunks of _CHUNK
     and give from_em(chunk, zeta), the rest go to the Riemann-Siegel kernel
     in chunks of _RS_CHUNK and give from_rs(z, theta).  Both kernels evaluate
-    each ordinate on its own, so no value depends on the rest of the batch.
-    Raises ValueError unless every t satisfies 0 <= t < T_Z_MAX (NaN does
-    not).
+    each ordinate on its own, so no value depends on the rest of the batch,
+    and every chunk reuses one _workspace.  Raises ValueError unless every t
+    satisfies 0 <= t < T_Z_MAX (NaN does not).
     """
     out = np.empty(len(ts), dtype)
     if not len(ts):
@@ -553,11 +635,12 @@ def _critical_line(ts: np.ndarray, from_em, from_rs, dtype, t_rs: float = T_RS) 
     if not (sorted_ts[0] >= 0.0 and sorted_ts[-1] < T_Z_MAX):
         raise ValueError(f"t outside [0, 2 pi 43^2 = {T_Z_MAX!r})")
     split = bisect_left(sorted_ts, t_rs)
+    ws = _workspace(split, len(ts) - split)
     for pos in range(0, split, _CHUNK):
         chunk = sorted_ts[pos:min(pos + _CHUNK, split)]
-        out[order[pos:pos + len(chunk)]] = from_em(chunk, _zeta_em_chunk(chunk))
+        out[order[pos:pos + len(chunk)]] = from_em(chunk, _zeta_em_chunk(chunk, ws))
     for pos in range(split, len(ts), _RS_CHUNK):
-        out[order[pos:pos + _RS_CHUNK]] = from_rs(*_rs_z_theta(sorted_ts[pos:pos + _RS_CHUNK]))
+        out[order[pos:pos + _RS_CHUNK]] = from_rs(*_rs_z_theta(sorted_ts[pos:pos + _RS_CHUNK], ws))
     return out
 
 

@@ -34,9 +34,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import airy as _airy
-from scipy.special import j0 as _j0
-from scipy.special import j1 as _j1
 
 from . import GENERATOR_VERSION
 from .special import TWO_PI, grid_z_vec, hardy_z_vec, theta_vec
@@ -442,6 +439,8 @@ def airy_counter_corrected(n: int) -> int:
 
 def bessel_j0_zeros(count: int) -> np.ndarray:
     """First `count` positive zeros of J0: McMahon start, Newton on J0."""
+    from scipy.special import j0, j1
+
     if count < 1:
         raise ValueError("count must be >= 1")
     k = np.arange(1, count + 1, dtype=np.float64)
@@ -449,17 +448,19 @@ def bessel_j0_zeros(count: int) -> np.ndarray:
     r = 1.0 / (8.0 * beta)
     x = beta + r * (1.0 + r * r * (-124.0 / 3.0 + r * r * (120928.0 / 15.0)))
     for _ in range(8):
-        step = _j0(x) / _j1(x)  # J0' = -J1
+        step = j0(x) / j1(x)  # J0' = -J1
         x = x + step
         if np.max(np.abs(step)) < 1e-14:
             break
-    if np.max(np.abs(_j0(x))) > 1e-11 or np.any(np.diff(x) <= 0.0):
+    if np.max(np.abs(j0(x))) > 1e-11 or np.any(np.diff(x) <= 0.0):
         raise ArithmeticError("Bessel zero oracle failed to converge")
     return x
 
 
 def airy_neg_zeros(count: int) -> np.ndarray:
     """First `count` zeros of Ai(-x): asymptotic start, Newton on Ai."""
+    from scipy.special import airy
+
     if count < 1:
         raise ValueError("count must be >= 1")
     k = np.arange(1, count + 1, dtype=np.float64)
@@ -467,12 +468,12 @@ def airy_neg_zeros(count: int) -> np.ndarray:
     zi = z ** -2.0
     x = z ** (2.0 / 3.0) * (1.0 + zi * (5.0 / 48.0 + zi * (-5.0 / 36.0 + zi * (77125.0 / 82944.0))))
     for _ in range(10):
-        ai, aip, _, _ = _airy(-x)
+        ai, aip, _, _ = airy(-x)
         step = ai / aip
         x = x + step
         if np.max(np.abs(step)) < 1e-14:
             break
-    ai, _, _, _ = _airy(-x)
+    ai, _, _, _ = airy(-x)
     if np.max(np.abs(ai)) > 1e-11 or np.any(np.diff(x) <= 0.0):
         raise ArithmeticError("Airy zero oracle failed to converge")
     return x

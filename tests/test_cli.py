@@ -179,10 +179,14 @@ class TestScanMemo:
         monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
 
         def patch(suspects):
+            scanned = []
+
             def scan_zeros(config):
+                scanned.append(config.t_hi)
                 return zmod.ZeroList((14.134725141734694,), "scanned", config.t_lo, config.t_hi,
                                      suspect_intervals=suspects)
             monkeypatch.setattr(zmod, "scan_zeros", scan_zeros)
+            return scanned
         return patch
 
     def test_memo_written(self, capsys, scan, tmp_path):
@@ -190,6 +194,17 @@ class TestScanMemo:
         code, out, _ = run_cli(capsys, "counts", "--max", "200", "--n-max", "20")
         assert code == 0 and "14\t1" in out.splitlines()
         assert [p.name for p in tmp_path.iterdir()] == ["zeros_0_200_0.05.txt"]
+
+    def test_memo_per_exact_max(self, capsys, scan, tmp_path):
+        # 1234.0004 and 1234 agree to six significant digits; each gets its
+        # own scan and memo, and a rerun reads its own memo back.
+        scanned = scan(())
+        for t_hi in ("1234.0004", "1234", "1234.0004", "1234"):
+            code, out, _ = run_cli(capsys, "counts", "--max", t_hi, "--n-max", "20")
+            assert code == 0 and "14\t1" in out.splitlines()
+        assert scanned == [1234.0004, 1234.0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "zeros_0_1234.0004_0.05.txt", "zeros_0_1234_0.05.txt"]
 
     @pytest.mark.parametrize("command", [("counts",), ("render", "--out", "image.pgm")])
     def test_suspect_scan_is_error(self, capsys, scan, tmp_path, command):

@@ -43,11 +43,16 @@ from zetaphase.special import (
     T_RS_MIN,
     T_THETA_MAX,
     T_Z_MAX,
+    _CHUNK,
+    _RS_CHUNK,
     _em_truncation,
+    _im_log_gamma_quarter,
     _rs_z_theta,
+    _workspace,
     grid_z_vec,
     hardy_z_vec,
     smooth_main,
+    theta_vec,
 )
 from zetaphase.zeros import read_zero_cache
 
@@ -199,6 +204,39 @@ class TestThetaSeries:
             theta_series(100.0, order=9)
         with pytest.raises(ValueError):
             theta_series(100.0, order=-1)
+
+
+class TestThetaVec:
+    # Below t = 50 theta_vec takes Im log gamma(1/4 + it/2) from Stirling's
+    # series after a shift of 10.
+
+    def test_stirling_against_mpmath(self):
+        # t = 0, one height in each of 400 strata of (0, 50], and the
+        # doubles next to 50.
+        rng = np.random.default_rng(23)
+        edges = np.linspace(0.0, 50.0, 401)
+        ts = np.concatenate([[0.0], rng.uniform(edges[:-1], edges[1:]),
+                             [np.nextafter(50.0, 0.0), 50.0, np.nextafter(50.0, 100.0)]])
+        with mp.workdps(40):
+            want = [float(mp.loggamma(mp.mpc(0.25, t / 2)).imag) for t in ts.tolist()]
+        got = _im_log_gamma_quarter(ts)
+        assert got[0] == 0.0
+        assert np.max(np.abs(got - want)) <= 5e-14
+
+    def test_stirling_against_scipy(self):
+        # The 1,000 points of the 0.05 lattice below 50.
+        ts = np.arange(1000) * 0.05
+        ref = scipy.special.loggamma(0.25 + 0.5j * ts).imag
+        assert np.max(np.abs(_im_log_gamma_quarter(ts) - ref)) <= 5e-14
+
+    def test_low_heights_against_theta_exact(self):
+        ts = [t for t in THETA_REFERENCE if t < 50.0]
+        assert np.max(np.abs(theta_vec(ts) - [theta_exact(t) for t in ts])) <= 5e-14
+
+    def test_batch_independent(self):
+        ts = np.arange(1000) * 0.05
+        alone = [theta_vec(ts[k:k + 1])[0] for k in range(len(ts))]
+        assert np.array_equal(theta_vec(ts[::-1])[::-1], alone)
 
 
 class TestSmoothMain:
@@ -374,6 +412,22 @@ class TestEulerMaclaurinKernel:
         assert bound <= 0.02 * zeta_error_bound(t)
 
 
+class TestChunkWorkspace:
+    def test_reused_across_chunks(self):
+        # hardy_z_vec sends 4 full Euler-Maclaurin chunks and a short one,
+        # then 2 full Riemann-Siegel chunks and a short one, through one
+        # workspace; grid_z_vec 2 and a short one, then 3 and a short one.
+        # The term widths grow from chunk to chunk.
+        rng = np.random.default_rng(29)
+        ts = np.concatenate([rng.uniform(0.0, T_RS_MIN, 2 * _CHUNK + 188),
+                             rng.uniform(T_RS_MIN, T_RS, 2 * _CHUNK - 12),
+                             rng.uniform(T_RS, T_Z_MAX, 2 * _RS_CHUNK + 276)])
+        rng.shuffle(ts)
+        for evaluator in (hardy_z_vec, grid_z_vec):
+            alone = np.array([evaluator(ts[k:k + 1])[0] for k in range(len(ts))])
+            assert np.array_equal(evaluator(ts), alone)
+
+
 class TestVectorDomain:
     # 2 pi 43^2 = 11617.6...: from there on N = 43 outgrows the 42 phase rows.
     @pytest.mark.parametrize("t", [-5.0, -1e-300, math.nan, math.inf, -math.inf, 2e4])
@@ -425,7 +479,7 @@ class TestGridSampler:
         # their zeros that the Riemann-Siegel sign holds and is kept.
         ys = read_zero_cache(ROOT / "perfbench" / "reference" / "census_0_6501.txt").ordinates
         ys = ys[(ys >= T_RS_MIN) & (ys < T_RS)]
-        sampled = _rs_z_theta(ys)[0]
+        sampled = _rs_z_theta(ys, _workspace(0, len(ys)))[0]
         near = np.abs(sampled) <= _RS_SIGN_BOUND
         assert len(ys) == 412 and np.count_nonzero(near) == 400
         grid = grid_z_vec(ys)

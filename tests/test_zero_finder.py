@@ -274,9 +274,9 @@ class TestRefinement:
         rows = []
         kernel = special._zeta_em_chunk
 
-        def recording(ts):
+        def recording(ts, *rest):
             rows.append(np.array(ts))
-            return kernel(ts)
+            return kernel(ts, *rest)
 
         monkeypatch.setattr(special, "_zeta_em_chunk", recording)
         zeros = scan_zeros(ScanConfig(t_lo=0.0, t_hi=2001.0))
