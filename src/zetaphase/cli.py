@@ -48,8 +48,10 @@ def _obtain_zeros(args: argparse.Namespace) -> zmod.ZeroList:
     if getattr(args, "cache", None):
         return _load_zeros(args.cache)
     t_hi = float(getattr(args, "max", verify.CENSUS_T_HI))
-    # The shortest decimal that reads back as t_hi: one memo per window.
-    name = f"zeros_0_{np.format_float_positional(t_hi, trim='-')}_0.05.txt"
+    # The shortest decimals that read back as t_hi and the scan step: one
+    # memo per window and lattice.
+    top, step = (np.format_float_positional(x, trim="-") for x in (t_hi, zmod.SCAN_STEP))
+    name = f"zeros_0_{top}_{step}.txt"
     path = os.path.join(_cache_dir(), name)
     if os.path.exists(path):
         return zmod.read_zero_cache(path)

@@ -100,6 +100,8 @@ MAX_SERIES_ORDER = len(_BERNOULLI_ABS)
 # theta_vec below _THETA_SERIES_MIN takes Stirling's series for log gamma(w),
 # with coefficients B_2k / (2k (2k - 1)), at w = z + _STIRLING_SHIFT.
 _STIRLING_SHIFT = 10
+# Re(z + k) for the shift's terms log(z + k), k < _STIRLING_SHIFT, as a column.
+_SHIFT_REAL = (0.25 + np.arange(_STIRLING_SHIFT))[:, None]
 _STIRLING_COEFFS = tuple(
     float((-1) ** (k + 1) * b / (2 * k * (2 * k - 1)))
     for k, b in enumerate(_BERNOULLI_ABS, start=1)
@@ -435,7 +437,8 @@ def _im_log_gamma_quarter(ts: np.ndarray) -> np.ndarray:
     log gamma(z) = log gamma(z + 10) - sum_{k<10} log(z + k), and Stirling's
     series at w = z + 10, |w| > 10, is cut after B_16 with a truncation
     error below 2e-18; rounding leaves about 3e-14 below t = 50.  The ten
-    phases are added in sequence, so a value does not depend on the batch.
+    phases come from one arctan2 call and are added in sequence by a running
+    sum, so a value does not depend on the batch.
     """
     half_t = 0.5 * ts
     w = (0.25 + _STIRLING_SHIFT) + 1j * half_t
@@ -443,9 +446,7 @@ def _im_log_gamma_quarter(ts: np.ndarray) -> np.ndarray:
     acc = _STIRLING_COEFFS[-1]
     for c in reversed(_STIRLING_COEFFS[:-1]):
         acc = acc * u + c
-    shift = np.arctan2(half_t, 0.25)
-    for k in range(1, _STIRLING_SHIFT):
-        shift += np.arctan2(half_t, 0.25 + k)
+    shift = np.add.accumulate(np.arctan2(half_t, _SHIFT_REAL), axis=0)[-1]
     return ((w - 0.5) * np.log(w) - w + acc / w).imag - shift
 
 

@@ -5,17 +5,18 @@ t = 0 so that scans over sub-ranges land on identical sample points) in
 one call of the grid sampler grid_z_vec, whose every value has the sign of
 the accurate evaluator hardy_z_vec and depends on its own t alone; a
 sample that is exactly 0.0 is an ordinate itself.  Each bracket starts at
-the root of the degree-7 polynomial through the eight lattice samples
+the root of the degree-11 polynomial through the twelve lattice samples
 around it, and one closing loop refines every bracket: an accurate pair
 0.45 refine_tol either side of the estimate, which closes the bracket
 where it straddles the root, and otherwise the pair's Newton point or the
 midpoint of what is left as the next estimate.  Every window sees the sign
-changes of the one 0.05 lattice, and on [0, 1e4] they are all 10,142
-zeros: the two gaps there narrower than the step, 5229.1986-5229.2419 and
-7005.0629-7005.1006, each hold a lattice point.  A unit interval whose
-count disagrees with the smooth-phase prediction by two or more is flagged
-as suspect where the cumulative count has drifted too, which catches a
-faulty evaluator.
+changes of the one 0.1 lattice, and on [0, 1e4] they are all 10,142
+zeros: the six gaps there narrower than the step, from 1977.1739,
+4292.7264, 5229.1986, 6093.1923, 7005.0629 (Lehmer's pair, 0.0377 wide,
+with 7005.1 0.00056 below its upper zero) and 9793.5500, each hold a
+lattice point.  A unit interval whose count disagrees with the
+smooth-phase prediction by two or more is flagged as suspect where the
+cumulative count has drifted too, which catches a faulty evaluator.
 
 Every count goes through two functions: interval_counts, the number of
 ordinates with floor(y) = n over a range of n (the census F(n), the
@@ -43,22 +44,24 @@ CACHE_MAGIC = "zetaphase zero cache v1"
 # Scans end by here, inside Z's domain [0, T_Z_MAX) with their padded lattice.
 T_WINDOW_MAX = 1.0e4
 
-# The scan lattice t = k _STEP, and the width every bracket is closed to.
-_STEP = 0.05
+# The scan lattice t = k SCAN_STEP, and the width every bracket is closed to.
+SCAN_STEP = 0.1
 _REFINE_TOL = 1e-9
 
 # Root estimates interpolate the lattice samples idx - _PAD .. idx + _PAD + 1
-# around the bracket [ts[idx], ts[idx + 1]], a polynomial of degree 7.  On
-# [0, 6501] it puts 98.6% of the roots inside their closing pair, degree 5
-# only 8.5%; three Newton steps reach its root as closely as four do.
-_PAD = 3
+# around the bracket [ts[idx], ts[idx + 1]], a polynomial of degree 11.  On
+# [0, 6501] its root lies inside the closing pair for all but 24 of the 6,148
+# brackets, 2.01 accurate rows per zero; degree 9 needs 2.65 and degree 7
+# 3.85, and degree 13 gains nothing more.
+_PAD = 5
 _NODES = np.arange(-_PAD, _PAD + 2)
 # On nodes one step apart the Newton-form coefficients are forward
 # differences over k!: coefficient k is the sum over j of f_j _TO_NEWTON[j, k].
 _TO_NEWTON = np.array([[(-1) ** (k - j) * math.comb(k, j) / math.factorial(k)
                         for k in range(len(_NODES))] for j in range(len(_NODES))])
+_BLOCK = 256
 _NEWTON_STEPS = 3
-# A midpoint round halves a bracket: 26 of them take a _STEP bracket below
+# A midpoint round halves a bracket: 27 of them take a SCAN_STEP bracket below
 # _REFINE_TOL.  The cap leaves room for a Newton round between every two.
 _ROUNDS = 64
 
@@ -158,29 +161,32 @@ def _grid(t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:
     # Anchored at t = 0, so disjoint sub-scans share sample points.  The
     # core takes in the cells that end on a window end too: a root refined
     # there can round onto the end.
-    first = max(math.ceil(t_lo / _STEP - 1e-9) - 1, 0)
-    last = math.floor(t_hi / _STEP + 1e-9) + 1
+    first = max(math.ceil(t_lo / SCAN_STEP - 1e-9) - 1, 0)
+    last = math.floor(t_hi / SCAN_STEP + 1e-9) + 1
     k = np.arange(max(first - _PAD, 0), last + _PAD + 1)
-    return k * _STEP, (k >= first) & (k <= last)
+    return k * SCAN_STEP, (k >= first) & (k <= last)
 
 
 def _lattice_roots(sampled: np.ndarray, idx: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Root of the degree-7 interpolant through samples idx - 3 .. idx + 4, per bracket.
+    """Root of the degree-11 interpolant through samples idx - 5 .. idx + 6, per bracket.
 
     Roots are in steps from sample idx.  Each takes _NEWTON_STEPS Newton
     steps on the Newton form of the interpolant from start; a bracket
-    without all eight samples keeps start.  A root may come out non-finite.
+    without all twelve samples keeps start.  A root may come out non-finite.
     Only elementwise operations and running sums and products are used, so
     no root depends on the rest of the batch.
     """
-    rows = np.clip(idx[:, None] + _NODES, 0, len(sampled) - 1)
-    full = (idx >= _PAD) & (idx + _PAD + 1 < len(sampled))
-    coef = np.add.accumulate(sampled[rows][:, :, None] * _TO_NEWTON, axis=1)[:, -1]
+    f = sampled[np.clip(idx[:, None] + _NODES, 0, len(sampled) - 1)]
+    full = (idx >= _PAD) & (idx < len(sampled) - _PAD - 1)
+    # At most _BLOCK brackets at a time, which bounds the memory of the
+    # (brackets, node, node) products; without brackets, one empty block.
+    coef = np.concatenate([np.add.accumulate(f[lo:lo + _BLOCK, :, None] * _TO_NEWTON, axis=1)[:, -1]
+                           for lo in range(0, max(len(idx), 1), _BLOCK)])
     u = start
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_STEPS):
             d = u[:, None] - _NODES[:-1]
-            basis = np.multiply.accumulate(d, axis=1)  # Newton basis, degrees 1..7
+            basis = np.multiply.accumulate(d, axis=1)  # Newton basis, degrees 1..11
             slope = basis * np.add.accumulate(1.0 / d, axis=1)  # its derivative
             p = coef[:, 0] + np.add.accumulate(coef[:, 1:] * basis, axis=1)[:, -1]
             u = u - p / np.add.accumulate(coef[:, 1:] * slope, axis=1)[:, -1]
@@ -283,11 +289,11 @@ def smooth_count(t):
 def scan_zeros(config: ScanConfig) -> ZeroList:
     """Locate all critical-line zeros in [t_lo, t_hi].
 
-    Sign changes of the accurate Z between samples of the 0.05 lattice are
-    closed to brackets of width at most refine_tol = 1e-9 by accurate pairs
-    0.45 refine_tol either side of an estimate: first the root of the
-    lattice interpolant, then, where a pair does not straddle the root, its
-    Newton point or a midpoint.  A unit interval whose count disagrees with
+    Sign changes of the accurate Z between samples of the 0.1 lattice
+    (SCAN_STEP) are closed to brackets of width at most refine_tol = 1e-9 by
+    accurate pairs 0.45 refine_tol either side of an estimate: first the
+    root of the degree-11 lattice interpolant, then, where a pair does not
+    straddle the root, its Newton point or a midpoint.  A unit interval whose count disagrees with
     the smooth-phase prediction by two or more is flagged as suspect when
     the cumulative count has drifted from the smooth phase there too.
     """
@@ -313,7 +319,7 @@ def scan_zeros(config: ScanConfig) -> ZeroList:
         source="scanned",
         t_lo=config.t_lo,
         t_hi=config.t_hi,
-        step=_STEP,
+        step=SCAN_STEP,
         refine_tol=_REFINE_TOL,
         suspect_intervals=suspects,
     )
@@ -363,9 +369,10 @@ def unit_interval_counts(zeros: ZeroList, n_max: int) -> UnitIntervalCounts:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if zeros.t_lo > 1.0 or zeros.t_hi < float(n_max + 1):
+        # The shortest digits that read back as the bounds.
+        lo, hi = (np.format_float_positional(x, trim="-") for x in (zeros.t_lo, zeros.t_hi))
         raise CoverageError(
-            f"zero list covers [{zeros.t_lo:g}, {zeros.t_hi:g}], "
-            f"counts to n_max = {n_max} need [1, {n_max + 1}]"
+            f"zero list covers [{lo}, {hi}], counts to n_max = {n_max} need [1, {n_max + 1}]"
         )
     return UnitIntervalCounts(interval_counts(zeros.ordinates, 1, n_max + 1))
 

@@ -170,6 +170,13 @@ class TestCountsCommand:
         assert out == ""
         assert "n_max must be >= 1" in err
 
+    def test_coverage_error_gives_exact_range(self, capsys, monkeypatch, tmp_path):
+        # The range in the message reads back as the scanned --max.
+        monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+        code, out, err = run_cli(capsys, "counts", "--max", "1234.0004", "--n-max", "1234")
+        assert code == 2 and out == ""
+        assert "zero list covers [0, 1234.0004], counts to n_max = 1234 need [1, 1235]" in err
+
 
 class TestScanMemo:
     # Without --cache, counts and render scan [0, --max] and memoize the
@@ -193,7 +200,7 @@ class TestScanMemo:
         scan(())
         code, out, _ = run_cli(capsys, "counts", "--max", "200", "--n-max", "20")
         assert code == 0 and "14\t1" in out.splitlines()
-        assert [p.name for p in tmp_path.iterdir()] == ["zeros_0_200_0.05.txt"]
+        assert [p.name for p in tmp_path.iterdir()] == ["zeros_0_200_0.1.txt"]
 
     def test_memo_per_exact_max(self, capsys, scan, tmp_path):
         # 1234.0004 and 1234 agree to six significant digits; each gets its
@@ -204,7 +211,19 @@ class TestScanMemo:
             assert code == 0 and "14\t1" in out.splitlines()
         assert scanned == [1234.0004, 1234.0]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "zeros_0_1234.0004_0.05.txt", "zeros_0_1234_0.05.txt"]
+            "zeros_0_1234.0004_0.1.txt", "zeros_0_1234_0.1.txt"]
+
+    def test_memo_of_another_step_ignored(self, capsys, scan, tmp_path):
+        # A memo of the 0.05 lattice is neither read nor overwritten.
+        scanned = scan(())
+        old = tmp_path / "zeros_0_200_0.05.txt"
+        old.write_text("not a zero cache\n", encoding="ascii")
+        code, out, _ = run_cli(capsys, "counts", "--max", "200", "--n-max", "20")
+        assert code == 0 and "14\t1" in out.splitlines()
+        assert scanned == [200.0]
+        assert old.read_text(encoding="ascii") == "not a zero cache\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "zeros_0_200_0.05.txt", "zeros_0_200_0.1.txt"]
 
     @pytest.mark.parametrize("command", [("counts",), ("render", "--out", "image.pgm")])
     def test_suspect_scan_is_error(self, capsys, scan, tmp_path, command):

@@ -39,6 +39,8 @@ from zetaphase.special import (
     _RS_SIGN_BOUND,
     _RS_TWO_PI_HI,
     _RS_TWO_PI_LO,
+    _STIRLING_COEFFS,
+    _STIRLING_SHIFT,
     T_RS,
     T_RS_MIN,
     T_THETA_MAX,
@@ -228,6 +230,29 @@ class TestThetaVec:
         ts = np.arange(1000) * 0.05
         ref = scipy.special.loggamma(0.25 + 0.5j * ts).imag
         assert np.max(np.abs(_im_log_gamma_quarter(ts) - ref)) <= 5e-14
+
+    def test_shift_phases_match_loop(self):
+        # The shift's ten phases, one arctan2 each and added in sequence,
+        # as the reference: the vectorized helper equals it bit for bit.
+        def loop(ts):
+            half_t = 0.5 * ts
+            w = (0.25 + _STIRLING_SHIFT) + 1j * half_t
+            u = 1.0 / (w * w)
+            acc = _STIRLING_COEFFS[-1]
+            for c in reversed(_STIRLING_COEFFS[:-1]):
+                acc = acc * u + c
+            shift = np.arctan2(half_t, 0.25)
+            for k in range(1, _STIRLING_SHIFT):
+                shift += np.arctan2(half_t, 0.25 + k)
+            return ((w - 0.5) * np.log(w) - w + acc / w).imag - shift
+
+        rng = np.random.default_rng(31)
+        lattice = np.arange(1000) * 0.05
+        heights = rng.uniform(0.0, 50.0, 5000)
+        for ts in (lattice, heights):
+            assert np.array_equal(_im_log_gamma_quarter(ts), loop(ts))
+        for t in heights[:200]:
+            assert _im_log_gamma_quarter(np.array([t])) == loop(np.array([t]))
 
     def test_low_heights_against_theta_exact(self):
         ts = [t for t in THETA_REFERENCE if t < 50.0]
@@ -446,7 +471,7 @@ class TestVectorDomain:
         assert hardy_z_vec(ends[2:])[0] == grid_z_vec(ends)[2]
 
     def test_scan_grid_past_window_end(self):
-        # The lattice core ends at 10000.05, past the window.
+        # The lattice core ends at 10000.1, past the window.
         zeros = scan_zeros(ScanConfig(t_lo=9998.0, t_hi=1e4))
         assert zeros.count == 2 and zeros.suspect_intervals == ()
 

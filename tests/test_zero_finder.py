@@ -40,6 +40,7 @@ from zetaphase import (
     unit_interval_counts,
     write_zero_cache,
 )
+from zetaphase.zeros import SCAN_STEP
 
 # The [0, 6501] census as frozen for the benchmark, in cache format.
 REFERENCE_CENSUS = (Path(__file__).resolve().parents[1]
@@ -62,13 +63,24 @@ FIRST_ORDINATES = [
     59.347044002602354,
 ]
 
+# The six pairs of consecutive zeros below 1e4 closer than the scan step,
+# from mp.findroot on mp.siegelz at 25 digits.
+NARROW_PAIRS = [
+    (1977.17394369804, 1977.27144619975),
+    (4292.72644497523, 4292.81726339051),
+    (5229.19855719922, 5229.24181125900),
+    (6093.19233532557, 6093.28342681768),
+    (7005.06286617492, 7005.10056467265),  # Lehmer's pair
+    (9793.54999929204, 9793.64761879251),
+]
+
 
 class TestScanConfig:
     def test_defaults(self):
         # The lattice step and the bracket width are constants, recorded
         # on every scanned list for the cache header.
         zeros = scan_zeros(ScanConfig(0.0, 14.0))
-        assert (zeros.step, zeros.refine_tol) == (0.05, 1e-9)
+        assert (zeros.step, zeros.refine_tol) == (0.1, 1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -114,11 +126,19 @@ class TestScanZeros:
         assert np.array_equal(a.ordinates, b.ordinates)
 
     def test_all_zeros_below_ten_thousand(self):
-        # Only two gaps below 1e4 are narrower than the 0.05 step, near
-        # 5229.2 and 7005.08, and a lattice point splits each pair.
+        # Only the six NARROW_PAIRS below 1e4 are narrower than the 0.1
+        # step, and a lattice point splits each pair.
         zeros = scan_zeros(ScanConfig(0.0, 1e4))
         assert zeros.count == mpmath.nzeros(10000) == 10142
         assert zeros.suspect_intervals == ()
+        narrow = np.flatnonzero(np.diff(zeros.ordinates) < SCAN_STEP)
+        assert zeros.ordinates[narrow] == pytest.approx([lo for lo, _ in NARROW_PAIRS], abs=1e-9)
+
+    @pytest.mark.parametrize("lo, hi", NARROW_PAIRS)
+    def test_one_lattice_point_splits_each_narrow_pair(self, lo, hi):
+        k = np.arange(math.floor(lo / SCAN_STEP) - 1, math.ceil(hi / SCAN_STEP) + 2)
+        lattice = k * SCAN_STEP
+        assert np.count_nonzero((lattice > lo) & (lattice < hi)) == 1
 
     def test_high_window_uses_fast_path(self):
         zeros = scan_zeros(ScanConfig(t_lo=1000.0, t_hi=1020.0))
@@ -177,9 +197,9 @@ class TestRefinement:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
 
-    @pytest.mark.parametrize("root", [0.02, 0.07, 0.1])
+    @pytest.mark.parametrize("root", [0.02, 0.07, 0.1, 0.33])
     def test_bracket_near_origin(self, monkeypatch, root):
-        # Below t = 3 * step the lattice has fewer than 3 samples under the
+        # Below t = 5 * step the lattice has fewer than 5 samples under the
         # bracket, so its estimate is the secant point, exact for a linear Z:
         # the closing pair needs no second round.  0.1 is a lattice point.
         # The calls are the grid's and the closing pair's.
@@ -229,8 +249,9 @@ class TestRefinement:
 
     def test_closest_pair_calls(self, monkeypatch):
         # On [5229, 5230], gap 0.0433, the upper bracket's interpolated
-        # start lands on the lower zero, outside its bracket: two midpoint
-        # rounds come before the Newton rounds that close it.
+        # start lands on the lower zero, outside its bracket, and on
+        # [7005, 7006], gap 0.0377, the lower one's on the upper zero: a
+        # midpoint round comes before the Newton rounds that close it.
         calls = []
         accurate = zeros_module.hardy_z_vec
 
@@ -239,8 +260,10 @@ class TestRefinement:
             return accurate(ts)
 
         monkeypatch.setattr(zeros_module, "hardy_z_vec", counting)
-        assert scan_zeros(ScanConfig(t_lo=5229.0, t_hi=5230.0)).count == 2
-        assert len(calls) <= 8, calls
+        for t_lo in (5229.0, 7005.0):
+            calls.clear()
+            assert scan_zeros(ScanConfig(t_lo=t_lo, t_hi=t_lo + 1.0)).count == 2
+            assert len(calls) <= 8, (t_lo, calls)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(st.data())
@@ -308,8 +331,12 @@ class TestRefinement:
             (3045.5, 2),  # old fast-sampler sign error near 3046.05
             (3882.5, 1),  # old fast-sampler sign error near 3882.9
             (6213.5, 1),  # old fast-sampler sign error near 6213.8
+            (1977.0, 2),  # 1977.1739 and 1977.2714, gap 0.0975
+            (4292.0, 2),  # 4292.7264 and 4292.8173, gap 0.0908
             (5229.0, 2),  # 5229.1986 and 5229.2419, gap 0.0433
+            (6093.0, 2),  # 6093.1923 and 6093.2834, gap 0.0911
             (7005.0, 2),  # Lehmer's pair, 7005.0629 and 7005.1006: the closest below 1e4
+            (9793.0, 2),  # 9793.5500 and 9793.6476, gap 0.0976
         ],
     )
     def test_against_mpmath_oracle(self, t_lo, count):
@@ -383,7 +410,9 @@ class TestRescanPostPass:
     def test_evaluator_calls_do_not_grow_with_flagged_intervals(self, monkeypatch):
         # [0, 2001] flags 36 intervals, and the scan still takes one
         # grid_z_vec call for the lattice and one hardy_z_vec call for the
-        # closing pairs: every pair there straddles its root.
+        # closing pairs, then three Newton rounds for the three brackets
+        # whose first pair misses its root (1329.0435, 1977.1739 and
+        # 1977.2714, which takes all three).
         calls = {"hardy_z_vec": [], "grid_z_vec": []}
 
         def counting(evaluator):
@@ -395,8 +424,8 @@ class TestRescanPostPass:
 
         _patch_evaluators(monkeypatch, counting)
         assert scan_zeros(ScanConfig(t_lo=0.0, t_hi=2001.0)).count == 1519
-        assert calls["hardy_z_vec"] == [3038]
-        assert calls["grid_z_vec"] == [40025]
+        assert calls["hardy_z_vec"] == [3038, 6, 2, 2]
+        assert calls["grid_z_vec"] == [20017]
 
 
 class TestZeroList:
@@ -551,9 +580,9 @@ class TestZeroCache:
         assert (loaded.t_lo, loaded.t_hi) == (t_lo, t_hi)
         assert loaded.ordinates[0] == pytest.approx(zeros.ordinates[0], abs=1e-12)
 
-    @pytest.mark.parametrize("t_hi", [14.134725141734693, 14.134725141734894])
+    @pytest.mark.parametrize("t_hi", [14.134725141734696, 14.134725141734897])
     def test_ordinate_rounding_past_range_end(self, tmp_path, t_hi):
-        # The first zero, 14.134725141734694, is written as 14.134725141735,
+        # The first zero, 14.134725141734696, is written as 14.134725141735,
         # above either window's end; the written range widens to cover it.
         zeros = scan_zeros(ScanConfig(t_lo=14.0, t_hi=t_hi))
         assert zeros.count == 1
