@@ -2,8 +2,8 @@
 
     python scripts/derive_rs_coefficients.py
 
-prints the tables as Python source.  The package does not import this
-script; tests/test_special.py re-derives a slice of each table and checks
+prints the tables as Python source, in about 2 s.  The package does not
+import this script; tests/test_special.py re-derives each table and checks
 it against the frozen copy.
 
 Correction terms.  Above the Riemann-Siegel cutoff,
@@ -42,13 +42,16 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath.functions import rszeta
 
-RS_ORDER = 6     # corrections C_0 .. C_6
+RS_ORDER = 13    # corrections C_0 .. C_13
 RS_TERMS = 14    # Chebyshev coefficients kept per correction
 RS_WIDTH = 42    # main-sum columns: N <= 39 for t <= 1e4, in blocks of 7
 
 DPS = 60
 _TAYLOR_J = 60           # F is summed through z^(2 _TAYLOR_J - 1)
 _TAYLOR_EPS_BITS = 240   # error target of rszeta's coefficients, 2^-240
+# theta - theta_0 = sum_i _THETA_TERMS[i] t^-(2i+1) + O(t^-9): the terms
+# (1 - 2^(1-2n)) |B_2n| / (4n (2n - 1)), n = i + 1; t^-9 is a^-18.
+_THETA_TERMS = (Fraction(1, 48), Fraction(7, 5760), Fraction(31, 80640), Fraction(127, 430080))
 
 
 def _taylor_f() -> list:
@@ -78,10 +81,25 @@ def _d_table(order: int) -> dict:
 
 
 def _phase_series() -> dict:
-    """e^(i (theta - theta_0)) in powers of 1/a, through a^-6."""
-    u = mp.mpf(1) / 48 / (2 * mp.pi)           # 1/(48 t) = u a^-2
-    v = mp.mpf(7) / 5760 / (2 * mp.pi) ** 3    # 7/(5760 t^3) = v a^-6
-    return {0: mp.mpc(1), 2: 1j * u, 4: -u * u / 2, 6: 1j * (v - u ** 3 / 6)}
+    """e^(i (theta - theta_0)) in powers of 1/a, through a^-RS_ORDER.
+
+    theta - theta_0 = 1/(48 t) + 7/(5760 t^3) + 31/(80640 t^5)
+    + 127/(430080 t^7) + ..., and 1/t^(2i+1) = a^-(4i+2) / (2 pi)^(2i+1).
+    """
+    phase = {4 * i + 2: 1j * mp.mpf(c.numerator) / c.denominator / (2 * mp.pi) ** (2 * i + 1)
+             for i, c in enumerate(_THETA_TERMS)}
+    # exp(phase) = sum_m phase^m / m!, each power cut after a^-RS_ORDER.
+    series, power = {0: mp.mpc(1)}, {0: mp.mpc(1)}
+    for m in range(1, RS_ORDER // 2 + 1):
+        nxt = {}
+        for i, ci in power.items():
+            for j, cj in phase.items():
+                if i + j <= RS_ORDER:
+                    nxt[i + j] = nxt.get(i + j, 0) + ci * cj / m
+        power = nxt
+        for i, ci in power.items():
+            series[i] = series.get(i, 0) + ci
+    return series
 
 
 def _monomial_to_chebyshev(coeffs: list) -> list:

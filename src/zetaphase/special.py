@@ -8,13 +8,14 @@ normalized by pi.  Arg gamma(1/4 + it/2) is theta_exact's phase plus
 (t/2) ln pi, wrapped.  Each quantity has one domain: theta and Arg gamma
 take |t| <= T_THETA_MAX = 2e4, zeta and Z take 0 <= t < T_Z_MAX = 2 pi 43^2
 (about 11617.61).  Zeta and Z have one evaluator: a private dispatcher
-checks that domain, sorts the ordinates, sends those below T_RS = 800 to an
+checks that domain, sorts the ordinates, sends those below T_RS = 200 to an
 Euler-Maclaurin kernel and those from T_RS up to a Riemann-Siegel kernel
-with the corrections C0..C6, in chunks, and puts every value back in its
+with the corrections C0..C13, in chunks, and puts every value back in its
 place.  hardy_z_vec, hardy_z, zeta_critical_line and arg_zeta_principal
-are calls into it; the last two take a float or an array, and a float is a
-one-element call, so scalar and array values agree bit for bit.  One
-Horner loop, theta_tail, sums the theta series tail for every caller.
+are calls into it, and the zero scanner samples and refines with
+hardy_z_vec.  All but hardy_z take a float or an array, and a float is a
+one-element call, so scalar and array values agree bit for bit.  One Horner loop,
+theta_tail, sums the theta series tail for every caller.
 
 Accuracy targets are "working precision": phases whose magnitude grows like
 t*log(t) are computed through one extended-precision smooth term and a
@@ -24,24 +25,18 @@ smooth-term double.  That term, smooth_main, is exact integer arithmetic
 on 136-bit fixed-point values (as many bits as EXTENDED_DPS = 40 digits
 give) ended by one correctly rounded integer division; it enters no mpmath
 precision context.  Zeta and Z carry an absolute error below
-5e-15 * max(t, 100) on their domain, measured against mpmath at stratified
-heights, one in each [4i, 4i + 4).  Below T_RS the error comes from the
-binary64 rounding of the phases t*ln(k) in up to 220 Euler-Maclaurin terms:
-worst 7.4e-13, 0.22 of the bound, over the 200 heights in [2, 800).  From
-T_RS up the Riemann-Siegel phases are reduced in extended precision and the
-error is mostly the truncation after C6: worst 1.7e-13, 0.033 of the bound,
-over the 2,300 heights in [800, 1e4], and 0.003 of the bound over 40
-stratified heights in [1e4, T_Z_MAX).  T_RS is the lowest hundred above
-which that measured error stays below 1/20 of the bound; Gabcke's rigorous
-bound 0.661 t^(-15/4) on the truncation meets the documented bound only
-from t = 940 up.  The value at t does not depend on the batch it is
-evaluated in.
-
-grid_z_vec samples Z for the zero scanner through the same dispatcher with
-the Riemann-Siegel split lowered to T_RS_MIN = 200.  Its contract is the
-accurate evaluator's sign, not its value: outside [200, T_RS) its values
-are hardy_z_vec's, and inside, a Riemann-Siegel value within _RS_SIGN_BOUND
-of 0, which Gabcke's bound cannot sign, is replaced by hardy_z_vec's.
+5e-15 * max(t, 100) on their domain, measured against 20-digit mpmath at
+stratified heights, one in each [4i, 4i + 4).  Below T_RS the error comes
+from the binary64 rounding of the phases t*ln(k) in up to 70
+Euler-Maclaurin terms: worst 8.6e-14, 0.10 of the bound, over the 50
+heights in [2, 200).  From T_RS up the Riemann-Siegel phases are reduced in
+extended precision and the error is rounding: worst 6.3e-13, 0.039 of the
+bound, over the 2,450 heights in [200, 1e4], and 0.0045 of the bound over
+40 stratified heights in [1e4, T_Z_MAX).  T_RS is the lowest hundred above
+which that measured error stays below 1/20 of the bound.  The truncation
+after C13 is about 2e-17 from t = 200 up (Gabcke 1979; Arias de Reyna,
+Math. Comp. 2011), the rounding floor of the frozen table.  The value at t
+does not depend on the batch it is evaluated in.
 """
 
 from __future__ import annotations
@@ -129,19 +124,8 @@ _EM_BLOCK = 64
 
 # From this height up Z and zeta are evaluated by the Riemann-Siegel
 # formula: the lowest hundred above which its measured error stays below
-# 1/20 of the documented bound, and about 1/5 of the Euler-Maclaurin
-# kernel's at the same heights (see the module docstring).
-T_RS = 800.0
-# The grid sampler takes Riemann-Siegel values from here up, where Gabcke
-# bounds their remainder.
-T_RS_MIN = 200.0
-# Gabcke (1979) bounds the Riemann-Siegel remainder after C6 by
-# 0.661 t^(-15/4), 1.6e-9 at t = 200 and less above.  Rounding adds far
-# less (the kernel's whole measured error from T_RS up is below 2e-13), and
-# hardy_z_vec's own error is below 4e-12 in [200, T_RS).  So a
-# Riemann-Siegel value there farther than this from 0 has the sign of Z and
-# of hardy_z_vec.
-_RS_SIGN_BOUND = 2e-9
+# 1/20 of the documented bound (see the module docstring).
+T_RS = 200.0
 
 # Riemann-Siegel tables, frozen from scripts/derive_rs_coefficients.py,
 # which tests/test_special.py checks them against.  C_k(p) has the parity
@@ -200,6 +184,55 @@ _RS_CHEBYSHEV = np.array([
         -3.032439574084382e-11, -1.3216671239902537e-12, 1.3031652130009368e-13,
         6.63588355320067e-15, -2.46003565479328e-16,
     ],
+    [
+        1.827285786561044e-05, -1.1008400136344443e-05, 3.282532467061245e-06,
+        -5.437662797676692e-07, -9.174553888200617e-09, 2.9741427534891034e-08,
+        -6.231294398552861e-09, 1.2119656685887065e-10, 1.074122711280688e-10,
+        -4.795897620864847e-12, -8.751221996380555e-13, 2.1791367308069344e-14,
+        3.7357787089654046e-15, -2.19627024729479e-17,
+    ],
+    [
+        1.228558508809108e-06, -1.1940986396077243e-06, -6.099999653919517e-08,
+        -8.844063913885954e-09, 3.169816317194402e-08, -1.4200472095883398e-08,
+        3.161410591547148e-09, -2.443631526211608e-10, -4.3226312365634374e-11,
+        9.017681907739495e-12, 1.469890792000892e-13, -8.703305382470976e-14,
+        -8.379770803373182e-16, 3.8874550686659373e-16,
+    ],
+    [
+        4.033411142597758e-06, -2.0252281974869307e-06, 6.11323732627802e-07,
+        -1.6899332657723014e-07, 3.8677374321150255e-08, -6.259906358926756e-09,
+        3.6284669051529545e-10, 1.0805905023264905e-10, -2.7038403322375307e-11,
+        1.225126787326331e-12, 2.7853879787768917e-13, -2.21554370252174e-14,
+        -1.639404787914064e-15, 1.1419338198194077e-16,
+    ],
+    [
+        6.981157928224481e-08, 5.187602099781909e-08, -1.5025689400416704e-07,
+        5.385175415429129e-08, -1.2009470947212667e-08, 1.8441416112134065e-09,
+        -6.051285922581879e-11, -5.891392764479414e-11, 1.6515772641435116e-11,
+        -1.6489918275452742e-12, -8.450007409241396e-14, 3.023518017772655e-14,
+        -6.17920112377458e-16, -2.1506480207808527e-16,
+    ],
+    [
+        8.247130162015462e-07, -2.0837265515349058e-07, 1.7879615799624598e-08,
+        -4.158195132395946e-09, 1.985822977964512e-09, -8.562920670353242e-10,
+        2.502293525938676e-10, -4.700888236381966e-11, 4.571491684903682e-12,
+        1.4732146115747063e-13, -9.745022775865707e-14, 7.675724345482112e-15,
+        5.119647845730807e-16, -7.945255939450111e-17,
+    ],
+    [
+        -2.9740973523705757e-08, 6.068000926945187e-08, -4.2394988325987055e-08,
+        1.3933135998978081e-08, -3.1956663706788797e-09, 7.144489894926992e-10,
+        -1.4990392420225012e-10, 2.521962439700812e-11, -2.621330141420838e-12,
+        -3.0049173260549826e-14, 6.173168415377237e-14, -8.704823846615089e-15,
+        1.206733943115585e-16, 8.339690271453525e-17,
+    ],
+    [
+        1.9664122065281734e-07, 9.909784940015822e-09, -2.62356800619216e-08,
+        7.806109364850332e-09, -1.8016352866158518e-09, 3.375165812513616e-10,
+        -4.5936369889191683e-11, 2.7077064171646548e-12, 6.288850427864369e-13,
+        -2.1874748511699968e-13, 3.041963185522308e-14, -1.2294371441671818e-15,
+        -2.4345237238312243e-16, 3.33717455234761e-17,
+    ],
 ])
 _RS_MU_HI = np.array([
     -0.07957747206091881, 0.03074032859876752, 0.09527210518717766,
@@ -241,10 +274,10 @@ _RS_SIGNS = np.where(np.arange(len(_RS_MU_HI) + 1) % 2 == 1, 1.0, -1.0)
 _RS_TRUNCATED_WEIGHTS = np.triu(np.ones((len(_RS_MU_HI), len(_RS_MU_HI) + 1)), 1) / np.sqrt(
     np.arange(1.0, len(_RS_MU_HI) + 1.0))[:, None]
 # The Riemann-Siegel evaluator takes ordinates in chunks of this many; its
-# main sum is added in blocks of this many terms.  NumPy adds fewer than 8
-# terms along any axis in index order, so the sums over blocks of 7 (main
-# sum columns, Chebyshev terms), over the at most 6 main-sum blocks, the 2
-# Chebyshev blocks and the 7 corrections do not depend on the batch.
+# main sum, Chebyshev terms and corrections are added in blocks of this many
+# terms.  NumPy adds fewer than 8 terms along any axis in index order, so
+# the sums over blocks of 7, over the at most 6 main-sum blocks and over
+# the 2 Chebyshev and 2 correction blocks do not depend on the batch.
 _RS_CHUNK = 512
 _RS_BLOCK = 7
 
@@ -471,11 +504,22 @@ def theta_vec(ts: np.ndarray) -> np.ndarray:
     return out
 
 
-# Bytes per ordinate of a kernel's largest scratch view: a term row of at
-# most 256 columns (N <= 220 below T_RS), and the three phase matrices of at
-# most 42 rows of the Riemann-Siegel kernel.
-_EM_ROW_BYTES = 8 * 256
-_RS_ROW_BYTES = 3 * 8 * 42
+def _em_truncation(ts: np.ndarray) -> np.ndarray:
+    """Euler-Maclaurin truncation N = ceil(t/4) + 20 per ordinate, as floats."""
+    return np.ceil(ts / 4.0) + 20.0
+
+
+def _em_width(n_top: float) -> int:
+    """Euler-Maclaurin main-sum columns, k < n_top in whole _EM_BLOCKs."""
+    return -(-(int(n_top) - 1) // _EM_BLOCK) * _EM_BLOCK
+
+
+# Bytes per ordinate of a kernel's largest scratch view.  Euler-Maclaurin
+# (t < T_RS): a term row, or the two complex rows of Bernoulli tail terms.
+# Riemann-Siegel: the three phase rows of at most len(_RS_MU_HI) columns,
+# the correction matrix, or the two complex rows of Chebyshev powers.
+_EM_ROW_BYTES = 8 * max(_em_width(_em_truncation(T_RS)), 2 * 2 * len(_EM_BERNOULLI))
+_RS_ROW_BYTES = 8 * max(3 * len(_RS_MU_HI), _RS_CHEBYSHEV.size, 2 * 2 * _RS_CHEBYSHEV.shape[1])
 
 
 def _fresh_array(slot: int, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
@@ -495,7 +539,8 @@ def _workspace(em_rows: int, rs_rows: int) -> Callable[..., np.ndarray]:
     Pages no view touches are never faulted in.  A view is C-contiguous from
     the start of its slot, laid out as a fresh array of its shape, so the
     kernels' values do not change.  Where each kernel takes at most one
-    chunk nothing is reused, and take returns fresh arrays.
+    chunk nothing is reused, and take returns fresh arrays.  A view larger
+    than its slot raises ValueError.
     """
     if em_rows <= _CHUNK and rs_rows <= _RS_CHUNK:
         return _fresh_array
@@ -503,14 +548,11 @@ def _workspace(em_rows: int, rs_rows: int) -> Callable[..., np.ndarray]:
     memory = np.empty(3 * capacity, np.uint8)
 
     def take(slot: int, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        if math.prod(shape) * np.dtype(dtype).itemsize > capacity:
+            raise ValueError(f"a {shape} {np.dtype(dtype)} view exceeds its {capacity}-byte slot")
         return np.ndarray(shape, dtype, memory, slot * capacity)
 
     return take
-
-
-def _em_truncation(ts: np.ndarray) -> np.ndarray:
-    """Euler-Maclaurin truncation N = ceil(t/4) + 20 per ordinate, as floats."""
-    return np.ceil(ts / 4.0) + 20.0
 
 
 def _zeta_em_chunk(ts: np.ndarray, ws: Callable[..., np.ndarray]) -> np.ndarray:
@@ -529,7 +571,7 @@ def _zeta_em_chunk(ts: np.ndarray, ws: Callable[..., np.ndarray]) -> np.ndarray:
     """
     m = len(ts)
     n_big = _em_truncation(ts)
-    width = -(-(int(n_big.max()) - 1) // _EM_BLOCK) * _EM_BLOCK
+    width = _em_width(n_big.max())
     ks = np.arange(1.0, width + 1.0)
     w, terms, ph = ws(0, (m, width)), ws(1, (m, width)), ws(2, (m, width))
     # The weights k^(-1/2) for k < N, exact zeros beyond.
@@ -557,10 +599,10 @@ def _zeta_em_chunk(ts: np.ndarray, ws: Callable[..., np.ndarray]) -> np.ndarray:
 
 
 def _rs_z_theta(ts: np.ndarray, ws: Callable[..., np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Riemann-Siegel Z(t) and theta(t) mod 2 pi for ordinates T_RS_MIN <= t < T_Z_MAX.
+    """Riemann-Siegel Z(t) and theta(t) mod 2 pi for ordinates T_RS <= t < T_Z_MAX.
 
     Z = 2 sum_{n<=N} n^(-1/2) cos(theta - t ln n) + (-1)^(N-1) a^(-1/2)
-    sum_{k<=6} C_k(p) a^(-k), with a = sqrt(t/(2 pi)), N = floor(a) and
+    sum_{k<=13} C_k(p) a^(-k), with a = sqrt(t/(2 pi)), N = floor(a) and
     p = a - N (Gabcke 1979).  The phases are reduced in turns without
     losing the digits that binary64 t ln n and theta drop: t mu_n mod 1,
     mu_n = (ln n - 1/2)/(2 pi), is an exact product of 26-bit halves plus
@@ -612,17 +654,18 @@ def _rs_z_theta(ts: np.ndarray, ws: Callable[..., np.ndarray]) -> tuple[np.ndarr
     corrections = np.multiply(cheb, _RS_CHEBYSHEV[:, :, None], out=ws(0, _RS_CHEBYSHEV.shape + (m,)))
     corrections = corrections.reshape(len(_RS_CHEBYSHEV), 2, -1, m)
     scale = np.exp(_RS_POWERS[:, None] * np.log(n + p)) * np.where(_RS_ODD[:, None], x, 1.0)
-    remainder = _RS_SIGNS[n_idx] * (corrections.sum(axis=2).sum(axis=1) * scale).sum(axis=0)
+    remainder = corrections.sum(axis=2).sum(axis=1) * scale
+    remainder = _RS_SIGNS[n_idx] * remainder.reshape(-1, _RS_BLOCK, m).sum(axis=1).sum(axis=0)
     return 2.0 * main + remainder, TWO_PI * theta
 
 
-def _critical_line(ts: np.ndarray, from_em, from_rs, dtype, t_rs: float = T_RS) -> np.ndarray:
+def _critical_line(ts: np.ndarray, from_em, from_rs, dtype) -> np.ndarray:
     """Zeta-kernel values for a one-dimensional array of ordinates, in input order.
 
-    The ordinates are stable-sorted; those below t_rs (T_RS, or T_RS_MIN for
-    the grid sampler) go to the Euler-Maclaurin kernel in chunks of _CHUNK
-    and give from_em(chunk, zeta), the rest go to the Riemann-Siegel kernel
-    in chunks of _RS_CHUNK and give from_rs(z, theta).  Both kernels evaluate
+    The ordinates are stable-sorted; those below T_RS go to the
+    Euler-Maclaurin kernel in chunks of _CHUNK and give from_em(chunk,
+    zeta), the rest go to the Riemann-Siegel kernel in chunks of _RS_CHUNK
+    and give from_rs(z, theta).  Both kernels evaluate
     each ordinate on its own, so no value depends on the rest of the batch,
     and every chunk reuses one _workspace.  Raises ValueError unless every t
     satisfies 0 <= t < T_Z_MAX (NaN does not).
@@ -635,7 +678,7 @@ def _critical_line(ts: np.ndarray, from_em, from_rs, dtype, t_rs: float = T_RS) 
     # NaN sorts last.
     if not (sorted_ts[0] >= 0.0 and sorted_ts[-1] < T_Z_MAX):
         raise ValueError(f"t outside [0, 2 pi 43^2 = {T_Z_MAX!r})")
-    split = bisect_left(sorted_ts, t_rs)
+    split = bisect_left(sorted_ts, T_RS)
     ws = _workspace(split, len(ts) - split)
     for pos in range(0, split, _CHUNK):
         chunk = sorted_ts[pos:min(pos + _CHUNK, split)]
@@ -659,32 +702,16 @@ def _zeta_from_z(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return zeta
 
 
-def hardy_z_vec(ts: np.ndarray) -> np.ndarray:
+def hardy_z_vec(ts) -> np.ndarray:
     """Hardy Z for an arbitrary array of ordinates 0 <= t < T_Z_MAX.
 
+    Returns an array of the input's shape (0-dimensional for a float).
     Each value depends on its own t alone, not on the rest of the batch.
-    Raises ValueError for t outside the domain, NaN included.  grid_z_vec
-    gives the same signs at less cost in [200, T_RS).
+    Raises ValueError for t outside the domain, NaN included.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    return _critical_line(ts, _z_from_zeta, lambda z, theta: z, np.float64)
-
-
-def grid_z_vec(ts: np.ndarray) -> np.ndarray:
-    """Hardy Z for sampling a grid: the sign of hardy_z_vec, on the same domain.
-
-    Below T_RS_MIN = 200 and from T_RS = 800 up the values are hardy_z_vec's.
-    In [200, T_RS) they come from the Riemann-Siegel kernel, within about
-    2.3e-11 of hardy_z_vec but not within its documented bound; each one
-    within _RS_SIGN_BOUND of 0 is replaced by hardy_z_vec's value, so every
-    sign is the accurate evaluator's.  Each value depends on its own t
-    alone.  Raises ValueError where hardy_z_vec does.
-    """
-    ts = np.asarray(ts, dtype=np.float64)
-    zs = _critical_line(ts, _z_from_zeta, lambda z, theta: z, np.float64, t_rs=T_RS_MIN)
-    unsigned = (np.abs(zs) <= _RS_SIGN_BOUND) & (ts >= T_RS_MIN) & (ts < T_RS)
-    zs[unsigned] = hardy_z_vec(ts[unsigned])
-    return zs
+    zs = _critical_line(ts.ravel(), _z_from_zeta, lambda z, theta: z, np.float64)
+    return zs.reshape(ts.shape)
 
 
 def _zeta_vec(ts: np.ndarray) -> np.ndarray:
@@ -710,7 +737,7 @@ def hardy_z(t: float) -> float:
     A one-element hardy_z_vec call: 0 <= t < T_Z_MAX, absolute error below
     5e-15 * max(t, 100), as for zeta_critical_line.
     """
-    return float(hardy_z_vec([t])[0])
+    return float(hardy_z_vec(t))
 
 
 def wrap_half_turns(u: float) -> float:

@@ -2,14 +2,14 @@
 
 The scanner samples the Hardy Z function on a fixed lattice (anchored at
 t = 0 so that scans over sub-ranges land on identical sample points) in
-one call of the grid sampler grid_z_vec, whose every value has the sign of
-the accurate evaluator hardy_z_vec and depends on its own t alone; a
-sample that is exactly 0.0 is an ordinate itself.  Each bracket starts at
-the root of the degree-11 polynomial through the twelve lattice samples
-around it, and one closing loop refines every bracket: an accurate pair
-0.45 refine_tol either side of the estimate, which closes the bracket
-where it straddles the root, and otherwise the pair's Newton point or the
-midpoint of what is left as the next estimate.  Every window sees the sign
+one call of hardy_z_vec, the one Z evaluator, whose every value depends on
+its own t alone; a sample that is exactly 0.0 is an ordinate itself.  Each
+bracket starts at the root of the degree-11 polynomial through the twelve
+lattice samples around it, and one closing loop refines every bracket
+with the same evaluator: a pair 0.45 refine_tol either side of the
+estimate, which closes the bracket where it straddles the root, and
+otherwise the pair's Newton point or the midpoint of what is left as the
+next estimate.  Every window sees the sign
 changes of the one 0.1 lattice, and on [0, 1e4] they are all 10,142
 zeros: the six gaps there narrower than the step, from 1977.1739,
 4292.7264, 5229.1986, 6093.1923, 7005.0629 (Lehmer's pair, 0.0377 wide,
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import GENERATOR_VERSION
-from .special import TWO_PI, grid_z_vec, hardy_z_vec, theta_vec
+from .special import TWO_PI, hardy_z_vec, theta_vec
 
 CACHE_MAGIC = "zetaphase zero cache v1"
 
@@ -253,7 +253,7 @@ def _scan_ordinates(t_lo: float, t_hi: float) -> np.ndarray:
     the pair around every start in one hardy_z_vec call.
     """
     ts, core = _grid(t_lo, t_hi)
-    zs = grid_z_vec(ts)
+    zs = hardy_z_vec(ts)
     idx = np.flatnonzero((np.sign(zs[:-1]) * np.sign(zs[1:]) < 0) & core[:-1] & core[1:])
     a, b, fa, fb = ts[idx], ts[idx + 1], zs[idx], zs[idx + 1]
     x0 = a + _lattice_roots(zs, idx, fa / (fa - fb)) * (b - a)

@@ -33,30 +33,29 @@ from zetaphase import (
 from zetaphase.special import (
     _BERNOULLI_ABS,
     _EM_BERNOULLI,
+    _EM_ROW_BYTES,
     _RS_CHEBYSHEV,
     _RS_MU_HI,
     _RS_MU_LO,
-    _RS_SIGN_BOUND,
     _RS_TWO_PI_HI,
     _RS_TWO_PI_LO,
     _STIRLING_COEFFS,
     _STIRLING_SHIFT,
     T_RS,
-    T_RS_MIN,
     T_THETA_MAX,
     T_Z_MAX,
     _CHUNK,
     _RS_CHUNK,
     _em_truncation,
+    _fresh_array,
     _im_log_gamma_quarter,
-    _rs_z_theta,
     _workspace,
-    grid_z_vec,
+    _z_from_zeta,
+    _zeta_em_chunk,
     hardy_z_vec,
     smooth_main,
     theta_vec,
 )
-from zetaphase.zeros import read_zero_cache
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -99,9 +98,25 @@ TOP_REFERENCE = {
 }
 
 
-# mp.siegelz at 20 digits, rounded to double: one height in each of 48 equal
-# strata of [T_RS, 1e4], and T_RS with its neighbours at +-0.01.
+# mp.siegelz at 20 digits, rounded to double: one height in each of 12 equal
+# strata of [T_RS, 800) and of 48 of [800, 1e4], and T_RS and 800 with their
+# neighbours at +-0.01.
 RS_REFERENCE = {
+    199.99: 5.615937579557672,
+    200.0: 5.589783623150109,
+    200.01: 5.562944126643036,
+    221.01894: 0.280313403659041,
+    296.293467: -2.1707381402777757,
+    313.693499: -0.8680571928993266,
+    353.00243: 2.287460488478158,
+    415.527173: 0.16278054160977312,
+    485.909263: -0.8313446596987464,
+    539.048279: 1.832270509771917,
+    576.934992: -0.41073548007200994,
+    615.583271: 0.21980963592672506,
+    695.817486: -0.28120969232053594,
+    746.403776: 0.28095878233416594,
+    771.826049: 4.778525984532387,
     799.99: 1.8897067137822834,
     800.0: 1.9454175211869156,
     800.01: 2.000741599488697,
@@ -365,15 +380,16 @@ class TestKernelOracle:
         assert abs(zeta_critical_line(t) - zeta_ref) <= zeta_error_bound(t)
 
     # The smallest truncations (N = 20 at t = 0) and the largest (t = 1e4),
-    # the first zero, both sides of the grid's evaluator switch at 200 and
-    # both sides of the kernel's switch at T_RS.
-    @pytest.mark.parametrize("t", [0.0, 0.5, T_RS - 0.01, T_RS + 0.01])
+    # the first zero, both sides of the kernel's switch at T_RS, and both
+    # sides of 800, the top of the range where the Euler-Maclaurin kernel is
+    # the Riemann-Siegel kernel's reference.
+    @pytest.mark.parametrize("t", [0.0, 0.5, T_RS - 0.01, T_RS + 0.01, 799.99, 800.01])
     def test_zeta_edges(self, t):
         with mp.workdps(20):
             zeta_ref = complex(mp.zeta(mp.mpc(0.5, t)))
         assert abs(zeta_critical_line(t) - zeta_ref) <= zeta_error_bound(t)
 
-    @pytest.mark.parametrize("t", [2.0, 14.134725, 199.99, 200.01, T_RS - 0.01, T_RS + 0.01, 1e4])
+    @pytest.mark.parametrize("t", [2.0, 14.134725, T_RS - 0.01, T_RS + 0.01, 799.99, 800.01, 1e4])
     def test_z_edges(self, t):
         with mp.workdps(20):
             z_ref = float(mp.siegelz(t))
@@ -402,16 +418,14 @@ class TestEulerMaclaurinKernel:
         # A mixed, unsorted batch with duplicates spanning several chunks:
         # every value equals the element's own one-element evaluation.
         batch = np.array(ts + ts[::2])
-        for evaluator in (hardy_z_vec, grid_z_vec):
-            alone = np.array([evaluator(np.array([t]))[0] for t in batch])
-            assert np.array_equal(evaluator(batch), alone)
+        alone = np.array([hardy_z_vec(np.array([t]))[0] for t in batch])
+        assert np.array_equal(hardy_z_vec(batch), alone)
 
     def test_batch_independent_across_cutoff(self):
         below = np.nextafter(T_RS, 0.0)
-        batch = np.array([1e4, T_RS, 200.0, below, T_RS, 1e4, below, 200.0, 5000.0])
-        for evaluator in (hardy_z_vec, grid_z_vec):
-            alone = np.array([evaluator(np.array([t]))[0] for t in batch])
-            assert np.array_equal(evaluator(batch), alone)
+        batch = np.array([1e4, T_RS, 800.0, below, T_RS, 1e4, below, 800.0, 5000.0])
+        alone = np.array([hardy_z_vec(np.array([t]))[0] for t in batch])
+        assert np.array_equal(hardy_z_vec(batch), alone)
 
     def test_bernoulli_table(self):
         with mp.workdps(60):
@@ -439,36 +453,54 @@ class TestEulerMaclaurinKernel:
 
 class TestChunkWorkspace:
     def test_reused_across_chunks(self):
-        # hardy_z_vec sends 4 full Euler-Maclaurin chunks and a short one,
-        # then 2 full Riemann-Siegel chunks and a short one, through one
-        # workspace; grid_z_vec 2 and a short one, then 3 and a short one.
-        # The term widths grow from chunk to chunk.
+        # hardy_z_vec sends 2 full Euler-Maclaurin chunks and a short one,
+        # then 3 full Riemann-Siegel chunks and a short one, through one
+        # workspace.  The term widths grow from chunk to chunk.
         rng = np.random.default_rng(29)
-        ts = np.concatenate([rng.uniform(0.0, T_RS_MIN, 2 * _CHUNK + 188),
-                             rng.uniform(T_RS_MIN, T_RS, 2 * _CHUNK - 12),
-                             rng.uniform(T_RS, T_Z_MAX, 2 * _RS_CHUNK + 276)])
+        ts = np.concatenate([rng.uniform(0.0, T_RS, 2 * _CHUNK + 188),
+                             rng.uniform(T_RS, 800.0, 2 * _CHUNK - 12),
+                             rng.uniform(800.0, T_Z_MAX, 2 * _RS_CHUNK + 276)])
         rng.shuffle(ts)
-        for evaluator in (hardy_z_vec, grid_z_vec):
-            alone = np.array([evaluator(ts[k:k + 1])[0] for k in range(len(ts))])
-            assert np.array_equal(evaluator(ts), alone)
+        alone = np.array([hardy_z_vec(ts[k:k + 1])[0] for k in range(len(ts))])
+        assert np.array_equal(hardy_z_vec(ts), alone)
+
+    def test_take_past_slot_raises(self):
+        # A slot holds one full chunk of the largest Euler-Maclaurin rows.
+        take = _workspace(2 * _CHUNK, 0)
+        columns = _EM_ROW_BYTES // 8
+        assert take(2, (_CHUNK, columns)).shape == (_CHUNK, columns)
+        with pytest.raises(ValueError):
+            take(0, (_CHUNK, columns + 1))
 
 
 class TestVectorDomain:
     # 2 pi 43^2 = 11617.6...: from there on N = 43 outgrows the 42 phase rows.
-    @pytest.mark.parametrize("t", [-5.0, -1e-300, math.nan, math.inf, -math.inf, 2e4])
+    @pytest.mark.parametrize("t", [-5.0, -1e-300, math.nan, math.inf, -math.inf, 11617.7, 2e4])
     def test_hardy_z_vec_rejects(self, t):
         with pytest.raises(ValueError):
             hardy_z_vec(np.array([300.0, t, 20.0]))
 
-    @pytest.mark.parametrize("t", [-5.0, 11617.7, 2e4, math.nan])
+    # The same check on a 2-D grid of Riemann-Siegel heights with one bad
+    # entry, as hardy_z_vec takes arrays of any shape.
+    @pytest.mark.parametrize("t", [-5.0, 2e4, math.nan])
     def test_grid_z_vec_rejects(self, t):
         with pytest.raises(ValueError):
-            grid_z_vec(np.array([900.0, t]))
+            hardy_z_vec(np.array([[900.0, 900.0], [900.0, t]]))
 
     def test_edges_accepted(self):
-        ends = np.array([0.0, T_RS_MIN, 11617.5])
-        assert np.all(np.isfinite(grid_z_vec(ends)))
-        assert hardy_z_vec(ends[2:])[0] == grid_z_vec(ends)[2]
+        ends = np.array([0.0, T_RS, 11617.5])
+        assert np.all(np.isfinite(hardy_z_vec(ends)))
+        assert hardy_z_vec(ends[2:])[0] == hardy_z_vec(ends)[2]
+
+    def test_any_shape(self):
+        # A float gives a 0-dimensional array, a 2-D array one of its shape;
+        # every value is the one-element call's.
+        grid = np.array([[14.0, 300.0, 5000.0], [0.5, 199.99, 11617.5]])
+        got = hardy_z_vec(grid)
+        assert got.shape == grid.shape
+        assert np.array_equal(got.ravel(), [hardy_z_vec([t])[0] for t in grid.ravel()])
+        alone = hardy_z_vec(300.0)
+        assert alone.shape == () and alone == got[0, 1]
 
     def test_scan_grid_past_window_end(self):
         # The lattice core ends at 10000.1, past the window.
@@ -476,42 +508,17 @@ class TestVectorDomain:
         assert zeros.count == 2 and zeros.suspect_intervals == ()
 
 
-class TestGridSampler:
-    # grid_z_vec's contract: hardy_z_vec's values outside [T_RS_MIN, T_RS),
-    # and its signs inside.
-
-    def test_accurate_outside_sampler_range(self):
-        # One height in each [4i, 4i + 4) below T_RS_MIN and in each
-        # [T_RS + 40i, T_RS + 40i + 40) up to 1e4, and the range ends.
-        rng = np.random.default_rng(13)
-        low = 4.0 * np.arange(50) + rng.uniform(0.0, 4.0, 50)
-        high = T_RS + 40.0 * np.arange(230) + rng.uniform(0.0, 40.0, 230)
-        ends = [0.0, np.nextafter(T_RS_MIN, 0.0), T_RS, 1e4, 11617.5]
-        ts = np.concatenate([low, high, ends])
-        assert np.array_equal(grid_z_vec(ts), hardy_z_vec(ts))
-
-    def test_lattice_signs(self):
-        # All 12,000 lattice points of step 0.05 in [200, 800).
+class TestRiemannSiegelKernel:
+    def test_lattice_against_euler_maclaurin(self):
+        # All 12,000 points of the 0.05 lattice in [T_RS, 800), where the
+        # Euler-Maclaurin kernel (N <= 220) is an independent reference:
+        # the two agree within the bound, and so in sign.
         ts = np.arange(4000, 16000) * 0.05
-        grid, accurate = grid_z_vec(ts), hardy_z_vec(ts)
-        assert np.array_equal(np.sign(grid), np.sign(accurate))
-        assert np.max(np.abs(grid - accurate)) <= _RS_SIGN_BOUND
-
-    def test_accurate_fallback_near_zeros(self):
-        # At the reference ordinates in [T_RS_MIN, T_RS) most Riemann-Siegel
-        # values lie within the sign bound, and those become hardy_z_vec's.
-        # The other 12 ordinates, rounded to 12 decimals, lie far enough from
-        # their zeros that the Riemann-Siegel sign holds and is kept.
-        ys = read_zero_cache(ROOT / "perfbench" / "reference" / "census_0_6501.txt").ordinates
-        ys = ys[(ys >= T_RS_MIN) & (ys < T_RS)]
-        sampled = _rs_z_theta(ys, _workspace(0, len(ys)))[0]
-        near = np.abs(sampled) <= _RS_SIGN_BOUND
-        assert len(ys) == 412 and np.count_nonzero(near) == 400
-        grid = grid_z_vec(ys)
-        assert np.array_equal(grid[near], hardy_z_vec(ys[near]))
-        assert not np.any(grid[near] == sampled[near])
-        assert np.array_equal(grid[~near], sampled[~near])
-        assert np.array_equal(np.sign(grid), np.sign(hardy_z_vec(ys)))
+        reference = np.concatenate([_z_from_zeta(chunk, _zeta_em_chunk(chunk, _fresh_array))
+                                    for chunk in np.split(ts, 50)])
+        got = hardy_z_vec(ts)
+        assert np.all(np.abs(got - reference) <= 5e-15 * ts)
+        assert np.array_equal(np.sign(got), np.sign(reference))
 
 
 class TestHardyZ:
@@ -669,8 +676,8 @@ class TestRiemannSiegelTables:
         return module
 
     def test_corrections_rederived(self, derive):
-        # C_0 and C_1; the full table takes the same route through C_6.
-        assert np.array_equal(derive.correction_coefficients(1), _RS_CHEBYSHEV[:2])
+        # C_0 .. C_13: from C_2 on each row takes the phase series too.
+        assert np.array_equal(derive.correction_coefficients(), _RS_CHEBYSHEV)
 
     def test_phase_table_rederived(self, derive):
         hi, lo = derive.phase_table()

@@ -74,6 +74,24 @@ NARROW_PAIRS = [
     (9793.54999929204, 9793.64761879251),
 ]
 
+# The zeros in [t_lo, t_lo + 1] of the windows of
+# TestRefinement::test_against_mpmath_oracle, mp.findroot on
+# mp.siegelz at 20 digits from each scanned ordinate, rounded to double:
+#     with mpmath.workdps(20):
+#         [float(mpmath.findroot(mpmath.siegelz, y))
+#          for y in scan_zeros(ScanConfig(t_lo, t_lo + 1.0)).ordinates]
+ORACLE_ORDINATES = {
+    3045.5: [3046.050030224876, 3046.4545042192885],
+    3882.5: [3882.8999925504704],
+    6213.5: [6213.799999957367],
+    1977.0: [1977.17394369804, 1977.2714461997466],
+    4292.0: [4292.726444975231, 4292.817263390514],
+    5229.0: [5229.19855719922, 5229.241811258999],
+    6093.0: [6093.192335325568, 6093.2834268176775],
+    7005.0: [7005.062866174921, 7005.100564672647],
+    9793.0: [9793.549999292038, 9793.647618792513],
+}
+
 
 class TestScanConfig:
     def test_defaults(self):
@@ -149,10 +167,10 @@ class TestScanZeros:
 
 class TestRefinement:
     def test_evaluation_budget(self, monkeypatch):
-        # Above T_RS the grid samples are accurate already.  Each bracket
-        # takes the closing pair around its interpolated root, 2 accurate
-        # evaluations in one call for all brackets; the few that the pair
-        # misses take one more pair from its Newton point.
+        # After the lattice's call, each bracket takes the closing pair
+        # around its interpolated root, 2 evaluations in one call for all
+        # brackets; the few that the pair misses take one more pair from its
+        # Newton point.
         evaluated = []
         accurate = zeros_module.hardy_z_vec
 
@@ -169,11 +187,12 @@ class TestRefinement:
             evaluated.clear()
             zeros = scan_zeros(ScanConfig(t_lo=t_lo, t_hi=t_hi))
             assert zeros.count == count
-            assert sum(evaluated) <= 3 * zeros.count, (t_lo, sum(evaluated))
-            assert np.count_nonzero(evaluated) <= 3, (t_lo, evaluated)
+            refined = evaluated[1:]
+            assert sum(refined) <= 3 * zeros.count, (t_lo, sum(refined))
+            assert np.count_nonzero(refined) <= 3, (t_lo, evaluated)
 
     def test_newton_round_when_estimate_misses(self, monkeypatch):
-        # Sampler values 1e-6 off move every interpolated root far more than
+        # Lattice values 1e-6 off move every interpolated root far more than
         # the closing pair's 0.9 refine_tol, so every bracket goes on to a
         # round from its pair's Newton point, which must reach the same
         # ordinates in at most two more hardy_z_vec calls.
@@ -188,10 +207,13 @@ class TestRefinement:
         monkeypatch.setattr(zeros_module, "hardy_z_vec", counting)
         want = scan_zeros(config).ordinates
         unperturbed_calls = np.count_nonzero(calls)
-        sampler = zeros_module.grid_z_vec
-        monkeypatch.setattr(zeros_module, "grid_z_vec",
-                            lambda ts: sampler(ts) + np.where(np.asarray(ts) < special.T_RS, 1e-6, 0.0))
         calls.clear()
+
+        def perturbed(ts):
+            lattice = not calls  # the first call is the lattice's
+            return counting(ts) + (1e-6 if lattice else 0.0)
+
+        monkeypatch.setattr(zeros_module, "hardy_z_vec", perturbed)
         got = scan_zeros(config).ordinates
         assert unperturbed_calls < np.count_nonzero(calls) <= unperturbed_calls + 2
         assert got.shape == want.shape
@@ -272,7 +294,7 @@ class TestRefinement:
         # depends on which others share its batch.  Four of the 107
         # brackets on [5000, 5100] need a second round.
         ts, _ = zeros_module._grid(5000.0, 5100.0)
-        zs = zeros_module.grid_z_vec(ts)
+        zs = zeros_module.hardy_z_vec(ts)
         idx = np.flatnonzero(np.sign(zs[:-1]) * np.sign(zs[1:]) < 0)
         a, b, fa, fb = ts[idx], ts[idx + 1], zs[idx], zs[idx + 1]
         x0 = a + zeros_module._lattice_roots(zs, idx, fa / (fa - fb)) * (b - a)
@@ -290,10 +312,9 @@ class TestRefinement:
         assert np.array_equal(zeros.ordinates, [root])
 
     def test_no_euler_maclaurin_rows_above_cutoff(self, monkeypatch):
-        # From T_RS up, grid samples and refinement steps alike go to the
-        # Riemann-Siegel evaluator.  In [200, T_RS) the Euler-Maclaurin
-        # rows are refinement points only: the grid sampler re-evaluates no
-        # lattice sample there.
+        # From T_RS up, lattice samples and refinement steps alike go to
+        # the Riemann-Siegel evaluator, so no Euler-Maclaurin row lies on
+        # the 0.05 lattice of [200, 800).
         rows = []
         kernel = special._zeta_em_chunk
 
@@ -341,17 +362,15 @@ class TestRefinement:
     )
     def test_against_mpmath_oracle(self, t_lo, count):
         zeros = scan_zeros(ScanConfig(t_lo=t_lo, t_hi=t_lo + 1.0))
-        assert zeros.count == count
+        assert zeros.count == count == len(ORACLE_ORDINATES[t_lo])
         assert zeros.suspect_intervals == ()
-        with mpmath.workdps(20):
-            for y in zeros.ordinates:
-                assert abs(float(mpmath.findroot(mpmath.siegelz, y)) - y) <= 1e-9
+        assert np.max(np.abs(zeros.ordinates - ORACLE_ORDINATES[t_lo])) <= 1e-9
+
 
 
 def _patch_evaluators(monkeypatch, wrap):
-    """Replace both evaluators the scanner calls by wrap(evaluator)."""
-    for name in ("hardy_z_vec", "grid_z_vec"):
-        monkeypatch.setattr(zeros_module, name, wrap(getattr(zeros_module, name)))
+    """Replace the evaluator the scanner calls by wrap(evaluator)."""
+    monkeypatch.setattr(zeros_module, "hardy_z_vec", wrap(zeros_module.hardy_z_vec))
 
 
 def _thirds(evaluator):
@@ -409,23 +428,21 @@ class TestRescanPostPass:
 
     def test_evaluator_calls_do_not_grow_with_flagged_intervals(self, monkeypatch):
         # [0, 2001] flags 36 intervals, and the scan still takes one
-        # grid_z_vec call for the lattice and one hardy_z_vec call for the
-        # closing pairs, then three Newton rounds for the three brackets
-        # whose first pair misses its root (1329.0435, 1977.1739 and
-        # 1977.2714, which takes all three).
-        calls = {"hardy_z_vec": [], "grid_z_vec": []}
+        # hardy_z_vec call for the lattice and one for the closing pairs,
+        # then three Newton rounds for the three brackets whose first pair
+        # misses its root (1329.0435, 1977.1739 and 1977.2714, which takes
+        # all three).
+        calls = []
 
         def counting(evaluator):
-            sizes = calls[evaluator.__name__]
             def counted(ts):
-                sizes.append(np.size(ts))
+                calls.append(np.size(ts))
                 return evaluator(ts)
             return counted
 
         _patch_evaluators(monkeypatch, counting)
         assert scan_zeros(ScanConfig(t_lo=0.0, t_hi=2001.0)).count == 1519
-        assert calls["hardy_z_vec"] == [3038, 6, 2, 2]
-        assert calls["grid_z_vec"] == [20017]
+        assert calls == [20017, 3038, 6, 2, 2]
 
 
 class TestZeroList:
