@@ -7,15 +7,18 @@ and the Hardy Z function, and principal-branch argument extractors
 normalized by pi.  Arg gamma(1/4 + it/2) is theta_exact's phase plus
 (t/2) ln pi, wrapped.  Each quantity has one domain: theta and Arg gamma
 take |t| <= T_THETA_MAX = 2e4, zeta and Z take 0 <= t < T_Z_MAX = 2 pi 43^2
-(about 11617.61).  Zeta and Z have one evaluator: a private dispatcher
+(about 11617.61).  theta_vec, the float-precision theta of Z and of the
+smooth zero count, is the asymptotic series alone and takes t >= T_NO_ZERO
+= 14, below the first zero of Z at 14.1347; below it Z is -|zeta|.  Zeta
+and Z have one evaluator: a private dispatcher
 checks that domain, sorts the ordinates, sends those below T_RS = 200 to an
 Euler-Maclaurin kernel and those from T_RS up to a Riemann-Siegel kernel
 with the corrections C0..C13, in chunks, and puts every value back in its
-place.  hardy_z_vec, hardy_z, zeta_critical_line and arg_zeta_principal
-are calls into it, and the zero scanner samples and refines with
-hardy_z_vec.  All but hardy_z take a float or an array, and a float is a
-one-element call, so scalar and array values agree bit for bit.  One Horner loop,
-theta_tail, sums the theta series tail for every caller.
+place.  hardy_z, zeta_critical_line and arg_zeta_principal are calls into
+it, and the zero scanner samples and refines with hardy_z.  Each takes a
+float or an array, and a float is a one-element call, so scalar and array
+values agree bit for bit.  One Horner loop, theta_tail, sums the theta
+series tail for every caller.
 
 Accuracy targets are "working precision": phases whose magnitude grows like
 t*log(t) are computed through one extended-precision smooth term and a
@@ -59,6 +62,9 @@ LN_PI = math.log(math.pi)
 # outgrows the 42 rows of the phase tables.
 T_THETA_MAX = 2.0e4
 T_Z_MAX = TWO_PI * 43 ** 2
+# Z has no zero below this height (the first is at 14.1347): theta_vec takes
+# t >= T_NO_ZERO, and below it Z = -|zeta|, as Z(0) = zeta(1/2) < 0.
+T_NO_ZERO = 14.0
 
 # Working precision (decimal digits) for extended-precision paths.
 EXTENDED_DPS = 40
@@ -75,7 +81,8 @@ _LN_PI_FIXED = to_fixed(mpf_log(mpf_pi(_LOG_BITS), _LOG_BITS), _FIXED_BITS)
 _LN_TWO_PI_E_FIXED = _LN2_FIXED + (1 << _FIXED_BITS) + _LN_PI_FIXED
 
 # Switch point between the log-gamma route and the asymptotic route for the
-# exact phase.  Above this the 8-term series is exact to far below one ulp.
+# exact phase.  Above this the 8-term series is exact to far below one ulp;
+# on [T_NO_ZERO, 50) its rounding is up to 2 ulps off.
 _THETA_SERIES_MIN = 50.0
 
 # |B_2|, |B_4|, ..., |B_16| as exact rationals.
@@ -91,16 +98,6 @@ _BERNOULLI_ABS = (
 )
 
 MAX_SERIES_ORDER = len(_BERNOULLI_ABS)
-
-# theta_vec below _THETA_SERIES_MIN takes Stirling's series for log gamma(w),
-# with coefficients B_2k / (2k (2k - 1)), at w = z + _STIRLING_SHIFT.
-_STIRLING_SHIFT = 10
-# Re(z + k) for the shift's terms log(z + k), k < _STIRLING_SHIFT, as a column.
-_SHIFT_REAL = (0.25 + np.arange(_STIRLING_SHIFT))[:, None]
-_STIRLING_COEFFS = tuple(
-    float((-1) ** (k + 1) * b / (2 * k * (2 * k - 1)))
-    for k, b in enumerate(_BERNOULLI_ABS, start=1)
-)
 
 # B_2j / (2j)! for j = 1..30, the Euler-Maclaurin correction coefficients,
 # frozen from 60-digit mpmath.bernoulli so that importing needs no mpmath work.
@@ -464,44 +461,20 @@ def lambert_w0(x: float) -> float:
     return w
 
 
-def _im_log_gamma_quarter(ts: np.ndarray) -> np.ndarray:
-    """Im log gamma(1/4 + it/2) on the continuous branch, for an array of t >= 0.
+def theta_vec(ts) -> np.ndarray:
+    """theta on an array of t >= T_NO_ZERO, float precision, for Z and the zero count.
 
-    log gamma(z) = log gamma(z + 10) - sum_{k<10} log(z + k), and Stirling's
-    series at w = z + 10, |w| > 10, is cut after B_16 with a truncation
-    error below 2e-18; rounding leaves about 3e-14 below t = 50.  The ten
-    phases come from one arctan2 call and are added in sequence by a running
-    sum, so a value does not depend on the batch.
-    """
-    half_t = 0.5 * ts
-    w = (0.25 + _STIRLING_SHIFT) + 1j * half_t
-    u = 1.0 / (w * w)
-    acc = _STIRLING_COEFFS[-1]
-    for c in reversed(_STIRLING_COEFFS[:-1]):
-        acc = acc * u + c
-    shift = np.add.accumulate(np.arctan2(half_t, _SHIFT_REAL), axis=0)[-1]
-    return ((w - 0.5) * np.log(w) - w + acc / w).imag - shift
-
-
-def theta_vec(ts: np.ndarray) -> np.ndarray:
-    """theta on an array of t >= 0, float-precision (abs error ~5e-12, plenty for Z).
-
-    Below t = 50 this is the phase of Stirling's series for log gamma, whose
-    error there reaches about 3e-14; theta_exact takes extended precision
-    instead.
+    The asymptotic series pi (x ln x - x - 1/8) + theta_tail(t, 8) with
+    x = t/(2 pi).  Its worst error against 40-digit mpmath is 1.4e-14 at
+    400 stratified heights in [14, 50], where it is up to 2 ulps off, so
+    theta_exact keeps extended precision below 50.  Raises ValueError for
+    t below T_NO_ZERO or NaN.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    out = np.empty_like(ts)
-    low = ts < _THETA_SERIES_MIN
-    if low.any():
-        tl = ts[low]
-        out[low] = _im_log_gamma_quarter(tl) - 0.5 * tl * LN_PI
-    high = ~low
-    if high.any():
-        t = ts[high]
-        x = t / TWO_PI
-        out[high] = math.pi * (x * np.log(x) - x - 0.125) + theta_tail(t, MAX_SERIES_ORDER)
-    return out
+    if not np.all(ts >= T_NO_ZERO):
+        raise ValueError(f"theta_vec needs t >= T_NO_ZERO = {T_NO_ZERO}")
+    x = ts / TWO_PI
+    return math.pi * (x * np.log(x) - x - 0.125) + theta_tail(ts, MAX_SERIES_ORDER)
 
 
 def _em_truncation(ts: np.ndarray) -> np.ndarray:
@@ -689,9 +662,11 @@ def _critical_line(ts: np.ndarray, from_em, from_rs, dtype) -> np.ndarray:
 
 
 def _z_from_zeta(ts: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """Z = Re(e^(i theta) zeta)."""
-    th = theta_vec(ts)
-    return np.cos(th) * zeta.real - np.sin(th) * zeta.imag
+    """Z for ascending ordinates: -|zeta| below T_NO_ZERO, Re(e^(i theta) zeta) from there."""
+    k = bisect_left(ts, T_NO_ZERO)
+    th = theta_vec(ts[k:])
+    high = zeta[k:]
+    return np.concatenate([-np.abs(zeta[:k]), np.cos(th) * high.real - np.sin(th) * high.imag])
 
 
 def _zeta_from_z(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -700,18 +675,6 @@ def _zeta_from_z(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
     zeta.real = z * np.cos(theta)
     zeta.imag = -z * np.sin(theta)
     return zeta
-
-
-def hardy_z_vec(ts) -> np.ndarray:
-    """Hardy Z for an arbitrary array of ordinates 0 <= t < T_Z_MAX.
-
-    Returns an array of the input's shape (0-dimensional for a float).
-    Each value depends on its own t alone, not on the rest of the batch.
-    Raises ValueError for t outside the domain, NaN included.
-    """
-    ts = np.asarray(ts, dtype=np.float64)
-    zs = _critical_line(ts.ravel(), _z_from_zeta, lambda z, theta: z, np.float64)
-    return zs.reshape(ts.shape)
 
 
 def _zeta_vec(ts: np.ndarray) -> np.ndarray:
@@ -731,13 +694,18 @@ def zeta_critical_line(t):
     return complex(zeta[0]) if ts.ndim == 0 else zeta.reshape(ts.shape)
 
 
-def hardy_z(t: float) -> float:
+def hardy_z(t):
     """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it), real on the critical line.
 
-    A one-element hardy_z_vec call: 0 <= t < T_Z_MAX, absolute error below
-    5e-15 * max(t, 100), as for zeta_critical_line.
+    Takes a float (returns a float) or an array (returns an array of its
+    shape), for 0 <= t < T_Z_MAX, with absolute error below
+    5e-15 * max(t, 100) as for zeta_critical_line.  Each value depends on
+    its own t alone.  Raises ValueError for t outside the domain, NaN
+    included.
     """
-    return float(hardy_z_vec(t))
+    ts = np.asarray(t, dtype=np.float64)
+    zs = _critical_line(ts.ravel(), _z_from_zeta, lambda z, theta: z, np.float64)
+    return float(zs[0]) if ts.ndim == 0 else zs.reshape(ts.shape)
 
 
 def wrap_half_turns(u: float) -> float:

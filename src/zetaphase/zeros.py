@@ -2,8 +2,9 @@
 
 The scanner samples the Hardy Z function on a fixed lattice (anchored at
 t = 0 so that scans over sub-ranges land on identical sample points) in
-one call of hardy_z_vec, the one Z evaluator, whose every value depends on
-its own t alone; a sample that is exactly 0.0 is an ordinate itself.  Each
+one call of hardy_z, the one Z evaluator, whose every value depends on
+its own t alone (below T_NO_ZERO = 14, where Z has no zero, every sample
+is -|zeta|); a sample that is exactly 0.0 is an ordinate itself.  Each
 bracket starts at the root of the degree-11 polynomial through the twelve
 lattice samples around it, and one closing loop refines every bracket
 with the same evaluator: a pair 0.45 refine_tol either side of the
@@ -21,8 +22,8 @@ cumulative count has drifted too, which catches a faulty evaluator.
 Every count goes through two functions: interval_counts, the number of
 ordinates with floor(y) = n over a range of n (the census F(n), the
 scanner's suspect rule and the counter oracles), and smooth_count, the
-rounded smooth-phase count round(theta(t)/pi + 1) whose differences are
-the per-interval prediction.
+rounded smooth-phase count round(theta(t)/pi + 1), 0 below T_NO_ZERO,
+whose differences are the per-interval prediction.
 
 Also here: the interval-count container, floor-difference counters with
 their Bessel/Airy zero oracles, and the plain-text zero cache format.
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import GENERATOR_VERSION
-from .special import TWO_PI, hardy_z_vec, theta_vec
+from .special import T_NO_ZERO, TWO_PI, hardy_z, theta_vec
 
 CACHE_MAGIC = "zetaphase zero cache v1"
 
@@ -199,7 +200,7 @@ def _refine(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
 
     fa and fb are values at the ends with the accurate evaluator's signs,
     opposite.  Each round evaluates the pair x -/+ 0.45 tol, x clipped that
-    far inside the bracket, in one hardy_z_vec call for all open brackets,
+    far inside the bracket, in one hardy_z call for all open brackets,
     and keeps the piece of the bracket that holds the sign change: the pair
     itself where it straddles the root, which closes the bracket.  An exact
     0.0 is the root.  The next x is the root of the pair's secant, a Newton
@@ -224,7 +225,7 @@ def _refine(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
             n, rows = len(live), np.arange(len(live))
             x = np.clip(x, a + half, b - half)
             pair = np.concatenate([np.maximum(x - half, a), np.minimum(x + half, b)])
-            fpair = hardy_z_vec(pair)
+            fpair = hardy_z(pair)
             # Points a <= x - half < x + half <= b; the sign change lies past
             # every one whose sign is fa's.
             xs = np.stack([a, pair[:n], pair[n:], b], axis=1)
@@ -250,10 +251,10 @@ def _scan_ordinates(t_lo: float, t_hi: float) -> np.ndarray:
 
     Each bracket starts from the root of the lattice interpolant
     (_lattice_roots) and is closed by _refine, whose first round evaluates
-    the pair around every start in one hardy_z_vec call.
+    the pair around every start in one hardy_z call.
     """
     ts, core = _grid(t_lo, t_hi)
-    zs = hardy_z_vec(ts)
+    zs = hardy_z(ts)
     idx = np.flatnonzero((np.sign(zs[:-1]) * np.sign(zs[1:]) < 0) & core[:-1] & core[1:])
     a, b, fa, fb = ts[idx], ts[idx + 1], zs[idx], zs[idx + 1]
     x0 = a + _lattice_roots(zs, idx, fa / (fa - fb)) * (b - a)
@@ -272,7 +273,7 @@ def interval_counts(ordinates, n_lo: int, n_hi: int) -> np.ndarray:
 
 
 def smooth_count(t):
-    """Rounded smooth-phase zero count below t: round(theta(t)/pi + 1), 0 below t = 14.
+    """Rounded smooth-phase zero count below t: round(theta(t)/pi + 1), 0 below T_NO_ZERO.
 
     Takes a float (returns an int) or an array (returns an int64 array).
     Raises ValueError if any t is NaN or +inf.
@@ -281,7 +282,7 @@ def smooth_count(t):
     if not np.all(ts < math.inf):
         raise ValueError("smooth_count needs t below infinity, not NaN")
     out = np.zeros(ts.shape, dtype=np.int64)
-    above = ts >= 14.0
+    above = ts >= T_NO_ZERO
     out[above] = np.round(theta_vec(ts[above]) / math.pi + 1.0)
     return int(out) if out.ndim == 0 else out
 
@@ -311,7 +312,7 @@ def scan_zeros(config: ScanConfig) -> ZeroList:
     cum_gap = np.searchsorted(roots, n_lo + flagged + 1.0) - expected
     # A scan anchored below the first zero has a noise-free left baseline;
     # a partial scan carries phase noise at both ends.
-    limit = 2 if config.t_lo < 14.0 else 3
+    limit = 2 if config.t_lo < T_NO_ZERO else 3
     suspects = tuple((n_lo + flagged[np.abs(cum_gap) >= limit]).tolist())
 
     return ZeroList(

@@ -39,8 +39,7 @@ from zetaphase.special import (
     _RS_MU_LO,
     _RS_TWO_PI_HI,
     _RS_TWO_PI_LO,
-    _STIRLING_COEFFS,
-    _STIRLING_SHIFT,
+    T_NO_ZERO,
     T_RS,
     T_THETA_MAX,
     T_Z_MAX,
@@ -48,11 +47,9 @@ from zetaphase.special import (
     _RS_CHUNK,
     _em_truncation,
     _fresh_array,
-    _im_log_gamma_quarter,
     _workspace,
     _z_from_zeta,
     _zeta_em_chunk,
-    hardy_z_vec,
     smooth_main,
     theta_vec,
 )
@@ -224,57 +221,32 @@ class TestThetaSeries:
 
 
 class TestThetaVec:
-    # Below t = 50 theta_vec takes Im log gamma(1/4 + it/2) from Stirling's
-    # series after a shift of 10.
+    # theta_vec is the asymptotic series alone, on t >= T_NO_ZERO = 14.
 
-    def test_stirling_against_mpmath(self):
-        # t = 0, one height in each of 400 strata of (0, 50], and the
-        # doubles next to 50.
+    def test_against_mpmath(self):
+        # 14, the double above it, one height in each of 400 strata of
+        # [14, 50], and the doubles next to 50.
         rng = np.random.default_rng(23)
-        edges = np.linspace(0.0, 50.0, 401)
-        ts = np.concatenate([[0.0], rng.uniform(edges[:-1], edges[1:]),
+        edges = np.linspace(T_NO_ZERO, 50.0, 401)
+        ts = np.concatenate([[T_NO_ZERO, np.nextafter(T_NO_ZERO, 50.0)],
+                             rng.uniform(edges[:-1], edges[1:]),
                              [np.nextafter(50.0, 0.0), 50.0, np.nextafter(50.0, 100.0)]])
         with mp.workdps(40):
-            want = [float(mp.loggamma(mp.mpc(0.25, t / 2)).imag) for t in ts.tolist()]
-        got = _im_log_gamma_quarter(ts)
-        assert got[0] == 0.0
-        assert np.max(np.abs(got - want)) <= 5e-14
+            want = [float(mp.siegeltheta(t)) for t in ts.tolist()]
+        assert np.max(np.abs(theta_vec(ts) - want)) <= 5e-14
 
-    def test_stirling_against_scipy(self):
-        # The 1,000 points of the 0.05 lattice below 50.
-        ts = np.arange(1000) * 0.05
-        ref = scipy.special.loggamma(0.25 + 0.5j * ts).imag
-        assert np.max(np.abs(_im_log_gamma_quarter(ts) - ref)) <= 5e-14
-
-    def test_shift_phases_match_loop(self):
-        # The shift's ten phases, one arctan2 each and added in sequence,
-        # as the reference: the vectorized helper equals it bit for bit.
-        def loop(ts):
-            half_t = 0.5 * ts
-            w = (0.25 + _STIRLING_SHIFT) + 1j * half_t
-            u = 1.0 / (w * w)
-            acc = _STIRLING_COEFFS[-1]
-            for c in reversed(_STIRLING_COEFFS[:-1]):
-                acc = acc * u + c
-            shift = np.arctan2(half_t, 0.25)
-            for k in range(1, _STIRLING_SHIFT):
-                shift += np.arctan2(half_t, 0.25 + k)
-            return ((w - 0.5) * np.log(w) - w + acc / w).imag - shift
-
-        rng = np.random.default_rng(31)
-        lattice = np.arange(1000) * 0.05
-        heights = rng.uniform(0.0, 50.0, 5000)
-        for ts in (lattice, heights):
-            assert np.array_equal(_im_log_gamma_quarter(ts), loop(ts))
-        for t in heights[:200]:
-            assert _im_log_gamma_quarter(np.array([t])) == loop(np.array([t]))
+    @pytest.mark.parametrize("t", [13.99, math.nan])
+    def test_rejects_below_domain(self, t):
+        with pytest.raises(ValueError):
+            theta_vec(np.array([20.0, t, 300.0]))
 
     def test_low_heights_against_theta_exact(self):
-        ts = [t for t in THETA_REFERENCE if t < 50.0]
+        ts = [t for t in THETA_REFERENCE if T_NO_ZERO <= t < 50.0]
+        assert len(ts) == 3
         assert np.max(np.abs(theta_vec(ts) - [theta_exact(t) for t in ts])) <= 5e-14
 
     def test_batch_independent(self):
-        ts = np.arange(1000) * 0.05
+        ts = np.arange(280, 1000) * 0.05
         alone = [theta_vec(ts[k:k + 1])[0] for k in range(len(ts))]
         assert np.array_equal(theta_vec(ts[::-1])[::-1], alone)
 
@@ -418,14 +390,14 @@ class TestEulerMaclaurinKernel:
         # A mixed, unsorted batch with duplicates spanning several chunks:
         # every value equals the element's own one-element evaluation.
         batch = np.array(ts + ts[::2])
-        alone = np.array([hardy_z_vec(np.array([t]))[0] for t in batch])
-        assert np.array_equal(hardy_z_vec(batch), alone)
+        alone = np.array([hardy_z(np.array([t]))[0] for t in batch])
+        assert np.array_equal(hardy_z(batch), alone)
 
     def test_batch_independent_across_cutoff(self):
         below = np.nextafter(T_RS, 0.0)
         batch = np.array([1e4, T_RS, 800.0, below, T_RS, 1e4, below, 800.0, 5000.0])
-        alone = np.array([hardy_z_vec(np.array([t]))[0] for t in batch])
-        assert np.array_equal(hardy_z_vec(batch), alone)
+        alone = np.array([hardy_z(np.array([t]))[0] for t in batch])
+        assert np.array_equal(hardy_z(batch), alone)
 
     def test_bernoulli_table(self):
         with mp.workdps(60):
@@ -453,7 +425,7 @@ class TestEulerMaclaurinKernel:
 
 class TestChunkWorkspace:
     def test_reused_across_chunks(self):
-        # hardy_z_vec sends 2 full Euler-Maclaurin chunks and a short one,
+        # hardy_z sends 2 full Euler-Maclaurin chunks and a short one,
         # then 3 full Riemann-Siegel chunks and a short one, through one
         # workspace.  The term widths grow from chunk to chunk.
         rng = np.random.default_rng(29)
@@ -461,8 +433,8 @@ class TestChunkWorkspace:
                              rng.uniform(T_RS, 800.0, 2 * _CHUNK - 12),
                              rng.uniform(800.0, T_Z_MAX, 2 * _RS_CHUNK + 276)])
         rng.shuffle(ts)
-        alone = np.array([hardy_z_vec(ts[k:k + 1])[0] for k in range(len(ts))])
-        assert np.array_equal(hardy_z_vec(ts), alone)
+        alone = np.array([hardy_z(ts[k:k + 1])[0] for k in range(len(ts))])
+        assert np.array_equal(hardy_z(ts), alone)
 
     def test_take_past_slot_raises(self):
         # A slot holds one full chunk of the largest Euler-Maclaurin rows.
@@ -476,31 +448,30 @@ class TestChunkWorkspace:
 class TestVectorDomain:
     # 2 pi 43^2 = 11617.6...: from there on N = 43 outgrows the 42 phase rows.
     @pytest.mark.parametrize("t", [-5.0, -1e-300, math.nan, math.inf, -math.inf, 11617.7, 2e4])
-    def test_hardy_z_vec_rejects(self, t):
+    def test_hardy_z_rejects(self, t):
         with pytest.raises(ValueError):
-            hardy_z_vec(np.array([300.0, t, 20.0]))
+            hardy_z(np.array([300.0, t, 20.0]))
 
     # The same check on a 2-D grid of Riemann-Siegel heights with one bad
-    # entry, as hardy_z_vec takes arrays of any shape.
+    # entry, as hardy_z takes arrays of any shape.
     @pytest.mark.parametrize("t", [-5.0, 2e4, math.nan])
-    def test_grid_z_vec_rejects(self, t):
+    def test_hardy_z_rejects_bad_entry_in_grid(self, t):
         with pytest.raises(ValueError):
-            hardy_z_vec(np.array([[900.0, 900.0], [900.0, t]]))
+            hardy_z(np.array([[900.0, 900.0], [900.0, t]]))
 
     def test_edges_accepted(self):
         ends = np.array([0.0, T_RS, 11617.5])
-        assert np.all(np.isfinite(hardy_z_vec(ends)))
-        assert hardy_z_vec(ends[2:])[0] == hardy_z_vec(ends)[2]
+        assert np.all(np.isfinite(hardy_z(ends)))
+        assert hardy_z(ends[2:])[0] == hardy_z(ends)[2]
 
     def test_any_shape(self):
-        # A float gives a 0-dimensional array, a 2-D array one of its shape;
-        # every value is the one-element call's.
+        # A 2-D array gives one of its shape, a float a float; every value
+        # is the one-element call's.
         grid = np.array([[14.0, 300.0, 5000.0], [0.5, 199.99, 11617.5]])
-        got = hardy_z_vec(grid)
+        got = hardy_z(grid)
         assert got.shape == grid.shape
-        assert np.array_equal(got.ravel(), [hardy_z_vec([t])[0] for t in grid.ravel()])
-        alone = hardy_z_vec(300.0)
-        assert alone.shape == () and alone == got[0, 1]
+        assert np.array_equal(got.ravel(), [hardy_z([t])[0] for t in grid.ravel()])
+        assert hardy_z(300.0) == got[0, 1]
 
     def test_scan_grid_past_window_end(self):
         # The lattice core ends at 10000.1, past the window.
@@ -516,7 +487,7 @@ class TestRiemannSiegelKernel:
         ts = np.arange(4000, 16000) * 0.05
         reference = np.concatenate([_z_from_zeta(chunk, _zeta_em_chunk(chunk, _fresh_array))
                                     for chunk in np.split(ts, 50)])
-        got = hardy_z_vec(ts)
+        got = hardy_z(ts)
         assert np.all(np.abs(got - reference) <= 5e-15 * ts)
         assert np.array_equal(np.sign(got), np.sign(reference))
 
@@ -542,6 +513,19 @@ class TestHardyZ:
 
     def test_sign_change_at_first_zero(self):
         assert hardy_z(14.0) * hardy_z(14.2) < 0.0
+
+    def test_below_first_zero_against_mpmath(self):
+        # Below T_NO_ZERO Z is -|zeta|: 0, one height in each of 400 strata
+        # of [0, 14) and the double below 14.
+        rng = np.random.default_rng(41)
+        edges = np.linspace(0.0, T_NO_ZERO, 401)
+        ts = np.concatenate([[0.0], rng.uniform(edges[:-1], edges[1:]),
+                             [np.nextafter(T_NO_ZERO, 0.0)]])
+        with mp.workdps(30):
+            want = [float(mp.siegelz(t)) for t in ts.tolist()]
+        got = hardy_z(ts)
+        assert np.all(got < 0.0)
+        assert np.max(np.abs(got - want)) <= 5e-13
 
 
 class TestWrapHalfTurns:
@@ -581,38 +565,45 @@ class TestArgZetaPrincipal:
             arg_zeta_principal(14.134725141734694)
 
 
-# Ordinates on both sides of T_RS, and T_RS with its lower neighbour.
+# Ordinates on both sides of T_RS, and T_NO_ZERO and T_RS with their lower
+# neighbours.
 _HEIGHTS = st.one_of(
     st.floats(min_value=0.0, max_value=1e4),
     st.floats(min_value=T_RS - 2.0, max_value=T_RS + 2.0),
-    st.sampled_from([0.0, T_RS, float(np.nextafter(T_RS, 0.0)), 1e4]),
+    st.sampled_from([0.0, T_NO_ZERO, float(np.nextafter(T_NO_ZERO, 0.0)), T_RS,
+                     float(np.nextafter(T_RS, 0.0)), 1e4]),
 )
 
 
 class TestArrayAPI:
-    # zeta_critical_line and arg_zeta_principal take a float or an array; a
-    # float is a one-element call into the same evaluator.
+    # hardy_z, zeta_critical_line and arg_zeta_principal take a float or an
+    # array; a float is a one-element call into the same evaluator.
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(st.lists(_HEIGHTS, min_size=1, max_size=300), st.data())
     def test_elements_equal_scalar_calls(self, ts, data):
         batch = np.array(ts + ts[::3])
         batch = batch[data.draw(st.permutations(range(len(batch))))]
+        z = hardy_z(batch)
         zeta = zeta_critical_line(batch)
         arg = arg_zeta_principal(batch)
-        assert zeta.shape == arg.shape == batch.shape
+        assert z.shape == zeta.shape == arg.shape == batch.shape
+        assert np.array_equal(z, [hardy_z(float(t)) for t in batch])
         assert np.array_equal(zeta, [zeta_critical_line(float(t)) for t in batch])
         assert np.array_equal(arg, [arg_zeta_principal(float(t)) for t in batch])
         order = np.array(data.draw(st.permutations(range(len(batch)))))
         subset = order[:data.draw(st.integers(min_value=0, max_value=len(batch)))]
         for idx in (order, subset):
+            assert np.array_equal(hardy_z(batch[idx]), z[idx])
             assert np.array_equal(zeta_critical_line(batch[idx]), zeta[idx])
             assert np.array_equal(arg_zeta_principal(batch[idx]), arg[idx])
 
     def test_scalar_types(self):
+        assert type(hardy_z(1000.0)) is float
         assert type(zeta_critical_line(1000.0)) is complex
         assert type(arg_zeta_principal(1000.0)) is float
 
     def test_empty(self):
+        assert hardy_z(np.array([])).shape == (0,)
         assert zeta_critical_line(np.array([])).shape == (0,)
         assert arg_zeta_principal(np.array([])).shape == (0,)
 
