@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -26,47 +25,19 @@ def _fmt(x: float) -> str:
     return f"{x:.12f}"
 
 
-def _cache_dir() -> str:
-    return os.environ.get(
-        "ZETA_CACHE_DIR",
-        os.path.join(os.path.expanduser("~"), ".cache", "zetaphase"),
-    )
-
-
-def _load_zeros(path: str) -> zmod.ZeroList:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"zero cache not found: {path}")
-    return zmod.read_zero_cache(path)
-
-
-def _obtain_zeros(args: argparse.Namespace) -> zmod.ZeroList:
-    """Zero list from --cache if given, otherwise scan (and memoize on disk).
-
-    A scan with suspect intervals raises ValueError and writes no memo: the
-    cache format cannot carry them.
-    """
-    if getattr(args, "cache", None):
-        return _load_zeros(args.cache)
-    t_hi = float(getattr(args, "max", verify.CENSUS_T_HI))
-    # The shortest decimals that read back as t_hi and the scan step: one
-    # memo per window and lattice.
-    top, step = (np.format_float_positional(x, trim="-") for x in (t_hi, zmod.SCAN_STEP))
-    name = f"zeros_0_{top}_{step}.txt"
-    path = os.path.join(_cache_dir(), name)
-    if os.path.exists(path):
-        return zmod.read_zero_cache(path)
-    zero_list = zmod.scan_zeros(zmod.ScanConfig(t_lo=0.0, t_hi=t_hi))
-    if zero_list.suspect_intervals:
-        raise ValueError(f"scan of [0, {t_hi:g}] has suspect intervals "
-                         f"{list(zero_list.suspect_intervals)}")
-    os.makedirs(_cache_dir(), exist_ok=True)
-    zmod.write_zero_cache(zero_list, path)
-    return zero_list
-
-
 def _counts_from_args(args: argparse.Namespace) -> zmod.UnitIntervalCounts:
-    """F(n) up to --n-max, or up to the last whole interval the zero list covers."""
-    zero_list = _obtain_zeros(args)
+    """F(n) up to --n-max, or up to the last whole interval the zero list covers.
+
+    The zero list is --cache if given, otherwise a scan of [0, --max]; a
+    scan with suspect intervals raises ValueError.
+    """
+    if args.cache:
+        zero_list = zmod.read_zero_cache(args.cache)
+    else:
+        zero_list = zmod.scan_zeros(zmod.ScanConfig(t_lo=0.0, t_hi=args.max))
+        if zero_list.suspect_intervals:
+            raise ValueError(f"scan of [0, {args.max:g}] has suspect intervals "
+                             f"{list(zero_list.suspect_intervals)}")
     n_max = int(zero_list.t_hi) - 1 if args.n_max is None else args.n_max
     return zmod.unit_interval_counts(zero_list, n_max)
 
@@ -116,11 +87,13 @@ def cmd_arg_gamma(args: argparse.Namespace) -> int:
 
 def cmd_zeros(args: argparse.Namespace) -> int:
     zero_list = zmod.scan_zeros(zmod.ScanConfig(t_lo=args.min, t_hi=args.max))
+    if zero_list.suspect_intervals:
+        # The cache format cannot carry them, so nothing is written.
+        print(f"suspect intervals: {list(zero_list.suspect_intervals)}; "
+              f"{args.out} not written", file=sys.stderr)
+        return 1
     zmod.write_zero_cache(zero_list, args.out)
     print(f"{zero_list.count} zeros in [{args.min:g}, {args.max:g}] -> {args.out}")
-    if zero_list.suspect_intervals:
-        print(f"suspect intervals: {list(zero_list.suspect_intervals)}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -209,11 +182,11 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    zero_list = None
-    if args.cache:
-        zero_list = _load_zeros(args.cache)
+    zero_list = zmod.read_zero_cache(args.cache) if args.cache else None
     partitioned = None
-    if args.partition_check and not args.only:
+    # Built whenever the selection, filtered as run_checks filters it,
+    # includes the one check that compares it.
+    if args.partition_check and (args.only is None or args.only in "beat and render"):
         mid = float(int(verify.CENSUS_T_HI) // 2)
         lo = zmod.scan_zeros(zmod.ScanConfig(t_lo=0.0, t_hi=mid))
         hi = zmod.scan_zeros(zmod.ScanConfig(t_lo=mid, t_hi=verify.CENSUS_T_HI))
@@ -260,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_zeros)
 
     p = sub.add_parser("counts", help="zeros per unit interval")
-    p.add_argument("--cache", help="zero cache file (default: scan)")
+    p.add_argument("--cache", help="zero cache file written by 'zeros --out' "
+                                   "(default: scan [0, --max]; no cache is written)")
     p.add_argument("--max", type=float, default=verify.CENSUS_T_HI,
                    help="scan height when no cache is given")
     p.add_argument("--n-max", type=int, default=None)
@@ -292,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_staircase)
 
     p = sub.add_parser("render", help="graymap image of the zero density")
-    p.add_argument("--cache", help="zero cache file (default: scan)")
+    p.add_argument("--cache", help="zero cache file written by 'zeros --out' "
+                                   "(default: scan [0, --max]; no cache is written)")
     p.add_argument("--max", type=float, default=verify.CENSUS_T_HI,
                    help="scan height when no cache is given")
     p.add_argument("--n-max", type=int, default=None)
@@ -302,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="replay the acceptance checks")
     p.add_argument("--only", default=None, help="run only checks whose name contains this")
-    p.add_argument("--cache", default=None, help="zero cache to verify against")
+    p.add_argument("--cache", default=None,
+                   help="zero cache written by 'zeros --out' to verify against "
+                        "(default: scan [0, 6501])")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--partition-check", action="store_true",
                    help="also compare a two-part scan's rendering byte-for-byte")

@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import pytest
+from test_zero_finder import _patch_evaluators, _thirds
 
 from zetaphase import verify
 from zetaphase import zeros as zmod
@@ -121,6 +122,24 @@ class TestZerosCommand:
         ]
         assert ordinate_lines == []
 
+    @pytest.mark.parametrize("earlier", [None, b"an earlier file\n"], ids=["absent", "present"])
+    def test_suspect_scan_writes_nothing(self, capsys, monkeypatch, tmp_path, earlier):
+        # Z sabotaged on [6000, 6010]: the cache format cannot carry the
+        # suspects, so they go to stderr, --out is left as it was, exit 1.
+        out_path = tmp_path / "z.txt"
+        if earlier is not None:
+            out_path.write_bytes(earlier)
+        _patch_evaluators(monkeypatch, _thirds)
+        code, out, err = run_cli(
+            capsys, "zeros", "--min", "5995", "--max", "6015", "--out", str(out_path),
+        )
+        assert code == 1 and out == ""
+        assert "suspect intervals: [6000, 6002, 6003, 6004, 6005, 6006, 6007, 6008, 6009]" in err
+        if earlier is None:
+            assert not out_path.exists()
+        else:
+            assert out_path.read_bytes() == earlier
+
     def test_bad_window_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "zeros", "--min", "60", "--max", "50",
@@ -170,63 +189,60 @@ class TestCountsCommand:
         assert out == ""
         assert "n_max must be >= 1" in err
 
-    def test_coverage_error_gives_exact_range(self, capsys, monkeypatch, tmp_path):
+    def test_coverage_error_gives_exact_range(self, capsys):
         # The range in the message reads back as the scanned --max.
-        monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
         code, out, err = run_cli(capsys, "counts", "--max", "1234.0004", "--n-max", "1234")
         assert code == 2 and out == ""
         assert "zero list covers [0, 1234.0004], counts to n_max = 1234 need [1, 1235]" in err
 
 
-class TestScanMemo:
-    # Without --cache, counts and render scan [0, --max] and memoize the
-    # result in $ZETA_CACHE_DIR; the cache format cannot hold suspects.
+class TestFreshScan:
+    # Without --cache, counts and render scan [0, --max] and write no file
+    # but render's --out; a scan with suspect intervals is refused.
     @pytest.fixture
-    def scan(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
-
+    def scan(self, monkeypatch):
         def patch(suspects):
             scanned = []
 
             def scan_zeros(config):
-                scanned.append(config.t_hi)
+                scanned.append((config.t_lo, config.t_hi))
                 return zmod.ZeroList((14.134725141734694,), "scanned", config.t_lo, config.t_hi,
                                      suspect_intervals=suspects)
             monkeypatch.setattr(zmod, "scan_zeros", scan_zeros)
             return scanned
         return patch
 
-    def test_memo_written(self, capsys, scan, tmp_path):
-        scan(())
-        code, out, _ = run_cli(capsys, "counts", "--max", "200", "--n-max", "20")
-        assert code == 0 and "14\t1" in out.splitlines()
-        assert [p.name for p in tmp_path.iterdir()] == ["zeros_0_200_0.1.txt"]
-
-    def test_memo_per_exact_max(self, capsys, scan, tmp_path):
-        # 1234.0004 and 1234 agree to six significant digits; each gets its
-        # own scan and memo, and a rerun reads its own memo back.
+    def test_one_scan_of_exact_window_per_call(self, capsys, scan, tmp_path):
+        # 1234.0004 and 1234 agree to six significant digits; each call scans
+        # its own --max, and a rerun scans again.
         scanned = scan(())
-        for t_hi in ("1234.0004", "1234", "1234.0004", "1234"):
+        for t_hi in ("1234.0004", "1234", "1234.0004"):
             code, out, _ = run_cli(capsys, "counts", "--max", t_hi, "--n-max", "20")
             assert code == 0 and "14\t1" in out.splitlines()
-        assert scanned == [1234.0004, 1234.0]
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "zeros_0_1234.0004_0.1.txt", "zeros_0_1234_0.1.txt"]
+        code, _, _ = run_cli(capsys, "render", "--max", "200", "--n-max", "20",
+                             "--out", str(tmp_path / "image.pgm"))
+        assert code == 0
+        assert scanned == [(0.0, 1234.0004), (0.0, 1234.0), (0.0, 1234.0004), (0.0, 200.0)]
 
-    def test_memo_of_another_step_ignored(self, capsys, scan, tmp_path):
-        # A memo of the 0.05 lattice is neither read nor overwritten.
-        scanned = scan(())
-        old = tmp_path / "zeros_0_200_0.05.txt"
-        old.write_text("not a zero cache\n", encoding="ascii")
+    def test_writes_nothing_under_home_or_working_directory(self, capsys, monkeypatch,
+                                                            tmp_path):
+        home, cwd = tmp_path / "home", tmp_path / "cwd"
+        home.mkdir()
+        cwd.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.chdir(cwd)
         code, out, _ = run_cli(capsys, "counts", "--max", "200", "--n-max", "20")
         assert code == 0 and "14\t1" in out.splitlines()
-        assert scanned == [200.0]
-        assert old.read_text(encoding="ascii") == "not a zero cache\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "zeros_0_200_0.05.txt", "zeros_0_200_0.1.txt"]
+        image = tmp_path / "image.pgm"
+        code, _, _ = run_cli(capsys, "render", "--max", "200", "--n-max", "20",
+                             "--out", str(image))
+        assert code == 0 and image.exists()
+        assert list(home.iterdir()) == [] and list(cwd.iterdir()) == []
 
     @pytest.mark.parametrize("command", [("counts",), ("render", "--out", "image.pgm")])
-    def test_suspect_scan_is_error(self, capsys, scan, tmp_path, command):
+    def test_suspect_scan_is_error(self, capsys, monkeypatch, scan, tmp_path, command):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
         scan((100,))
         code, out, err = run_cli(capsys, *command, "--max", "200", "--n-max", "20")
         assert code == 2 and out == ""
@@ -369,6 +385,23 @@ class TestVerifyCommand:
         records = json.loads(out)
         assert len(records) == 1
         assert records[0]["passed"] is True
+
+    def test_partition_check_with_only(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--only", "beat", "--partition-check", "--format", "json"
+        )
+        assert code == 0, err
+        records = json.loads(out)
+        assert [r["check"] for r in records] == ["beat and render"]
+        assert records[0]["detail"] == "compared with the partitioned scan's ordinates and render"
+
+    def test_no_partitioned_scan_without_beat_and_render(self, capsys, monkeypatch):
+        def scan_zeros(config):
+            raise AssertionError("no check selected needs a scan")
+        monkeypatch.setattr(zmod, "scan_zeros", scan_zeros)
+        code, out, _ = run_cli(capsys, "verify", "--only", "gamma point", "--partition-check")
+        assert code == 0
+        assert out.startswith("pass  gamma point")
 
     def test_json_format_with_census_checks(self, capsys, census_cache):
         code, out, _ = run_cli(

@@ -158,7 +158,7 @@ class TestScanZeros:
         lattice = k * SCAN_STEP
         assert np.count_nonzero((lattice > lo) & (lattice < hi)) == 1
 
-    def test_high_window_uses_fast_path(self):
+    def test_riemann_siegel_window_ordinates_are_roots(self):
         zeros = scan_zeros(ScanConfig(t_lo=1000.0, t_hi=1020.0))
         assert zeros.count == 16
         for y in zeros.ordinates:
@@ -385,7 +385,7 @@ def _thirds(evaluator):
     return sabotaged
 
 
-class TestRescanPostPass:
+class TestSuspectRule:
     # The suspect rule on the unit intervals whose count is off the
     # smooth-phase prediction, under a Z sabotaged on [6000, 6010].
 
@@ -398,8 +398,8 @@ class TestRescanPostPass:
         ],
     )
     def test_suspects_match_one_by_one(self, monkeypatch, t_lo, t_hi):
-        # Frozen from a scan that rescanned each flagged interval alone at
-        # a quarter step: the main pass's counts flag the same suspects.
+        # Frozen counts and suspects: the flagged intervals at whose end the
+        # cumulative count has also drifted from the smooth count by the limit.
         count, suspects = {
             5995.0: (43, (6000, 6002, 6003, 6004, 6005, 6006, 6007, 6008, 6009)),
             6003.5: (22, (6005, 6006, 6007, 6008, 6009)),
@@ -423,12 +423,12 @@ class TestRescanPostPass:
         assert ys[~inside] == pytest.approx(want[(want < 6000.0) | (want > 6010.0)], abs=1e-9)
         assert zeros.count == 43
 
-    def test_evaluator_calls_do_not_grow_with_flagged_intervals(self, monkeypatch):
-        # [0, 2001] flags 36 intervals, and the scan still takes one
-        # hardy_z call for the lattice and one for the closing pairs,
-        # then three Newton rounds for the three brackets whose first pair
-        # misses its root (1329.0435, 1977.1739 and 1977.2714, which takes
-        # all three).
+    def test_flagged_intervals_add_no_evaluator_calls(self, monkeypatch):
+        # [0, 2001] flags 36 intervals, which the suspect rule reads off the
+        # counts alone: one hardy_z call for the lattice, one for the
+        # closing pairs, then three Newton rounds for the three brackets whose
+        # first pair misses its root (1329.0435, 1977.1739 and 1977.2714,
+        # which takes all three).
         calls = []
 
         def counting(evaluator):
