@@ -10,12 +10,12 @@ take |t| <= T_THETA_MAX = 2e4, zeta and Z take 0 <= t < T_Z_MAX = 2 pi 43^2
 (about 11617.61).  theta_vec, the float-precision theta of Z and of the
 smooth zero count, is the asymptotic series alone and takes t >= T_NO_ZERO
 = 14, below the first zero of Z at 14.1347; below it Z is -|zeta|.  Zeta
-and Z have one evaluator: a private dispatcher
-checks that domain, sorts the ordinates, sends those below T_RS = 200 to an
-Euler-Maclaurin kernel and those from T_RS up to a Riemann-Siegel kernel
-with the corrections C0..C13, in chunks, and puts every value back in its
-place.  hardy_z, zeta_critical_line and arg_zeta_principal are calls into
-it, and the zero scanner samples and refines with hardy_z.  Each takes a
+and Z have one evaluator: a private dispatcher checks that domain, sorts
+the ordinates, sends those below T_RS = 200 to an Euler-Maclaurin kernel
+and those from T_RS up to a Riemann-Siegel kernel with the corrections
+C0..C13, or C0..C7 from t = 800, in chunks, and puts every value back in
+its place.  hardy_z, zeta_critical_line and arg_zeta_principal are calls
+into it, and the zero scanner samples and refines with hardy_z.  Each takes a
 float or an array, and a float is a one-element call, so scalar and array
 values agree bit for bit.  One Horner loop, theta_tail, sums the theta
 series tail for every caller.
@@ -26,9 +26,10 @@ single error-free product with pi, so every returned binary64 phase is
 within one ulp of the true value and all phase functions share the same
 smooth-term double.  That term, smooth_main, is exact integer arithmetic
 on 136-bit fixed-point values (as many bits as EXTENDED_DPS = 40 digits
-give) ended by one correctly rounded integer division; it enters no mpmath
-precision context.  Zeta and Z carry an absolute error below
-5e-15 * max(t, 100) on their domain, measured against 20-digit mpmath at
+give) ended by one correctly rounded integer division; its logarithm comes
+from mpmath's fixed-point Taylor kernel, and it enters no mpmath precision
+context.  Zeta and Z carry an absolute error below 5e-15 * max(t, 100) on
+their domain, measured against 20-digit mpmath at
 stratified heights, one in each [4i, 4i + 4).  Below T_RS the error comes
 from the binary64 rounding of the phases t*ln(k) in up to 70
 Euler-Maclaurin terms: worst 8.6e-14, 0.10 of the bound, over the 50
@@ -38,8 +39,9 @@ bound, over the 2,450 heights in [200, 1e4], and 0.0045 of the bound over
 40 stratified heights in [1e4, T_Z_MAX).  T_RS is the lowest hundred above
 which that measured error stays below 1/20 of the bound.  The truncation
 after C13 is about 2e-17 from t = 200 up (Gabcke 1979; Arias de Reyna,
-Math. Comp. 2011), the rounding floor of the frozen table.  The value at t
-does not depend on the batch it is evaluated in.
+Math. Comp. 2011), the rounding floor of the frozen table; from t = 800,
+where C8..C13 are dropped, they add at most 8.9e-4 of the bound.  The
+value at t does not depend on the batch it is evaluated in.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import dps_to_prec, from_int, ln2_fixed, mpf_log, mpf_pi, pi_fixed, to_fixed
+from mpmath.libmp import dps_to_prec, ln2_fixed, mpf_log, mpf_pi, pi_fixed, to_fixed
+from mpmath.libmp.libelefun import log_taylor_cached
 
 TWO_PI = 2.0 * math.pi
 LN_PI = math.log(math.pi)
@@ -70,13 +73,14 @@ T_NO_ZERO = 14.0
 EXTENDED_DPS = 40
 
 # smooth_main and combination_over_8pi work on integers v * 2^_FIXED_BITS.
-# Logarithms are taken with 16 more bits of relative precision: ln m < 2^10
-# for the numerator m of any double and for any integer m < 2^1024, so each
-# is within about one unit, 2^-_FIXED_BITS, of its true value.
+# Logarithms are summed with 16 more fraction bits, _LOG_BITS, and rounded
+# once, so each is within one unit, 2^-_FIXED_BITS, of its true value.
 _FIXED_BITS = dps_to_prec(EXTENDED_DPS)
 _LOG_BITS = _FIXED_BITS + 16
 _PI_FIXED = pi_fixed(_FIXED_BITS)
 _LN2_FIXED = ln2_fixed(_FIXED_BITS)
+_LN2_LOG_BITS = ln2_fixed(_LOG_BITS)
+_LOG_HALF_UNIT = 1 << _LOG_BITS - _FIXED_BITS - 1
 _LN_PI_FIXED = to_fixed(mpf_log(mpf_pi(_LOG_BITS), _LOG_BITS), _FIXED_BITS)
 _LN_TWO_PI_E_FIXED = _LN2_FIXED + (1 << _FIXED_BITS) + _LN_PI_FIXED
 
@@ -123,6 +127,11 @@ _EM_BLOCK = 64
 # formula: the lowest hundred above which its measured error stays below
 # 1/20 of the documented bound (see the module docstring).
 T_RS = 200.0
+# From this height up the Riemann-Siegel kernel sums the corrections C0..C7
+# alone: by sum_j |b_kj| a^-(k + 1/2) the dropped C8..C13 add at most
+# 8.9e-4 of the documented bound at t = 800, and less above it.
+_T_RS_SHORT = 800.0
+_RS_SHORT_ROWS = 8
 
 # Riemann-Siegel tables, frozen from scripts/derive_rs_coefficients.py,
 # which tests/test_special.py checks them against.  C_k(p) has the parity
@@ -271,10 +280,11 @@ _RS_SIGNS = np.where(np.arange(len(_RS_MU_HI) + 1) % 2 == 1, 1.0, -1.0)
 _RS_TRUNCATED_WEIGHTS = np.triu(np.ones((len(_RS_MU_HI), len(_RS_MU_HI) + 1)), 1) / np.sqrt(
     np.arange(1.0, len(_RS_MU_HI) + 1.0))[:, None]
 # The Riemann-Siegel evaluator takes ordinates in chunks of this many; its
-# main sum, Chebyshev terms and corrections are added in blocks of this many
-# terms.  NumPy adds fewer than 8 terms along any axis in index order, so
-# the sums over blocks of 7, over the at most 6 main-sum blocks and over
-# the 2 Chebyshev and 2 correction blocks do not depend on the batch.
+# main sum and Chebyshev terms are added in blocks of this many terms, its
+# corrections in 2 blocks of 7, or of 4 from _T_RS_SHORT up.  NumPy adds
+# fewer than 8 terms along any axis in index order, so these sums, and those
+# over the at most 6 main-sum blocks and over the 2 Chebyshev and 2
+# correction blocks, do not depend on the batch.
 _RS_CHUNK = 512
 _RS_BLOCK = 7
 
@@ -319,8 +329,20 @@ def smooth_main(t: float) -> float:
 
 
 def _ln_fixed(m: int) -> int:
-    """ln m as an integer ln(m) * 2^_FIXED_BITS, rounded down."""
-    return to_fixed(mpf_log(from_int(m), _LOG_BITS), _FIXED_BITS)
+    """ln m as an integer ln(m) * 2^_FIXED_BITS, within one unit, for an integer m >= 1.
+
+    With r the bit length of m, x = m / 2^r lies in [1/2, 1), the domain of
+    mpmath's fixed-point Taylor kernel log_taylor_cached, and ln m = ln x +
+    r ln 2 is summed at _LOG_BITS and rounded to nearest at _FIXED_BITS.  A
+    numerator wider than _LOG_BITS loses its low bits to the right shift:
+    zero bits for the numerator of a double, below 2^-_LOG_BITS of x for
+    any other m.  The worst error against 60-digit mpmath is 0.502 units,
+    at bit lengths 1 to 1100.
+    """
+    r = m.bit_length()
+    x = m << _LOG_BITS - r if r <= _LOG_BITS else m >> r - _LOG_BITS
+    ln_m = log_taylor_cached(x, _LOG_BITS) + r * _LN2_LOG_BITS
+    return ln_m + _LOG_HALF_UNIT >> _LOG_BITS - _FIXED_BITS
 
 
 _ln_prime_fixed = lru_cache(maxsize=4096)(_ln_fixed)
@@ -511,7 +533,7 @@ def _workspace(em_rows: int, rs_rows: int) -> Callable[..., np.ndarray]:
     would go back to the system and be faulted in again by the next one.
     Pages no view touches are never faulted in.  A view is C-contiguous from
     the start of its slot, laid out as a fresh array of its shape, so the
-    kernels' values do not change.  Where each kernel takes at most one
+    kernels' values do not change.  Where each kernel's ordinates fit in one
     chunk nothing is reused, and take returns fresh arrays.  A view larger
     than its slot raises ValueError.
     """
@@ -571,18 +593,21 @@ def _zeta_em_chunk(ts: np.ndarray, ws: Callable[..., np.ndarray]) -> np.ndarray:
     return total + np.multiply(_EM_BERNOULLI[:, None], acc, out=tail).cumsum(axis=0, out=acc)[-1]
 
 
-def _rs_z_theta(ts: np.ndarray, ws: Callable[..., np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _rs_z_theta(ts: np.ndarray, rows: int,
+                ws: Callable[..., np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Riemann-Siegel Z(t) and theta(t) mod 2 pi for ordinates T_RS <= t < T_Z_MAX.
 
     Z = 2 sum_{n<=N} n^(-1/2) cos(theta - t ln n) + (-1)^(N-1) a^(-1/2)
-    sum_{k<=13} C_k(p) a^(-k), with a = sqrt(t/(2 pi)), N = floor(a) and
-    p = a - N (Gabcke 1979).  The phases are reduced in turns without
-    losing the digits that binary64 t ln n and theta drop: t mu_n mod 1,
-    mu_n = (ln n - 1/2)/(2 pi), is an exact product of 26-bit halves plus
-    two small products, theta/(2 pi) = t mu_N + t ln(a/N)/(2 pi) - 1/16 +
-    tail/(2 pi), and t ln n/(2 pi) = t mu_n - t mu_1.  Each sum runs over fewer
-    than 8 terms per axis and the columns past N add exact zeros, so a
-    value does not depend on the rest of the batch.  The returned theta lies
+    sum_{k<rows} C_k(p) a^(-k), with a = sqrt(t/(2 pi)), N = floor(a) and
+    p = a - N (Gabcke 1979).  rows is 14, or _RS_SHORT_ROWS for a chunk from
+    _T_RS_SHORT up, and the corrections are added in 2 blocks of rows / 2.
+    The phases are reduced in turns without losing the digits that binary64
+    t ln n and theta drop: t mu_n mod 1, mu_n = (ln n - 1/2)/(2 pi), is an
+    exact product of 26-bit halves plus two small products, theta/(2 pi) =
+    t mu_N + t ln(a/N)/(2 pi) - 1/16 + tail/(2 pi), and t ln n/(2 pi) =
+    t mu_n - t mu_1.  Each sum runs over fewer than 8 terms per axis and the
+    columns past N add exact zeros, so a value does not depend on the rest
+    of the batch.  The returned theta lies
     in (-2 pi, 2 pi).  The phase and correction matrices are written into ws.
     """
     m = len(ts)
@@ -624,11 +649,12 @@ def _rs_z_theta(ts: np.ndarray, ws: Callable[..., np.ndarray]) -> tuple[np.ndarr
     powers[0] = 1.0
     powers[1:] = e_psi * e_psi
     cheb = powers.cumprod(axis=0, out=products).real
-    corrections = np.multiply(cheb, _RS_CHEBYSHEV[:, :, None], out=ws(0, _RS_CHEBYSHEV.shape + (m,)))
-    corrections = corrections.reshape(len(_RS_CHEBYSHEV), 2, -1, m)
-    scale = np.exp(_RS_POWERS[:, None] * np.log(n + p)) * np.where(_RS_ODD[:, None], x, 1.0)
+    table = _RS_CHEBYSHEV[:rows, :, None]
+    corrections = np.multiply(cheb, table, out=ws(0, table.shape[:2] + (m,)))
+    corrections = corrections.reshape(rows, 2, -1, m)
+    scale = np.exp(_RS_POWERS[:rows, None] * np.log(n + p)) * np.where(_RS_ODD[:rows, None], x, 1.0)
     remainder = corrections.sum(axis=2).sum(axis=1) * scale
-    remainder = _RS_SIGNS[n_idx] * remainder.reshape(-1, _RS_BLOCK, m).sum(axis=1).sum(axis=0)
+    remainder = _RS_SIGNS[n_idx] * remainder.reshape(2, -1, m).sum(axis=1).sum(axis=0)
     return 2.0 * main + remainder, TWO_PI * theta
 
 
@@ -637,8 +663,8 @@ def _critical_line(ts: np.ndarray, from_em, from_rs, dtype) -> np.ndarray:
 
     The ordinates are stable-sorted; those below T_RS go to the
     Euler-Maclaurin kernel in chunks of _CHUNK and give from_em(chunk,
-    zeta), the rest go to the Riemann-Siegel kernel in chunks of _RS_CHUNK
-    and give from_rs(z, theta).  Both kernels evaluate
+    zeta), the rest go to the Riemann-Siegel kernel in chunks of _RS_CHUNK,
+    split again at _T_RS_SHORT, and give from_rs(z, theta).  Both kernels evaluate
     each ordinate on its own, so no value depends on the rest of the batch,
     and every chunk reuses one _workspace.  Raises ValueError unless every t
     satisfies 0 <= t < T_Z_MAX (NaN does not).
@@ -656,8 +682,11 @@ def _critical_line(ts: np.ndarray, from_em, from_rs, dtype) -> np.ndarray:
     for pos in range(0, split, _CHUNK):
         chunk = sorted_ts[pos:min(pos + _CHUNK, split)]
         out[order[pos:pos + len(chunk)]] = from_em(chunk, _zeta_em_chunk(chunk, ws))
-    for pos in range(split, len(ts), _RS_CHUNK):
-        out[order[pos:pos + _RS_CHUNK]] = from_rs(*_rs_z_theta(sorted_ts[pos:pos + _RS_CHUNK], ws))
+    short = bisect_left(sorted_ts, _T_RS_SHORT, split)
+    for lo, hi, rows in ((split, short, len(_RS_CHEBYSHEV)), (short, len(ts), _RS_SHORT_ROWS)):
+        for pos in range(lo, hi, _RS_CHUNK):
+            chunk = sorted_ts[pos:min(pos + _RS_CHUNK, hi)]
+            out[order[pos:pos + len(chunk)]] = from_rs(*_rs_z_theta(chunk, rows, ws))
     return out
 
 

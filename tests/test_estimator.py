@@ -106,9 +106,9 @@ class TestStaircase:
         assert list(jumps) == want
 
     def test_one_kernel_call_per_chunk(self, monkeypatch):
-        # Heights 1..199 fill one Euler-Maclaurin chunk and 200..1009 two
-        # Riemann-Siegel chunks of at most 512: 3 kernel calls, not one per
-        # height.
+        # Heights 1..199 fill one Euler-Maclaurin chunk, 200..799 two
+        # Riemann-Siegel chunks of at most 512 with C0..C13 and 800..1009 one
+        # with C0..C7: 4 kernel calls, not one per height.
         calls = []
         for name in ("_zeta_em_chunk", "_rs_z_theta"):
             kernel = getattr(special, name)
@@ -119,7 +119,8 @@ class TestStaircase:
 
             monkeypatch.setattr(special, name, counting)
         staircase(1009)
-        assert calls == [("_zeta_em_chunk", 199), ("_rs_z_theta", 512), ("_rs_z_theta", 298)]
+        assert calls == [("_zeta_em_chunk", 199), ("_rs_z_theta", 512), ("_rs_z_theta", 88),
+                         ("_rs_z_theta", 210)]
 
     def test_levels_convention(self):
         # Values sit near half-integers; the level is the nearest rung

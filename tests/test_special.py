@@ -37,6 +37,8 @@ from zetaphase.special import (
     _RS_CHEBYSHEV,
     _RS_MU_HI,
     _RS_MU_LO,
+    _RS_POWERS,
+    _RS_SHORT_ROWS,
     _RS_TWO_PI_HI,
     _RS_TWO_PI_LO,
     T_NO_ZERO,
@@ -44,9 +46,13 @@ from zetaphase.special import (
     T_THETA_MAX,
     T_Z_MAX,
     _CHUNK,
+    _FIXED_BITS,
+    _LOG_BITS,
     _RS_CHUNK,
+    _T_RS_SHORT,
     _em_truncation,
     _fresh_array,
+    _ln_fixed,
     _workspace,
     _z_from_zeta,
     _zeta_em_chunk,
@@ -256,13 +262,15 @@ class TestSmoothMain:
         # smooth_main is correctly rounded: equal bit for bit to the 60-digit
         # x ln x - x + 7/8 (x = t/2pi) rounded to nearest.  One height in
         # each of 200 strata of [0, 2e4] and 60 of log t in [-700, 0], plus
-        # integers, halves, the extremes of the double range and the three
-        # heights where the term is 7/8 or crosses zero.
+        # every integer 1..10^4 (the table command's heights), halves, the
+        # extremes of the double range and the three heights where the term
+        # is 7/8 or crosses zero.
         rng = np.random.default_rng(99)
         heights = np.linspace(0.0, 2e4, 201)
         logs = np.linspace(-700.0, 0.0, 61)
         ts = list(rng.uniform(heights[:-1], heights[1:]))
         ts += list(np.exp(rng.uniform(logs[:-1], logs[1:])))
+        ts += range(1, 10001)
         ts += [5e-324, 2.2250738585072014e-308, 0.5, 1.0, 2.0 * math.pi * math.e,
                7.5, 2.5e-3, 1000.5, 3046.05, 9999.999, 1e4, 2e4, 1e306]
         def f(x):
@@ -292,6 +300,28 @@ def test_smooth_main_correlates_with_theta():
     for t in (50.0, 100.0, 1000.0, 10000.0):
         gap = theta_exact(t) / math.pi + 1.0 - smooth_main(t)
         assert 0.0 < gap < 1.0 / (40.0 * t)
+
+
+class TestLnFixed:
+    def test_against_60_digit_oracle(self):
+        # At every bit length 1..1100: the power of two, 2^k + 1 and 2^k - 1
+        # (both ends of the Taylor domain [1/2, 1)), a random 53-bit
+        # numerator shifted to that length (a double's) and a random integer
+        # of that length.  From _LOG_BITS + 1 bits on the kernel's argument
+        # is shifted right.
+        rng = np.random.default_rng(2024)
+        cases = []
+        for bits in range(1, 1101):
+            top = 1 << bits - 1
+            cases += [top, top + 1, 2 * top - 1]
+            cases.append((1 << 52 | int(rng.integers(1 << 52))) << max(bits - 53, 0)
+                         >> max(53 - bits, 0))
+            cases.append(top | int.from_bytes(rng.bytes(bits // 8 + 1), "little") % top)
+        assert any(m.bit_length() > _LOG_BITS for m in cases)
+        with mp.workdps(60):
+            unit = mp.mpf(2) ** -_FIXED_BITS
+            for m in cases:
+                assert abs(_ln_fixed(m) * unit - mp.log(m)) <= unit, m
 
 
 class TestLambertW:
@@ -395,7 +425,9 @@ class TestEulerMaclaurinKernel:
 
     def test_batch_independent_across_cutoff(self):
         below = np.nextafter(T_RS, 0.0)
-        batch = np.array([1e4, T_RS, 800.0, below, T_RS, 1e4, below, 800.0, 5000.0])
+        short = np.nextafter(_T_RS_SHORT, 0.0)
+        batch = np.array([1e4, T_RS, _T_RS_SHORT, below, T_RS, 1e4, short, below, _T_RS_SHORT,
+                          5000.0, short])
         alone = np.array([hardy_z(np.array([t]))[0] for t in batch])
         assert np.array_equal(hardy_z(batch), alone)
 
@@ -490,6 +522,15 @@ class TestRiemannSiegelKernel:
         got = hardy_z(ts)
         assert np.all(np.abs(got - reference) <= 5e-15 * ts)
         assert np.array_equal(np.sign(got), np.sign(reference))
+
+    def test_dropped_corrections_below_bound(self):
+        # From _T_RS_SHORT up the kernel sums C0..C7 alone.  With |T_j| <= 1
+        # and |x| <= 1, C8..C13 add at most sum_kj |b_kj| a^-(k + 1/2), which
+        # falls with t: at the band edge it is below 1e-3 of the bound.
+        a = math.sqrt(_T_RS_SHORT / (2 * math.pi))
+        rows = slice(_RS_SHORT_ROWS, None)
+        dropped = np.abs(_RS_CHEBYSHEV[rows]).sum(axis=1) @ a ** _RS_POWERS[rows]
+        assert dropped <= 1e-3 * zeta_error_bound(_T_RS_SHORT)
 
 
 class TestHardyZ:

@@ -397,7 +397,7 @@ class TestSuspectRule:
             (5990.0, 6004.5),  # the last flagged interval clipped by t_hi
         ],
     )
-    def test_suspects_match_one_by_one(self, monkeypatch, t_lo, t_hi):
+    def test_sabotaged_scan_counts_and_suspects(self, monkeypatch, t_lo, t_hi):
         # Frozen counts and suspects: the flagged intervals at whose end the
         # cumulative count has also drifted from the smooth count by the limit.
         count, suspects = {
