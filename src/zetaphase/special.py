@@ -274,7 +274,6 @@ _RS_TWO_PI_HI, _RS_TWO_PI_LO = 6.283185307176609, 2.9774189921946493e-12
 # Correction k carries a^-(k + 1/2) and, for odd k, the factor x; the
 # remainder has the sign (-1)^(N-1), entry N of _RS_SIGNS.
 _RS_POWERS = -0.5 - np.arange(len(_RS_CHEBYSHEV))
-_RS_ODD = np.arange(len(_RS_CHEBYSHEV)) % 2 == 1
 _RS_SIGNS = np.where(np.arange(len(_RS_MU_HI) + 1) % 2 == 1, 1.0, -1.0)
 # Column N: the main-sum weights n^(-1/2) for n <= N, zero beyond.
 _RS_TRUNCATED_WEIGHTS = np.triu(np.ones((len(_RS_MU_HI), len(_RS_MU_HI) + 1)), 1) / np.sqrt(
@@ -287,6 +286,10 @@ _RS_TRUNCATED_WEIGHTS = np.triu(np.ones((len(_RS_MU_HI), len(_RS_MU_HI) + 1)), 1
 # correction blocks, do not depend on the batch.
 _RS_CHUNK = 512
 _RS_BLOCK = 7
+# Per band, by its rows: the Chebyshev table and the powers of a, as views
+# broadcast over the ordinates.
+_RS_BANDS = {rows: (_RS_CHEBYSHEV[:rows, :, None], _RS_POWERS[:rows, None])
+             for rows in (len(_RS_CHEBYSHEV), _RS_SHORT_ROWS)}
 
 # Veltkamp's splitter: c = _SPLITTER * a gives a = (c - (c - a)) + rest,
 # the leading part with 26 significant bits.
@@ -439,11 +442,12 @@ def lambert_w0(x: float) -> float:
     """Principal branch W0 of the Lambert W function on [-1/e, inf).
 
     Halley iteration from a log-based initial guess, blended toward the
-    square-root expansion near the branch point at -1/e.
+    square-root expansion near the branch point at -1/e.  Raises ValueError
+    for x below the branch point, NaN and +inf.
     """
     x = float(x)
     branch = -1.0 / math.e
-    if x < branch:
+    if not x >= branch:  # NaN too
         if x > branch - 1e-15:
             x = branch
         else:
@@ -459,9 +463,11 @@ def lambert_w0(x: float) -> float:
         w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
     elif x < math.e:
         w = math.log1p(x) * 0.7  # crude but inside the basin
-    else:
+    elif x < math.inf:
         lx = math.log(x)
         w = lx - math.log(lx)
+    else:
+        raise ValueError(f"lambert_w0 domain is [-1/e, inf), got {x}")
 
     for _ in range(_LAMBERT_MAX_ITER):
         ew = math.exp(w)
@@ -493,7 +499,7 @@ def theta_vec(ts) -> np.ndarray:
     t below T_NO_ZERO or NaN.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    if not np.all(ts >= T_NO_ZERO):
+    if not (ts >= T_NO_ZERO).all():
         raise ValueError(f"theta_vec needs t >= T_NO_ZERO = {T_NO_ZERO}")
     x = ts / TWO_PI
     return math.pi * (x * np.log(x) - x - 0.125) + theta_tail(ts, MAX_SERIES_ORDER)
@@ -595,7 +601,7 @@ def _zeta_em_chunk(ts: np.ndarray, ws: Callable[..., np.ndarray]) -> np.ndarray:
 
 def _rs_z_theta(ts: np.ndarray, rows: int,
                 ws: Callable[..., np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Riemann-Siegel Z(t) and theta(t) mod 2 pi for ordinates T_RS <= t < T_Z_MAX.
+    """Riemann-Siegel Z(t) and theta(t) mod 2 pi for ascending ordinates T_RS <= t < T_Z_MAX.
 
     Z = 2 sum_{n<=N} n^(-1/2) cos(theta - t ln n) + (-1)^(N-1) a^(-1/2)
     sum_{k<rows} C_k(p) a^(-k), with a = sqrt(t/(2 pi)), N = floor(a) and
@@ -605,14 +611,14 @@ def _rs_z_theta(ts: np.ndarray, rows: int,
     t ln n and theta drop: t mu_n mod 1, mu_n = (ln n - 1/2)/(2 pi), is an
     exact product of 26-bit halves plus two small products, theta/(2 pi) =
     t mu_N + t ln(a/N)/(2 pi) - 1/16 + tail/(2 pi), and t ln n/(2 pi) =
-    t mu_n - t mu_1.  Each sum runs over fewer than 8 terms per axis and the
-    columns past N add exact zeros, so a value does not depend on the rest
-    of the batch.  The returned theta lies
-    in (-2 pi, 2 pi).  The phase and correction matrices are written into ws.
+    t mu_n - t mu_1.  The last ordinate has the largest N, which sets the
+    width of the main sum.  Each sum runs over fewer than 8 terms per axis
+    and the columns past N add exact zeros, so a value does not depend on
+    the rest of the batch.  The returned theta lies in (-2 pi, 2 pi).  The
+    phase and correction matrices are written into ws.
     """
     m = len(ts)
     n = np.floor(np.sqrt(ts / TWO_PI))
-    n_top = n.max()
     n2 = n * n
     # r = t/(2 pi N^2) - 1, with t - hi N^2 exact: hi N^2 is exact and
     # within a factor 2 of t.
@@ -623,7 +629,7 @@ def _rs_z_theta(ts: np.ndarray, rows: int,
     # One row per column n = 1..width: turns[n - 1] = t mu_n mod 1.
     c = _SPLITTER * ts
     t_hi = c - (c - ts)
-    width = _RS_BLOCK * -(-int(n_top) // _RS_BLOCK)
+    width = _RS_BLOCK * -(-int(n[-1]) // _RS_BLOCK)
     mu_hi = _RS_MU_HI[:width, None]
     turns, a, b = ws(0, (3, width, m))
     np.modf(np.multiply(mu_hi, t_hi, out=turns), out=(turns, a))
@@ -638,7 +644,7 @@ def _rs_z_theta(ts: np.ndarray, rows: int,
     terms = np.cos(np.multiply(TWO_PI, phase, out=phase), out=phase)
     # mode="clip" takes the columns straight into b; every N is in range.
     terms *= _RS_TRUNCATED_WEIGHTS[:width].take(n_idx, axis=1, out=b, mode="clip")
-    main = terms.reshape(-1, _RS_BLOCK, m).sum(axis=1).sum(axis=0)
+    main = np.add.reduce(np.add.reduce(terms.reshape(-1, _RS_BLOCK, m), axis=1), axis=0)
 
     # C_k / x^(k % 2) = sum_j b_kj T_j(y), y = 2x^2 - 1, x = 2p - 1, with
     # T_j(y) = Re w^j for w = e^(i arccos y) = (x + i sqrt(1 - x^2))^2
@@ -648,14 +654,16 @@ def _rs_z_theta(ts: np.ndarray, rows: int,
     powers, products = ws(1, (2, _RS_CHEBYSHEV.shape[1], m), np.complex128)
     powers[0] = 1.0
     powers[1:] = e_psi * e_psi
-    cheb = powers.cumprod(axis=0, out=products).real
-    table = _RS_CHEBYSHEV[:rows, :, None]
-    corrections = np.multiply(cheb, table, out=ws(0, table.shape[:2] + (m,)))
-    corrections = corrections.reshape(rows, 2, -1, m)
-    scale = np.exp(_RS_POWERS[:rows, None] * np.log(n + p)) * np.where(_RS_ODD[:rows, None], x, 1.0)
-    remainder = corrections.sum(axis=2).sum(axis=1) * scale
-    remainder = _RS_SIGNS[n_idx] * remainder.reshape(2, -1, m).sum(axis=1).sum(axis=0)
-    return 2.0 * main + remainder, TWO_PI * theta
+    table, exponents = _RS_BANDS[rows]
+    corrections = np.multiply(powers.cumprod(axis=0, out=products).real, table,
+                              out=ws(0, table.shape[:2] + (m,)))
+    corrections = np.add.reduce(np.add.reduce(corrections.reshape(rows, 2, -1, m), axis=2), axis=1)
+    # a^-(k + 1/2), times x for odd k: C_k carries that factor.
+    scale = np.exp(exponents * np.log(n + p))
+    scale[1::2] *= x
+    remainder = (corrections * scale).reshape(2, -1, m)
+    remainder = np.add.reduce(np.add.reduce(remainder, axis=1), axis=0)
+    return 2.0 * main + _RS_SIGNS[n_idx] * remainder, TWO_PI * theta
 
 
 def _critical_line(ts: np.ndarray, from_em, from_rs, dtype) -> np.ndarray:
@@ -672,17 +680,16 @@ def _critical_line(ts: np.ndarray, from_em, from_rs, dtype) -> np.ndarray:
     out = np.empty(len(ts), dtype)
     if not len(ts):
         return out
-    order = np.argsort(ts, kind="stable")
+    order = ts.argsort(kind="stable")
     sorted_ts = ts[order]
     # NaN sorts last.
     if not (sorted_ts[0] >= 0.0 and sorted_ts[-1] < T_Z_MAX):
         raise ValueError(f"t outside [0, 2 pi 43^2 = {T_Z_MAX!r})")
-    split = bisect_left(sorted_ts, T_RS)
+    split, short = sorted_ts.searchsorted((T_RS, _T_RS_SHORT)).tolist()
     ws = _workspace(split, len(ts) - split)
     for pos in range(0, split, _CHUNK):
         chunk = sorted_ts[pos:min(pos + _CHUNK, split)]
         out[order[pos:pos + len(chunk)]] = from_em(chunk, _zeta_em_chunk(chunk, ws))
-    short = bisect_left(sorted_ts, _T_RS_SHORT, split)
     for lo, hi, rows in ((split, short, len(_RS_CHEBYSHEV)), (short, len(ts), _RS_SHORT_ROWS)):
         for pos in range(lo, hi, _RS_CHUNK):
             chunk = sorted_ts[pos:min(pos + _RS_CHUNK, hi)]

@@ -177,20 +177,23 @@ def _lattice_roots(sampled: np.ndarray, idx: np.ndarray, start: np.ndarray) -> n
     Only elementwise operations and running sums and products are used, so
     no root depends on the rest of the batch.
     """
-    f = sampled[np.clip(idx[:, None] + _NODES, 0, len(sampled) - 1)]
+    # mode="clip" repeats the end samples where the nodes run past them.
+    f = sampled.take(np.add.outer(idx, _NODES), mode="clip")
     full = (idx >= _PAD) & (idx < len(sampled) - _PAD - 1)
     # At most _BLOCK brackets at a time, which bounds the memory of the
     # (brackets, node, node) products; without brackets, one empty block.
-    coef = np.concatenate([np.add.accumulate(f[lo:lo + _BLOCK, :, None] * _TO_NEWTON, axis=1)[:, -1]
-                           for lo in range(0, max(len(idx), 1), _BLOCK)])
+    coef = [np.add.accumulate(f[lo:lo + _BLOCK, :, None] * _TO_NEWTON, axis=1)[:, -1]
+            for lo in range(0, max(len(idx), 1), _BLOCK)]
+    coef = coef[0] if len(coef) == 1 else np.concatenate(coef)
+    c0, c1, nodes = coef[:, 0], coef[:, 1:], _NODES[:-1]
     u = start
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_STEPS):
-            d = u[:, None] - _NODES[:-1]
+            d = np.subtract.outer(u, nodes)
             basis = np.multiply.accumulate(d, axis=1)  # Newton basis, degrees 1..11
             slope = basis * np.add.accumulate(1.0 / d, axis=1)  # its derivative
-            p = coef[:, 0] + np.add.accumulate(coef[:, 1:] * basis, axis=1)[:, -1]
-            u = u - p / np.add.accumulate(coef[:, 1:] * slope, axis=1)[:, -1]
+            p = c0 + np.add.accumulate(c1 * basis, axis=1)[:, -1]
+            u = u - p / np.add.accumulate(c1 * slope, axis=1)[:, -1]
     return np.where(full, u, start)
 
 
@@ -203,12 +206,14 @@ def _refine(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
     far inside the bracket, in one hardy_z call for all open brackets,
     and keeps the piece of the bracket that holds the sign change: the pair
     itself where it straddles the root, which closes the bracket.  An exact
-    0.0 is the root.  The next x is the root of the pair's secant, a Newton
-    step on an accurate slope, if it lies inside the new bracket and moves
-    less than half as far as the last x did, and the midpoint otherwise (the
-    safeguard of rtsafe, Numerical Recipes 9.4).  Each ordinate is the
-    linear interpolant of its final bracket, clipped to it.  Only
-    elementwise operations are used, so no ordinate depends on the batch.
+    0.0 is the root.  Each closed bracket's ordinate is the linear
+    interpolant of its final bracket, clipped to it, and the round that
+    closes the last bracket ends the loop there.  The open ones go on from
+    the root of the pair's secant, a Newton step on an accurate slope, if it
+    lies inside the new bracket and moves less than half as far as the last
+    x did, and from the midpoint otherwise (the safeguard of rtsafe,
+    Numerical Recipes 9.4).  Only elementwise operations are used, so no
+    ordinate depends on the batch.
 
     Raises ArithmeticError if a bracket is still wider than tol after
     _ROUNDS rounds.
@@ -218,32 +223,36 @@ def _refine(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
     moved = b - a  # how far x moved in the last round; the width to start
     live = np.arange(len(a))  # the input rows of the open brackets
     out = np.empty(len(a))
+    if not len(a):
+        return out
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_ROUNDS):
-            if not live.size:
-                break
-            n, rows = len(live), np.arange(len(live))
-            x = np.clip(x, a + half, b - half)
-            pair = np.concatenate([np.maximum(x - half, a), np.minimum(x + half, b)])
-            fpair = hardy_z(pair)
-            # Points a <= x - half < x + half <= b; the sign change lies past
-            # every one whose sign is fa's.
-            xs = np.stack([a, pair[:n], pair[n:], b], axis=1)
-            fs = np.stack([fa, fpair[:n], fpair[n:], fb], axis=1)
-            j = (np.sign(fs[:, 1:3]) == np.sign(fa)[:, None]).sum(axis=1)
-            a, b, fa, fb = xs[rows, j], xs[rows, j + 1], fs[rows, j], fs[rows, j + 1]
+            n = len(live)
+            x = np.minimum(np.maximum(x, a + half), b - half)
+            # The bracket ends and the pair, a <= x - half < x + half <= b,
+            # in blocks of n.
+            xs = np.concatenate([a, np.maximum(x - half, a), np.minimum(x + half, b), b])
+            fpair = hardy_z(xs[n:3 * n])
+            fs = np.concatenate([fa, fpair, fb])
+            # The sign change lies past every point of the pair whose sign is
+            # fa's: block j holds the new a, block j + 1 the new b.
+            j = np.add.reduce(np.sign(fpair).reshape(2, n) == np.sign(fa), axis=0)
+            k = j * n + np.arange(n)
+            a, b, fa, fb = xs[k], xs[k + n], fs[k], fs[k + n]
             a = np.where(fb == 0.0, b, a)  # a zero value closes on itself
-            newton = pair[:n] - fpair[:n] * (pair[n:] - pair[:n]) / (fpair[n:] - fpair[:n])
+            done = b - a <= tol
+            interp = np.where(b > a, np.minimum(np.maximum(a - fa * (b - a) / (fb - fa), a), b), a)
+            if done.all():
+                out[live] = interp
+                return out
+            out[live[done]] = interp[done]
+            lo, hi, flo, fhi = xs[n:2 * n], xs[2 * n:3 * n], fpair[:n], fpair[n:]
+            newton = lo - flo * (hi - lo) / (fhi - flo)
             step = (newton > a) & (newton < b) & (np.abs(newton - x) < 0.5 * moved)
             nxt = np.where(step, newton, 0.5 * (a + b))
             moved, x = np.abs(nxt - x), nxt
-            done = b - a <= tol
-            interp = np.where(b > a, np.clip(a - fa * (b - a) / (fb - fa), a, b), a)
-            out[live[done]] = interp[done]
             a, b, fa, fb, x, moved, live = (v[~done] for v in (a, b, fa, fb, x, moved, live))
-    if live.size:
-        raise ArithmeticError("bracket refinement did not reach refine_tol")
-    return out
+    raise ArithmeticError("bracket refinement did not reach refine_tol")
 
 
 def _scan_ordinates(t_lo: float, t_hi: float) -> np.ndarray:
@@ -255,7 +264,7 @@ def _scan_ordinates(t_lo: float, t_hi: float) -> np.ndarray:
     """
     ts, core = _grid(t_lo, t_hi)
     zs = hardy_z(ts)
-    idx = np.flatnonzero((np.sign(zs[:-1]) * np.sign(zs[1:]) < 0) & core[:-1] & core[1:])
+    idx = ((np.sign(zs[:-1]) * np.sign(zs[1:]) < 0) & core[:-1] & core[1:]).nonzero()[0]
     a, b, fa, fb = ts[idx], ts[idx + 1], zs[idx], zs[idx + 1]
     x0 = a + _lattice_roots(zs, idx, fa / (fa - fb)) * (b - a)
     roots = np.concatenate([ts[core & (zs == 0.0)], _refine(a, b, fa, fb, x0, _REFINE_TOL)])
@@ -279,11 +288,11 @@ def smooth_count(t):
     Raises ValueError if any t is NaN or +inf.
     """
     ts = np.asarray(t, dtype=np.float64)
-    if not np.all(ts < math.inf):
+    if not (ts < math.inf).all():
         raise ValueError("smooth_count needs t below infinity, not NaN")
     out = np.zeros(ts.shape, dtype=np.int64)
     above = ts >= T_NO_ZERO
-    out[above] = np.round(theta_vec(ts[above]) / math.pi + 1.0)
+    out[above] = np.rint(theta_vec(ts[above]) / math.pi + 1.0)
     return int(out) if out.ndim == 0 else out
 
 
@@ -294,22 +303,29 @@ def scan_zeros(config: ScanConfig) -> ZeroList:
     (SCAN_STEP) are closed to brackets of width at most refine_tol = 1e-9 by
     accurate pairs 0.45 refine_tol either side of an estimate: first the
     root of the degree-11 lattice interpolant, then, where a pair does not
-    straddle the root, its Newton point or a midpoint.  A unit interval whose count disagrees with
-    the smooth-phase prediction by two or more is flagged as suspect when
-    the cumulative count has drifted from the smooth phase there too.
+    straddle the root, its Newton point or a midpoint; refinement stops in
+    the round that closes the last bracket.  A unit interval whose count
+    disagrees with the smooth-phase prediction by two or more is flagged as
+    suspect when the cumulative count has drifted from the smooth phase
+    there too.  One smooth_count call gives the prediction at every integer
+    height n_lo..n_hi and the count at t_lo.
     """
     roots = _scan_ordinates(config.t_lo, config.t_hi)
 
     n_lo = int(math.floor(config.t_lo))
     n_hi = int(math.ceil(config.t_hi))
-    smooth = smooth_count(np.arange(n_lo, n_hi + 1, dtype=np.float64))
-    flagged = np.flatnonzero(np.abs(interval_counts(roots, n_lo, n_hi) - np.diff(smooth)) >= 2)
+    # The smooth counts at n_lo..n_hi, then at t_lo, from one call.
+    heights = np.arange(n_lo, n_hi + 2, dtype=np.float64)
+    heights[-1] = config.t_lo
+    smooth = smooth_count(heights)
+    predicted = smooth[1:-1] - smooth[:-2]
+    flagged = (np.abs(interval_counts(roots, n_lo, n_hi) - predicted) >= 2).nonzero()[0]
     # The phase fluctuation routinely reaches 2 inside one interval, so a
     # local gap alone is not evidence of a missed zero.  Flag as suspect
     # only when the cumulative count has also drifted away from the smooth
     # phase at this height.
-    expected = smooth[flagged + 1] - smooth_count(config.t_lo)
-    cum_gap = np.searchsorted(roots, n_lo + flagged + 1.0) - expected
+    expected = smooth[flagged + 1] - smooth[-1]
+    cum_gap = roots.searchsorted(n_lo + flagged + 1.0) - expected
     # A scan anchored below the first zero has a noise-free left baseline;
     # a partial scan carries phase noise at both ends.
     limit = 2 if config.t_lo < T_NO_ZERO else 3
@@ -527,7 +543,7 @@ def write_zero_cache(zeros: ZeroList, path: str | os.PathLike) -> None:
     within 5e-13 of a bound rounds past it, so that the file reads back; they
     are written in the shortest digits that parse back to the same floats.
     """
-    ordinates = [f"{y:.12f}" for y in zeros.ordinates]
+    ordinates = [f"{y:.12f}" for y in zeros.ordinates.tolist()]
     t_lo, t_hi = zeros.t_lo, zeros.t_hi
     if ordinates:
         t_lo, t_hi = min(t_lo, float(ordinates[0])), max(t_hi, float(ordinates[-1]))

@@ -338,6 +338,12 @@ class TestLambertW:
         with pytest.raises(ValueError):
             lambert_w0(-0.5)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, x):
+        # Before the Halley loop, which would fail to converge on them.
+        with pytest.raises(ValueError, match="domain"):
+            lambert_w0(x)
+
     def test_defining_identity(self):
         for x in np.geomspace(1e-3, 1e8, 50):
             w = lambert_w0(float(x))

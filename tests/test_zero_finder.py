@@ -4,6 +4,7 @@ Ordinate references are frozen from mp.zetazero at 25 digits; counter
 oracles come from scipy Bessel and Airy zero finders.
 """
 
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -441,6 +442,22 @@ class TestSuspectRule:
         assert scan_zeros(ScanConfig(t_lo=0.0, t_hi=2001.0)).count == 1519
         assert calls == [20017, 3038, 6, 2, 2]
 
+    def test_one_theta_vec_call_per_scan(self, monkeypatch):
+        # One smooth_count call gives the prediction at every integer height
+        # of the window and the count at t_lo.
+        calls = []
+        theta_vec = zeros_module.theta_vec
+
+        def counting(ts):
+            calls.append(np.size(ts))
+            return theta_vec(ts)
+
+        monkeypatch.setattr(zeros_module, "theta_vec", counting)
+        for t_lo, t_hi in [(0.0, 50.0), (195.0, 205.0), (5000.5, 5002.5), (0.0, 10.0)]:
+            calls.clear()
+            scan_zeros(ScanConfig(t_lo=t_lo, t_hi=t_hi))
+            assert len(calls) == 1, (t_lo, calls)
+
 
 class TestZeroList:
     def test_count_below(self):
@@ -519,6 +536,14 @@ class TestZeroCache:
         assert len(loaded.ordinates) == len(zeros.ordinates)
         for a, b in zip(loaded.ordinates, zeros.ordinates):
             assert a == pytest.approx(b, abs=1e-12)
+
+    def test_census_bytes_frozen(self, tmp_path):
+        # The whole file: the header, generator line included, and the
+        # 1,519 ordinates of [0, 2001] at 12 decimals.
+        path = tmp_path / "zeros.txt"
+        write_zero_cache(scan_zeros(ScanConfig(t_lo=0.0, t_hi=2001.0)), path)
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == "f6b371ceefd673d019fa0df84c1577f83af3c4298034e55c33261aee78b14a4c")
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         zeros = scan_zeros(ScanConfig(t_lo=0.0, t_hi=60.0))
