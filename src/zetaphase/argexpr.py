@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-import mpmath as mp
-
 from .special import (
     EXTENDED_DPS,
     LN_PI,
@@ -79,6 +77,8 @@ def approx_error(n: int) -> float:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    import mpmath as mp
+
     with mp.workdps(EXTENDED_DPS):
         x = mp.mpf(n) / (2 * mp.pi)
         main = x * mp.log(x) - x + mp.mpf(7) / 8

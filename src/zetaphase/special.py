@@ -42,6 +42,11 @@ after C13 is about 2e-17 from t = 200 up (Gabcke 1979; Arias de Reyna,
 Math. Comp. 2011), the rounding floor of the frozen table; from t = 800,
 where C8..C13 are dropped, they add at most 8.9e-4 of the bound.  The
 value at t does not depend on the batch it is evaluated in.
+
+Importing this module loads numpy and no mpmath: its fixed-point constants
+and series coefficients are frozen literals.  mpmath is imported on first
+use by _ln_fixed (so by a smooth_main cache miss and by
+combination_over_8pi) and by theta_exact below t = 50.
 """
 
 from __future__ import annotations
@@ -49,13 +54,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Callable
-from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
-from mpmath.libmp import dps_to_prec, ln2_fixed, mpf_log, mpf_pi, pi_fixed, to_fixed
-from mpmath.libmp.libelefun import log_taylor_cached
 
 TWO_PI = 2.0 * math.pi
 LN_PI = math.log(math.pi)
@@ -72,16 +73,19 @@ T_NO_ZERO = 14.0
 # Working precision (decimal digits) for extended-precision paths.
 EXTENDED_DPS = 40
 
-# smooth_main and combination_over_8pi work on integers v * 2^_FIXED_BITS.
-# Logarithms are summed with 16 more fraction bits, _LOG_BITS, and rounded
-# once, so each is within one unit, 2^-_FIXED_BITS, of its true value.
-_FIXED_BITS = dps_to_prec(EXTENDED_DPS)
+# smooth_main and combination_over_8pi work on integers v * 2^_FIXED_BITS,
+# with _FIXED_BITS = mpmath's dps_to_prec(EXTENDED_DPS).  Logarithms are
+# summed with 16 more fraction bits, _LOG_BITS, and rounded once, so each is
+# within one unit, 2^-_FIXED_BITS, of its true value.  pi, ln 2 and ln pi
+# are frozen from mpmath.libmp so that importing needs no mpmath;
+# tests/test_special.py derives them again.
+_FIXED_BITS = 136
 _LOG_BITS = _FIXED_BITS + 16
-_PI_FIXED = pi_fixed(_FIXED_BITS)
-_LN2_FIXED = ln2_fixed(_FIXED_BITS)
-_LN2_LOG_BITS = ln2_fixed(_LOG_BITS)
+_PI_FIXED = 273671317520631487452078175529438920524964
+_LN2_FIXED = 60381635385731403299313700547623548006208
+_LN2_LOG_BITS = 3957170856639293246623822679089056842134909763
 _LOG_HALF_UNIT = 1 << _LOG_BITS - _FIXED_BITS - 1
-_LN_PI_FIXED = to_fixed(mpf_log(mpf_pi(_LOG_BITS), _LOG_BITS), _FIXED_BITS)
+_LN_PI_FIXED = 99720037130744215831830602185213718665310
 _LN_TWO_PI_E_FIXED = _LN2_FIXED + (1 << _FIXED_BITS) + _LN_PI_FIXED
 
 # Switch point between the log-gamma route and the asymptotic route for the
@@ -89,19 +93,16 @@ _LN_TWO_PI_E_FIXED = _LN2_FIXED + (1 << _FIXED_BITS) + _LN_PI_FIXED
 # on [T_NO_ZERO, 50) its rounding is up to 2 ulps off.
 _THETA_SERIES_MIN = 50.0
 
-# |B_2|, |B_4|, ..., |B_16| as exact rationals.
-_BERNOULLI_ABS = (
-    Fraction(1, 6),
-    Fraction(1, 30),
-    Fraction(1, 42),
-    Fraction(1, 30),
-    Fraction(5, 66),
-    Fraction(691, 2730),
-    Fraction(7, 6),
-    Fraction(3617, 510),
+# Coefficient of t**-(2k+1) in the theta asymptotic series,
+# c_k = (1 - 2**(1-2n)) * |B_2n| / (4n(2n-1)) with n = k + 1, each rounded
+# once from the exact Bernoulli number; tests/test_special.py derives them.
+_THETA_COEFFS = (
+    0.020833333333333332, 0.0012152777777777778, 0.00038442460317460316,
+    0.0002952938988095238, 0.0004200533985690236, 0.0009582953125433594,
+    0.0032047369541266025, 0.014774875890195759,
 )
 
-MAX_SERIES_ORDER = len(_BERNOULLI_ABS)
+MAX_SERIES_ORDER = len(_THETA_COEFFS)
 
 # B_2j / (2j)! for j = 1..30, the Euler-Maclaurin correction coefficients,
 # frozen from 60-digit mpmath.bernoulli so that importing needs no mpmath work.
@@ -295,13 +296,6 @@ _RS_BANDS = {rows: (_RS_CHEBYSHEV[:rows, :, None], _RS_POWERS[:rows, None])
 # the leading part with 26 significant bits.
 _SPLITTER = 134217729.0
 
-# Coefficient of t**-(2k+1) in the theta asymptotic series,
-# c_k = (1 - 2**(1-2n)) * |B_2n| / (4n(2n-1)) with n = k + 1.
-_THETA_COEFFS = tuple(
-    float((1 - Fraction(1, 2 ** (2 * n - 1))) * b / (4 * n * (2 * n - 1)))
-    for n, b in enumerate(_BERNOULLI_ABS, start=1)
-)
-
 
 class AtZeroError(ArithmeticError):
     """Raised when an argument is requested at a point where zeta vanishes."""
@@ -331,6 +325,11 @@ def smooth_main(t: float) -> float:
     return (8 * m * (log_t - _LN_TWO_PI_E_FIXED) + 7 * den) / (8 * den)
 
 
+# mpmath's fixed-point Taylor kernel for ln x on [1/2, 1), bound by the
+# first _ln_fixed call.
+_log_taylor_cached = None
+
+
 def _ln_fixed(m: int) -> int:
     """ln m as an integer ln(m) * 2^_FIXED_BITS, within one unit, for an integer m >= 1.
 
@@ -342,9 +341,12 @@ def _ln_fixed(m: int) -> int:
     any other m.  The worst error against 60-digit mpmath is 0.502 units,
     at bit lengths 1 to 1100.
     """
+    global _log_taylor_cached
+    if _log_taylor_cached is None:
+        from mpmath.libmp.libelefun import log_taylor_cached as _log_taylor_cached
     r = m.bit_length()
     x = m << _LOG_BITS - r if r <= _LOG_BITS else m >> r - _LOG_BITS
-    ln_m = log_taylor_cached(x, _LOG_BITS) + r * _LN2_LOG_BITS
+    ln_m = _log_taylor_cached(x, _LOG_BITS) + r * _LN2_LOG_BITS
     return ln_m + _LOG_HALF_UNIT >> _LOG_BITS - _FIXED_BITS
 
 
@@ -395,6 +397,8 @@ def _theta_from_main(t: float, order: int) -> float:
 
 @lru_cache(maxsize=65536)
 def _theta_loggamma(t: float) -> float:
+    import mpmath as mp
+
     with mp.workdps(EXTENDED_DPS):
         return float(mp.siegeltheta(t))
 
@@ -436,17 +440,32 @@ def theta_series(t: float, order: int = 4) -> float:
 # Halley iteration for lambert_w0: relative step tolerance and step cap.
 _LAMBERT_TOL = 1e-15
 _LAMBERT_MAX_ITER = 50
+# 1/e = _INV_E_HI + _INV_E_LO, with _INV_E_HI = 1/e rounded to binary64: the
+# branch point -1/e rounds to -_INV_E_HI.
+_INV_E_HI, _INV_E_LO = 0.36787944117144233, -1.2428753672788363e-17
+# Near the branch point f(w) = w e^w - x has f' = e^w (w + 1), about p/e,
+# and a rounding error of about 1e-16: Halley steps below about 1e-16 / p
+# are noise, and the iteration stops at steps below _LAMBERT_NOISE / p.
+_LAMBERT_NOISE = 1e-15
+# From here up the Halley products (w + 2) f and e^w (w + 1) come near the
+# binary64 overflow, and lambert_w0 solves w + ln w = ln x instead.
+_LAMBERT_LOG_FORM = 1e300
 
 
 def lambert_w0(x: float) -> float:
     """Principal branch W0 of the Lambert W function on [-1/e, inf).
 
-    Halley iteration from a log-based initial guess, blended toward the
-    square-root expansion near the branch point at -1/e.  Raises ValueError
-    for x below the branch point, NaN and +inf.
+    Halley iteration on w e^w = x from a log-based initial guess, or from
+    the square-root expansion near the branch point at -1/e, where e x + 1
+    is formed from the two-part 1/e and the steps stop at their rounding
+    noise.  From x = 1e300 up, three Newton steps on w + ln w = ln x from
+    below.  Against 30-digit mpmath.lambertw the error is at most 0.25 of
+    4 ulp(W) + 4 ulp(x) |W'(x)| at 12,000 points spread from the branch
+    point to the largest double.  Raises ValueError for x below the branch
+    point, NaN and +inf.
     """
     x = float(x)
-    branch = -1.0 / math.e
+    branch = -_INV_E_HI
     if not x >= branch:  # NaN too
         if x > branch - 1e-15:
             x = branch
@@ -457,15 +476,26 @@ def lambert_w0(x: float) -> float:
     if x == branch:
         return -1.0
 
+    tol = _LAMBERT_TOL
     if x < branch + 0.25:
-        # Branch-point expansion: W = -1 + p - p^2/3 + ... with p = sqrt(2(e x + 1)).
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
+        # Branch-point expansion: W = -1 + p - p^2/3 + ... with p = sqrt(2(e x + 1)),
+        # e x + 1 = e (x + 1/e), where x + _INV_E_HI is exact near the branch point.
+        p = math.sqrt(2.0 * math.e * ((x + _INV_E_HI) + _INV_E_LO))
         w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
+        tol = max(tol, _LAMBERT_NOISE / p)
     elif x < math.e:
         w = math.log1p(x) * 0.7  # crude but inside the basin
-    elif x < math.inf:
+    elif x < _LAMBERT_LOG_FORM:
         lx = math.log(x)
         w = lx - math.log(lx)
+    elif x < math.inf:
+        # g(w) = w + ln w - ln x is concave and negative at this start, so
+        # Newton climbs to the root, less than 1e-20 below it after two steps.
+        lx = math.log(x)
+        w = lx - math.log(lx)
+        for _ in range(3):
+            w -= w * (w + math.log(w) - lx) / (w + 1.0)
+        return w
     else:
         raise ValueError(f"lambert_w0 domain is [-1/e, inf), got {x}")
 
@@ -478,13 +508,14 @@ def lambert_w0(x: float) -> float:
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         step = f / denom
         w -= step
-        if abs(step) <= _LAMBERT_TOL * max(1.0, abs(w)):
+        if abs(step) <= tol * max(1.0, abs(w)):
             break
     else:
         raise ArithmeticError(f"lambert_w0 failed to converge for x = {x}")
 
+    # w e^w carries the rounding of e^w, about |w| ulps, and w < 700 here.
     residual = w * math.exp(w) - x
-    if abs(residual) > 1e-14 * max(1.0, abs(x)):
+    if abs(residual) > 1e-12 * max(1.0, abs(x)):
         raise ArithmeticError(f"lambert_w0 residual {residual:g} too large for x = {x}")
     return w
 

@@ -107,16 +107,18 @@ class ZeroList:
     def __post_init__(self) -> None:
         if self.source not in ("scanned", "ingested"):
             raise ValueError(f"unknown source {self.source!r}")
-        if not 0.0 <= self.t_lo < self.t_hi:
-            raise ValueError("coverage must satisfy 0 <= t_lo < t_hi")
+        if not 0.0 <= self.t_lo < self.t_hi < math.inf:
+            raise ValueError("coverage must satisfy 0 <= t_lo < t_hi < inf")
         ys = np.array(self.ordinates, dtype=np.float64)
         ys.flags.writeable = False
         object.__setattr__(self, "ordinates", ys)
         if ys.ndim != 1:
             raise ValueError("ordinates must be one-dimensional")
-        if np.any(np.diff(ys) <= 0.0):
+        # Every comparison with a NaN is False, so these two checks reject
+        # NaN ordinates, and infinite ones as the coverage is finite.
+        if not (ys[1:] > ys[:-1]).all():
             raise ValueError("ordinates must be strictly ascending")
-        if ys.size and (ys[0] < self.t_lo or ys[-1] > self.t_hi):
+        if ys.size and not (self.t_lo <= ys[0] and ys[-1] <= self.t_hi):
             raise ValueError("ordinate outside declared coverage")
 
     @property

@@ -1,4 +1,8 @@
-"""`import zetaphase` loads no scipy; the counter oracles import it when called."""
+"""`import zetaphase` loads numpy alone of the heavy modules.
+
+The counter oracles import scipy when called, and the functions that compute
+in extended precision import mpmath.
+"""
 
 import json
 import os
@@ -23,6 +27,28 @@ def test_import_loads_no_scipy():
     out = run_fresh("import sys, zetaphase\n"
                     "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     assert out.strip() == "[]"
+
+
+LAZY = "[m for m in ('mpmath', 'fractions', 'decimal', 'scipy') if m in sys.modules]"
+
+
+def test_import_and_scan_commands_load_no_mpmath(tmp_path):
+    cache, image = tmp_path / "zeros.txt", tmp_path / "counts.pgm"
+    commands = [["zeros", "--max", "200", "--out", str(cache)], ["counts", "--max", "200"],
+                ["counts", "--cache", str(cache), "--n-max", "100"],
+                ["render", "--max", "200", "--n-max", "20", "--out", str(image)]]
+    out = run_fresh("import contextlib, io, sys, zetaphase\n"
+                    f"print({LAZY})\n"
+                    "from zetaphase import cli\n"
+                    "results = []\n"
+                    f"for argv in {commands!r}:\n"
+                    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                    f"        results.append((cli.main(argv), {LAZY}))\n"
+                    "print(results)\n"
+                    "from zetaphase.special import smooth_main\n"
+                    "smooth_main(5.0)\n"
+                    "print('mpmath' in sys.modules)")
+    assert out.splitlines() == ["[]", str([(0, [])] * len(commands)), "True"]
 
 
 def test_oracles_after_fresh_import():

@@ -5,9 +5,12 @@ Reference values are frozen from 40-digit mpmath evaluations
 value is forced by the definition itself.
 """
 
+import hashlib
 import importlib.util
 import math
 import re
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -31,7 +34,6 @@ from zetaphase import (
     zeta_critical_line,
 )
 from zetaphase.special import (
-    _BERNOULLI_ABS,
     _EM_BERNOULLI,
     _EM_ROW_BYTES,
     _RS_CHEBYSHEV,
@@ -41,15 +43,22 @@ from zetaphase.special import (
     _RS_SHORT_ROWS,
     _RS_TWO_PI_HI,
     _RS_TWO_PI_LO,
+    EXTENDED_DPS,
+    MAX_SERIES_ORDER,
     T_NO_ZERO,
     T_RS,
     T_THETA_MAX,
     T_Z_MAX,
     _CHUNK,
     _FIXED_BITS,
+    _LN2_FIXED,
+    _LN2_LOG_BITS,
+    _LN_PI_FIXED,
     _LOG_BITS,
+    _PI_FIXED,
     _RS_CHUNK,
     _T_RS_SHORT,
+    _THETA_COEFFS,
     _em_truncation,
     _fresh_array,
     _ln_fixed,
@@ -324,6 +333,26 @@ class TestLnFixed:
                 assert abs(_ln_fixed(m) * unit - mp.log(m)) <= unit, m
 
 
+class TestFrozenConstants:
+    def test_rederived(self):
+        # The fixed-point integers from mpmath.libmp, and the theta series
+        # coefficients c_k = (1 - 2^(1-2n)) |B_2n| / (4n(2n-1)), n = k + 1,
+        # from exact Bernoulli numbers, each rounded once.
+        from mpmath.libmp import dps_to_prec, ln2_fixed, mpf_log, mpf_pi, pi_fixed, to_fixed
+
+        assert _FIXED_BITS == dps_to_prec(EXTENDED_DPS)
+        assert _LOG_BITS == _FIXED_BITS + 16
+        assert _PI_FIXED == pi_fixed(_FIXED_BITS)
+        assert _LN2_FIXED == ln2_fixed(_FIXED_BITS)
+        assert _LN2_LOG_BITS == ln2_fixed(_LOG_BITS)
+        assert _LN_PI_FIXED == to_fixed(mpf_log(mpf_pi(_LOG_BITS), _LOG_BITS), _FIXED_BITS)
+        derived = []
+        for n in range(1, MAX_SERIES_ORDER + 1):
+            b = abs(Fraction(*mp.bernfrac(2 * n)))
+            derived.append(float((1 - Fraction(1, 2 ** (2 * n - 1))) * b / (4 * n * (2 * n - 1))))
+        assert _THETA_COEFFS == tuple(derived)
+
+
 class TestLambertW:
     def test_fixed_points(self):
         assert lambert_w0(0.0) == 0.0
@@ -354,6 +383,30 @@ class TestLambertW:
             ours = lambert_w0(float(x))
             ref = float(scipy.special.lambertw(float(x)).real)
             assert ours == pytest.approx(ref, rel=1e-14)
+
+    def test_whole_domain_against_mpmath(self):
+        # Within 4 ulp(W) + 4 ulp(x) |W'(x)|, W' = W / (x (1 + W)): just above
+        # the branch point, where W' is about e / sqrt(2 (e x + 1)), and up to
+        # the largest double.
+        branch = -1.0 / math.e
+        xs = np.concatenate([branch + np.logspace(-16, 0, 200), np.logspace(-300, 308, 300),
+                             -np.logspace(-300, -0.44, 50),
+                             [np.nextafter(branch, 0.0), 2.07e58, 4e307, sys.float_info.max]])
+        with mp.workdps(30):
+            for x in xs.tolist():
+                ref = mp.lambertw(x)
+                slope = float(ref / (x * (1 + ref)))
+                allowed = 4 * math.ulp(float(ref)) + 4 * math.ulp(x) * abs(slope)
+                assert abs(lambert_w0(x) - ref) <= allowed, x
+
+    def test_pinned_away_from_branch_point(self):
+        # Bit for bit on [-1/e + 0.25, 10^57.5]: the branch-point and
+        # large-x forms leave the Halley iteration there as it was.
+        xs = np.concatenate([-1.0 / math.e + 0.25 + np.linspace(0.0, 3.0, 301),
+                             np.logspace(0.5, 57.5, 600)])
+        values = np.array([lambert_w0(x) for x in xs.tolist()])
+        digest = "196f750bfb33b4cbb9c3bab354a61a57014597f8c3a4f7b49fbb8d043c7f071e"
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 class TestZetaCriticalLine:
@@ -442,8 +495,6 @@ class TestEulerMaclaurinKernel:
             derived = [float(mp.bernoulli(2 * j) / mp.factorial(2 * j))
                        for j in range(1, len(_EM_BERNOULLI) + 1)]
         assert list(_EM_BERNOULLI) == derived
-        for j, b in enumerate(_BERNOULLI_ABS, start=1):
-            assert _EM_BERNOULLI[j - 1] == (-1) ** (j + 1) * float(b / math.factorial(2 * j))
 
     @pytest.mark.parametrize("t", [0.0, 14.0, 100.0, 1000.0, 5000.0, 1e4])
     def test_backlund_bound(self, t):

@@ -478,6 +478,18 @@ class TestZeroList:
                 suspect_intervals=(),
             )
 
+    @pytest.mark.parametrize("ordinates, t_hi", [
+        ([1.0, math.inf, math.inf], math.inf),
+        ([1.0, math.inf, math.inf], 3.0),
+        ([1.0, math.inf], math.inf),
+        ([1.0, 2.5], math.inf),
+        ([1.0, math.nan, 2.0], 3.0),
+        ([math.nan], 3.0),
+    ])
+    def test_non_finite_rejected(self, ordinates, t_hi):
+        with pytest.raises(ValueError):
+            ZeroList(ordinates, "ingested", 0.0, t_hi)
+
     def test_ordinates_read_only(self):
         zeros = ZeroList(ordinates=[14.1, 21.0], source="ingested", t_lo=0.0, t_hi=30.0)
         assert zeros.ordinates.dtype == np.float64
