@@ -87,6 +87,7 @@ _LN2_LOG_BITS = 3957170856639293246623822679089056842134909763
 _LOG_HALF_UNIT = 1 << _LOG_BITS - _FIXED_BITS - 1
 _LN_PI_FIXED = 99720037130744215831830602185213718665310
 _LN_TWO_PI_E_FIXED = _LN2_FIXED + (1 << _FIXED_BITS) + _LN_PI_FIXED
+_EIGHT_PI_FIXED = 8 * _PI_FIXED
 
 # Switch point between the log-gamma route and the asymptotic route for the
 # exact phase.  Above this the 8-term series is exact to far below one ulp;
@@ -364,7 +365,7 @@ def combination_over_8pi(c_pi: int, c_const: int, c_lnpi: int,
     total = c_pi * _PI_FIXED + (c_const << _FIXED_BITS) + c_lnpi * _LN_PI_FIXED
     for p, c in prime_terms:
         total += c * _ln_prime_fixed(p)
-    return total / (8 * _PI_FIXED)
+    return total / _EIGHT_PI_FIXED
 
 
 def _two_prod(a: float, b: float) -> tuple[float, float]:

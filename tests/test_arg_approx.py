@@ -206,15 +206,32 @@ class TestSymbolicExpression:
             assert has_two == (p_adic_valuation(2, n) != 1), n
 
     def test_coefficient_laws(self):
-        for n in (1, 6, 12, 90, 360, 4096):
+        # Every n <= 10^4: prime_terms are the nonzero coefficient_rule(p)(n)
+        # for p = 2 and each prime p | n, the primes read off a
+        # smallest-prime-factor sieve rather than the factorization under test.
+        n_max = 10_000
+        spf = list(range(n_max + 1))
+        for q in range(2, math.isqrt(n_max) + 1):
+            if spf[q] == q:
+                for k in range(q * q, n_max + 1, q):
+                    spf[k] = min(spf[k], q)
+        rules = {}
+        for n in range(1, n_max + 1):
+            primes, k = {2}, n
+            while k > 1:
+                primes.add(spf[k])
+                k //= spf[k]
+            want = []
+            for p in sorted(primes):
+                if p not in rules:
+                    rules[p] = coefficient_rule(p)
+                c = rules[p](n)
+                if c != 0:
+                    want.append((p, c))
             e = symbolic_expression(n)
-            assert e.c_const == 4 * n
-            assert e.c_lnpi == 4 * n
-            assert e.c_pi == 8 * round(main_term(n)) - 7
-            assert e.coefficient(2) == 4 * n * (1 - p_adic_valuation(2, n))
-            for p in (3, 5, 7):
-                want = -4 * n * p_adic_valuation(p, n) if n % p == 0 else 0
-                assert e.coefficient(p) == want
+            assert e.prime_terms == tuple(want), n
+            assert e.c_pi == 8 * round(main_term(n)) - 7, n
+            assert e.c_const == e.c_lnpi == 4 * n, n
 
     def test_evaluate_matches_float_form(self):
         rng = np.random.default_rng(11)
@@ -257,10 +274,32 @@ class TestSymbolicExpression:
         for p in (-3, 0, 1):
             with pytest.raises(ValueError):
                 SymbolicArgExpression(n=1, c_pi=1, c_const=4, c_lnpi=4, prime_terms=((p, 4),))
+        for terms in (((3, -24), (2, 24)), ((2, 24), (2, 24)), ((2, 24), (3, -24), (3, -24)),
+                      ((2, 24), (3, 0)), ((2, 0),), ((2, 24), (1, 4))):
+            with pytest.raises(ValueError):
+                SymbolicArgExpression(n=6, c_pi=1, c_const=24, c_lnpi=24, prime_terms=terms)
+        with pytest.raises(ValueError):
+            SymbolicArgExpression(n=0, c_pi=1, c_const=0, c_lnpi=0, prime_terms=((2, 4),))
 
     def test_large_prime_factor_rejected(self):
         with pytest.raises(OverflowError):
             symbolic_expression(1000003 * 1000033)
+
+    def test_domain_bound(self):
+        # Within the bound evaluate() and approx_arg_zeta stay inside
+        # (-1/2, 1/2] and half an ulp of main_term (1/128) of each other.
+        # Past it the symbolic form of 3^34 would evaluate to -6.42 and that
+        # of 2^53 + 2 to 1.55, so all four closed forms raise.
+        for n in (2**44 - 1, 2**44):
+            value, approx = symbolic_expression(n).evaluate(), approx_arg_zeta(n)
+            assert -0.5 < value <= 0.5 and -0.5 <= approx <= 0.5, n
+            assert abs(value - approx) <= math.ulp(main_term(n)) / 2, n
+            assert math.isfinite(corrected_approx(n, 4)) and -1 < approx_arg_gamma(n) <= 1
+        for n in (2**44 + 1, 3**34, 2**53 + 2):
+            for f in (symbolic_expression, approx_arg_zeta, approx_arg_gamma,
+                      lambda n: corrected_approx(n, 4)):
+                with pytest.raises(ValueError):
+                    f(n)
 
 
 class TestCoefficientRules:
@@ -287,6 +326,19 @@ class TestCoefficientRules:
         assert [ruler_normalized(3, n) for n in range(1, 10)] == [
             1, 1, 2, 1, 1, 2, 1, 1, 3,
         ]
+
+    def test_composite_p_rejected(self):
+        # ln p is a basis element only for prime p.
+        for p in (-2, 0, 1, 4, 6, 9, 25, 1000003 * 3):
+            with pytest.raises(ValueError):
+                coefficient_rule(p)
+            with pytest.raises(ValueError):
+                coeff_sequence(p, 8)
+            with pytest.raises(ValueError):
+                ruler_normalized(p, 12)
+        for p in (2, 3, 9973, 1000003):
+            assert coefficient_rule(p)(p) == -4 * p + (8 if p == 2 else 0)
+            assert ruler_normalized(p, p) == (3 if p == 2 else 2)
 
     def test_ruler_is_shifted_valuation(self):
         for n in range(1, 100):

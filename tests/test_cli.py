@@ -300,6 +300,12 @@ class TestSequencesCommand:
         values = [int(s) for s in out.replace(",", " ").split()]
         assert values == [2, 3, 2, 4, 2, 3, 2, 5]
 
+    def test_composite_p_is_usage_error(self, capsys):
+        for kind, p in (("coeff", "4"), ("ruler", "6"), ("coeff", "1")):
+            code, out, err = run_cli(capsys, "sequences", "--kind", kind, "--p", p)
+            assert code == 2, (kind, p)
+            assert out == "" and "prime" in err, (kind, p)
+
 
 class TestEstimateCommand:
     def test_values(self, capsys):
