@@ -13,13 +13,11 @@ __version__ = "0.1.0"
 GENERATOR_VERSION = f"zetaphase {__version__}"
 
 from .argexpr import (
-    CoefficientRule,
     SymbolicArgExpression,
     approx_arg_gamma,
     approx_arg_zeta,
     approx_error,
     coeff_sequence,
-    coefficient_rule,
     corrected_approx,
     main_term,
     p_adic_valuation,
@@ -72,7 +70,6 @@ from .zeros import (
 
 __all__ = [
     "AtZeroError",
-    "CoefficientRule",
     "CoverageError",
     "DensityImage",
     "GENERATOR_VERSION",
@@ -95,7 +92,6 @@ __all__ = [
     "carrier_g",
     "carrier_gamma",
     "coeff_sequence",
-    "coefficient_rule",
     "corrected_approx",
     "counter_from_counting_function",
     "divergence_report",

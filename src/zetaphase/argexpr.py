@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from .special import (
     EXTENDED_DPS,
@@ -159,13 +158,6 @@ class SymbolicArgExpression:
                 raise ValueError("zero coefficients are omitted, not stored")
             prev = p
 
-    def coefficient(self, p: int) -> int:
-        """Integer coefficient of ln p (0 when p is absent)."""
-        for q, c in self.prime_terms:
-            if q == p:
-                return c
-        return 0
-
     def evaluate(self) -> float:
         """Numeric value over the basis, rounded once to binary64.
 
@@ -204,34 +196,17 @@ def symbolic_expression(n: int) -> SymbolicArgExpression:
     return SymbolicArgExpression(n, 8 * m - 7, c, c, tuple(terms))
 
 
-@dataclass(frozen=True)
-class CoefficientRule:
-    """Closed-form law for the ln p coefficient stream."""
-
-    p: int
-    law: Callable[[int], int]
-
-    def __call__(self, n: int) -> int:
-        return self.law(n)
-
-
 def _require_prime(p: int) -> None:
     """ValueError unless p is prime; like _factorize, OverflowError past 10^12."""
     if p < 2 or _factorize(p) != [(p, 1)]:
         raise ValueError(f"p must be prime, got {p}")
 
 
-def coefficient_rule(p: int) -> CoefficientRule:
-    _require_prime(p)
-    if p == 2:
-        return CoefficientRule(p=2, law=lambda n: 4 * n * (1 - p_adic_valuation(2, n)))
-    return CoefficientRule(p=p, law=lambda n: -4 * n * p_adic_valuation(p, n))
-
-
 def coeff_sequence(p: int, n_max: int) -> list[int]:
-    """First n_max values of the ln p coefficient stream."""
-    rule = coefficient_rule(p)
-    return [rule(n) for n in range(1, n_max + 1)]
+    """First n_max values of the ln p coefficient: 4n(1 - v2(n)) for p = 2, -4n v_p(n) else."""
+    _require_prime(p)
+    shift = 1 if p == 2 else 0
+    return [4 * n * (shift - p_adic_valuation(p, n)) for n in range(1, n_max + 1)]
 
 
 def ruler_normalized(p: int, n: int) -> int:

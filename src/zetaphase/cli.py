@@ -123,6 +123,8 @@ def _expr_record(e: argexpr.SymbolicArgExpression) -> dict:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    if args.end < args.start:
+        raise ValueError("--end must be >= --start")
     ns = range(args.start, args.end + 1)
     trues = special.arg_zeta_principal(np.array(ns, dtype=np.float64)).tolist()
     rows = [{"n": n, "true": true, "approx": argexpr.approx_arg_zeta(n),
@@ -145,6 +147,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_sequences(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError("--count must be >= 1")
     if args.kind == "coeff":
         values = argexpr.coeff_sequence(args.p, args.count)
     else:
@@ -183,15 +187,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     zero_list = zmod.read_zero_cache(args.cache) if args.cache else None
-    partitioned = None
-    # Built whenever the selection, filtered as run_checks filters it,
-    # includes the one check that compares it.
-    if args.partition_check and (args.only is None or args.only in "beat and render"):
-        mid = float(int(verify.CENSUS_T_HI) // 2)
-        lo = zmod.scan_zeros(zmod.ScanConfig(t_lo=0.0, t_hi=mid))
-        hi = zmod.scan_zeros(zmod.ScanConfig(t_lo=mid, t_hi=verify.CENSUS_T_HI))
-        partitioned = lo.merge(hi)
-    results = verify.run_checks(only=args.only, zero_list=zero_list, partitioned=partitioned)
+    results = verify.run_checks(only=args.only, zero_list=zero_list)
     if args.format == "json":
         print(json.dumps([r.record() for r in results], indent=2))
     else:
@@ -281,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zero cache written by 'zeros --out' to verify against "
                         "(default: scan [0, 6501])")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--partition-check", action="store_true",
-                   help="also compare a two-part scan's rendering byte-for-byte")
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -100,8 +100,6 @@ class ZeroList:
     source: str
     t_lo: float
     t_hi: float
-    step: float | None = None
-    refine_tol: float | None = None
     suspect_intervals: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -125,9 +123,6 @@ class ZeroList:
     def count(self) -> int:
         return len(self.ordinates)
 
-    def count_below(self, t: float) -> int:
-        return int(np.searchsorted(self.ordinates, t, side="right"))
-
     def merge(self, other: "ZeroList") -> "ZeroList":
         """Concatenate two lists of the same source with abutting coverage.
 
@@ -148,8 +143,6 @@ class ZeroList:
             source=self.source,
             t_lo=lo_first.t_lo,
             t_hi=hi_first.t_hi,
-            step=self.step if self.step == other.step else None,
-            refine_tol=self.refine_tol if self.refine_tol == other.refine_tol else None,
             suspect_intervals=tuple(sorted(set(self.suspect_intervals + other.suspect_intervals))),
         )
 
@@ -338,8 +331,6 @@ def scan_zeros(config: ScanConfig) -> ZeroList:
         source="scanned",
         t_lo=config.t_lo,
         t_hi=config.t_hi,
-        step=SCAN_STEP,
-        refine_tol=_REFINE_TOL,
         suspect_intervals=suspects,
     )
 
@@ -555,10 +546,6 @@ def write_zero_cache(zeros: ZeroList, path: str | os.PathLike) -> None:
     # At least six decimals.
     lo, hi = (np.format_float_positional(x, unique=True, min_digits=6) for x in (t_lo, t_hi))
     lines.append(f"# range: {lo} {hi}")
-    if zeros.step is not None:
-        lines.append(f"# step: {zeros.step:.6f}")
-    if zeros.refine_tol is not None:
-        lines.append(f"# refine_tol: {zeros.refine_tol:.3e}")
     lines.append(f"# count: {zeros.count}")
     lines.extend(ordinates)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -570,12 +557,12 @@ def read_zero_cache(path: str | os.PathLike) -> ZeroList:
 
     The first non-empty line must be '# ' + CACHE_MAGIC.  Malformed lines
     and ordering violations report their line number.  Without a
-    '# range:' comment the coverage is [0, last ordinate].
+    '# range:' comment the coverage is [0, last ordinate].  Comments other
+    than '# range:' and '# count:' are skipped, such as the '# step:' and
+    '# refine_tol:' lines that older files carry.
     """
     t_lo = 0.0
     t_hi: float | None = None
-    step = None
-    tol = None
     declared = None
     ordinates: list[float] = []
     magic_seen = False
@@ -596,10 +583,6 @@ def read_zero_cache(path: str | os.PathLike) -> ZeroList:
                     if key == "range":
                         lo_s, hi_s = value.split()
                         t_lo, t_hi = float(lo_s), float(hi_s)
-                    elif key == "step":
-                        step = float(value)
-                    elif key == "refine_tol":
-                        tol = float(value)
                     elif key == "count":
                         declared = int(value)
                 except ValueError as exc:
@@ -621,6 +604,6 @@ def read_zero_cache(path: str | os.PathLike) -> ZeroList:
     if t_hi is None:
         t_hi = ordinates[-1] if ordinates else 1.0
     try:
-        return ZeroList(ordinates, "ingested", t_lo, float(t_hi), step=step, refine_tol=tol)
+        return ZeroList(ordinates, "ingested", t_lo, float(t_hi))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from zetaphase import (
-    CoefficientRule,
     SymbolicArgExpression,
     approx_arg_gamma,
     approx_arg_zeta,
@@ -20,7 +19,6 @@ from zetaphase import (
     arg_gamma_quarter,
     arg_zeta_principal,
     coeff_sequence,
-    coefficient_rule,
     corrected_approx,
     main_term,
     p_adic_valuation,
@@ -29,6 +27,12 @@ from zetaphase import (
     theta_exact,
 )
 from zetaphase.special import smooth_main
+
+
+def _ln_p_law(p, n):
+    """The ln p coefficient of symbolic_expression(n): 4n(1 - v2(n)) or -4n v_p(n)."""
+    v = p_adic_valuation(p, n)
+    return 4 * n * (1 - v) if p == 2 else -4 * n * v
 
 # Rounded-main-term approximation (1/pi) of the zeta phase at n = 1..19,
 # frozen from this implementation and cross-checked against the exact
@@ -206,8 +210,8 @@ class TestSymbolicExpression:
             assert has_two == (p_adic_valuation(2, n) != 1), n
 
     def test_coefficient_laws(self):
-        # Every n <= 10^4: prime_terms are the nonzero coefficient_rule(p)(n)
-        # for p = 2 and each prime p | n, the primes read off a
+        # Every n <= 10^4: prime_terms are the nonzero _ln_p_law(p, n) for
+        # p = 2 and each prime p | n, the primes read off a
         # smallest-prime-factor sieve rather than the factorization under test.
         n_max = 10_000
         spf = list(range(n_max + 1))
@@ -215,19 +219,14 @@ class TestSymbolicExpression:
             if spf[q] == q:
                 for k in range(q * q, n_max + 1, q):
                     spf[k] = min(spf[k], q)
-        rules = {}
+        for p in (2, 3, 5, 7):
+            assert coeff_sequence(p, n_max) == [_ln_p_law(p, n) for n in range(1, n_max + 1)], p
         for n in range(1, n_max + 1):
             primes, k = {2}, n
             while k > 1:
                 primes.add(spf[k])
                 k //= spf[k]
-            want = []
-            for p in sorted(primes):
-                if p not in rules:
-                    rules[p] = coefficient_rule(p)
-                c = rules[p](n)
-                if c != 0:
-                    want.append((p, c))
+            want = [(p, c) for p in sorted(primes) if (c := _ln_p_law(p, n)) != 0]
             e = symbolic_expression(n)
             assert e.prime_terms == tuple(want), n
             assert e.c_pi == 8 * round(main_term(n)) - 7, n
@@ -308,16 +307,11 @@ class TestCoefficientRules:
         assert coeff_sequence(3, 9) == [0, 0, -12, 0, 0, -24, 0, 0, -72]
         assert coeff_sequence(3, 18)[-1] == -144
 
-    def test_rule_object(self):
-        rule = coefficient_rule(2)
-        assert isinstance(rule, CoefficientRule)
-        assert rule(12) == symbolic_expression(12).coefficient(2)
-
     def test_rules_match_expressions(self):
         for p in (2, 3, 5):
             seq = coeff_sequence(p, 120)
             for n in range(1, 121):
-                assert seq[n - 1] == symbolic_expression(n).coefficient(p), (p, n)
+                assert seq[n - 1] == dict(symbolic_expression(n).prime_terms).get(p, 0), (p, n)
 
     def test_ruler_sequences(self):
         assert [ruler_normalized(2, n) for n in range(1, 9)] == [
@@ -331,13 +325,11 @@ class TestCoefficientRules:
         # ln p is a basis element only for prime p.
         for p in (-2, 0, 1, 4, 6, 9, 25, 1000003 * 3):
             with pytest.raises(ValueError):
-                coefficient_rule(p)
-            with pytest.raises(ValueError):
                 coeff_sequence(p, 8)
             with pytest.raises(ValueError):
                 ruler_normalized(p, 12)
         for p in (2, 3, 9973, 1000003):
-            assert coefficient_rule(p)(p) == -4 * p + (8 if p == 2 else 0)
+            assert coeff_sequence(p, p)[-1] == -4 * p + (8 if p == 2 else 0)
             assert ruler_normalized(p, p) == (3 if p == 2 else 2)
 
     def test_ruler_is_shifted_valuation(self):

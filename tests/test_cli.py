@@ -6,7 +6,7 @@ import json
 import pytest
 from test_zero_finder import _patch_evaluators, _thirds
 
-from zetaphase import verify
+from zetaphase import ScanConfig, scan_zeros, verify, write_zero_cache
 from zetaphase import zeros as zmod
 from zetaphase.cli import main
 
@@ -282,6 +282,12 @@ class TestTableCommand:
         assert code == 0
         assert "(1/(8*pi))*(-7*pi +4 +4*ln(pi) +4*ln(2))" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_empty_range_is_usage_error(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "table", "--start", "5", "--end", "3", "--format", fmt)
+        assert code == 2 and out == ""
+        assert "--end must be >= --start" in err
+
 
 class TestSequencesCommand:
     def test_coeff(self, capsys):
@@ -305,6 +311,13 @@ class TestSequencesCommand:
             code, out, err = run_cli(capsys, "sequences", "--kind", kind, "--p", p)
             assert code == 2, (kind, p)
             assert out == "" and "prime" in err, (kind, p)
+
+    def test_count_below_one_is_usage_error(self, capsys):
+        for kind, p, count in (("ruler", "6", "0"), ("coeff", "2", "-3"), ("ruler", "2", "0")):
+            code, out, err = run_cli(capsys, "sequences", "--kind", kind, "--p", p,
+                                     "--count", count)
+            assert code == 2, (kind, p, count)
+            assert out == "" and "--count must be >= 1" in err, (kind, p, count)
 
 
 class TestEstimateCommand:
@@ -393,21 +406,42 @@ class TestVerifyCommand:
         assert records[0]["passed"] is True
 
     def test_partition_check_with_only(self, capsys):
-        code, out, err = run_cli(
-            capsys, "verify", "--only", "beat", "--partition-check", "--format", "json"
-        )
+        code, out, err = run_cli(capsys, "verify", "--only", "beat", "--format", "json")
         assert code == 0, err
         records = json.loads(out)
         assert [r["check"] for r in records] == ["beat and render"]
         assert records[0]["detail"] == "compared with the partitioned scan's ordinates and render"
 
+    def test_cache_above_census_height_passes_beat_and_render(self, capsys, census_zeros,
+                                                               tmp_path):
+        # The partitioned scan covers [0, 6501]; a cache reaching past it
+        # compares on that range.
+        path = tmp_path / "zeros.txt"
+        write_zero_cache(census_zeros.merge(scan_zeros(ScanConfig(6501.0, 6600.0))), path)
+        code, out, err = run_cli(capsys, "verify", "--cache", str(path), "--only", "beat")
+        assert code == 0, err
+        assert out.startswith("pass  beat and render")
+
     def test_no_partitioned_scan_without_beat_and_render(self, capsys, monkeypatch):
         def scan_zeros(config):
             raise AssertionError("no check selected needs a scan")
         monkeypatch.setattr(zmod, "scan_zeros", scan_zeros)
-        code, out, _ = run_cli(capsys, "verify", "--only", "gamma point", "--partition-check")
+        code, out, _ = run_cli(capsys, "verify", "--only", "gamma point")
         assert code == 0
         assert out.startswith("pass  gamma point")
+
+    def test_only_matching_no_check_is_usage_error(self, capsys, monkeypatch):
+        def scan_zeros(config):
+            raise AssertionError("no check selected needs a scan")
+        monkeypatch.setattr(zmod, "scan_zeros", scan_zeros)
+        code, out, err = run_cli(capsys, "verify", "--only", "nosuch")
+        assert code == 2 and out == ""
+        assert "'nosuch'" in err and "'beat and render'" in err
+
+    def test_partition_check_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--partition-check"])
+        assert exc.value.code == 2
 
     def test_json_format_with_census_checks(self, capsys, census_cache):
         code, out, _ = run_cli(
