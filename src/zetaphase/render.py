@@ -71,7 +71,7 @@ def read_pgm(path: str | os.PathLike) -> DensityImage:
     if len(parts) != 4:
         raise ValueError(f"{path}: truncated graymap header")
     dims = parts[1].split()
-    if len(dims) != 2 or parts[2] != b"255":
+    if len(dims) != 2 or not all(d.isdigit() for d in dims) or parts[2] != b"255":
         raise ValueError(f"{path}: unsupported graymap header")
     width, height = int(dims[0]), int(dims[1])
     pixels = parts[3]

@@ -3,10 +3,11 @@
 Each check pins expected values that were either transcribed from the
 reference tables this package reproduces or derived from independent
 computations (sign-change scans closed by accurate pairs around Newton
-or midpoint estimates, extended-precision evaluation, Newton zero
-oracles).  Where a transcribed entry is internally inconsistent, the
-canonical value asserted here is the numerically validated one; the
-corrections ledger shipped with the tests records each such case.
+or midpoint estimates, extended-precision evaluation, mpmath and
+asymptotic-series zero oracles).  Where a transcribed entry is internally
+inconsistent, the canonical value asserted here is the numerically
+validated one; the corrections ledger shipped with the tests records each
+such case.
 
 The same checks back the command-line `verify` subcommand and the
 acceptance test suite; `beat and render` always compares the census with

@@ -125,6 +125,12 @@ class TestPgmRoundtrip:
         with pytest.raises(ValueError):
             read_pgm(path)
 
+    def test_bad_size_line_names_file(self, tmp_path):
+        path = tmp_path / "size.pgm"
+        path.write_bytes(b"P5\nab cd\n255\n")
+        with pytest.raises(ValueError, match="size.pgm: unsupported graymap header"):
+            read_pgm(path)
+
 
 class TestBeatWidth:
     def test_reference_scale(self):

@@ -1,7 +1,7 @@
 """Tests for zero scanning, unit-interval counting, and counter models.
 
-Ordinate references are frozen from mp.zetazero at 25 digits; counter
-oracles come from scipy Bessel and Airy zero finders.
+Ordinate references are frozen from mp.zetazero at 25 digits; the counter
+oracles are checked against 30-digit mp.besseljzero and mp.airyaizero.
 """
 
 import hashlib
@@ -749,6 +749,10 @@ class TestIntervalCounts:
         assert interval_counts((), 1, 4).tolist() == [0, 0, 0]
         assert interval_counts(np.empty(0), 5, 5).tolist() == []
 
+    def test_reversed_range_rejected(self):
+        with pytest.raises(ValueError, match="n_hi = 3 is below n_lo = 5"):
+            interval_counts([4.5], 5, 3)
+
 
 class TestSmoothCount:
     # Intervals [n, n+1), 0 <= n < 60, where the rounded smooth phase steps
@@ -883,6 +887,37 @@ class TestOscillatorCounters:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             divergence_report("cosine", 50)
+
+    @pytest.mark.parametrize("n_max", [0, -5])
+    def test_empty_report_range_rejected(self, n_max):
+        for kind in ("bessel", "airy"):
+            with pytest.raises(ValueError, match="n_max must be >= 1"):
+                divergence_report(kind, n_max)
+
+    @pytest.mark.parametrize("oracle", [bessel_j0_zeros, airy_neg_zeros])
+    def test_oracle_count_must_be_an_integer(self, oracle):
+        with pytest.raises(TypeError):
+            oracle(2.5)
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            oracle(0)
+        assert oracle(np.int64(3)).tolist() == oracle(3).tolist()
+
+    def test_oracles_against_30_digit_mpmath(self):
+        j0, ai = bessel_j0_zeros(80), airy_neg_zeros(700)
+        assert len(j0) == 80 and len(ai) == 700
+        with mpmath.workdps(30):
+            for k in [*range(1, 11), 40, 80]:
+                assert abs(j0[k - 1] - mpmath.besseljzero(0, k)) <= 5e-14, k
+            # k = 7 is the last mpmath zero, k = 8 the first from the series.
+            for k in [*range(1, 11), 50, 200, 700]:
+                assert abs(ai[k - 1] + mpmath.airyaizero(k)) <= 2e-13, k
+
+    def test_oracle_zeros_clear_of_integers(self):
+        # Far wider than the oracles' error, so every unit-interval count
+        # they give is exact.
+        for zeros in (bessel_j0_zeros(80), airy_neg_zeros(700)):
+            assert np.all(np.diff(zeros) > 0.0)
+            assert np.min(np.abs(zeros - np.rint(zeros))) > 5e-4
 
 
 class TestCensusLandmarks:
