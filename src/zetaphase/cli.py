@@ -60,26 +60,28 @@ def cmd_theta(args: argparse.Namespace) -> int:
     return 0
 
 
+def _approx_height(t: float) -> int:
+    """The integer height that --approx takes; ValueError for any other t."""
+    n = int(t)
+    if n != t:
+        raise ValueError("--approx needs integer heights")
+    return n
+
+
 def cmd_arg_zeta(args: argparse.Namespace) -> int:
     if not args.approx:
         for value in special.arg_zeta_principal(np.array(args.t)).tolist():
             print(_fmt(value))
         return 0
     for t in args.t:
-        n = int(t)
-        if n != t:
-            raise ValueError("--approx needs integer heights")
-        print(_fmt(argexpr.approx_arg_zeta(n)))
+        print(_fmt(argexpr.approx_arg_zeta(_approx_height(t))))
     return 0
 
 
 def cmd_arg_gamma(args: argparse.Namespace) -> int:
     for t in args.t:
         if args.approx:
-            n = int(t)
-            if n != t:
-                raise ValueError("--approx needs integer heights")
-            print(_fmt(argexpr.approx_arg_gamma(n)))
+            print(_fmt(argexpr.approx_arg_gamma(_approx_height(t))))
         else:
             print(_fmt(special.arg_gamma_quarter(t)))
     return 0
@@ -101,15 +103,13 @@ def cmd_counts(args: argparse.Namespace) -> int:
     counts = _counts_from_args(args)
     per_n = enumerate(counts.counts.tolist(), start=1)
     if args.format == "json":
-        rows = [{"n": n, "count": c} for n, c in per_n]
-        _emit(json.dumps(rows, indent=None, separators=(",", ":")) + "\n", args.out)
+        text = json.dumps([{"n": n, "count": c} for n, c in per_n],
+                          indent=None, separators=(",", ":"))
     elif args.format == "csv":
-        lines = ["n,count"]
-        lines.extend(f"{n},{c}" for n, c in per_n)
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(["n,count"] + [f"{n},{c}" for n, c in per_n])
     else:
-        lines = [f"{n}\t{c}" for n, c in counts.nonzero_items()]
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(f"{n}\t{c}" for n, c in counts.nonzero_items())
+    _emit(text + "\n", args.out)
     return 0
 
 
@@ -133,16 +133,14 @@ def cmd_table(args: argparse.Namespace) -> int:
         payload = [{"n": r["n"], "true": float(_fmt(r["true"])),
                     "approx": float(_fmt(r["approx"])),
                     "expr": _expr_record(r["expr"])} for r in rows]
-        _emit(json.dumps(payload, indent=None, separators=(",", ":")) + "\n", args.out)
+        text = json.dumps(payload, indent=None, separators=(",", ":"))
     elif args.format == "csv":
-        lines = ["n,true,approx,expr"]
-        lines.extend(f'{r["n"]},{_fmt(r["true"])},{_fmt(r["approx"])},{r["expr"].text()}'
-                     for r in rows)
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(["n,true,approx,expr"] + [
+            f'{r["n"]},{_fmt(r["true"])},{_fmt(r["approx"])},{r["expr"].text()}' for r in rows])
     else:
-        lines = [f'{r["n"]:>5d}  {_fmt(r["true"])}  {_fmt(r["approx"])}  {r["expr"].text()}'
-                 for r in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(f'{r["n"]:>5d}  {_fmt(r["true"])}  {_fmt(r["approx"])}  {r["expr"].text()}'
+                         for r in rows)
+    _emit(text + "\n", args.out)
     return 0
 
 
@@ -169,12 +167,11 @@ def cmd_staircase(args: argparse.Namespace) -> int:
     if args.format == "json":
         rows = [{"n": n, "s": float(_fmt(values[n - 1])), "level": int(levels[n - 1])}
                 for n in range(1, args.max + 1)]
-        _emit(json.dumps(rows, indent=None, separators=(",", ":")) + "\n", args.out)
+        text = json.dumps(rows, indent=None, separators=(",", ":"))
     else:
-        lines = ["n,s,level"]
-        lines.extend(f"{n},{_fmt(values[n - 1])},{levels[n - 1]}"
-                     for n in range(1, args.max + 1))
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(["n,s,level"] + [f"{n},{_fmt(values[n - 1])},{levels[n - 1]}"
+                                          for n in range(1, args.max + 1)])
+    _emit(text + "\n", args.out)
     return 0
 
 
@@ -203,6 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "closed-form approximations, and density images.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The zero list of counts and render: a cache, or a scan of [0, --max].
+    census = argparse.ArgumentParser(add_help=False)
+    census.add_argument("--cache", help="zero cache file written by 'zeros --out' "
+                                        "(default: scan [0, --max]; no cache is written)")
+    census.add_argument("--max", type=float, default=verify.CENSUS_T_HI,
+                        help="scan height when no cache is given")
+    census.add_argument("--n-max", type=int, default=None)
 
     p = sub.add_parser("theta", help="Riemann-Siegel phase at given heights")
     p.add_argument("t", type=float, nargs="+")
@@ -228,12 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_zeros)
 
-    p = sub.add_parser("counts", help="zeros per unit interval")
-    p.add_argument("--cache", help="zero cache file written by 'zeros --out' "
-                                   "(default: scan [0, --max]; no cache is written)")
-    p.add_argument("--max", type=float, default=verify.CENSUS_T_HI,
-                   help="scan height when no cache is given")
-    p.add_argument("--n-max", type=int, default=None)
+    p = sub.add_parser("counts", parents=[census], help="zeros per unit interval")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_counts)
@@ -261,12 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_staircase)
 
-    p = sub.add_parser("render", help="graymap image of the zero density")
-    p.add_argument("--cache", help="zero cache file written by 'zeros --out' "
-                                   "(default: scan [0, --max]; no cache is written)")
-    p.add_argument("--max", type=float, default=verify.CENSUS_T_HI,
-                   help="scan height when no cache is given")
-    p.add_argument("--n-max", type=int, default=None)
+    p = sub.add_parser("render", parents=[census], help="graymap image of the zero density")
     p.add_argument("--width", type=int, default=4000)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_render)

@@ -8,8 +8,8 @@ normalized by pi.  Arg gamma(1/4 + it/2) is theta_exact's phase plus
 (t/2) ln pi, wrapped.  Each quantity has one domain: theta and Arg gamma
 take |t| <= T_THETA_MAX = 2e4, zeta and Z take 0 <= t < T_Z_MAX = 2 pi 43^2
 (about 11617.61).  theta_vec, the float-precision theta of Z and of the
-smooth zero count, is the asymptotic series alone and takes t >= T_NO_ZERO
-= 14, below the first zero of Z at 14.1347; below it Z is -|zeta|.  Zeta
+smooth zero count, is the asymptotic series alone and takes t in [T_NO_ZERO,
+T_THETA_MAX]; Z has no zero below T_NO_ZERO = 14 and is -|zeta| there.  Zeta
 and Z have one evaluator: a private dispatcher checks that domain, sorts
 the ordinates, sends those below T_RS = 200 to an Euler-Maclaurin kernel
 and those from T_RS up to a Riemann-Siegel kernel with the corrections
@@ -67,7 +67,7 @@ LN_PI = math.log(math.pi)
 T_THETA_MAX = 2.0e4
 T_Z_MAX = TWO_PI * 43 ** 2
 # Z has no zero below this height (the first is at 14.1347): theta_vec takes
-# t >= T_NO_ZERO, and below it Z = -|zeta|, as Z(0) = zeta(1/2) < 0.
+# T_NO_ZERO <= t <= T_THETA_MAX, and below it Z = -|zeta|, as Z(0) = zeta(1/2) < 0.
 T_NO_ZERO = 14.0
 
 # Working precision (decimal digits) for extended-precision paths.
@@ -427,12 +427,12 @@ def theta_exact(t: float) -> float:
 def theta_series(t: float, order: int = 4) -> float:
     """Asymptotic form of theta(t): main term plus `order` correction terms.
 
-    Valid for t >= 10; the order-4 truncation already sits below 1e-12 of
-    theta_exact for t >= 50.
+    Valid for 10 <= t <= T_THETA_MAX; the order-4 truncation already sits
+    below 1e-12 of theta_exact for t >= 50.
     """
     t = float(t)
-    if t < 10.0:
-        raise ValueError("asymptotic series requires t >= 10")
+    if not 10.0 <= t <= T_THETA_MAX:
+        raise ValueError(f"asymptotic series requires 10 <= t <= {T_THETA_MAX:g}")
     if not 0 <= order <= MAX_SERIES_ORDER:
         raise ValueError(f"order must be in [0, {MAX_SERIES_ORDER}]")
     return _theta_from_main(t, order)
@@ -522,17 +522,18 @@ def lambert_w0(x: float) -> float:
 
 
 def theta_vec(ts) -> np.ndarray:
-    """theta on an array of t >= T_NO_ZERO, float precision, for Z and the zero count.
+    """theta on an array of t in [T_NO_ZERO, T_THETA_MAX], for Z and the zero count.
 
     The asymptotic series pi (x ln x - x - 1/8) + theta_tail(t, 8) with
     x = t/(2 pi).  Its worst error against 40-digit mpmath is 1.4e-14 at
     400 stratified heights in [14, 50], where it is up to 2 ulps off, so
     theta_exact keeps extended precision below 50.  Raises ValueError for
-    t below T_NO_ZERO or NaN.
+    t below T_NO_ZERO, above T_THETA_MAX or NaN.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    if not (ts >= T_NO_ZERO).all():
-        raise ValueError(f"theta_vec needs t >= T_NO_ZERO = {T_NO_ZERO}")
+    # Elementwise, so an empty array passes.
+    if not ((ts >= T_NO_ZERO) & (ts <= T_THETA_MAX)).all():
+        raise ValueError(f"theta_vec needs {T_NO_ZERO:g} <= t <= {T_THETA_MAX:g}")
     x = ts / TWO_PI
     return math.pi * (x * np.log(x) - x - 0.125) + theta_tail(ts, MAX_SERIES_ORDER)
 

@@ -92,20 +92,17 @@ class ScanConfig:
 class ZeroList:
     """Ordinates of critical-line zeros over a covered range.
 
-    ordinates is a read-only float64 array, copied from the input.  source
-    is 'scanned' for lists produced here and 'ingested' for lists read back
-    from cache files; the two are never merged together.
+    ordinates is a read-only float64 array, copied from the input.  A list
+    read back from a cache, whose older '# source:' line is skipped, is the
+    same kind of list as a scanned one.
     """
 
     ordinates: np.ndarray
-    source: str
     t_lo: float
     t_hi: float
     suspect_intervals: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.source not in ("scanned", "ingested"):
-            raise ValueError(f"unknown source {self.source!r}")
         if not 0.0 <= self.t_lo < self.t_hi < math.inf:
             raise ValueError("coverage must satisfy 0 <= t_lo < t_hi < inf")
         ys = np.array(self.ordinates, dtype=np.float64)
@@ -125,12 +122,11 @@ class ZeroList:
         return len(self.ordinates)
 
     def merge(self, other: "ZeroList") -> "ZeroList":
-        """Concatenate two lists of the same source with abutting coverage.
+        """Concatenate two lists with abutting coverage.
 
         Scans that share an end both keep an ordinate on it; it is kept once.
+        A list read back from a cache merges like a scanned one.
         """
-        if self.source != other.source:
-            raise ValueError("refusing to merge zero lists from different sources")
         lo_first, hi_first = (self, other) if self.t_lo <= other.t_lo else (other, self)
         if lo_first.t_hi > hi_first.t_lo + 1e-9:
             raise ValueError("coverage ranges overlap; merge expects disjoint ranges")
@@ -141,7 +137,6 @@ class ZeroList:
             upper = upper[1:]
         return ZeroList(
             ordinates=np.concatenate([lo_first.ordinates, upper]),
-            source=self.source,
             t_lo=lo_first.t_lo,
             t_hi=hi_first.t_hi,
             suspect_intervals=tuple(sorted(set(self.suspect_intervals + other.suspect_intervals))),
@@ -283,7 +278,7 @@ def smooth_count(t):
     """Rounded smooth-phase zero count below t: round(theta(t)/pi + 1), 0 below T_NO_ZERO.
 
     Takes a float (returns an int) or an array (returns an int64 array).
-    Raises ValueError if any t is NaN or +inf.
+    Raises ValueError if any t is NaN or above theta_vec's T_THETA_MAX = 2e4.
     """
     ts = np.asarray(t, dtype=np.float64)
     if not (ts < math.inf).all():
@@ -331,7 +326,6 @@ def scan_zeros(config: ScanConfig) -> ZeroList:
 
     return ZeroList(
         ordinates=roots,
-        source="scanned",
         t_lo=config.t_lo,
         t_hi=config.t_hi,
         suspect_intervals=suspects,
@@ -537,7 +531,6 @@ def write_zero_cache(zeros: ZeroList, path: str | os.PathLike) -> None:
         t_lo, t_hi = min(t_lo, float(ordinates[0])), max(t_hi, float(ordinates[-1]))
     lines = [f"# {CACHE_MAGIC}"]
     lines.append(f"# generator: {GENERATOR_VERSION}")
-    lines.append(f"# source: {zeros.source}")
     # At least six decimals.
     lo, hi = (np.format_float_positional(x, unique=True, min_digits=6) for x in (t_lo, t_hi))
     lines.append(f"# range: {lo} {hi}")
@@ -548,13 +541,13 @@ def write_zero_cache(zeros: ZeroList, path: str | os.PathLike) -> None:
 
 
 def read_zero_cache(path: str | os.PathLike) -> ZeroList:
-    """Parse a cache file back into an ingested ZeroList.
+    """Parse a cache file back into a ZeroList.
 
     The first non-empty line must be '# ' + CACHE_MAGIC.  Malformed lines
     and ordering violations report their line number.  Without a
     '# range:' comment the coverage is [0, last ordinate].  Comments other
-    than '# range:' and '# count:' are skipped, such as the '# step:' and
-    '# refine_tol:' lines that older files carry.
+    than '# range:' and '# count:' are skipped, such as the '# source:',
+    '# step:' and '# refine_tol:' lines that older files carry.
     """
     t_lo = 0.0
     t_hi: float | None = None
@@ -599,6 +592,6 @@ def read_zero_cache(path: str | os.PathLike) -> ZeroList:
     if t_hi is None:
         t_hi = ordinates[-1] if ordinates else 1.0
     try:
-        return ZeroList(ordinates, "ingested", t_lo, float(t_hi))
+        return ZeroList(ordinates, t_lo, float(t_hi))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -28,6 +28,14 @@ class TestTheta:
         assert code == 0
         assert out.strip() == "-3.067074400164"
 
+    @pytest.mark.parametrize("t", ["30000", "nan"])
+    def test_series_outside_theta_domain_is_error(self, capsys, t):
+        # The series takes theta's domain, |t| <= T_THETA_MAX = 2e4, as the
+        # exact form does.
+        code, out, err = run_cli(capsys, "theta", t, "--series-order", "4")
+        assert code == 2 and out == ""
+        assert "10 <= t <= 20000" in err
+
 
 class TestArgCommands:
     def test_arg_zeta_values(self, capsys):
@@ -56,6 +64,11 @@ class TestArgCommands:
         code, out, _ = run_cli(capsys, "arg-gamma", "1", "--approx")
         assert code == 0
         assert out.strip() == "-0.394472743168"
+
+    def test_arg_gamma_approx_requires_integer(self, capsys):
+        code, out, err = run_cli(capsys, "arg-gamma", "1.5", "--approx")
+        assert code == 2 and out == ""
+        assert "--approx needs integer heights" in err
 
     def test_arg_zeta_at_zero_is_error(self, capsys):
         code, _, err = run_cli(capsys, "arg-zeta", "14.134725141734694")
@@ -174,6 +187,16 @@ class TestCountsCommand:
         assert by_n[14] == 1
         assert by_n[1] == 0
 
+    def test_csv_output(self, capsys, census_cache):
+        code, out, _ = run_cli(
+            capsys, "counts", "--cache", str(census_cache), "--n-max", "20",
+            "--format", "csv",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n,count" and len(lines) == 21
+        assert lines[1] == "1,0" and lines[14] == "14,1"
+
     def test_missing_cache_is_error(self, capsys):
         code, _, err = run_cli(
             capsys, "counts", "--cache", "/nonexistent/zeros.txt", "--n-max", "20",
@@ -206,7 +229,7 @@ class TestFreshScan:
 
             def scan_zeros(config):
                 scanned.append((config.t_lo, config.t_hi))
-                return zmod.ZeroList((14.134725141734694,), "scanned", config.t_lo, config.t_hi,
+                return zmod.ZeroList((14.134725141734694,), config.t_lo, config.t_hi,
                                      suspect_intervals=suspects)
             monkeypatch.setattr(zmod, "scan_zeros", scan_zeros)
             return scanned
@@ -276,6 +299,15 @@ class TestTableCommand:
         for row in rows:
             for key in ("true", "approx"):
                 assert row[key] == float(f"{row[key]:.12f}"), (row["n"], key)
+
+    def test_csv_output(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--end", "2", "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == [
+            "n,true,approx,expr",
+            "1,-0.437372012316,-0.423337836994,(1/(8*pi))*(-7*pi +4 +4*ln(pi) +4*ln(2))",
+            "2,-0.195977582921,-0.192311274140,(1/(8*pi))*(-7*pi +8 +8*ln(pi))",
+        ]
 
     def test_text_contains_expression(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--start", "1", "--end", "1")
@@ -350,6 +382,29 @@ class TestStaircaseCommand:
         assert len(rows) == 200
         for row in rows:
             assert row["s"] == float(f"{row['s']:.12f}"), row["n"]
+
+
+class TestOutFile:
+    # --out writes exactly what stdout would have shown, and prints nothing.
+    @pytest.mark.parametrize("argv", [
+        ("counts", "--n-max", "40"),
+        ("counts", "--n-max", "40", "--format", "csv"),
+        ("counts", "--n-max", "40", "--format", "json"),
+        ("table", "--end", "30"),
+        ("table", "--end", "30", "--format", "csv"),
+        ("table", "--end", "30", "--format", "json"),
+        ("staircase", "--max", "30"),
+        ("staircase", "--max", "30", "--format", "json"),
+    ])
+    def test_out_matches_stdout(self, capsys, census_cache, tmp_path, argv):
+        if argv[0] == "counts":
+            argv += ("--cache", str(census_cache))
+        code, shown, _ = run_cli(capsys, *argv)
+        assert code == 0 and shown
+        path = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0 and out == "" and err == ""
+        assert path.read_bytes() == shown.encode("ascii")
 
 
 class TestRenderCommand:
@@ -490,4 +545,16 @@ class TestVerifyCommand:
             "--only", "count consistency",
         )
         assert code == 0
-        assert "pass" in out
+        assert out == ("pass  count consistency: expected counts within 2 of the smooth "
+                       "phase at all checkpoints, got worst gap 1 at t = 500 (tolerance 2)\n")
+
+    def test_suspect_scan_fails_consistency(self, capsys, monkeypatch, census_zeros):
+        # The counts of a scan that flags an interval still track the smooth
+        # phase; the line fails on the flag alone and names the interval.
+        flagged = zmod.ZeroList(census_zeros.ordinates, census_zeros.t_lo, census_zeros.t_hi,
+                                suspect_intervals=(4242,))
+        monkeypatch.setattr(zmod, "scan_zeros", lambda config: flagged)
+        code, out, _ = run_cli(capsys, "verify", "--only", "count consistency")
+        assert code == 1
+        assert out.startswith("FAIL  count consistency:")
+        assert out.endswith("(tolerance 2) -- suspect intervals [4242]\n")

@@ -228,6 +228,10 @@ class TestThetaSeries:
     def test_domain_and_order_validation(self):
         with pytest.raises(ValueError):
             theta_series(9.0)
+        for t in (T_THETA_MAX * 1.5, math.nan):
+            with pytest.raises(ValueError, match="10 <= t <= 20000"):
+                theta_series(t)
+        assert theta_series(T_THETA_MAX) == theta_exact(T_THETA_MAX)
         with pytest.raises(ValueError):
             theta_series(100.0, order=9)
         with pytest.raises(ValueError):
@@ -253,6 +257,14 @@ class TestThetaVec:
     def test_rejects_below_domain(self, t):
         with pytest.raises(ValueError):
             theta_vec(np.array([20.0, t, 300.0]))
+
+    @pytest.mark.parametrize("t", [np.nextafter(T_THETA_MAX, math.inf), math.inf])
+    def test_rejects_above_domain(self, t):
+        with pytest.raises(ValueError, match="14 <= t <= 20000"):
+            theta_vec(np.array([20.0, t, 300.0]))
+
+    def test_empty_array(self):
+        assert theta_vec(np.array([])).shape == (0,)
 
     def test_low_heights_against_theta_exact(self):
         ts = [t for t in THETA_REFERENCE if T_NO_ZERO <= t < 50.0]

@@ -116,7 +116,6 @@ class TestScanZeros:
         for got, want in zip(zeros.ordinates, FIRST_ORDINATES):
             assert got == pytest.approx(want, abs=5e-9)
         assert zeros.suspect_intervals == ()
-        assert zeros.source == "scanned"
 
     def test_empty_below_first_zero(self):
         zeros = scan_zeros(ScanConfig(t_lo=0.0, t_hi=14.0))
@@ -467,7 +466,6 @@ class TestZeroList:
         with pytest.raises(ValueError):
             ZeroList(
                 ordinates=(20.0, 15.0),
-                source="ingested",
                 t_lo=0.0,
                 t_hi=30.0,
                 suspect_intervals=(),
@@ -483,17 +481,17 @@ class TestZeroList:
     ])
     def test_non_finite_rejected(self, ordinates, t_hi):
         with pytest.raises(ValueError):
-            ZeroList(ordinates, "ingested", 0.0, t_hi)
+            ZeroList(ordinates, 0.0, t_hi)
 
     def test_ordinates_read_only(self):
-        zeros = ZeroList(ordinates=[14.1, 21.0], source="ingested", t_lo=0.0, t_hi=30.0)
+        zeros = ZeroList(ordinates=[14.1, 21.0], t_lo=0.0, t_hi=30.0)
         assert zeros.ordinates.dtype == np.float64
         with pytest.raises(ValueError):
             zeros.ordinates[0] = 15.0
 
     def test_input_copied(self):
         ys = np.array([14.1, 21.0])
-        zeros = ZeroList(ordinates=ys, source="ingested", t_lo=0.0, t_hi=30.0)
+        zeros = ZeroList(ordinates=ys, t_lo=0.0, t_hi=30.0)
         ys[0] = 15.0
         assert zeros.ordinates[0] == 14.1
 
@@ -506,19 +504,6 @@ class TestZeroList:
         assert merged.count == a.count + b.count
         with pytest.raises(ValueError):
             merged.merge(c)
-
-    def test_merge_requires_same_source(self):
-        a = scan_zeros(ScanConfig(t_lo=0.0, t_hi=30.0))
-        b = scan_zeros(ScanConfig(t_lo=30.0, t_hi=60.0))
-        foreign = ZeroList(
-            ordinates=b.ordinates,
-            source="ingested",
-            t_lo=b.t_lo,
-            t_hi=b.t_hi,
-            suspect_intervals=(),
-        )
-        with pytest.raises(ValueError):
-            a.merge(foreign)
 
     def test_merge_keeps_shared_endpoint_ordinate_once(self, monkeypatch):
         # Both scans keep the ordinate on their shared end t = 100.
@@ -536,7 +521,6 @@ class TestZeroCache:
         path = tmp_path / "zeros.txt"
         write_zero_cache(zeros, path)
         loaded = read_zero_cache(path)
-        assert loaded.source == "ingested"
         assert loaded.t_lo == zeros.t_lo and loaded.t_hi == zeros.t_hi
         assert len(loaded.ordinates) == len(zeros.ordinates)
         for a, b in zip(loaded.ordinates, zeros.ordinates):
@@ -544,8 +528,10 @@ class TestZeroCache:
 
     def test_older_header_lines_skipped(self):
         # Older files, the benchmark's reference census among them, carry
-        # '# step:' and '# refine_tol:' lines; the reader skips them.
-        assert "# step: 0.050000\n# refine_tol: 1.000e-09\n" in REFERENCE_CENSUS.read_text()
+        # '# source:', '# step:' and '# refine_tol:' lines; the reader skips them.
+        text = REFERENCE_CENSUS.read_text()
+        assert "# source: scanned\n" in text
+        assert "# step: 0.050000\n# refine_tol: 1.000e-09\n" in text
         reference = read_zero_cache(REFERENCE_CENSUS)
         assert (reference.t_lo, reference.t_hi, reference.count) == (0.0, 6501.0, 6148)
 
@@ -555,7 +541,7 @@ class TestZeroCache:
         path = tmp_path / "zeros.txt"
         write_zero_cache(scan_zeros(ScanConfig(t_lo=0.0, t_hi=2001.0)), path)
         assert (hashlib.sha256(path.read_bytes()).hexdigest()
-                == "b59f8a56134b7585c33c70fb04d04290be805a6caf01db0557fe9045fe19c992")
+                == "372fb48e8e23c55670b20e6470a74bc0f6913efbe2287f4dee402e06b37761d1")
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         zeros = scan_zeros(ScanConfig(t_lo=0.0, t_hi=60.0))
@@ -563,6 +549,14 @@ class TestZeroCache:
         p2 = tmp_path / "b.txt"
         write_zero_cache(zeros, p1)
         write_zero_cache(zeros, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_read_back_rewrites_byte_identical(self, tmp_path):
+        # A cache is a fixed point of read then write.
+        p1 = tmp_path / "a.txt"
+        p2 = tmp_path / "b.txt"
+        write_zero_cache(scan_zeros(ScanConfig(t_lo=0.0, t_hi=60.0)), p1)
+        write_zero_cache(read_zero_cache(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_malformed_line_reported_with_number(self, tmp_path):
@@ -576,10 +570,10 @@ class TestZeroCache:
             read_zero_cache(path)
 
     @pytest.mark.parametrize(
-        "key, lineno", [("range", 4), ("count", 5)]
+        "key, lineno", [("range", 3), ("count", 4)]
     )
     def test_malformed_header_reported_with_number(self, tmp_path, key, lineno):
-        zeros = ZeroList(ordinates=(14.1, 21.0), source="scanned", t_lo=0.0, t_hi=30.0)
+        zeros = ZeroList(ordinates=(14.1, 21.0), t_lo=0.0, t_hi=30.0)
         path = tmp_path / "zeros.txt"
         write_zero_cache(zeros, path)
         lines = path.read_text().splitlines()
@@ -644,7 +638,7 @@ class TestZeroCache:
         assert loaded.ordinates.tolist() == [14.134725141735]
 
     def test_whole_number_range_keeps_six_decimals(self, tmp_path):
-        zeros = ZeroList(ordinates=(14.1,), source="scanned", t_lo=0.0, t_hi=6501.0)
+        zeros = ZeroList(ordinates=(14.1,), t_lo=0.0, t_hi=6501.0)
         path = tmp_path / "zeros.txt"
         write_zero_cache(zeros, path)
         assert "# range: 0.000000 6501.000000" in path.read_text().splitlines()
@@ -775,6 +769,12 @@ class TestSmoothCount:
     @pytest.mark.parametrize("t", [math.nan, math.inf, np.array([100.0, math.nan])])
     def test_nan_and_infinity_rejected(self, t):
         with pytest.raises(ValueError):
+            smooth_count(t)
+
+    @pytest.mark.parametrize("t", [1e19, np.array([100.0, 20000.5])])
+    def test_above_theta_domain_rejected(self, t):
+        # Past T_THETA_MAX = 2e4 the count would overflow its int64 cast.
+        with pytest.raises(ValueError, match="14 <= t <= 20000"):
             smooth_count(t)
 
     def test_frozen_prediction_on_first_edges(self):
