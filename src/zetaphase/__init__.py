@@ -56,8 +56,6 @@ from .zeros import (
     bessel_j0_counter_corrected,
     bessel_j0_zeros,
     counter_from_counting_function,
-    divergence_report,
-    first_missed_zero,
     floor_counter,
     interval_counts,
     point_density_zeta,
@@ -94,8 +92,6 @@ __all__ = [
     "coeff_sequence",
     "corrected_approx",
     "counter_from_counting_function",
-    "divergence_report",
-    "first_missed_zero",
     "floor_counter",
     "hardy_z",
     "interval_counts",

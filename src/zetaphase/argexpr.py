@@ -23,6 +23,7 @@ uses, so the two stay consistent to the last bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -141,15 +142,12 @@ def _factorize(n: int) -> list[tuple[int, int]]:
 class SymbolicArgExpression:
     """Integer combination (c_pi pi + c_const + c_lnpi ln pi + sum c_p ln p) / (8 pi)."""
 
-    n: int
     c_pi: int
     c_const: int
     c_lnpi: int
     prime_terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
         prev = 1
         for p, c in self.prime_terms:
             if p <= prev:
@@ -181,6 +179,7 @@ def symbolic_expression(n: int) -> SymbolicArgExpression:
     with m = round(main_term(n)); the ln 2 coefficient vanishes exactly
     when v2(n) = 1, and only then is 2 absent from prime_terms.
     """
+    n = operator.index(n)
     if not 1 <= n <= _N_MAX:
         raise ValueError(_N_RANGE)
     m = round(smooth_main(float(n)))
@@ -193,7 +192,7 @@ def symbolic_expression(n: int) -> SymbolicArgExpression:
             terms.append((p, -c * e))
     # Positional: keyword arguments add about 0.4 us to a frozen dataclass
     # call (Python 3.11, 2-core Xeon VM).
-    return SymbolicArgExpression(n, 8 * m - 7, c, c, tuple(terms))
+    return SymbolicArgExpression(8 * m - 7, c, c, tuple(terms))
 
 
 def _require_prime(p: int) -> None:

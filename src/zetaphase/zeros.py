@@ -360,11 +360,6 @@ class UnitIntervalCounts:
     def n_max(self) -> int:
         return len(self.counts)
 
-    def get(self, n: int) -> int:
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"n = {n} outside [1, {self.n_max}]")
-        return int(self.counts[n - 1])
-
     def nonzero_items(self) -> list[tuple[int, int]]:
         """(n, F(n)) for every n with F(n) > 0, ascending in n."""
         k = np.flatnonzero(self.counts)
@@ -483,37 +478,6 @@ def airy_neg_zeros(count: int) -> np.ndarray:
     return np.concatenate([head, tail])
 
 
-def divergence_report(kind: str, n_max: int) -> list[tuple[int, int, int]]:
-    """(n, formula count, oracle count) wherever a counter and its oracle differ.
-
-    kind is 'bessel' (literal slope form) or 'airy' (counting-function form
-    without the quarter offset).
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if kind == "bessel":
-        counter = bessel_j0_counter
-        # Count of J0 zeros below x grows like x/pi.
-        zeros = bessel_j0_zeros(int((n_max + 1) / math.pi) + 4)
-    elif kind == "airy":
-        counter = airy_counter
-        zeros = airy_neg_zeros(int(2.0 * (n_max + 1) ** 1.5 / (3.0 * math.pi)) + 4)
-    else:
-        raise ValueError(f"unknown counter kind {kind!r}")
-    oracle = interval_counts(zeros, 1, n_max + 1).tolist()
-    formula = [counter(n) for n in range(1, n_max + 1)]
-    return [(n, got, want) for n, (got, want) in enumerate(zip(formula, oracle), start=1)
-            if got != want]
-
-
-def first_missed_zero(report: list[tuple[int, int, int]]) -> int | None:
-    """First interval where the formula undercounts the oracle."""
-    for n, got, want in report:
-        if got < want:
-            return n
-    return None
-
-
 # ----------------------------------------------------------------------
 # cache files
 
@@ -543,48 +507,62 @@ def write_zero_cache(zeros: ZeroList, path: str | os.PathLike) -> None:
 def read_zero_cache(path: str | os.PathLike) -> ZeroList:
     """Parse a cache file back into a ZeroList.
 
-    The first non-empty line must be '# ' + CACHE_MAGIC.  Malformed lines
-    and ordering violations report their line number.  Without a
-    '# range:' comment the coverage is [0, last ordinate].  Comments other
-    than '# range:' and '# count:' are skipped, such as the '# source:',
-    '# step:' and '# refine_tol:' lines that older files carry.
+    The first non-empty line must be '# ' + CACHE_MAGIC.  Malformed lines,
+    ordering violations and bytes that are not ASCII report their line
+    number.  Without a '# range:' comment the coverage is [0, last
+    ordinate].  Comments other than '# range:' and '# count:' are skipped,
+    such as the '# source:', '# step:' and '# refine_tol:' lines that older
+    files carry.
     """
     t_lo = 0.0
     t_hi: float | None = None
     declared = None
     ordinates: list[float] = []
     magic_seen = False
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if not magic_seen:
-                if line != f"# {CACHE_MAGIC}":
-                    raise ValueError(f"{path}:{lineno}: not a zero cache: {line!r}")
-                magic_seen = True
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                key, _, value = body.partition(":")
-                try:
-                    if key == "range":
-                        lo_s, hi_s = value.split()
-                        t_lo, t_hi = float(lo_s), float(hi_s)
-                    elif key == "count":
-                        declared = int(value)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad {key} comment") from exc
-                continue
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: not ASCII: byte {data[exc.start]:#04x}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if not magic_seen:
+            if line != f"# {CACHE_MAGIC}":
+                raise ValueError(f"{path}:{lineno}: not a zero cache: {line!r}")
+            magic_seen = True
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            key, _, value = body.partition(":")
             try:
-                y = float(line)
+                if key == "range":
+                    lo_s, hi_s = value.split()
+                    t_lo, t_hi = float(lo_s), float(hi_s)
+                elif key == "count":
+                    declared = int(value)
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: not an ordinate: {line!r}") from exc
-            if not math.isfinite(y) or y <= 0.0:
-                raise ValueError(f"{path}:{lineno}: ordinate must be finite and positive")
-            if ordinates and y <= ordinates[-1]:
-                raise ValueError(f"{path}:{lineno}: ordinates must be strictly ascending")
-            ordinates.append(y)
+                raise ValueError(f"{path}:{lineno}: bad {key} comment") from exc
+            continue
+        try:
+            y = float(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: not an ordinate: {line!r}") from exc
+        if not math.isfinite(y) or y <= 0.0:
+            raise ValueError(f"{path}:{lineno}: ordinate must be finite and positive")
+        if ordinates and y <= ordinates[-1]:
+            raise ValueError(f"{path}:{lineno}: ordinates must be strictly ascending")
+        ordinates.append(y)
+    if b"_" in data:
+        # float() reads digit separators ("1_4.1" as 14.1).  The loop has
+        # passed, so every line that is not blank or a comment is an ordinate.
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if "_" in line and not line.startswith("#"):
+                raise ValueError(f"{path}:{lineno}: not an ordinate: {line!r}")
     if not magic_seen:
         raise ValueError(f"{path}: empty, not a zero cache")
     if declared is not None and declared != len(ordinates):

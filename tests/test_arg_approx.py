@@ -268,21 +268,29 @@ class TestSymbolicExpression:
     def test_validation(self):
         with pytest.raises(ValueError):
             SymbolicArgExpression(
-                n=6, c_pi=1, c_const=24, c_lnpi=24, prime_terms=((3, -24), (2, 0))
+                c_pi=1, c_const=24, c_lnpi=24, prime_terms=((3, -24), (2, 0))
             )
         for p in (-3, 0, 1):
             with pytest.raises(ValueError):
-                SymbolicArgExpression(n=1, c_pi=1, c_const=4, c_lnpi=4, prime_terms=((p, 4),))
+                SymbolicArgExpression(c_pi=1, c_const=4, c_lnpi=4, prime_terms=((p, 4),))
         for terms in (((3, -24), (2, 24)), ((2, 24), (2, 24)), ((2, 24), (3, -24), (3, -24)),
                       ((2, 24), (3, 0)), ((2, 0),), ((2, 24), (1, 4))):
             with pytest.raises(ValueError):
-                SymbolicArgExpression(n=6, c_pi=1, c_const=24, c_lnpi=24, prime_terms=terms)
-        with pytest.raises(ValueError):
-            SymbolicArgExpression(n=0, c_pi=1, c_const=0, c_lnpi=0, prime_terms=((2, 4),))
+                SymbolicArgExpression(c_pi=1, c_const=24, c_lnpi=24, prime_terms=terms)
 
     def test_large_prime_factor_rejected(self):
         with pytest.raises(OverflowError):
             symbolic_expression(1000003 * 1000033)
+
+    def test_integer_n_only(self):
+        # A NumPy integer is the same n; a float, whole or not, is refused
+        # (6.0 built an expression whose evaluate() and text() raised).
+        e = symbolic_expression(np.int64(6))
+        assert e == symbolic_expression(6) and e.text() == symbolic_expression(6).text()
+        assert e.evaluate() == symbolic_expression(6).evaluate()
+        for n in (6.0, 2.5):
+            with pytest.raises(TypeError):
+                symbolic_expression(n)
 
     def test_domain_bound(self):
         # Within the bound evaluate() and approx_arg_zeta stay inside

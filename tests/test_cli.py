@@ -204,6 +204,16 @@ class TestCountsCommand:
         assert code == 2
         assert "/nonexistent/zeros.txt" in err
 
+    @pytest.mark.parametrize("line, message", [("1_4.134725141735", "3: not an ordinate"),
+                                               ("14.134725141735é", "3: not ASCII: byte 0xc3")])
+    def test_bad_cache_line_is_error(self, capsys, tmp_path, line, message):
+        path = tmp_path / "zeros.txt"
+        path.write_bytes(f"# zetaphase zero cache v1\n# range: 0 30\n{line}\n".encode())
+        code, out, err = run_cli(capsys, "counts", "--cache", str(path), "--n-max", "20")
+        assert code == 2
+        assert out == ""
+        assert f"{path}:{message}" in err
+
     def test_zero_n_max_is_error(self, capsys, census_cache):
         code, out, err = run_cli(
             capsys, "counts", "--cache", str(census_cache), "--n-max", "0",

@@ -132,7 +132,7 @@ class TestStaircase:
         jumps = staircase_jumps(300)
         for i, jump in enumerate(jumps):
             n = i + 1
-            assert jump == census_counts.get(n), n
+            assert jump == census_counts.counts[n - 1], n
 
     def test_known_miscount_window(self, census_counts):
         # Near n = 1007 the wrapped phase completes an extra half turn:
@@ -140,9 +140,9 @@ class TestStaircase:
         # early, and the two counts disagree exactly there.
         jumps = staircase_jumps(1100)
         mismatches = [
-            (i + 1, int(jumps[i]), census_counts.get(i + 1))
+            (i + 1, int(jumps[i]), int(census_counts.counts[i]))
             for i in range(len(jumps))
-            if jumps[i] != census_counts.get(i + 1)
+            if jumps[i] != census_counts.counts[i]
         ]
         assert mismatches == [
             (1007, 2, 0),
@@ -153,6 +153,6 @@ class TestStaircase:
 
     def test_cumulative_totals_agree(self, census_counts):
         jumps = staircase_jumps(1100)
-        counts = [census_counts.get(n) for n in range(1, len(jumps) + 1)]
+        counts = [census_counts.counts[n - 1] for n in range(1, len(jumps) + 1)]
         assert int(np.sum(jumps[:899])) == sum(counts[:899])
         assert int(np.sum(jumps)) == sum(counts)

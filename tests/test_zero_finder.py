@@ -29,8 +29,6 @@ from zetaphase import (
     bessel_j0_counter_corrected,
     bessel_j0_zeros,
     counter_from_counting_function,
-    divergence_report,
-    first_missed_zero,
     floor_counter,
     hardy_z,
     interval_counts,
@@ -569,6 +567,27 @@ class TestZeroCache:
         with pytest.raises(ValueError, match=":9: not an ordinate"):
             read_zero_cache(path)
 
+    @pytest.mark.parametrize("lineno", [2, 4])
+    def test_non_ascii_byte_reported_with_number(self, tmp_path, lineno):
+        # UTF-8 "é" is the bytes 0xc3 0xa9, in a comment or in an ordinate.
+        lines = ["# zetaphase zero cache v1", "# range: 0 30", "14.134725141735", "21.022039638772"]
+        lines[lineno - 1] += "é"
+        path = tmp_path / "zeros.txt"
+        path.write_bytes(("\n".join(lines) + "\n").encode())
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: not ASCII: byte 0xc3")):
+            read_zero_cache(path)
+
+    @pytest.mark.parametrize("ordinate", ["1_4.134725141735", "14.134_725141735"])
+    def test_digit_separator_rejected(self, tmp_path, ordinate):
+        # float() would read either line as 14.134725141735; a comment may hold "_".
+        path = tmp_path / "zeros.txt"
+        body = "# zetaphase zero cache v1\n# refine_tol: 1.000e-09\n{}\n21.022039638772\n"
+        path.write_text(body.format("14.134725141735"))
+        assert read_zero_cache(path).count == 2
+        path.write_text(body.format(ordinate))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: not an ordinate: '{ordinate}'")):
+            read_zero_cache(path)
+
     @pytest.mark.parametrize(
         "key, lineno", [("range", 3), ("count", 4)]
     )
@@ -682,15 +701,13 @@ class TestUnitIntervalCounts:
     def test_small_window_counts(self):
         zeros = scan_zeros(ScanConfig(t_lo=0.0, t_hi=51.0))
         counts = unit_interval_counts(zeros, 50)
-        assert counts.get(13) == 0
-        assert counts.get(14) == 1
-        assert counts.get(21) == 1
-        assert counts.get(15) == 0
+        assert counts.counts[13 - 1] == 0
+        assert counts.counts[14 - 1] == 1
+        assert counts.counts[21 - 1] == 1
+        assert counts.counts[15 - 1] == 0
         assert counts.counts.sum() == 10
         nonzero = dict(counts.nonzero_items())
         assert set(nonzero) == {14, 21, 25, 30, 32, 37, 40, 43, 48, 49}
-        with pytest.raises(ValueError):
-            counts.get(0)
 
     def test_n_max_is_length(self):
         counts = UnitIntervalCounts(np.array([0, 1, 0, 2]))
@@ -707,7 +724,7 @@ class TestUnitIntervalCounts:
         f = np.array([0, 1, 0])
         counts = UnitIntervalCounts(f)
         f[0] = 5
-        assert counts.get(1) == 0
+        assert counts.counts[1 - 1] == 0
 
     @pytest.mark.parametrize(
         "bad",
@@ -803,7 +820,7 @@ class TestPointDensity:
     def test_tracks_running_mean(self, census_counts):
         # The measured mean count over [5000, 6000] sits ln(2 pi)/(2 pi)
         # below the ln(n)/(2 pi) figure, matching the smooth zero count.
-        window = [census_counts.get(n) for n in range(5000, 6000)]
+        window = [census_counts.counts[n - 1] for n in range(5000, 6000)]
         mean = sum(window) / len(window)
         expected = point_density_zeta(5500.0) - math.log(2.0 * math.pi) / (
             2.0 * math.pi
@@ -843,10 +860,16 @@ class TestOscillatorCounters:
                 bessel_j0_counter_corrected(n)
             )
 
+    @staticmethod
+    def _disagreements(counter, oracle):
+        """(n, counter count, oracle count) wherever the two differ, for n <= 200."""
+        want = interval_counts(oracle, 1, 201).tolist()
+        return [(n, counter(n), w) for n, w in enumerate(want, start=1) if counter(n) != w]
+
     def test_bessel_divergences(self):
-        report = divergence_report("bessel", 200)
+        report = self._disagreements(bessel_j0_counter, bessel_j0_zeros(70))
         assert report[:4] == [(6, 1, 0), (8, 0, 1), (9, 1, 0), (11, 0, 1)]
-        assert first_missed_zero(report) == 8
+        assert min(n for n, got, want in report if got < want) == 8
 
     @staticmethod
     def _oracle_counts(zeros, n_max):
@@ -867,10 +890,9 @@ class TestOscillatorCounters:
         assert airy_counter(6) == 0
 
     def test_airy_divergences(self):
-        report = divergence_report("airy", 200)
-        assert report[0] == (6, 0, 1)
-        assert report[1] == (8, 1, 0)
-        assert first_missed_zero(report) == 6
+        report = self._disagreements(airy_counter, airy_neg_zeros(620))
+        assert report[:2] == [(6, 0, 1), (8, 1, 0)]
+        assert min(n for n, got, want in report if got < want) == 6
 
     def test_airy_corrected_matches_oracle(self):
         oracle = self._oracle_counts(airy_neg_zeros(620), 200)
@@ -883,16 +905,6 @@ class TestOscillatorCounters:
         assert j0 == pytest.approx([2.4048255577, 5.5200781103, 8.6537279129], abs=1e-9)
         ai = airy_neg_zeros(3)
         assert ai == pytest.approx([2.3381074105, 4.0879494441, 5.5205598281], abs=1e-9)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            divergence_report("cosine", 50)
-
-    @pytest.mark.parametrize("n_max", [0, -5])
-    def test_empty_report_range_rejected(self, n_max):
-        for kind in ("bessel", "airy"):
-            with pytest.raises(ValueError, match="n_max must be >= 1"):
-                divergence_report(kind, n_max)
 
     @pytest.mark.parametrize("oracle", [bessel_j0_zeros, airy_neg_zeros])
     def test_oracle_count_must_be_an_integer(self, oracle):
@@ -926,20 +938,20 @@ class TestCensusLandmarks:
         assert census_zeros.suspect_intervals == ()
 
     def test_counts_shape(self, census_counts):
-        values = {n: census_counts.get(n) for n in range(1, census_counts.n_max + 1)}
+        values = {n: census_counts.counts[n - 1] for n in range(1, census_counts.n_max + 1)}
         assert max(values.values()) == 3
         assert all(values[n] == 0 for n in range(1, 14))
         assert values[14] == 1
 
     def test_double_intervals_below_three_hundred(self, census_counts):
-        doubles = [n for n in range(1, 301) if census_counts.get(n) == 2]
+        doubles = [n for n in range(1, 301) if census_counts.counts[n - 1] == 2]
         assert doubles == [111, 150, 169, 224, 231]
 
     def test_triple_intervals(self, census_counts):
         triples = [
             n
             for n in range(1, census_counts.n_max + 1)
-            if census_counts.get(n) == 3
+            if census_counts.counts[n - 1] == 3
         ]
         assert triples == [5826, 5978, 6494]
 
