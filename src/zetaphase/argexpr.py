@@ -52,6 +52,7 @@ def main_term(n: float) -> float:
 
 def approx_arg_zeta(n: int) -> float:
     """round(main_term(n)) - main_term(n), rounding half to even."""
+    n = operator.index(n)
     if not 1 <= n <= _N_MAX:
         raise ValueError(_N_RANGE)
     m = smooth_main(float(n))
@@ -68,6 +69,7 @@ def corrected_approx(n: int, order: int) -> float:
     theta(n)/pi is already 9e-13.  Order 0 returns approx_arg_zeta(n)
     unchanged.
     """
+    n, order = operator.index(n), operator.index(order)
     if not 2 <= n <= _N_MAX:
         raise ValueError("n must be in [2, 2^44]")
     if not 0 <= order <= MAX_SERIES_ORDER:
@@ -98,6 +100,7 @@ def approx_error(n: int) -> float:
 
 def p_adic_valuation(p: int, n: int) -> int:
     """Largest e with p^e dividing n."""
+    p, n = operator.index(p), operator.index(n)
     if p < 2:
         raise ValueError("p must be >= 2")
     if n < 1:
@@ -223,6 +226,7 @@ def approx_arg_gamma(n: int) -> float:
     Wraps main_term(n) - 1 + n ln(pi)/(2 pi) into (-1, 1]; the gap to the
     true value is the phase-series tail, about 1/(48 pi n).
     """
+    n = operator.index(n)
     if not 1 <= n <= _N_MAX:
         raise ValueError(_N_RANGE)
     return wrap_half_turns(smooth_main(float(n)) - 1.0 + n * LN_PI / TWO_PI)

@@ -12,6 +12,7 @@ cross half-integer levels.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -19,12 +20,19 @@ from .special import TWO_PI, arg_zeta_principal, lambert_w0, smooth_main
 
 
 def zero_estimate_lambert(n: int) -> float:
-    """Closed-form estimate 2 pi (n - 11/8) / W((n - 11/8) / e)."""
+    """Closed-form estimate 2 pi (n - 11/8) / W((n - 11/8) / e).
+
+    Raises OverflowError from n = 2.9e307 up, where 2 pi (n - 11/8)
+    overflows before the division.
+    """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     a = n - 11.0 / 8.0
-    w = lambert_w0(a / math.e)
-    return TWO_PI * a / w
+    y = TWO_PI * a / lambert_w0(a / math.e)
+    if y == math.inf:
+        raise OverflowError(f"estimate of zero n = {n:.3g} overflows binary64")
+    return y
 
 
 def carrier_g(n: float) -> float:
@@ -54,9 +62,14 @@ def staircase_levels(values: np.ndarray) -> np.ndarray:
     """Index of the half-integer level nearest each staircase value.
 
     Level k corresponds to the half-integer k + 1/2; ties round toward even
-    k (never observed on the supported window).
+    k (never observed on the supported window).  Raises ValueError for a
+    NaN or infinite value.
     """
-    return np.round(np.asarray(values) - 0.5).astype(np.int64)
+    values = np.asarray(values)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"staircase value {values.flat[bad[0]]} at index {bad[0]} is not finite")
+    return np.round(values - 0.5).astype(np.int64)
 
 
 def staircase_jumps(n_max: int) -> np.ndarray:

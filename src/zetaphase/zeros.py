@@ -544,6 +544,11 @@ def read_zero_cache(path: str | os.PathLike) -> ZeroList:
                     t_lo, t_hi = float(lo_s), float(hi_s)
                 elif key == "count":
                     declared = int(value)
+                else:
+                    continue
+                # float() and int() read digit separators ("3_0" as 30).
+                if "_" in value:
+                    raise ValueError(value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad {key} comment") from exc
             continue

@@ -25,8 +25,9 @@ from zetaphase import (
     ruler_normalized,
     symbolic_expression,
     theta_exact,
+    zero_estimate_lambert,
 )
-from zetaphase.special import smooth_main
+from zetaphase.special import smooth_main, theta_series
 
 
 def _ln_p_law(p, n):
@@ -366,3 +367,30 @@ class TestApproxArgGamma:
             for n in range(1, 101)
         )
         assert worst <= 0.02
+
+
+# Each closed form with an integer argument k at one position.  main_term
+# and carrier_g take real heights and are not here.
+INTEGER_CALLS = [
+    pytest.param(approx_arg_zeta, lambda k: (k,), id="approx_arg_zeta-n"),
+    pytest.param(approx_arg_gamma, lambda k: (k,), id="approx_arg_gamma-n"),
+    pytest.param(corrected_approx, lambda k: (k, 4), id="corrected_approx-n"),
+    pytest.param(corrected_approx, lambda k: (10, k), id="corrected_approx-order"),
+    pytest.param(zero_estimate_lambert, lambda k: (k,), id="zero_estimate_lambert-n"),
+    pytest.param(p_adic_valuation, lambda k: (k, 12), id="p_adic_valuation-p"),
+    pytest.param(p_adic_valuation, lambda k: (2, k), id="p_adic_valuation-n"),
+    pytest.param(theta_series, lambda k: (100.0, k), id="theta_series-order"),
+]
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("fn, args", INTEGER_CALLS)
+    def test_numpy_integer_is_the_integer(self, fn, args):
+        assert fn(*args(np.int64(6))) == fn(*args(6))
+
+    @pytest.mark.parametrize("k", [2.5, 6.0])
+    @pytest.mark.parametrize("fn, args", INTEGER_CALLS)
+    def test_float_rejected(self, fn, args, k):
+        # A float n or p gave a value; a float order failed on a tuple index.
+        with pytest.raises(TypeError):
+            fn(*args(k))

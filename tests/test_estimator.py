@@ -63,6 +63,13 @@ class TestLambertEstimate:
         with pytest.raises(ValueError):
             zero_estimate_lambert(0)
 
+    def test_overflow_raises(self):
+        # From n = 2.9e307 up 2 pi (n - 11/8) overflows before the division
+        # by W, which left inf in place of 2.69e305 at n = 3e307.
+        assert math.isfinite(zero_estimate_lambert(2 * 10**307))
+        with pytest.raises(OverflowError):
+            zero_estimate_lambert(3 * 10**307)
+
 
 class TestCarriers:
     def test_carrier_g_values(self):
@@ -127,6 +134,12 @@ class TestStaircase:
         # below, with banker's rounding on exact midpoints.
         levels = staircase_levels(np.array([0.4999, 1.4999, 1.5001, 2.5]))
         assert list(levels) == [0, 1, 1, 2]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_levels_reject_non_finite(self, bad):
+        # The int64 cast turned these into -9223372036854775808.
+        with pytest.raises(ValueError, match="at index 2 is not finite"):
+            staircase_levels(np.array([0.5, 1.5, bad, 2.5, bad]))
 
     def test_jumps_match_census_prefix(self, census_counts):
         jumps = staircase_jumps(300)

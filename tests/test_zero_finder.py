@@ -588,16 +588,21 @@ class TestZeroCache:
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: not an ordinate: '{ordinate}'")):
             read_zero_cache(path)
 
-    @pytest.mark.parametrize(
-        "key, lineno", [("range", 3), ("count", 4)]
-    )
-    def test_malformed_header_reported_with_number(self, tmp_path, key, lineno):
+    # float() and int() would read the digit separators as coverage [0, 30]
+    # and a count of 2.
+    @pytest.mark.parametrize("key, lineno, value", [
+        pytest.param("range", 3, "two", id="range-3"),
+        pytest.param("count", 4, "two", id="count-4"),
+        pytest.param("range", 3, "0_0 3_0", id="range-3-separator"),
+        pytest.param("count", 4, "0_2", id="count-4-separator"),
+    ])
+    def test_malformed_header_reported_with_number(self, tmp_path, key, lineno, value):
         zeros = ZeroList(ordinates=(14.1, 21.0), t_lo=0.0, t_hi=30.0)
         path = tmp_path / "zeros.txt"
         write_zero_cache(zeros, path)
         lines = path.read_text().splitlines()
         assert lines[lineno - 1].startswith(f"# {key}:")
-        lines[lineno - 1] = f"# {key}: two"
+        lines[lineno - 1] = f"# {key}: {value}"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f":{lineno}: bad {key} comment"):
             read_zero_cache(path)
