@@ -25,12 +25,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .special import (
     EXTENDED_DPS,
     LN_PI,
     MAX_SERIES_ORDER,
+    T_NO_ZERO,
     TWO_PI,
     combination_over_8pi,
     smooth_main,
@@ -77,18 +77,20 @@ def corrected_approx(n: int, order: int) -> float:
     return approx_arg_zeta(n) - theta_tail(float(n), order) / math.pi
 
 
-@lru_cache(maxsize=65536)
 def approx_error(n: int) -> float:
     """Gap approx_arg_zeta(n) - (round(main_term(n)) - 1 - theta(n)/pi).
 
-    Positive, asymptotic to 1/(48 pi n).  The defining expression is a
-    difference of nearly equal quantities, so it is carried in extended
-    precision internally and rounded once at the end; this keeps the
-    value usable down to its tiny high-order structure (the order-k
-    corrected residuals decay like n^-(2k+3)).
+    That is 1 - main + theta/pi, the theta series tail over pi: positive,
+    asymptotic to 1/(48 pi n).  From n = T_NO_ZERO = 14 up it is
+    theta_tail(n, 8) / pi, the tail corrected_approx subtracts, within 2
+    ulp of the 40-digit expression for n <= 10^4.  Below 14, where the
+    series is up to 33,000 ulp off, the expression is carried in 40 digits.
     """
+    n = operator.index(n)
     if n < 2:
         raise ValueError("n must be >= 2")
+    if n >= T_NO_ZERO:
+        return theta_tail(float(n), MAX_SERIES_ORDER) / math.pi
     import mpmath as mp
 
     with mp.workdps(EXTENDED_DPS):

@@ -63,13 +63,17 @@ def staircase_levels(values: np.ndarray) -> np.ndarray:
 
     Level k corresponds to the half-integer k + 1/2; ties round toward even
     k (never observed on the supported window).  Raises ValueError for a
-    NaN or infinite value.
+    NaN or infinite value and for a level outside int64.
     """
     values = np.asarray(values)
-    bad = np.flatnonzero(~np.isfinite(values))
+    levels = np.round(values - 0.5)
+    # int64 holds [-2^63, 2^63); NaN fails both comparisons.
+    bad = np.flatnonzero(~((levels >= -2.0 ** 63) & (levels < 2.0 ** 63)))
     if bad.size:
-        raise ValueError(f"staircase value {values.flat[bad[0]]} at index {bad[0]} is not finite")
-    return np.round(values - 0.5).astype(np.int64)
+        v = values.flat[bad[0]]
+        why = "rounds to a level outside int64" if np.isfinite(v) else "is not finite"
+        raise ValueError(f"staircase value {v} at index {bad[0]} {why}")
+    return levels.astype(np.int64)
 
 
 def staircase_jumps(n_max: int) -> np.ndarray:

@@ -22,9 +22,10 @@ series tail for every caller.
 
 Accuracy targets are "working precision": phases whose magnitude grows like
 t*log(t) are computed through one extended-precision smooth term and a
-single error-free product with pi, so every returned binary64 phase is
-within one ulp of the true value and all phase functions share the same
-smooth-term double.  That term, smooth_main, is exact integer arithmetic
+single error-free product with pi, and all phase functions share the same
+smooth-term double.  At 12,000 stratified heights theta_exact is within 2.3
+ulp of 40-digit mpmath from t = 20 and within 4.7e-16 absolute on [14, 20),
+where theta crosses 0.  The term smooth_main is exact integer arithmetic
 on 136-bit fixed-point values (as many bits as EXTENDED_DPS = 40 digits
 give) ended by one correctly rounded integer division; its logarithm comes
 from mpmath's fixed-point Taylor kernel, and it enters no mpmath precision
@@ -46,7 +47,7 @@ value at t does not depend on the batch it is evaluated in.
 Importing this module loads numpy and no mpmath: its fixed-point constants
 and series coefficients are frozen literals.  mpmath is imported on first
 use by _ln_fixed (so by a smooth_main cache miss and by
-combination_over_8pi) and by theta_exact below t = 50.
+combination_over_8pi) and by theta_exact below t = T_NO_ZERO.
 """
 
 from __future__ import annotations
@@ -89,11 +90,6 @@ _LOG_HALF_UNIT = 1 << _LOG_BITS - _FIXED_BITS - 1
 _LN_PI_FIXED = 99720037130744215831830602185213718665310
 _LN_TWO_PI_E_FIXED = _LN2_FIXED + (1 << _FIXED_BITS) + _LN_PI_FIXED
 _EIGHT_PI_FIXED = 8 * _PI_FIXED
-
-# Switch point between the log-gamma route and the asymptotic route for the
-# exact phase.  Above this the 8-term series is exact to far below one ulp;
-# on [T_NO_ZERO, 50) its rounding is up to 2 ulps off.
-_THETA_SERIES_MIN = 50.0
 
 # Coefficient of t**-(2k+1) in the theta asymptotic series,
 # c_k = (1 - 2**(1-2n)) * |B_2n| / (4n(2n-1)) with n = k + 1, each rounded
@@ -397,20 +393,13 @@ def _theta_from_main(t: float, order: int) -> float:
     return p + (e + theta_tail(t, order))
 
 
-@lru_cache(maxsize=65536)
-def _theta_loggamma(t: float) -> float:
-    import mpmath as mp
-
-    with mp.workdps(EXTENDED_DPS):
-        return float(mp.siegeltheta(t))
-
-
 def theta_exact(t: float) -> float:
     """Phase theta(t) = Im log-gamma(1/4 + it/2) - (t/2) log(pi), exact branch.
 
-    Odd in t by construction.  Below t = 50 this goes through log-gamma in
-    extended precision; above, through the asymptotic series whose
-    truncation error is below 1e-19 there.
+    Odd in t by construction.  From |t| = T_NO_ZERO = 14 up this is
+    theta_series(|t|, 8), whose first dropped term is 3e-21 at 14.  On
+    [10, 14) that series is up to 1.1e-14 (25 ulp) off, so below 14
+    mpmath's siegeltheta runs at EXTENDED_DPS digits.
     """
     t = float(t)
     if not math.isfinite(t):
@@ -420,9 +409,12 @@ def theta_exact(t: float) -> float:
     if t == 0.0:
         return 0.0
     sign, mag = math.copysign(1.0, t), abs(t)
-    if mag < _THETA_SERIES_MIN:
-        return sign * _theta_loggamma(mag)
-    return sign * _theta_from_main(mag, MAX_SERIES_ORDER)
+    if mag >= T_NO_ZERO:
+        return sign * _theta_from_main(mag, MAX_SERIES_ORDER)
+    import mpmath as mp
+
+    with mp.workdps(EXTENDED_DPS):
+        return sign * float(mp.siegeltheta(mag))
 
 
 def theta_series(t: float, order: int = 4) -> float:
@@ -493,10 +485,10 @@ def theta_vec(ts) -> np.ndarray:
     """theta on an array of t in [T_NO_ZERO, T_THETA_MAX], for Z and the zero count.
 
     The asymptotic series pi (x ln x - x - 1/8) + theta_tail(t, 8) with
-    x = t/(2 pi).  Its worst error against 40-digit mpmath is 1.4e-14 at
-    400 stratified heights in [14, 50], where it is up to 2 ulps off, so
-    theta_exact keeps extended precision below 50.  Raises ValueError for
-    t below T_NO_ZERO, above T_THETA_MAX or NaN.
+    x = t/(2 pi), with its main term rounded in binary64: its worst error
+    against 40-digit mpmath is 1.4e-14 (9 ulp) at 400 stratified heights
+    in [14, 50], where theta_exact is within 2.3 ulp.  Raises ValueError
+    for t below T_NO_ZERO, above T_THETA_MAX or NaN.
     """
     ts = np.asarray(ts, dtype=np.float64)
     # Elementwise, so an empty array passes.

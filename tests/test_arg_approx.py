@@ -159,6 +159,24 @@ class TestApproxError:
         slope1 = np.polyfit(np.log(ns1), np.log(r1), 1)[0]
         assert slope1 == pytest.approx(-5.0, abs=0.1)
 
+    def test_series_within_two_ulp_from_14(self):
+        # From n = 14 up approx_error is theta_tail(n, 8)/pi, the tail that
+        # corrected_approx(n, 8) removes; 1 - main + theta/pi in 40 digits.
+        with mp.workdps(40):
+            for n in range(14, 61):
+                x = mp.mpf(n) / (2 * mp.pi)
+                want = float(1 - (x * mp.log(x) - x + mp.mpf(7) / 8) + mp.siegeltheta(n) / mp.pi)
+                assert abs(approx_error(n) - want) <= 2 * math.ulp(want), n
+
+    def test_series_needs_no_siegeltheta(self, monkeypatch):
+        def refuse(t):
+            raise AssertionError(f"siegeltheta({t}) called")
+
+        monkeypatch.setattr(mp, "siegeltheta", refuse)
+        assert all(approx_error(n) > 0.0 for n in range(14, 10001))
+        with pytest.raises(AssertionError, match="siegeltheta"):
+            approx_error(13)
+
 
 def _correction_term(n, k):
     # k-th tail coefficient of the phase series divided by pi n^(2k+1).
@@ -380,6 +398,8 @@ INTEGER_CALLS = [
     pytest.param(p_adic_valuation, lambda k: (k, 12), id="p_adic_valuation-p"),
     pytest.param(p_adic_valuation, lambda k: (2, k), id="p_adic_valuation-n"),
     pytest.param(theta_series, lambda k: (100.0, k), id="theta_series-order"),
+    pytest.param(approx_error, lambda k: (k,), id="approx_error-n"),
+    pytest.param(approx_error, lambda k: (10 * k,), id="approx_error-series-n"),
 ]
 
 

@@ -141,6 +141,15 @@ class TestStaircase:
         with pytest.raises(ValueError, match="at index 2 is not finite"):
             staircase_levels(np.array([0.5, 1.5, bad, 2.5, bad]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("big", [1e19, -1e19, 2.0 ** 63 + 0.5])
+    def test_levels_reject_beyond_int64(self, big):
+        # The int64 cast gave -9223372036854775808 with a RuntimeWarning.
+        with pytest.raises(ValueError, match="at index 1 rounds to a level outside int64"):
+            staircase_levels(np.array([0.5, big, 2.5]))
+        edge = np.array([-2.0 ** 63, 2.0 ** 63 - 1024.0])
+        assert staircase_levels(edge).tolist() == [-2 ** 63, 2 ** 63 - 1024]
+
     def test_jumps_match_census_prefix(self, census_counts):
         jumps = staircase_jumps(300)
         for i, jump in enumerate(jumps):

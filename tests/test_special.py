@@ -32,6 +32,7 @@ from zetaphase import (
     wrap_half_turns,
     zeta_critical_line,
 )
+from zetaphase import cli
 from zetaphase.special import (
     _EM_BERNOULLI,
     _EM_ROW_BYTES,
@@ -204,13 +205,44 @@ class TestThetaExact:
         vals = [theta_exact(float(t)) for t in ts]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_either_side_of_series_cut(self):
+        # siegeltheta below T_NO_ZERO, the 8-term series from it: both
+        # within 5e-16 of 40-digit mpmath at the cut.
+        for t in (math.nextafter(T_NO_ZERO, 0.0), T_NO_ZERO):
+            with mp.workdps(40):
+                want = mp.siegeltheta(t)
+            assert abs(mp.mpf(theta_exact(t)) - want) < 5e-16, t
+
+    def test_series_needs_no_siegeltheta(self, monkeypatch, capsys):
+        # From T_NO_ZERO up theta, Arg gamma and the theta command never
+        # reach mpmath.siegeltheta; just below they do.
+        def refuse(t):
+            raise AssertionError(f"siegeltheta({t}) called")
+
+        monkeypatch.setattr(mp, "siegeltheta", refuse)
+        edges = np.geomspace(T_NO_ZERO, T_THETA_MAX, 201)
+        ts = np.random.default_rng(31).uniform(edges[:-1], edges[1:]).tolist()
+        ts += [T_NO_ZERO, 17.845599540410861, math.nextafter(50.0, 0.0), T_THETA_MAX]
+        for t in ts:
+            assert theta_exact(-t) == -theta_exact(t)
+            assert -1.0 < arg_gamma_quarter(t) <= 1.0
+        assert cli.main(["theta", *map(repr, ts)]) == 0
+        assert capsys.readouterr().out == "".join(f"{theta_exact(t):.12f}\n" for t in ts)
+        with pytest.raises(AssertionError, match="siegeltheta"):
+            theta_exact(math.nextafter(T_NO_ZERO, 0.0))
+
 
 class TestThetaSeries:
     def test_matches_exact_in_main_window(self):
-        # Above t = 50 the series path and the exact path agree bitwise:
-        # both round the same smooth main term and correction.
+        # From T_NO_ZERO = 14 up theta_exact is the 8-term series bit for
+        # bit; from 50 up the order-4 default rounds to the same double.
+        edges = np.linspace(T_NO_ZERO, 50.0, 101)
+        ts = np.random.default_rng(29).uniform(edges[:-1], edges[1:]).tolist()
+        for t in ts + [T_NO_ZERO, 17.845599540410861, math.nextafter(50.0, 0.0)]:
+            assert theta_series(t, MAX_SERIES_ORDER) == theta_exact(t), t
         for t in (50.0, 63.7, 200.0, 1234.5, 9999.0):
             assert theta_series(t) == theta_exact(t)
+            assert theta_series(t, MAX_SERIES_ORDER) == theta_exact(t)
 
     def test_error_ladder_at_ten(self):
         # Error after k correction terms, frozen from the mpmath value.
@@ -417,10 +449,14 @@ class TestLambertW:
     def test_pinned_away_from_branch_point(self):
         # Bit for bit on [-1/e + 0.25, 10^57.5], where every x starts from
         # Winitzki's approximation and takes the same three Fritsch steps.
-        xs = np.concatenate([-1.0 / math.e + 0.25 + np.linspace(0.0, 3.0, 301),
-                             np.logspace(0.5, 57.5, 600)])
-        values = np.array([lambert_w0(x) for x in xs.tolist()])
-        digest = "595f3b458cf16747cf67e433a1eb07385dbcfa744039bd117d6d8d4cd9317d4c"
+        # The inputs are built with arithmetic and Python's ** (libm pow),
+        # not NumPy's exp/log loops, whose last bit depends on the SIMD
+        # target; the digest still rests on the platform libm's pow, log
+        # and log1p.
+        xs = (-1.0 / math.e + 0.25 + np.linspace(0.0, 3.0, 301)).tolist()
+        xs += [10.0 ** (0.5 + 57 * k / 599) for k in range(600)]
+        values = np.array([lambert_w0(x) for x in xs])
+        digest = "ff6aa7a36a9c66be115278d10350e5352b2abdf277b1dcc5f63c10ed051100c9"
         assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
