@@ -17,8 +17,11 @@ C0..C13, or C0..C7 from t = 800, in chunks, and puts every value back in
 its place.  hardy_z, zeta_critical_line and arg_zeta_principal are calls
 into it, and the zero scanner samples and refines with hardy_z.  Each takes a
 float or an array, and a float is a one-element call, so scalar and array
-values agree bit for bit.  One Horner loop, theta_tail, sums the theta
-series tail for every caller.
+values agree bit for bit.  That call gives Z and zeta together, and the
+three share it through a memo of the last _SCALAR_MEMO = 256 scalar
+heights, so Z and the phase of zeta at one height cost one kernel
+evaluation; arrays bypass the memo.  One Horner loop, theta_tail, sums the
+theta series tail for every caller.
 
 Accuracy targets are "working precision": phases whose magnitude grows like
 t*log(t) are computed through one extended-precision smooth term and a
@@ -711,16 +714,53 @@ def _zeta_vec(ts: np.ndarray) -> np.ndarray:
     return _critical_line(ts, lambda ts, zeta: zeta, _zeta_from_z, np.complex128)
 
 
+# A (Z, zeta) row per ordinate: Z, a real, is held exactly as a complex.
+_Z_ZETA = np.dtype((np.complex128, 2))
+# Heights whose (Z, zeta) the scalar API keeps, least recently used out.
+_SCALAR_MEMO = 256
+
+
+@lru_cache(maxsize=_SCALAR_MEMO)
+def _z_zeta_at(t: float) -> tuple[float, complex]:
+    """(Z(t), zeta(1/2 + it)) from one one-element _critical_line call.
+
+    Each is the value that a one-element hardy_z or zeta_critical_line array
+    call gives, so a scalar call answered from this memo agrees bit for bit
+    with an array call.  The memo holds the last _SCALAR_MEMO heights; a
+    height that raises is not kept.  0.0 and -0.0 share an entry, and the
+    kernels give them the same values.
+    """
+    pair = _critical_line(
+        np.array([t]),
+        lambda ts, zeta: _z_zeta_rows(_z_from_zeta(ts, zeta), zeta),
+        lambda z, theta: _z_zeta_rows(z, _zeta_from_z(z, theta)),
+        _Z_ZETA)
+    z, zeta = pair[0].tolist()
+    return z.real, zeta
+
+
+def _z_zeta_rows(z: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """The _Z_ZETA rows of equal-length arrays of Z and zeta."""
+    rows = np.empty((len(z), 2), np.complex128)
+    rows[:, 0] = z
+    rows[:, 1] = zeta
+    return rows
+
+
 def zeta_critical_line(t):
     """zeta(1/2 + it) for 0 <= t < T_Z_MAX, absolute error below 5e-15 * max(t, 100).
 
     Takes a float (returns a complex) or an array (returns a complex array
     of its shape).  From T_RS up this is e^(-i theta) Z with Z and theta
-    from the Riemann-Siegel evaluator.
+    from the Riemann-Siegel evaluator.  A float or 0-d array is served from
+    the per-height memo that hardy_z and arg_zeta_principal share, which
+    keeps the last _SCALAR_MEMO = 256 heights; an array of any other shape
+    is evaluated afresh and never memoized.
     """
     ts = np.asarray(t, dtype=np.float64)
-    zeta = _zeta_vec(ts.ravel())
-    return complex(zeta[0]) if ts.ndim == 0 else zeta.reshape(ts.shape)
+    if ts.ndim == 0:
+        return _z_zeta_at(float(ts))[1]
+    return _zeta_vec(ts.ravel()).reshape(ts.shape)
 
 
 def hardy_z(t):
@@ -729,12 +769,16 @@ def hardy_z(t):
     Takes a float (returns a float) or an array (returns an array of its
     shape), for 0 <= t < T_Z_MAX, with absolute error below
     5e-15 * max(t, 100) as for zeta_critical_line.  Each value depends on
-    its own t alone.  Raises ValueError for t outside the domain, NaN
-    included.
+    its own t alone.  A float or 0-d array shares one kernel evaluation per
+    height with zeta_critical_line and arg_zeta_principal through a memo of
+    the last _SCALAR_MEMO = 256 heights; arrays bypass it.  Raises
+    ValueError for t outside the domain, NaN included.
     """
     ts = np.asarray(t, dtype=np.float64)
+    if ts.ndim == 0:
+        return _z_zeta_at(float(ts))[0]
     zs = _critical_line(ts.ravel(), _z_from_zeta, lambda z, theta: z, np.float64)
-    return float(zs[0]) if ts.ndim == 0 else zs.reshape(ts.shape)
+    return zs.reshape(ts.shape)
 
 
 def wrap_half_turns(u: float) -> float:
@@ -754,12 +798,14 @@ def arg_zeta_principal(t):
     """(1/pi) Arg zeta(1/2 + it) with the principal branch, in (-1, 1].
 
     Takes a float (returns a float) or an array (returns an array of its
-    shape), for 0 <= t < T_Z_MAX.  Raises AtZeroError naming the first height
-    where |zeta| < 1e-12.
+    shape), for 0 <= t < T_Z_MAX.  A float or 0-d array takes zeta from the
+    per-height memo of the last _SCALAR_MEMO = 256 heights that hardy_z and
+    zeta_critical_line share; arrays bypass it.  Raises AtZeroError naming
+    the first height where |zeta| < 1e-12, on every call.
     """
     ts = np.asarray(t, dtype=np.float64)
     flat = ts.ravel()
-    zeta = _zeta_vec(flat).tolist()
+    zeta = [_z_zeta_at(float(ts))[1]] if ts.ndim == 0 else _zeta_vec(flat).tolist()
     at_zero = [k for k, z in enumerate(zeta) if abs(z) < 1e-12]
     if at_zero:
         raise AtZeroError(f"zeta vanishes at t = {float(flat[at_zero[0]])} to working precision")

@@ -32,7 +32,7 @@ from zetaphase import (
     wrap_half_turns,
     zeta_critical_line,
 )
-from zetaphase import cli
+from zetaphase import cli, special
 from zetaphase.special import (
     _EM_BERNOULLI,
     _EM_ROW_BYTES,
@@ -59,11 +59,13 @@ from zetaphase.special import (
     _RS_CHUNK,
     _T_RS_SHORT,
     _THETA_COEFFS,
+    _critical_line,
     _em_truncation,
     _fresh_array,
     _ln_fixed,
     _workspace,
     _z_from_zeta,
+    _z_zeta_at,
     _zeta_em_chunk,
     smooth_main,
     theta_vec,
@@ -736,9 +738,17 @@ class TestArrayAPI:
         zeta = zeta_critical_line(batch)
         arg = arg_zeta_principal(batch)
         assert z.shape == zeta.shape == arg.shape == batch.shape
+        # Scalar calls share one per-height memo, so the function that comes
+        # first in a pass evaluates and the others read its values: both
+        # orders, each from an empty memo, must give the array elements.
+        _z_zeta_at.cache_clear()
         assert np.array_equal(z, [hardy_z(float(t)) for t in batch])
         assert np.array_equal(zeta, [zeta_critical_line(float(t)) for t in batch])
         assert np.array_equal(arg, [arg_zeta_principal(float(t)) for t in batch])
+        _z_zeta_at.cache_clear()
+        assert np.array_equal(arg, [arg_zeta_principal(float(t)) for t in batch])
+        assert np.array_equal(zeta, [zeta_critical_line(float(t)) for t in batch])
+        assert np.array_equal(z, [hardy_z(float(t)) for t in batch])
         order = np.array(data.draw(st.permutations(range(len(batch)))))
         subset = order[:data.draw(st.integers(min_value=0, max_value=len(batch)))]
         for idx in (order, subset):
@@ -763,11 +773,41 @@ class TestArrayAPI:
             zeta_critical_line(batch)
         with pytest.raises(ValueError):
             arg_zeta_principal(batch)
+        # A scalar failure is not memoized: the second call raises too.
+        for f in (hardy_z, zeta_critical_line, arg_zeta_principal):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    f(bad)
 
     def test_at_zero_names_height(self):
         t = 14.134725141734694
         with pytest.raises(AtZeroError, match=f"t = {re.escape(repr(t))} "):
             arg_zeta_principal(np.array([1.0, 900.0, t, 20.0]))
+        # The memo keeps zeta at t, and each scalar call checks it again.
+        for _ in range(2):
+            with pytest.raises(AtZeroError, match=f"t = {re.escape(repr(t))} "):
+                arg_zeta_principal(t)
+        assert hardy_z(t) == hardy_z(np.array([t]))[0]
+        assert abs(hardy_z(t)) < 1e-12
+
+    def test_one_kernel_evaluation_per_scalar_height(self, monkeypatch):
+        calls = []
+
+        def counting(ts, *args):
+            calls.append(len(ts))
+            return _critical_line(ts, *args)
+
+        monkeypatch.setattr(special, "_critical_line", counting)
+        _z_zeta_at.cache_clear()
+        for t in (100.0, 1000.0):
+            hardy_z(t)
+            zeta_critical_line(t)
+            arg_zeta_principal(np.array(t))
+        assert calls == [1, 1]
+        batch = np.array([100.0, 1000.0])
+        hardy_z(batch)
+        hardy_z(batch)
+        assert calls == [1, 1, 2, 2]
 
 
 class TestArgGammaQuarter:
