@@ -14,14 +14,17 @@ and Z have one evaluator: a private dispatcher checks that domain, sorts
 the ordinates, sends those below T_RS = 200 to an Euler-Maclaurin kernel
 and those from T_RS up to a Riemann-Siegel kernel with the corrections
 C0..C13, or C0..C7 from t = 800, in chunks, and puts every value back in
-its place.  hardy_z, zeta_critical_line and arg_zeta_principal are calls
-into it, and the zero scanner samples and refines with hardy_z.  Each takes a
-float or an array, and a float is a one-element call, so scalar and array
-values agree bit for bit.  That call gives Z and zeta together, and the
-three share it through a memo of the last _SCALAR_MEMO = 256 scalar
-heights, so Z and the phase of zeta at one height cost one kernel
-evaluation; arrays bypass the memo.  One Horner loop, theta_tail, sums the
-theta series tail for every caller.
+its place.  It returns Z and zeta together: below T_RS Z is formed from
+zeta, from T_RS up zeta is e^(-i theta) Z.  hardy_z and zeta_critical_line
+take their part of that pair, arg_zeta_principal the phase of zeta, and the
+zero scanner samples and refines with hardy_z.  Forming zeta on the
+Riemann-Siegel rows adds one cos and one sin per ordinate to an array Z
+call, about 2% of a scan of [0, 2001].  Each function takes a float or an
+array, and a float is a one-element call, so scalar and array values agree
+bit for bit.  The three share a memo of the pairs at the last _SCALAR_MEMO
+= 256 scalar heights, so Z and the phase of zeta at one height cost one
+kernel evaluation; arrays bypass the memo.  One Horner loop, theta_tail,
+sums the theta series tail for every caller.
 
 Accuracy targets are "working precision": phases whose magnitude grows like
 t*log(t) are computed through one extended-precision smooth term and a
@@ -662,20 +665,23 @@ def _rs_z_theta(ts: np.ndarray, rows: int,
     return 2.0 * main + _RS_SIGNS[n_idx] * remainder, TWO_PI * theta
 
 
-def _critical_line(ts: np.ndarray, from_em, from_rs, dtype) -> np.ndarray:
-    """Zeta-kernel values for a one-dimensional array of ordinates, in input order.
+def _critical_line(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z and zeta(1/2 + it) for a one-dimensional array of ordinates, in input order.
 
-    The ordinates are stable-sorted; those below T_RS go to the
-    Euler-Maclaurin kernel in chunks of _CHUNK and give from_em(chunk,
-    zeta), the rest go to the Riemann-Siegel kernel in chunks of _RS_CHUNK,
-    split again at _T_RS_SHORT, and give from_rs(z, theta).  Both kernels evaluate
-    each ordinate on its own, so no value depends on the rest of the batch,
-    and every chunk reuses one _workspace.  Raises ValueError unless every t
-    satisfies 0 <= t < T_Z_MAX (NaN does not).
+    The ordinates are stable-sorted.  Those below T_RS go to the
+    Euler-Maclaurin kernel in chunks of _CHUNK, which gives zeta, and Z is
+    _z_from_zeta of it.  The rest go to the Riemann-Siegel kernel in chunks
+    of _RS_CHUNK, split again at _T_RS_SHORT, which gives Z and theta, and
+    zeta = e^(-i theta) Z with its real and imaginary parts each rounded
+    once.  Both kernels evaluate each ordinate on its own, so no value
+    depends on the rest of the batch, and every chunk reuses one _workspace.
+    Raises ValueError unless every t satisfies 0 <= t < T_Z_MAX (NaN does
+    not).
     """
-    out = np.empty(len(ts), dtype)
+    z = np.empty(len(ts))
+    zeta = np.empty(len(ts), np.complex128)
     if not len(ts):
-        return out
+        return z, zeta
     order = ts.argsort(kind="stable")
     sorted_ts = ts[order]
     # NaN sorts last.
@@ -685,12 +691,19 @@ def _critical_line(ts: np.ndarray, from_em, from_rs, dtype) -> np.ndarray:
     ws = _workspace(split, len(ts) - split)
     for pos in range(0, split, _CHUNK):
         chunk = sorted_ts[pos:min(pos + _CHUNK, split)]
-        out[order[pos:pos + len(chunk)]] = from_em(chunk, _zeta_em_chunk(chunk, ws))
+        at = order[pos:pos + len(chunk)]
+        em_zeta = _zeta_em_chunk(chunk, ws)
+        z[at] = _z_from_zeta(chunk, em_zeta)
+        zeta[at] = em_zeta
     for lo, hi, rows in ((split, short, len(_RS_CHEBYSHEV)), (short, len(ts), _RS_SHORT_ROWS)):
         for pos in range(lo, hi, _RS_CHUNK):
             chunk = sorted_ts[pos:min(pos + _RS_CHUNK, hi)]
-            out[order[pos:pos + len(chunk)]] = from_rs(*_rs_z_theta(chunk, rows, ws))
-    return out
+            at = order[pos:pos + len(chunk)]
+            rs_z, theta = _rs_z_theta(chunk, rows, ws)
+            z[at] = rs_z
+            zeta.real[at] = rs_z * np.cos(theta)
+            zeta.imag[at] = -rs_z * np.sin(theta)
+    return z, zeta
 
 
 def _z_from_zeta(ts: np.ndarray, zeta: np.ndarray) -> np.ndarray:
@@ -701,50 +714,29 @@ def _z_from_zeta(ts: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     return np.concatenate([-np.abs(zeta[:k]), np.cos(th) * high.real - np.sin(th) * high.imag])
 
 
-def _zeta_from_z(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """zeta = e^(-i theta) Z, with the real and imaginary parts each rounded once."""
-    zeta = np.empty(len(z), np.complex128)
-    zeta.real = z * np.cos(theta)
-    zeta.imag = -z * np.sin(theta)
-    return zeta
-
-
-def _zeta_vec(ts: np.ndarray) -> np.ndarray:
-    """zeta(1/2 + it) for a one-dimensional array of ordinates 0 <= t < T_Z_MAX."""
-    return _critical_line(ts, lambda ts, zeta: zeta, _zeta_from_z, np.complex128)
-
-
-# A (Z, zeta) row per ordinate: Z, a real, is held exactly as a complex.
-_Z_ZETA = np.dtype((np.complex128, 2))
 # Heights whose (Z, zeta) the scalar API keeps, least recently used out.
 _SCALAR_MEMO = 256
 
 
 @lru_cache(maxsize=_SCALAR_MEMO)
 def _z_zeta_at(t: float) -> tuple[float, complex]:
-    """(Z(t), zeta(1/2 + it)) from one one-element _critical_line call.
+    """(Z(t), zeta(1/2 + it)), the pair one one-element _critical_line call returns.
 
-    Each is the value that a one-element hardy_z or zeta_critical_line array
-    call gives, so a scalar call answered from this memo agrees bit for bit
-    with an array call.  The memo holds the last _SCALAR_MEMO heights; a
-    height that raises is not kept.  0.0 and -0.0 share an entry, and the
-    kernels give them the same values.
+    The memo holds the last _SCALAR_MEMO heights; a height that raises is
+    not kept.  0.0 and -0.0 share an entry, and the kernels give them the
+    same values.
     """
-    pair = _critical_line(
-        np.array([t]),
-        lambda ts, zeta: _z_zeta_rows(_z_from_zeta(ts, zeta), zeta),
-        lambda z, theta: _z_zeta_rows(z, _zeta_from_z(z, theta)),
-        _Z_ZETA)
-    z, zeta = pair[0].tolist()
-    return z.real, zeta
+    z, zeta = _critical_line(np.array([t]))
+    return float(z[0]), complex(zeta[0])
 
 
-def _z_zeta_rows(z: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """The _Z_ZETA rows of equal-length arrays of Z and zeta."""
-    rows = np.empty((len(z), 2), np.complex128)
-    rows[:, 0] = z
-    rows[:, 1] = zeta
-    return rows
+def _z_zeta(t):
+    """(Z, zeta) at t: a float or 0-d t from the _z_zeta_at memo, an array afresh in its shape."""
+    ts = np.asarray(t, dtype=np.float64)
+    if ts.ndim == 0:
+        return _z_zeta_at(float(ts))
+    z, zeta = _critical_line(ts.ravel())
+    return z.reshape(ts.shape), zeta.reshape(ts.shape)
 
 
 def zeta_critical_line(t):
@@ -757,10 +749,7 @@ def zeta_critical_line(t):
     keeps the last _SCALAR_MEMO = 256 heights; an array of any other shape
     is evaluated afresh and never memoized.
     """
-    ts = np.asarray(t, dtype=np.float64)
-    if ts.ndim == 0:
-        return _z_zeta_at(float(ts))[1]
-    return _zeta_vec(ts.ravel()).reshape(ts.shape)
+    return _z_zeta(t)[1]
 
 
 def hardy_z(t):
@@ -774,11 +763,7 @@ def hardy_z(t):
     the last _SCALAR_MEMO = 256 heights; arrays bypass it.  Raises
     ValueError for t outside the domain, NaN included.
     """
-    ts = np.asarray(t, dtype=np.float64)
-    if ts.ndim == 0:
-        return _z_zeta_at(float(ts))[0]
-    zs = _critical_line(ts.ravel(), _z_from_zeta, lambda z, theta: z, np.float64)
-    return zs.reshape(ts.shape)
+    return _z_zeta(t)[0]
 
 
 def wrap_half_turns(u: float) -> float:
@@ -805,7 +790,7 @@ def arg_zeta_principal(t):
     """
     ts = np.asarray(t, dtype=np.float64)
     flat = ts.ravel()
-    zeta = [_z_zeta_at(float(ts))[1]] if ts.ndim == 0 else _zeta_vec(flat).tolist()
+    zeta = np.ravel(_z_zeta(ts)[1]).tolist()
     at_zero = [k for k, z in enumerate(zeta) if abs(z) < 1e-12]
     if at_zero:
         raise AtZeroError(f"zeta vanishes at t = {float(flat[at_zero[0]])} to working precision")

@@ -553,6 +553,9 @@ def read_zero_cache(path: str | os.PathLike) -> ZeroList:
                 raise ValueError(f"{path}:{lineno}: bad {key} comment") from exc
             continue
         try:
+            # float() reads digit separators ("1_4.1" as 14.1).
+            if "_" in line:
+                raise ValueError(line)
             y = float(line)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: not an ordinate: {line!r}") from exc
@@ -561,13 +564,6 @@ def read_zero_cache(path: str | os.PathLike) -> ZeroList:
         if ordinates and y <= ordinates[-1]:
             raise ValueError(f"{path}:{lineno}: ordinates must be strictly ascending")
         ordinates.append(y)
-    if b"_" in data:
-        # float() reads digit separators ("1_4.1" as 14.1).  The loop has
-        # passed, so every line that is not blank or a comment is an ordinate.
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if "_" in line and not line.startswith("#"):
-                raise ValueError(f"{path}:{lineno}: not an ordinate: {line!r}")
     if not magic_seen:
         raise ValueError(f"{path}: empty, not a zero cache")
     if declared is not None and declared != len(ordinates):

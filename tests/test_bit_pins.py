@@ -1,11 +1,11 @@
-"""Bit pins: the exact bits of the census ordinates and of hardy_z.
+"""Bit pins: the exact bits of the census ordinates, of hardy_z and of zeta.
 
 The 1e-9 reference census and the 12-decimal CLI digests let a value move
 by an ulp unseen; these SHA-256 digests do not.  They were frozen with
 NumPy's X86_V4 (AVX-512) float64 loops for cos, sin, log, exp, log1p and
 expm1, whose results can differ in the last bit from the loops NumPy runs
 on other instruction sets, so the pins run only where NumPy reports those
-loops.  A deliberate change of the values updates both digests and
+loops.  A deliberate change of the values updates the digests and
 rewrites data/hardy_z_pins.txt, repr(v) per line for v in
 hardy_z(pinned_heights()).
 """
@@ -16,12 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetaphase import ScanConfig, hardy_z, scan_zeros
+from zetaphase import ScanConfig, hardy_z, scan_zeros, zeta_critical_line
 from zetaphase.special import T_Z_MAX
 
 PINS = Path(__file__).resolve().parent / "data" / "hardy_z_pins.txt"
 CENSUS_1E4_SHA256 = "07b7deff22da1af378230bfb9341bfc7b31e21a18fa52ec52c53fc26554cb0a3"
 HARDY_Z_SHA256 = "c0b009cc5a8541c7f9f4159db7b8a9549a3d78cd0a6086dae66aca66d0f79957"
+# zeta_critical_line(pinned_heights()) as little-endian complex128 bytes.
+ZETA_SHA256 = "46b88a38923def97e6e7c6f9c5b6f8a11ce00210721ed90b5addc19c558c8085"
 PINNED_LOOPS = ("cos", "sin", "log", "exp", "log1p", "expm1")
 
 
@@ -71,3 +73,8 @@ def test_hardy_z_at_stratified_heights():
         pinned = pinned_values()
         k = int(np.flatnonzero(got.view(np.int64) != pinned.view(np.int64))[0])
         pytest.fail(f"hardy_z({float(ts[k])!r}) = {float(got[k])!r}, pinned {float(pinned[k])!r}")
+
+
+def test_zeta_at_stratified_heights():
+    zeta = zeta_critical_line(pinned_heights())
+    assert hashlib.sha256(np.asarray(zeta, dtype="<c16").tobytes()).hexdigest() == ZETA_SHA256

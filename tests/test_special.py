@@ -793,9 +793,9 @@ class TestArrayAPI:
     def test_one_kernel_evaluation_per_scalar_height(self, monkeypatch):
         calls = []
 
-        def counting(ts, *args):
+        def counting(ts):
             calls.append(len(ts))
-            return _critical_line(ts, *args)
+            return _critical_line(ts)
 
         monkeypatch.setattr(special, "_critical_line", counting)
         _z_zeta_at.cache_clear()
@@ -808,6 +808,10 @@ class TestArrayAPI:
         hardy_z(batch)
         hardy_z(batch)
         assert calls == [1, 1, 2, 2]
+        # An array call of zeta or of its phase is one kernel call as well.
+        zeta_critical_line(batch)
+        arg_zeta_principal(batch)
+        assert calls == [1, 1, 2, 2, 2, 2]
 
 
 class TestArgGammaQuarter:

@@ -577,14 +577,19 @@ class TestZeroCache:
         with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: not ASCII: byte 0xc3")):
             read_zero_cache(path)
 
-    @pytest.mark.parametrize("ordinate", ["1_4.134725141735", "14.134_725141735"])
-    def test_digit_separator_rejected(self, tmp_path, ordinate):
+    @pytest.mark.parametrize("ordinate, following", [
+        pytest.param("1_4.134725141735", "21.022039638772", id="1_4.134725141735"),
+        pytest.param("14.134_725141735", "21.022039638772", id="14.134_725141735"),
+        # The separator on line 3 is named, not the descent on line 4.
+        pytest.param("14.134_725141735", "10.0", id="14.134_725141735-then-descent"),
+    ])
+    def test_digit_separator_rejected(self, tmp_path, ordinate, following):
         # float() would read either line as 14.134725141735; a comment may hold "_".
         path = tmp_path / "zeros.txt"
-        body = "# zetaphase zero cache v1\n# refine_tol: 1.000e-09\n{}\n21.022039638772\n"
-        path.write_text(body.format("14.134725141735"))
+        body = "# zetaphase zero cache v1\n# refine_tol: 1.000e-09\n{}\n{}\n"
+        path.write_text(body.format("14.134725141735", "21.022039638772"))
         assert read_zero_cache(path).count == 2
-        path.write_text(body.format(ordinate))
+        path.write_text(body.format(ordinate, following))
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: not an ordinate: '{ordinate}'")):
             read_zero_cache(path)
 
