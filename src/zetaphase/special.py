@@ -14,17 +14,23 @@ and Z have one evaluator: a private dispatcher checks that domain, sorts
 the ordinates, sends those below T_RS = 200 to an Euler-Maclaurin kernel
 and those from T_RS up to a Riemann-Siegel kernel with the corrections
 C0..C13, or C0..C7 from t = 800, in chunks, and puts every value back in
-its place.  It returns Z and zeta together: below T_RS Z is formed from
-zeta, from T_RS up zeta is e^(-i theta) Z.  hardy_z and zeta_critical_line
-take their part of that pair, arg_zeta_principal the phase of zeta, and the
-zero scanner samples and refines with hardy_z.  Forming zeta on the
-Riemann-Siegel rows adds one cos and one sin per ordinate to an array Z
-call, about 2% of a scan of [0, 2001].  Each function takes a float or an
-array, and a float is a one-element call, so scalar and array values agree
-bit for bit.  The three share a memo of the pairs at the last _SCALAR_MEMO
-= 256 scalar heights, so Z and the phase of zeta at one height cost one
-kernel evaluation; arrays bypass the memo.  One Horner loop, theta_tail,
-sums the theta series tail for every caller.
+its place.  Each kernel runs the trigonometry of its main sum on live
+terms alone, those with a nonzero weight: cos and sin on k < N for
+Euler-Maclaurin, cos on n <= N for Riemann-Siegel, through masked ufuncs.
+Every other term is an exact zero, so the sums are those of the full
+matrices bit for bit.  The Riemann-Siegel turns are reduced mod 1 as
+x - trunc(x), which is exact.  The dispatcher returns Z and zeta together:
+below T_RS Z is formed from zeta, from T_RS up zeta is e^(-i theta) Z.
+hardy_z and zeta_critical_line take their part of that pair,
+arg_zeta_principal the phase of zeta, and the zero scanner samples and
+refines with hardy_z.  Forming zeta on the Riemann-Siegel rows adds one cos
+and one sin per ordinate to an array Z call, about 3.5% of a warm scan of
+[0, 2001].  Each function takes a float or an array, and a float is a
+one-element call, so scalar and array values agree bit for bit.  The three
+share a memo of the pairs at the last _SCALAR_MEMO = 256 scalar heights, so
+Z and the phase of zeta at one height cost one kernel evaluation; arrays
+bypass the memo.  One Horner loop, theta_tail, sums the theta series tail
+for every caller.
 
 Accuracy targets are "working precision": phases whose magnitude grows like
 t*log(t) are computed through one extended-precision smooth term and a
@@ -566,25 +572,31 @@ def _zeta_em_chunk(ts: np.ndarray, ws: Callable[..., np.ndarray]) -> np.ndarray:
     The main sum is one masked term matrix whose 64-column blocks are summed
     pairwise and combined in sequence, and the tail is combined in sequence,
     so the value at t does not depend on the other ordinates in the batch:
-    the blocks past a row's truncation add exact zeros.  The term matrices
-    are written into ws.
+    the blocks past a row's truncation add exact zeros.  cos and sin run
+    where k < N alone, the live terms (63% of the cells on the 0.1 lattice
+    of [0, 200)); the term view starts at zero, as a masked ufunc leaves
+    the other cells as they were and a reused ws view may hold NaN there.
+    The term matrices are written into ws.
     """
     m = len(ts)
     n_big = _em_truncation(ts)
     width = _em_width(n_big.max())
     ks = np.arange(1.0, width + 1.0)
-    w, terms, ph = ws(0, (m, width)), ws(1, (m, width)), ws(2, (m, width))
-    # The weights k^(-1/2) for k < N, exact zeros beyond.
-    np.multiply(np.less(ks, n_big[:, None], out=w), 1.0 / np.sqrt(ks), out=w)
+    live, terms, ph = ws(0, (m, width), np.bool_), ws(1, (m, width)), ws(2, (m, width))
+    np.less(ks, n_big[:, None], out=live)
     np.multiply(ts[:, None], np.log(ks), out=ph)
+    weights = 1.0 / np.sqrt(ks)
+    # The masked cos and sin skip the cells k >= N, which stay zero, as
+    # 0 * weight = 0.
+    terms.fill(0.0)
 
-    def main_sum(terms):
+    def main_sum(trig):
+        np.multiply(trig(ph, out=terms, where=live), weights, out=terms)
         return terms.reshape(m, -1, _EM_BLOCK).sum(axis=2).cumsum(axis=1)[:, -1]
 
     s = 0.5 + 1j * ts
     n_pow = n_big ** -s
-    total = (main_sum(np.multiply(w, np.cos(ph, out=terms), out=terms))
-             - 1j * main_sum(np.multiply(w, np.sin(ph, out=ph), out=ph))
+    total = (main_sum(np.cos) - 1j * main_sum(np.sin)
              + n_big * n_pow / (s - 1.0) + 0.5 * n_pow)
     # Tail sum_j B_2j/(2j)! * s(s+1)...(s+2j-2) * N^(1-s-2j) as a running
     # product of term ratios (s+2j-1)(s+2j)/N^2, one row per j.
@@ -608,13 +620,15 @@ def _rs_z_theta(ts: np.ndarray, rows: int,
     _T_RS_SHORT up, and the corrections are added in 2 blocks of rows / 2.
     The phases are reduced in turns without losing the digits that binary64
     t ln n and theta drop: t mu_n mod 1, mu_n = (ln n - 1/2)/(2 pi), is an
-    exact product of 26-bit halves plus two small products, theta/(2 pi) =
-    t mu_N + t ln(a/N)/(2 pi) - 1/16 + tail/(2 pi), and t ln n/(2 pi) =
-    t mu_n - t mu_1.  The last ordinate has the largest N, which sets the
-    width of the main sum.  Each sum runs over fewer than 8 terms per axis
-    and the columns past N add exact zeros, so a value does not depend on
-    the rest of the batch.  The returned theta lies in (-2 pi, 2 pi).  The
-    phase and correction matrices are written into ws.
+    exact product of 26-bit halves, reduced as x - trunc(x) (exact, and on
+    NumPy's SIMD loops, where np.modf has none), plus two small products,
+    theta/(2 pi) = t mu_N + t ln(a/N)/(2 pi) - 1/16 + tail/(2 pi), and
+    t ln n/(2 pi) = t mu_n - t mu_1.  The last ordinate has the largest N,
+    which sets the width of the main sum; the cosine runs on the columns
+    n <= N of each ordinate alone.  Each sum runs over fewer than 8 terms
+    per axis and the columns past N add exact zeros, so a value does not
+    depend on the rest of the batch.  The returned theta lies in
+    (-2 pi, 2 pi).  The phase and correction matrices are written into ws.
     """
     m = len(ts)
     n = np.floor(np.sqrt(ts / TWO_PI))
@@ -631,7 +645,8 @@ def _rs_z_theta(ts: np.ndarray, rows: int,
     width = _RS_BLOCK * -(-int(n[-1]) // _RS_BLOCK)
     mu_hi = _RS_MU_HI[:width, None]
     turns, a, b = ws(0, (3, width, m))
-    np.modf(np.multiply(mu_hi, t_hi, out=turns), out=(turns, a))
+    np.multiply(mu_hi, t_hi, out=turns)
+    turns -= np.trunc(turns, out=a)
     np.add(np.multiply(mu_hi, ts - t_hi, out=a), np.multiply(_RS_MU_LO[:width, None], ts, out=b),
            out=a)
     turns += a
@@ -640,9 +655,12 @@ def _rs_z_theta(ts: np.ndarray, rows: int,
     theta = turns[n_idx - 1, np.arange(m)] + (g - np.rint(g))
     phase = np.subtract(theta + turns[0], turns, out=turns)
     np.subtract(phase, np.rint(phase, out=a), out=phase)
-    terms = np.cos(np.multiply(TWO_PI, phase, out=phase), out=phase)
     # mode="clip" takes the columns straight into b; every N is in range.
-    terms *= _RS_TRUNCATED_WEIGHTS[:width].take(n_idx, axis=1, out=b, mode="clip")
+    weights = _RS_TRUNCATED_WEIGHTS[:width].take(n_idx, axis=1, out=b, mode="clip")
+    # The cosine runs on the columns n <= N alone; the rest keep a finite
+    # phase, which their zero weight makes an exact zero.
+    terms = np.cos(np.multiply(TWO_PI, phase, out=phase), out=phase, where=weights != 0.0)
+    terms *= weights
     main = np.add.reduce(np.add.reduce(terms.reshape(-1, _RS_BLOCK, m), axis=1), axis=0)
 
     # C_k / x^(k % 2) = sum_j b_kj T_j(y), y = 2x^2 - 1, x = 2p - 1, with

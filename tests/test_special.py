@@ -538,8 +538,12 @@ class TestEulerMaclaurinKernel:
     def test_batch_independent_across_cutoff(self):
         below = np.nextafter(T_RS, 0.0)
         short = np.nextafter(_T_RS_SHORT, 0.0)
+        # Above 180 the Euler-Maclaurin width steps from 64 to 128 columns,
+        # and at 2 pi k^2 the Riemann-Siegel N crosses a 7-column block edge.
+        edges = [2 * math.pi * k ** 2 for k in (7, 8, 14, 15, 21, 22)]
         batch = np.array([1e4, T_RS, _T_RS_SHORT, below, T_RS, 1e4, short, below, _T_RS_SHORT,
-                          5000.0, short])
+                          5000.0, short, 180.0, np.nextafter(180.0, math.inf), *edges,
+                          *np.nextafter(edges, 0.0)])
         alone = np.array([hardy_z(np.array([t]))[0] for t in batch])
         assert np.array_equal(hardy_z(batch), alone)
 
@@ -565,18 +569,53 @@ class TestEulerMaclaurinKernel:
         assert bound <= 0.02 * zeta_error_bound(t)
 
 
+def _chunked_batch():
+    """2 full Euler-Maclaurin chunks and a short one, then 3 full
+    Riemann-Siegel chunks and a short one, shuffled."""
+    rng = np.random.default_rng(29)
+    ts = np.concatenate([rng.uniform(0.0, T_RS, 2 * _CHUNK + 188),
+                         rng.uniform(T_RS, 800.0, 2 * _CHUNK - 12),
+                         rng.uniform(800.0, T_Z_MAX, 2 * _RS_CHUNK + 276)])
+    rng.shuffle(ts)
+    return ts
+
+
 class TestChunkWorkspace:
     def test_reused_across_chunks(self):
-        # hardy_z sends 2 full Euler-Maclaurin chunks and a short one,
-        # then 3 full Riemann-Siegel chunks and a short one, through one
-        # workspace.  The term widths grow from chunk to chunk.
-        rng = np.random.default_rng(29)
-        ts = np.concatenate([rng.uniform(0.0, T_RS, 2 * _CHUNK + 188),
-                             rng.uniform(T_RS, 800.0, 2 * _CHUNK - 12),
-                             rng.uniform(800.0, T_Z_MAX, 2 * _RS_CHUNK + 276)])
-        rng.shuffle(ts)
+        # All the chunks go through one workspace, and the term widths grow
+        # from chunk to chunk.
+        ts = _chunked_batch()
         alone = np.array([hardy_z(ts[k:k + 1])[0] for k in range(len(ts))])
         assert np.array_equal(hardy_z(ts), alone)
+
+    def test_poisoned_scratch(self, monkeypatch):
+        # Every scratch array starts as all-ones bytes, NaN as a float: a
+        # kernel that reads a cell it has not written, such as a term past
+        # the truncation that a masked ufunc skips, changes the values.
+        ts = _chunked_batch()
+        z, zeta = hardy_z(ts), zeta_critical_line(ts)
+
+        def poisoned(slot, shape, dtype=np.float64):
+            array = np.empty(shape, dtype)
+            array.view(np.uint8).fill(0xFF)
+            return array
+
+        workspace = special._workspace
+
+        def poisoned_workspace(em_rows, rs_rows):
+            take = workspace(em_rows, rs_rows)
+            if take is not poisoned:
+                # Every view shares the workspace's one buffer as its base.
+                take(0, (1,), np.uint8).base.fill(0xFF)
+            return take
+
+        monkeypatch.setattr(special, "_fresh_array", poisoned)
+        monkeypatch.setattr(special, "_workspace", poisoned_workspace)
+        # Bit for bit, on the batch and on one-element calls.
+        for f, want in ((hardy_z, z), (zeta_critical_line, zeta)):
+            assert f(ts).tobytes() == want.tobytes()
+            alone = np.concatenate([f(ts[k:k + 1]) for k in range(len(ts))])
+            assert alone.tobytes() == want.tobytes()
 
     def test_take_past_slot_raises(self):
         # A slot holds one full chunk of the largest Euler-Maclaurin rows.
