@@ -23,14 +23,13 @@ x - trunc(x), which is exact.  The dispatcher returns Z and zeta together:
 below T_RS Z is formed from zeta, from T_RS up zeta is e^(-i theta) Z.
 hardy_z and zeta_critical_line take their part of that pair,
 arg_zeta_principal the phase of zeta, and the zero scanner samples and
-refines with hardy_z.  Forming zeta on the Riemann-Siegel rows adds one cos
-and one sin per ordinate to an array Z call, about 3.5% of a warm scan of
-[0, 2001].  Each function takes a float or an array, and a float is a
-one-element call, so scalar and array values agree bit for bit.  The three
-share a memo of the pairs at the last _SCALAR_MEMO = 256 scalar heights, so
-Z and the phase of zeta at one height cost one kernel evaluation; arrays
-bypass the memo.  One Horner loop, theta_tail, sums the theta series tail
-for every caller.
+refines with hardy_z.  An array hardy_z call asks the dispatcher for Z
+alone, and zeta is neither stored nor, from T_RS up, formed.  Each function
+takes a float or an array, and a float is a one-element call, so scalar and
+array values agree bit for bit.  The three share a memo of the pairs at the
+last _SCALAR_MEMO = 256 scalar heights, so Z and the phase of zeta at one
+height cost one kernel evaluation; arrays bypass the memo.  One Horner
+loop, theta_tail, sums the theta series tail for every caller.
 
 Accuracy targets are "working precision": phases whose magnitude grows like
 t*log(t) are computed through one extended-precision smooth term and a
@@ -683,7 +682,8 @@ def _rs_z_theta(ts: np.ndarray, rows: int,
     return 2.0 * main + _RS_SIGNS[n_idx] * remainder, TWO_PI * theta
 
 
-def _critical_line(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _critical_line(ts: np.ndarray,
+                   with_zeta: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Z and zeta(1/2 + it) for a one-dimensional array of ordinates, in input order.
 
     The ordinates are stable-sorted.  Those below T_RS go to the
@@ -691,13 +691,16 @@ def _critical_line(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _z_from_zeta of it.  The rest go to the Riemann-Siegel kernel in chunks
     of _RS_CHUNK, split again at _T_RS_SHORT, which gives Z and theta, and
     zeta = e^(-i theta) Z with its real and imaginary parts each rounded
-    once.  Both kernels evaluate each ordinate on its own, so no value
+    once.  Without with_zeta, zeta is None: no zeta array is allocated, the
+    Euler-Maclaurin zeta is dropped once Z is formed from it, and the
+    Riemann-Siegel rows take no cos or sin of theta; Z is the same bit for
+    bit.  Both kernels evaluate each ordinate on its own, so no value
     depends on the rest of the batch, and every chunk reuses one _workspace.
     Raises ValueError unless every t satisfies 0 <= t < T_Z_MAX (NaN does
     not).
     """
     z = np.empty(len(ts))
-    zeta = np.empty(len(ts), np.complex128)
+    zeta = np.empty(len(ts), np.complex128) if with_zeta else None
     if not len(ts):
         return z, zeta
     order = ts.argsort(kind="stable")
@@ -712,15 +715,17 @@ def _critical_line(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         at = order[pos:pos + len(chunk)]
         em_zeta = _zeta_em_chunk(chunk, ws)
         z[at] = _z_from_zeta(chunk, em_zeta)
-        zeta[at] = em_zeta
+        if with_zeta:
+            zeta[at] = em_zeta
     for lo, hi, rows in ((split, short, len(_RS_CHEBYSHEV)), (short, len(ts), _RS_SHORT_ROWS)):
         for pos in range(lo, hi, _RS_CHUNK):
             chunk = sorted_ts[pos:min(pos + _RS_CHUNK, hi)]
             at = order[pos:pos + len(chunk)]
             rs_z, theta = _rs_z_theta(chunk, rows, ws)
             z[at] = rs_z
-            zeta.real[at] = rs_z * np.cos(theta)
-            zeta.imag[at] = -rs_z * np.sin(theta)
+            if with_zeta:
+                zeta.real[at] = rs_z * np.cos(theta)
+                zeta.imag[at] = -rs_z * np.sin(theta)
     return z, zeta
 
 
@@ -778,10 +783,14 @@ def hardy_z(t):
     5e-15 * max(t, 100) as for zeta_critical_line.  Each value depends on
     its own t alone.  A float or 0-d array shares one kernel evaluation per
     height with zeta_critical_line and arg_zeta_principal through a memo of
-    the last _SCALAR_MEMO = 256 heights; arrays bypass it.  Raises
+    the last _SCALAR_MEMO = 256 heights; an array bypasses it and takes Z
+    alone from the dispatcher, which forms no zeta for it.  Raises
     ValueError for t outside the domain, NaN included.
     """
-    return _z_zeta(t)[0]
+    ts = np.asarray(t, dtype=np.float64)
+    if ts.ndim == 0:
+        return _z_zeta_at(float(ts))[0]
+    return _critical_line(ts.ravel(), with_zeta=False)[0].reshape(ts.shape)
 
 
 def wrap_half_turns(u: float) -> float:

@@ -165,15 +165,19 @@ def _lattice_roots(sampled: np.ndarray, idx: np.ndarray, start: np.ndarray) -> n
     Roots are in steps from sample idx.  Each takes _NEWTON_STEPS Newton
     steps on the Newton form of the interpolant from start; a bracket
     without all twelve samples keeps start.  A root may come out non-finite.
-    Only elementwise operations and running sums and products are used, so
-    no root depends on the rest of the batch.
+    Only elementwise operations, running sums and products, and one reduce
+    are used, so no root depends on the rest of the batch.  The reduce sums
+    a C-contiguous array over an axis that is not its innermost, which
+    NumPy adds in index order, a whole inner row at a time, as a running
+    sum does, whatever the number of brackets.  Over the innermost axis, or
+    over a lone column, it would add pairwise, which differs.
     """
     # mode="clip" repeats the end samples where the nodes run past them.
     f = sampled.take(np.add.outer(idx, _NODES), mode="clip")
     full = (idx >= _PAD) & (idx < len(sampled) - _PAD - 1)
     # At most _BLOCK brackets at a time, which bounds the memory of the
     # (brackets, node, node) products; without brackets, one empty block.
-    coef = [np.add.accumulate(f[lo:lo + _BLOCK, :, None] * _TO_NEWTON, axis=1)[:, -1]
+    coef = [np.add.reduce(f[lo:lo + _BLOCK, :, None] * _TO_NEWTON, axis=1)
             for lo in range(0, max(len(idx), 1), _BLOCK)]
     coef = coef[0] if len(coef) == 1 else np.concatenate(coef)
     c0, c1, nodes = coef[:, 0], coef[:, 1:], _NODES[:-1]
@@ -266,7 +270,9 @@ def interval_counts(ordinates, n_lo: int, n_hi: int) -> np.ndarray:
     """Zeros per unit interval: entry k counts the ordinates with floor(y) = n_lo + k.
 
     Covers n_lo <= n < n_hi; ordinates outside [n_lo, n_hi) are ignored.
+    n_lo and n_hi are integers: a float raises TypeError.
     """
+    n_lo, n_hi = operator.index(n_lo), operator.index(n_hi)
     if n_hi < n_lo:
         raise ValueError(f"n_hi = {n_hi} is below n_lo = {n_lo}")
     ys = np.asarray(ordinates, dtype=np.float64)
@@ -392,7 +398,8 @@ def point_density_zeta(n: float) -> float:
 
 
 def floor_counter(n: int, alpha: float) -> int:
-    """h(n, alpha) = floor((n+1) alpha) - floor(n alpha)."""
+    """h(n, alpha) = floor((n+1) alpha) - floor(n alpha), for an integer n >= 0."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     if not alpha >= 0.0:
@@ -401,7 +408,8 @@ def floor_counter(n: int, alpha: float) -> int:
 
 
 def counter_from_counting_function(f, n: int) -> int:
-    """floor(f(n+1)) - floor(f(n)) for a nondecreasing counting function f."""
+    """floor(f(n+1)) - floor(f(n)) for an integer n >= 0, f a nondecreasing counting function."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     return math.floor(f(n + 1)) - math.floor(f(n))
@@ -414,6 +422,7 @@ def bessel_j0_counter(n: int) -> int:
     bessel_j0_counter_corrected for the counting-function form that tracks
     the oracle.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     alpha = 4.0 * n / (math.pi * (4.0 * n - 1.0))
@@ -422,6 +431,7 @@ def bessel_j0_counter(n: int) -> int:
 
 def bessel_j0_counter_corrected(n: int) -> int:
     """Counting-function form floor(f(n+1)) - floor(f(n)), f(x) = x/pi + 1/4."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     return counter_from_counting_function(lambda x: x / math.pi + 0.25, n)
@@ -434,6 +444,7 @@ def airy_counter(n: int) -> int:
     oracle at n = 6; airy_counter_corrected adds the quarter offset that
     repairs it.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     return counter_from_counting_function(lambda x: 2.0 * x ** 1.5 / (3.0 * math.pi), n)
@@ -441,6 +452,7 @@ def airy_counter(n: int) -> int:
 
 def airy_counter_corrected(n: int) -> int:
     """Counting-function form with f(x) = 2 x^(3/2) / (3 pi) + 1/4."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     return counter_from_counting_function(lambda x: 2.0 * x ** 1.5 / (3.0 * math.pi) + 0.25, n)
@@ -488,20 +500,20 @@ def write_zero_cache(zeros: ZeroList, path: str | os.PathLike) -> None:
     The '# range:' bounds are the list's coverage, widened where an ordinate
     within 5e-13 of a bound rounds past it, so that the file reads back; they
     are written in the shortest digits that parse back to the same floats.
+    The ordinate lines come from one '%' formatting call.
     """
-    ordinates = [f"{y:.12f}" for y in zeros.ordinates.tolist()]
+    ys = zeros.ordinates.tolist()
     t_lo, t_hi = zeros.t_lo, zeros.t_hi
-    if ordinates:
-        t_lo, t_hi = min(t_lo, float(ordinates[0])), max(t_hi, float(ordinates[-1]))
+    if ys:
+        t_lo, t_hi = min(t_lo, float("%.12f" % ys[0])), max(t_hi, float("%.12f" % ys[-1]))
     lines = [f"# {CACHE_MAGIC}"]
     lines.append(f"# generator: {GENERATOR_VERSION}")
     # At least six decimals.
     lo, hi = (np.format_float_positional(x, unique=True, min_digits=6) for x in (t_lo, t_hi))
     lines.append(f"# range: {lo} {hi}")
     lines.append(f"# count: {zeros.count}")
-    lines.extend(ordinates)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines) + "\n" + "%.12f\n" * len(ys) % tuple(ys))
 
 
 def read_zero_cache(path: str | os.PathLike) -> ZeroList:

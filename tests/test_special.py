@@ -830,11 +830,12 @@ class TestArrayAPI:
         assert abs(hardy_z(t)) < 1e-12
 
     def test_one_kernel_evaluation_per_scalar_height(self, monkeypatch):
-        calls = []
+        calls, with_zetas = [], []
 
-        def counting(ts):
+        def counting(ts, with_zeta=True):
             calls.append(len(ts))
-            return _critical_line(ts)
+            with_zetas.append(with_zeta)
+            return _critical_line(ts, with_zeta)
 
         monkeypatch.setattr(special, "_critical_line", counting)
         _z_zeta_at.cache_clear()
@@ -851,6 +852,8 @@ class TestArrayAPI:
         zeta_critical_line(batch)
         arg_zeta_principal(batch)
         assert calls == [1, 1, 2, 2, 2, 2]
+        # An array Z call alone leaves zeta unformed.
+        assert with_zetas == [True, True, False, False, True, True]
 
 
 class TestArgGammaQuarter:

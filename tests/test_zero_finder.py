@@ -6,6 +6,7 @@ oracles are checked against 30-digit mp.besseljzero and mp.airyaizero.
 
 import hashlib
 import math
+import random
 import re
 from pathlib import Path
 
@@ -90,6 +91,12 @@ ORACLE_ORDINATES = {
     7005.0: [7005.062866174921, 7005.100564672647],
     9793.0: [9793.549999292038, 9793.647618792513],
 }
+
+
+def _seeded_ordinates(seed, count, t_hi):
+    """count ordinates t_hi * random(), ascending; Python keeps random.Random's sequence."""
+    rng = random.Random(seed)
+    return sorted(t_hi * rng.random() for _ in range(count))
 
 
 class TestScanConfig:
@@ -298,6 +305,19 @@ class TestRefinement:
         keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a))))
         part = zeros_module._refine(a[keep], b[keep], fa[keep], fb[keep], x0[keep], 1e-9)
         assert np.array_equal(part, full[keep])
+
+    def test_lattice_roots_batch_independent(self):
+        # The start of every bracket of [0, 2001], six blocks of _BLOCK, is
+        # the same from a one-bracket call as from the whole batch.
+        ts, _ = zeros_module._grid(0.0, 2001.0)
+        zs = hardy_z(ts)
+        idx = np.flatnonzero(np.sign(zs[:-1]) * np.sign(zs[1:]) < 0)
+        start = zs[idx] / (zs[idx] - zs[idx + 1])
+        full = zeros_module._lattice_roots(zs, idx, start)
+        alone = [zeros_module._lattice_roots(zs, idx[k:k + 1], start[k:k + 1])[0]
+                 for k in range(len(idx))]
+        assert len(idx) > 5 * zeros_module._BLOCK
+        assert np.array_equal(alone, full)
 
     @pytest.mark.parametrize("root", [10.25, 1000.25])
     def test_zero_on_lattice_reported_once(self, monkeypatch, root):
@@ -540,6 +560,24 @@ class TestZeroCache:
         write_zero_cache(scan_zeros(ScanConfig(t_lo=0.0, t_hi=2001.0)), path)
         assert (hashlib.sha256(path.read_bytes()).hexdigest()
                 == "372fb48e8e23c55670b20e6470a74bc0f6913efbe2287f4dee402e06b37761d1")
+
+    # Lists that no evaluator builds, so their files are the same bytes on
+    # every platform: 600 seeded ordinates; one 2e-13 inside each bound,
+    # which rounds past it; one ordinate; none.
+    @pytest.mark.parametrize("zeros, digest", [
+        (ZeroList(_seeded_ordinates(35, 600, 6501.0), 0.0, 6501.0),
+         "256bca204c1edceb8003d056096649fb9da57dfcc357b7343d2e81e092baad80"),
+        (ZeroList([14.0000000000004, 17.5, 20.9999999999996], 14.0000000000002, 20.9999999999998),
+         "c7ab225b5fdcbe7fed6b8520b2ed9fbcb0d2da4a9224b506614cba4bb954e482"),
+        (ZeroList([14.134725141734693], 0.0, 50.0),
+         "f4b4b541d4eb51ad430ba59e48968122f0826de15b38da014b1d59070c04db0d"),
+        (ZeroList([], 0.0, 50.0),
+         "7e5ef02778772d0d30de4aac2f7ffbf07feec97177ac768b8adf08830ba23e1c"),
+    ], ids=["seeded", "near-bounds", "single", "empty"])
+    def test_written_bytes_frozen(self, tmp_path, zeros, digest):
+        path = tmp_path / "zeros.txt"
+        write_zero_cache(zeros, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         zeros = scan_zeros(ScanConfig(t_lo=0.0, t_hi=60.0))
@@ -848,6 +886,33 @@ class TestFloorCounter:
         alpha = 0.437
         total = sum(floor_counter(n, alpha) for n in range(200))
         assert total == math.floor(200 * alpha)
+
+
+class TestIntegerArguments:
+    # The counters and interval_counts take their integer arguments through
+    # operator.index: a float raises TypeError, a NumPy integer is taken.
+    CALLS = {
+        "interval_counts n_lo": lambda n: interval_counts([1.5, 2.5, 3.5], n, 4),
+        "interval_counts n_hi": lambda n: interval_counts([1.5, 2.5, 3.5], 1, n),
+        "floor_counter": lambda n: floor_counter(n, 0.5),
+        "counter_from_counting_function": lambda n: counter_from_counting_function(math.sqrt, n),
+        "bessel_j0_counter": bessel_j0_counter,
+        "bessel_j0_counter_corrected": bessel_j0_counter_corrected,
+        "airy_counter": airy_counter,
+        "airy_counter_corrected": airy_counter_corrected,
+    }
+
+    @pytest.mark.parametrize("n", [2.5, 2.0])
+    @pytest.mark.parametrize("name", CALLS)
+    def test_float_rejected(self, name, n):
+        with pytest.raises(TypeError):
+            self.CALLS[name](n)
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_numpy_integer_taken(self, name):
+        got, want = self.CALLS[name](np.int64(2)), self.CALLS[name](2)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
 
 
 class TestOscillatorCounters:
