@@ -45,7 +45,7 @@ _N_RANGE = "n must be in [1, 2^44]"
 
 def main_term(n: float) -> float:
     """Smooth zero-count main term (n/2pi) ln(n/(2pi e)) + 7/8."""
-    if n < 1.0:
+    if not n >= 1.0:
         raise ValueError("n must be >= 1")
     return smooth_main(float(n))
 
@@ -209,6 +209,9 @@ def _require_prime(p: int) -> None:
 def coeff_sequence(p: int, n_max: int) -> list[int]:
     """First n_max values of the ln p coefficient: 4n(1 - v2(n)) for p = 2, -4n v_p(n) else."""
     _require_prime(p)
+    n_max = operator.index(n_max)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     shift = 1 if p == 2 else 0
     return [4 * n * (shift - p_adic_valuation(p, n)) for n in range(1, n_max + 1)]
 

@@ -37,7 +37,7 @@ def zero_estimate_lambert(n: int) -> float:
 
 def carrier_g(n: float) -> float:
     """Smooth carrier g(n) = (n/2pi) ln(n/(2pi e)) + 11/8, as main term + 1/2."""
-    if n < 1.0:
+    if not n >= 1.0:
         raise ValueError("n must be >= 1")
     return smooth_main(float(n)) + 0.5
 

@@ -51,8 +51,8 @@ def render_counts(counts: UnitIntervalCounts, width: int) -> DensityImage:
 
 def beat_width(scale: float) -> float:
     """Moire beat constant scale * 2 pi / ln 2."""
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
     return scale * 2.0 * math.pi / math.log(2.0)
 
 

@@ -456,8 +456,10 @@ def lambert_w0(x: float) -> float:
     e x + 1 is formed from the two-part 1/e, and Winitzki's approximation
     everywhere else.  Against 30-digit mpmath.lambertw the error is at most
     0.21 of 4 ulp(W) + 4 ulp(x) |W'(x)| at 12,000 points spread from the
-    branch point to the largest double.  Raises ValueError for x below the
-    branch point, NaN and +inf.
+    branch point to the largest double.  An x less than 1e-15 below -1/e
+    rounded to binary64 is taken as the branch point and gives -1.0, so
+    that -1/e formed with a few roundings still has a value.
+    Raises ValueError for x further below, NaN and +inf.
     """
     x = float(x)
     branch = -_INV_E_HI

@@ -9,9 +9,9 @@ inconsistent, the canonical value asserted here is the numerically
 validated one; the corrections ledger shipped with the tests records each
 such case.
 
-The same checks back the command-line `verify` subcommand and the
-acceptance test suite; `beat and render` always compares the census with
-one scanned in two parts, [0, 3250] and [3250, 6501] unless it is given one.
+`_CHECKS` lists them all; the command-line `verify` subcommand and the
+acceptance test suite run that list.  `beat and render` compares the
+census with one scanned in two parts, [0, 3250] and [3250, 6501].
 """
 
 from __future__ import annotations
@@ -290,12 +290,10 @@ def check_counters() -> CheckResult:
     )
 
 
-def check_beat_and_render(zero_list: zmod.ZeroList,
-                          partitioned: zmod.ZeroList | None = None) -> CheckResult:
-    if partitioned is None:
-        mid = float(int(CENSUS_T_HI) // 2)
-        lo = zmod.scan_zeros(zmod.ScanConfig(t_lo=0.0, t_hi=mid))
-        partitioned = lo.merge(zmod.scan_zeros(zmod.ScanConfig(t_lo=mid, t_hi=CENSUS_T_HI)))
+def check_beat_and_render(zero_list: zmod.ZeroList) -> CheckResult:
+    mid = float(int(CENSUS_T_HI) // 2)
+    lo = zmod.scan_zeros(zmod.ScanConfig(t_lo=0.0, t_hi=mid))
+    partitioned = lo.merge(zmod.scan_zeros(zmod.ScanConfig(t_lo=mid, t_hi=CENSUS_T_HI)))
     beat = render.beat_width(1000.0)
     beat_ok = 9064.0 < beat < 9065.0
     img = render.render_counts(_census_counts(zero_list), 4000)

@@ -3,6 +3,7 @@ import time
 import pytest
 
 from zetaphase import ScanConfig, scan_zeros, unit_interval_counts
+from zetaphase.verify import CENSUS_N_MAX, CENSUS_T_HI
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -14,9 +15,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
-
-CENSUS_T_HI = 6501.0
-CENSUS_N_MAX = 6500
 
 
 @pytest.fixture(scope="session")

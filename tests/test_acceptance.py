@@ -1,66 +1,30 @@
-"""Acceptance gate: one test per top-level requirement.
+"""Acceptance gate: one test per check in zetaphase.verify._CHECKS.
 
-Each test runs the corresponding check from zetaphase.verify and prints
-its single pass/fail line; the printed block is repeated in the terminal
-summary by the hook in conftest.
+Each test calls its check as `verify.run_checks` does, a census check with
+the `census` fixture's zero list and scan time, and prints its pass/fail
+line; the printed block is repeated in the terminal summary by the hook in
+conftest.
 """
+
+import pytest
 
 from zetaphase import verify
 
 ACCEPTANCE_LINES = []
+NAMES = [name for name, _, _ in verify._CHECKS]
 
 
-def _run(number, label, result):
-    line = f"criterion {number:2d} ({label}): {result.line()}"
+@pytest.mark.parametrize("number", range(1, len(NAMES) + 1), ids=NAMES)
+def test_acceptance(request, number):
+    name, needs_zeros, fn = verify._CHECKS[number - 1]
+    result = fn(*request.getfixturevalue("census")) if needs_zeros else fn()
+    line = f"criterion {number:02d} ({name}): {result.line()}"
     ACCEPTANCE_LINES.append(line)
     print(line)
     assert result.passed, line
 
 
-def test_criterion_01_reference_table():
-    _run(1, "phase table n=1..19", verify.check_table_rows())
-
-
-def test_criterion_02_gamma_row():
-    _run(2, "gamma phase at n=1", verify.check_gamma_point())
-
-
-def test_criterion_03_point_value():
-    _run(3, "phase at n=4000", verify.check_point_4000())
-
-
-def test_criterion_04_zero_census(census):
-    zero_list, elapsed = census
-    _run(4, "zero census to 6500", verify.check_census_landmarks(zero_list, elapsed))
-
-
-def test_criterion_05_staircase_anomaly(census_zeros):
-    _run(5, "staircase anomaly", verify.check_staircase_anomaly(census_zeros))
-
-
-def test_criterion_06_lambert_band(census_zeros):
-    _run(6, "estimator error band", verify.check_lambert_band(census_zeros))
-
-
-def test_criterion_07_phase_residual():
-    _run(7, "corrected-form residual", verify.check_phase_residual())
-
-
-def test_criterion_08_symbolic_closure():
-    _run(8, "symbolic closure", verify.check_symbolic_closure())
-
-
-def test_criterion_09_carriers():
-    _run(9, "carrier values", verify.check_carriers())
-
-
-def test_criterion_10_counters():
-    _run(10, "counters vs oracles", verify.check_counters())
-
-
-def test_criterion_11_beat_and_render(census_zeros, partitioned_census):
-    _run(
-        11,
-        "beat bracket and rendering",
-        verify.check_beat_and_render(census_zeros, partitioned_census),
-    )
+def test_one_test_per_check(request):
+    collected = [item.name for item in request.node.parent.collect()]
+    assert [n for n in collected if n.startswith("test_acceptance[")] == [
+        f"test_acceptance[{name}]" for name, _, _ in verify._CHECKS]

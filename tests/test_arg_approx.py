@@ -71,8 +71,11 @@ class TestMainTerm:
         assert smooth_main(2.0 * math.pi * math.e) == pytest.approx(0.875, abs=1e-15)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            main_term(0)
+        for n in (0, math.nan):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                main_term(n)
+        with pytest.raises(OverflowError):
+            main_term(math.inf)
 
 
 class TestApproxArgZeta:
@@ -339,6 +342,13 @@ class TestCoefficientRules:
             seq = coeff_sequence(p, 120)
             for n in range(1, 121):
                 assert seq[n - 1] == dict(symbolic_expression(n).prime_terms).get(p, 0), (p, n)
+
+    def test_count_domain(self):
+        for n_max in (0, -5):
+            with pytest.raises(ValueError, match="n_max must be >= 1"):
+                coeff_sequence(2, n_max)
+        with pytest.raises(TypeError):
+            coeff_sequence(2, 8.0)
 
     def test_ruler_sequences(self):
         assert [ruler_normalized(2, n) for n in range(1, 9)] == [

@@ -90,6 +90,13 @@ class TestCarriers:
         for n in (1, 7, 100):
             assert carrier_gamma(n) == pytest.approx(n * slope, rel=1e-14)
 
+    def test_carrier_g_domain(self):
+        for n in (0.5, math.nan):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                carrier_g(n)
+        with pytest.raises(OverflowError):
+            carrier_g(math.inf)
+
     @pytest.mark.parametrize("n", [math.nan, math.inf])
     def test_carrier_gamma_non_finite_rejected(self, n):
         with pytest.raises(ValueError):

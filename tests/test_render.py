@@ -145,8 +145,9 @@ class TestBeatWidth:
         )
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            beat_width(0.0)
+        for scale in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                beat_width(scale)
 
 
 class TestCensusImage:

@@ -51,6 +51,7 @@ from zetaphase.special import (
     T_Z_MAX,
     _CHUNK,
     _FIXED_BITS,
+    _INV_E_HI,
     _LN2_FIXED,
     _LN2_LOG_BITS,
     _LN_PI_FIXED,
@@ -411,6 +412,11 @@ class TestLambertW:
     def test_below_branch_point_rejected(self):
         with pytest.raises(ValueError):
             lambert_w0(-0.5)
+
+    def test_snap_to_branch_point(self):
+        assert lambert_w0(-_INV_E_HI - 5e-16) == -1.0
+        with pytest.raises(ValueError, match="domain"):
+            lambert_w0(-_INV_E_HI - 2e-15)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, x):
