@@ -398,12 +398,12 @@ def point_density_zeta(n: float) -> float:
 
 
 def floor_counter(n: int, alpha: float) -> int:
-    """h(n, alpha) = floor((n+1) alpha) - floor(n alpha), for an integer n >= 0."""
+    """h(n, alpha) = floor((n+1) alpha) - floor(n alpha), for an integer n in [0, 2^53)."""
     n = operator.index(n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not alpha >= 0.0:
-        raise ValueError("alpha must be >= 0")
+    if not 0 <= n < 2 ** 53:
+        raise ValueError(f"n must be in [0, 2^53), where n + 1 is exact in binary64, got {n}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     return math.floor((n + 1) * alpha) - math.floor(n * alpha)
 
 

@@ -27,6 +27,7 @@ from zetaphase import (
     theta_exact,
     zero_estimate_lambert,
 )
+from zetaphase import argexpr
 from zetaphase.special import smooth_main, theta_series
 
 
@@ -171,6 +172,11 @@ class TestApproxError:
                 want = float(1 - (x * mp.log(x) - x + mp.mpf(7) / 8) + mp.siegeltheta(n) / mp.pi)
                 assert abs(approx_error(n) - want) <= 2 * math.ulp(want), n
 
+    def test_domain(self):
+        for n in (1, 0):
+            with pytest.raises(ValueError, match="n must be >= 2"):
+                approx_error(n)
+
     def test_series_needs_no_siegeltheta(self, monkeypatch):
         def refuse(t):
             raise AssertionError(f"siegeltheta({t}) called")
@@ -299,10 +305,10 @@ class TestSymbolicExpression:
                       ((2, 24), (3, 0)), ((2, 0),), ((2, 24), (1, 4))):
             with pytest.raises(ValueError):
                 SymbolicArgExpression(c_pi=1, c_const=24, c_lnpi=24, prime_terms=terms)
-
-    def test_large_prime_factor_rejected(self):
-        with pytest.raises(OverflowError):
-            symbolic_expression(1000003 * 1000033)
+        with pytest.raises(ValueError, match="p >= 2, ascending and distinct"):
+            SymbolicArgExpression(1, 4, 4, ((3, 4), (2, 4)))
+        # Primality is not checked: symbolic_expression is what yields prime p.
+        assert SymbolicArgExpression(1, 4, 4, ((4, 8),)).text().endswith("+8*ln(4))")
 
     def test_integer_n_only(self):
         # A NumPy integer is the same n; a float, whole or not, is refused
@@ -317,10 +323,16 @@ class TestSymbolicExpression:
     def test_domain_bound(self):
         # Within the bound evaluate() and approx_arg_zeta stay inside
         # (-1/2, 1/2] and half an ulp of main_term (1/128) of each other.
+        # Trial division up to sqrt(n) factors every n there: a product of
+        # two primes above 10^6 and the largest prime below 2^44 too.
         # Past it the symbolic form of 3^34 would evaluate to -6.42 and that
         # of 2^53 + 2 to 1.55, so all four closed forms raise.
-        for n in (2**44 - 1, 2**44):
-            value, approx = symbolic_expression(n).evaluate(), approx_arg_zeta(n)
+        primes = {2**44 - 1: [2, 3, 5, 23, 89, 397, 683, 2113], 2**44: [2],
+                  1000003 * 1000033: [2, 1000003, 1000033], 17592186044399: [2, 17592186044399]}
+        for n, want in primes.items():
+            e = symbolic_expression(n)
+            assert [p for p, _ in e.prime_terms] == want, n
+            value, approx = e.evaluate(), approx_arg_zeta(n)
             assert -0.5 < value <= 0.5 and -0.5 <= approx <= 0.5, n
             assert abs(value - approx) <= math.ulp(main_term(n)) / 2, n
             assert math.isfinite(corrected_approx(n, 4)) and -1 < approx_arg_gamma(n) <= 1
@@ -360,14 +372,31 @@ class TestCoefficientRules:
 
     def test_composite_p_rejected(self):
         # ln p is a basis element only for prime p.
-        for p in (-2, 0, 1, 4, 6, 9, 25, 1000003 * 3):
-            with pytest.raises(ValueError):
+        # p must also be at most 2^44; 17592186044423 is the first prime above.
+        for p in (-2, 0, 1, 4, 6, 9, 25, 1000003 * 3, 1000003 * 1000033, 17592186044423):
+            with pytest.raises(ValueError, match="p must be a prime in"):
                 coeff_sequence(p, 8)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="p must be a prime in"):
                 ruler_normalized(p, 12)
         for p in (2, 3, 9973, 1000003):
             assert coeff_sequence(p, p)[-1] == -4 * p + (8 if p == 2 else 0)
             assert ruler_normalized(p, p) == (3 if p == 2 else 2)
+        assert coeff_sequence(1000000000039, 3) == [0, 0, 0]
+        assert ruler_normalized(1000000000039, 1000000000039) == 2
+
+    def test_prime_checked_once(self, monkeypatch):
+        # One trial division for a run of terms over one p, and one for each
+        # call with a p that failed, which is not kept.
+        calls, factorize = [], argexpr._factorize
+        monkeypatch.setattr(argexpr, "_factorize", lambda n: calls.append(n) or factorize(n))
+        argexpr._require_prime.cache_clear()
+        assert [ruler_normalized(1000000000039, n) for n in range(1, 17)] == [1] * 16
+        assert coeff_sequence(1000000000039, 3) == [0, 0, 0]
+        assert calls == [1000000000039]
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                ruler_normalized(1000003 * 3, 1)
+        assert calls == [1000000000039] + [1000003 * 3] * 2
 
     def test_ruler_is_shifted_valuation(self):
         for n in range(1, 100):
@@ -407,6 +436,8 @@ INTEGER_CALLS = [
     pytest.param(zero_estimate_lambert, lambda k: (k,), id="zero_estimate_lambert-n"),
     pytest.param(p_adic_valuation, lambda k: (k, 12), id="p_adic_valuation-p"),
     pytest.param(p_adic_valuation, lambda k: (2, k), id="p_adic_valuation-n"),
+    pytest.param(coeff_sequence, lambda k: (k - 1, 3), id="coeff_sequence-p"),
+    pytest.param(ruler_normalized, lambda k: (k - 1, 10), id="ruler_normalized-p"),
     pytest.param(theta_series, lambda k: (100.0, k), id="theta_series-order"),
     pytest.param(approx_error, lambda k: (k,), id="approx_error-n"),
     pytest.param(approx_error, lambda k: (10 * k,), id="approx_error-series-n"),

@@ -348,8 +348,16 @@ class TestSequencesCommand:
         values = [int(s) for s in out.replace(",", " ").split()]
         assert values == [2, 3, 2, 4, 2, 3, 2, 5]
 
+    def test_large_prime(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sequences", "--kind", "coeff", "--p", "1000000000039", "--count", "3"
+        )
+        assert code == 0 and out == "0, 0, 0\n"
+
     def test_composite_p_is_usage_error(self, capsys):
-        for kind, p in (("coeff", "4"), ("ruler", "6"), ("coeff", "1")):
+        # 17592186044423 is the first prime above 2^44.
+        for kind, p in (("coeff", "4"), ("ruler", "6"), ("coeff", "1"),
+                        ("coeff", "17592186044423"), ("ruler", "17592186044423")):
             code, out, err = run_cli(capsys, "sequences", "--kind", kind, "--p", p)
             assert code == 2, (kind, p)
             assert out == "" and "prime" in err, (kind, p)
@@ -452,6 +460,10 @@ class TestVerifyCommand:
     def test_landmarks_show_scan_time_to_hundredths(self, census_zeros):
         # The census scan takes well under a second.
         assert "0.30s" in verify.check_census_landmarks(census_zeros, 0.3).detail
+
+    def test_lambert_band_needs_a_thousand_ordinates(self):
+        result = verify.check_lambert_band(zmod.ZeroList([14.1, 21.0], 0.0, 30.0))
+        assert not result.passed and result.got == "2"
 
     def test_filtered_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--only", "gamma point")

@@ -109,6 +109,11 @@ class TestStaircase:
         for n, (got, want) in enumerate(zip(values, STAIRCASE_26), 1):
             assert got == pytest.approx(want, abs=2e-5), n
 
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_empty_staircase_rejected(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            staircase(n_max)
+
     def test_levels_and_jumps_prefix(self):
         # Rounded level differences over n = 1..26 count one zero in each
         # of [14, 15), [21, 22), [25, 26).

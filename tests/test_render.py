@@ -131,6 +131,12 @@ class TestPgmRoundtrip:
         with pytest.raises(ValueError, match="size.pgm: unsupported graymap header"):
             read_pgm(path)
 
+    def test_payload_size_mismatch_names_file(self, tmp_path):
+        path = tmp_path / "payload.pgm"
+        path.write_bytes(b"P5\n2 2\n255\n\x00\x00\x00")
+        with pytest.raises(ValueError, match="payload.pgm: pixel payload size mismatch"):
+            read_pgm(path)
+
 
 class TestBeatWidth:
     def test_reference_scale(self):

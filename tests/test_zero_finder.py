@@ -501,6 +501,10 @@ class TestZeroList:
         with pytest.raises(ValueError):
             ZeroList(ordinates, 0.0, t_hi)
 
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            ZeroList([[14.1, 21.0]], 0.0, 30.0)
+
     def test_ordinates_read_only(self):
         zeros = ZeroList(ordinates=[14.1, 21.0], t_lo=0.0, t_hi=30.0)
         assert zeros.ordinates.dtype == np.float64
@@ -522,6 +526,8 @@ class TestZeroList:
         assert merged.count == a.count + b.count
         with pytest.raises(ValueError):
             merged.merge(c)
+        with pytest.raises(ValueError, match="coverage ranges overlap"):
+            a.merge(ZeroList([], 20.0, 40.0))
 
     def test_merge_keeps_shared_endpoint_ordinate_once(self, monkeypatch):
         # Both scans keep the ordinate on their shared end t = 100.
@@ -648,6 +654,13 @@ class TestZeroCache:
         lines[lineno - 1] = f"# {key}: {value}"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f":{lineno}: bad {key} comment"):
+            read_zero_cache(path)
+
+    @pytest.mark.parametrize("ordinate", ["0.0", "inf"])
+    def test_non_positive_or_infinite_ordinate_rejected(self, tmp_path, ordinate):
+        path = tmp_path / "zeros.txt"
+        path.write_text(f"# zetaphase zero cache v1\n14.134725141735\n{ordinate}\n")
+        with pytest.raises(ValueError, match=":3: ordinate must be finite and positive"):
             read_zero_cache(path)
 
     def test_out_of_order_rejected(self, tmp_path):
@@ -887,6 +900,19 @@ class TestFloorCounter:
         total = sum(floor_counter(n, alpha) for n in range(200))
         assert total == math.floor(200 * alpha)
 
+    @pytest.mark.parametrize("n, alpha, match", [
+        # From 2^53 n + 1 and n can round to one double: h(2^60 + 1, 1/2) is 1, not 0.
+        (2**53, 0.5, "n must be in"),
+        (2**60 + 1, 0.5, "n must be in"),
+        (3, -0.5, "alpha must be"),
+        (3, math.inf, "alpha must be finite"),
+        (3, math.nan, "alpha must be finite"),
+    ])
+    def test_domain(self, n, alpha, match):
+        with pytest.raises(ValueError, match=match):
+            floor_counter(n, alpha)
+        assert floor_counter(2**53 - 1, 0.5) == 1
+
 
 class TestIntegerArguments:
     # The counters and interval_counts take their integer arguments through
@@ -906,6 +932,18 @@ class TestIntegerArguments:
     @pytest.mark.parametrize("name", CALLS)
     def test_float_rejected(self, name, n):
         with pytest.raises(TypeError):
+            self.CALLS[name](n)
+
+    @pytest.mark.parametrize("name, n", [
+        ("floor_counter", -1),
+        ("counter_from_counting_function", -1),
+        ("bessel_j0_counter", 0),
+        ("bessel_j0_counter_corrected", 0),
+        ("airy_counter", 0),
+        ("airy_counter_corrected", 0),
+    ])
+    def test_below_domain_rejected(self, name, n):
+        with pytest.raises(ValueError, match="n must be"):
             self.CALLS[name](n)
 
     @pytest.mark.parametrize("name", CALLS)
