@@ -52,6 +52,7 @@ def carrier_gamma(n: float) -> float:
 
 def staircase(n_max: int) -> np.ndarray:
     """s(n) = g(n) + (1/pi) Arg zeta(1/2 + i n) for n = 1..n_max."""
+    n_max = operator.index(n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     carrier = np.array([carrier_g(n) for n in range(1, n_max + 1)])
@@ -78,5 +79,5 @@ def staircase_levels(values: np.ndarray) -> np.ndarray:
 
 def staircase_jumps(n_max: int) -> np.ndarray:
     """Level increments k(n+1) - k(n) for n = 1..n_max-1."""
-    levels = staircase_levels(staircase(n_max))
+    levels = staircase_levels(staircase(operator.index(n_max)))
     return np.diff(levels)

@@ -9,6 +9,7 @@ bracketed constant scale * 2 pi / ln 2.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ def render_counts(counts: UnitIntervalCounts, width: int) -> DensityImage:
     Cell value is max(0, 255 - 60 F(n)); cell 0 and cells past n_max stay
     white.  Height is the smallest row count holding n_max.
     """
-    if width < 1:
+    if (width := operator.index(width)) < 1:
         raise ValueError("width must be >= 1")
     height = counts.n_max // width + 1
     buf = np.full(width * height, 255, dtype=np.uint8)

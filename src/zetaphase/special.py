@@ -28,8 +28,8 @@ alone, and zeta is neither stored nor, from T_RS up, formed.  Each function
 takes a float or an array, and a float is a one-element call, so scalar and
 array values agree bit for bit.  The three share a memo of the pairs at the
 last _SCALAR_MEMO = 256 scalar heights, so Z and the phase of zeta at one
-height cost one kernel evaluation; arrays bypass the memo.  One Horner
-loop, theta_tail, sums the theta series tail for every caller.
+height cost one kernel evaluation; arrays bypass the memo.  theta_tail
+sums the theta series tail; the Riemann-Siegel kernel inlines order 2.
 
 Accuracy targets are "working precision": phases whose magnitude grows like
 t*log(t) are computed through one extended-precision smooth term and a
@@ -142,6 +142,7 @@ T_RS = 200.0
 # 8.9e-4 of the documented bound at t = 800, and less above it.
 _T_RS_SHORT = 800.0
 _RS_SHORT_ROWS = 8
+_DISPATCH_EDGES = np.array([0.0, T_RS, _T_RS_SHORT, T_Z_MAX])  # the domain, cut into bands
 
 # Riemann-Siegel tables, frozen from scripts/derive_rs_coefficients.py,
 # which tests/test_special.py checks them against.  C_k(p) has the parity
@@ -281,21 +282,22 @@ _RS_MU_LO = np.array([
 ])
 _RS_TWO_PI_HI, _RS_TWO_PI_LO = 6.283185307176609, 2.9774189921946493e-12
 
-# Correction k carries a^-(k + 1/2) and, for odd k, the factor x; the
-# remainder has the sign (-1)^(N-1), entry N of _RS_SIGNS.
+# Correction k carries a^-(k + 1/2) and, for odd k, the factor x.  The remainder's sign
+# (-1)^(N-1), entry N of _RS_SIGNS, is the zeroth Chebyshev power, and column N holds the
+# weights 2 n^(-1/2) for n <= N, zero beyond: -1 and 2 negate and double sums exactly.
 _RS_POWERS = -0.5 - np.arange(len(_RS_CHEBYSHEV))
-_RS_SIGNS = np.where(np.arange(len(_RS_MU_HI) + 1) % 2 == 1, 1.0, -1.0)
-# Column N: the main-sum weights n^(-1/2) for n <= N, zero beyond.
-_RS_TRUNCATED_WEIGHTS = np.triu(np.ones((len(_RS_MU_HI), len(_RS_MU_HI) + 1)), 1) / np.sqrt(
-    np.arange(1.0, len(_RS_MU_HI) + 1.0))[:, None]
-# The Riemann-Siegel evaluator takes ordinates in chunks of this many; its
-# main sum and Chebyshev terms are added in blocks of this many terms, its
-# corrections in 2 blocks of 7, or of 4 from _T_RS_SHORT up.  NumPy adds
-# fewer than 8 terms along any axis in index order, so these sums, and those
-# over the at most 6 main-sum blocks and over the 2 Chebyshev and 2
-# correction blocks, do not depend on the batch.
+_RS_SIGNS = np.where(np.arange(len(_RS_MU_HI) + 1) % 2 == 1, 1.0, -1.0).astype(np.complex128)
+_RS_TRUNCATED_WEIGHTS = 2.0 * (np.triu(np.ones((len(_RS_MU_HI), len(_RS_MU_HI) + 1)), 1) / np.sqrt(
+    np.arange(1.0, len(_RS_MU_HI) + 1.0))[:, None])
+# The Riemann-Siegel evaluator takes ordinates in chunks of this many, its
+# columns _RS_COLUMNS.  Its main sum and Chebyshev terms are reduces over
+# blocks of this many terms, then of its at most 6 main-sum blocks; its
+# corrections over 2 blocks of 7, or of 4 from _T_RS_SHORT up.  The 2
+# Chebyshev and 2 correction blocks are each one elementwise add.  NumPy
+# reduces fewer than 8 terms along an axis in index order: no sum depends on the batch.
 _RS_CHUNK = 512
 _RS_BLOCK = 7
+_RS_COLUMNS = np.arange(_RS_CHUNK)
 # Per band, by its rows: the Chebyshev table and the powers of a, as views
 # broadcast over the ordinates.
 _RS_BANDS = {rows: (_RS_CHEBYSHEV[:rows, :, None], _RS_POWERS[:rows, None])
@@ -304,6 +306,12 @@ _RS_BANDS = {rows: (_RS_CHEBYSHEV[:rows, :, None], _RS_POWERS[:rows, None])
 # Veltkamp's splitter: c = _SPLITTER * a gives a = (c - (c - a)) + rest,
 # the leading part with 26 significant bits.
 _SPLITTER = 134217729.0
+# Kernel constants as 0-d arrays: a Python scalar operand costs each ufunc call a conversion.
+_ZERO, _SIXTEENTH, _EIGHTH, _HALF, _ONE, _TWO, _FOUR, _TWENTY, _J, _TWO_J, _INTP_ONE = (
+    np.array(v) for v in (0.0, 0.0625, 0.125, 0.5, 1.0, 2.0, 4.0, 20.0, 1j, 2j, np.intp(1)))
+_PI_0D, _TWO_PI_0D, _SPLITTER_0D, _RS_TWO_PI_HI_0D, _RS_TWO_PI_LO_0D = (
+    np.array(v) for v in (math.pi, TWO_PI, _SPLITTER, _RS_TWO_PI_HI, _RS_TWO_PI_LO))
+_THETA_COEFFS_0D = tuple(np.array(c) for c in _THETA_COEFFS)
 
 
 class AtZeroError(ArithmeticError):
@@ -390,11 +398,12 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
 
 
 def theta_tail(t, order: int):
-    """Sum of c_k * t**-(2k+1) for k < order (theta units); t a float or an array."""
-    w = 1.0 / (t * t)
-    acc = _THETA_COEFFS[order - 1] if order else 0.0
+    """Sum of c_k * t**-(2k+1) for k < order (theta units); t a float or an array (0-d c_k)."""
+    one, coeffs = (_ONE, _THETA_COEFFS_0D) if isinstance(t, np.ndarray) else (1.0, _THETA_COEFFS)
+    w = one / (t * t)
+    acc = coeffs[order - 1] if order else 0.0
     for k in range(order - 2, -1, -1):
-        acc = acc * w + _THETA_COEFFS[k]
+        acc = acc * w + coeffs[k]
     return acc / t
 
 
@@ -507,13 +516,18 @@ def theta_vec(ts) -> np.ndarray:
     # Elementwise, so an empty array passes.
     if not ((ts >= T_NO_ZERO) & (ts <= T_THETA_MAX)).all():
         raise ValueError(f"theta_vec needs {T_NO_ZERO:g} <= t <= {T_THETA_MAX:g}")
-    x = ts / TWO_PI
-    return math.pi * (x * np.log(x) - x - 0.125) + theta_tail(ts, MAX_SERIES_ORDER)
+    return _theta_series_vec(ts)
+
+
+def _theta_series_vec(ts: np.ndarray) -> np.ndarray:
+    """theta_vec's series on ordinates already in its domain, unchecked."""
+    x = ts / _TWO_PI_0D
+    return _PI_0D * (x * np.log(x) - x - _EIGHTH) + theta_tail(ts, MAX_SERIES_ORDER)
 
 
 def _em_truncation(ts: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin truncation N = ceil(t/4) + 20 per ordinate, as floats."""
-    return np.ceil(ts / 4.0) + 20.0
+    return np.ceil(ts / _FOUR) + _TWENTY
 
 
 def _em_width(n_top: float) -> int:
@@ -527,6 +541,10 @@ def _em_width(n_top: float) -> int:
 # the correction matrix, or the two complex rows of Chebyshev powers.
 _EM_ROW_BYTES = 8 * max(_em_width(_em_truncation(T_RS)), 2 * 2 * len(_EM_BERNOULLI))
 _RS_ROW_BYTES = 8 * max(3 * len(_RS_MU_HI), _RS_CHEBYSHEV.size, 2 * 2 * _RS_CHEBYSHEV.shape[1])
+# Euler-Maclaurin columns k to the widest (t < T_Z_MAX), ln k, k^(-1/2); 2j - 1, 2j for j < 30.
+_EM_KS = np.arange(1.0, _em_width(_em_truncation(T_Z_MAX)) + 1.0)
+_EM_LOG_KS, _EM_WEIGHTS = np.log(_EM_KS), 1.0 / np.sqrt(_EM_KS)
+_EM_ODD_J, _EM_EVEN_J = (2 * np.arange(1, len(_EM_BERNOULLI))[:, None] - d for d in (1, 0))
 
 
 def _fresh_array(slot: int, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
@@ -563,7 +581,7 @@ def _workspace(em_rows: int, rs_rows: int) -> Callable[..., np.ndarray]:
 
 
 def _zeta_em_chunk(ts: np.ndarray, ws: Callable[..., np.ndarray]) -> np.ndarray:
-    """Euler-Maclaurin zeta(1/2+it) for an array of ordinates t >= 0.
+    """Euler-Maclaurin zeta(1/2+it) for ascending ordinates 0 <= t < T_Z_MAX.
 
     Each ordinate t gets its own truncation N = ceil(t/4) + 20: the terms
     k < N are summed directly, and the tail carries m = 30 Bernoulli
@@ -581,31 +599,28 @@ def _zeta_em_chunk(ts: np.ndarray, ws: Callable[..., np.ndarray]) -> np.ndarray:
     """
     m = len(ts)
     n_big = _em_truncation(ts)
-    width = _em_width(n_big.max())
-    ks = np.arange(1.0, width + 1.0)
+    width = _em_width(n_big[-1])
     live, terms, ph = ws(0, (m, width), np.bool_), ws(1, (m, width)), ws(2, (m, width))
-    np.less(ks, n_big[:, None], out=live)
-    np.multiply(ts[:, None], np.log(ks), out=ph)
-    weights = 1.0 / np.sqrt(ks)
+    np.less(_EM_KS[:width], n_big[:, None], out=live)
+    np.multiply(ts[:, None], _EM_LOG_KS[:width], out=ph)
     # The masked cos and sin skip the cells k >= N, which stay zero, as
     # 0 * weight = 0.
     terms.fill(0.0)
 
     def main_sum(trig):
-        np.multiply(trig(ph, out=terms, where=live), weights, out=terms)
-        return terms.reshape(m, -1, _EM_BLOCK).sum(axis=2).cumsum(axis=1)[:, -1]
+        np.multiply(trig(ph, out=terms, where=live), _EM_WEIGHTS[:width], out=terms)
+        return np.add.reduce(terms.reshape(m, -1, _EM_BLOCK), axis=2).cumsum(axis=1)[:, -1]
 
-    s = 0.5 + 1j * ts
+    s = _HALF + _J * ts
     n_pow = n_big ** -s
-    total = (main_sum(np.cos) - 1j * main_sum(np.sin)
-             + n_big * n_pow / (s - 1.0) + 0.5 * n_pow)
+    total = (main_sum(np.cos) - _J * main_sum(np.sin)
+             + n_big * n_pow / (s - _ONE) + _HALF * n_pow)
     # Tail sum_j B_2j/(2j)! * s(s+1)...(s+2j-2) * N^(1-s-2j) as a running
     # product of term ratios (s+2j-1)(s+2j)/N^2, one row per j.
-    j = np.arange(1, len(_EM_BERNOULLI))[:, None]
     tail, acc = ws(0, (2, len(_EM_BERNOULLI), m), np.complex128)
     tail[0] = s * n_pow / n_big
-    ratios = np.add(s, 2 * j - 1, out=tail[1:])
-    ratios *= np.add(s, 2 * j, out=acc[1:])
+    ratios = np.add(s, _EM_ODD_J, out=tail[1:])
+    ratios *= np.add(s, _EM_EVEN_J, out=acc[1:])
     ratios /= n_big * n_big
     tail.cumprod(axis=0, out=acc)
     return total + np.multiply(_EM_BERNOULLI[:, None], acc, out=tail).cumsum(axis=0, out=acc)[-1]
@@ -618,70 +633,73 @@ def _rs_z_theta(ts: np.ndarray, rows: int,
     Z = 2 sum_{n<=N} n^(-1/2) cos(theta - t ln n) + (-1)^(N-1) a^(-1/2)
     sum_{k<rows} C_k(p) a^(-k), with a = sqrt(t/(2 pi)), N = floor(a) and
     p = a - N (Gabcke 1979).  rows is 14, or _RS_SHORT_ROWS for a chunk from
-    _T_RS_SHORT up, and the corrections are added in 2 blocks of rows / 2.
-    The phases are reduced in turns without losing the digits that binary64
-    t ln n and theta drop: t mu_n mod 1, mu_n = (ln n - 1/2)/(2 pi), is an
-    exact product of 26-bit halves, reduced as x - trunc(x) (exact, and on
-    NumPy's SIMD loops, where np.modf has none), plus two small products,
-    theta/(2 pi) = t mu_N + t ln(a/N)/(2 pi) - 1/16 + tail/(2 pi), and
-    t ln n/(2 pi) = t mu_n - t mu_1.  The last ordinate has the largest N,
-    which sets the width of the main sum; the cosine runs on the columns
-    n <= N of each ordinate alone.  Each sum runs over fewer than 8 terms
-    per axis and the columns past N add exact zeros, so a value does not
-    depend on the rest of the batch.  The returned theta lies in
-    (-2 pi, 2 pi).  The phase and correction matrices are written into ws.
+    _T_RS_SHORT up.  The phases are reduced in turns without losing the
+    digits that binary64 t ln n and theta drop: t mu_n mod 1, mu_n =
+    (ln n - 1/2)/(2 pi), is an exact product of 26-bit halves, reduced as
+    x - trunc(x) (exact, and on NumPy's SIMD loops, where np.modf has none),
+    plus two small products, theta/(2 pi) = t mu_N + t ln(a/N)/(2 pi) - 1/16
+    + tail/(2 pi), and t ln n/(2 pi) = t mu_n - t mu_1.  The last ordinate
+    has the largest N, which sets the width of the main sum; the cosine runs
+    on the columns n <= N of each ordinate alone.  Each sum is a reduce over
+    fewer than 8 terms of one axis, in index order, or an add of the two
+    halves of the Chebyshev terms or corrections, and the columns past N add
+    exact zeros, so a value does not depend on the rest of the batch.  The
+    returned theta lies in (-2 pi, 2 pi).  The phase and correction matrices
+    are written into ws.
     """
     m = len(ts)
-    n = np.floor(np.sqrt(ts / TWO_PI))
+    n = np.floor(np.sqrt(ts / _TWO_PI_0D))
     n2 = n * n
     # r = t/(2 pi N^2) - 1, with t - hi N^2 exact: hi N^2 is exact and
     # within a factor 2 of t.
-    r = (ts - _RS_TWO_PI_HI * n2 - _RS_TWO_PI_LO * n2) / (TWO_PI * n2)
-    log_a_n = 0.5 * np.log1p(r)
+    r = (ts - _RS_TWO_PI_HI_0D * n2 - _RS_TWO_PI_LO_0D * n2) / (_TWO_PI_0D * n2)
+    log_a_n = _HALF * np.log1p(r)
     p = n * np.expm1(log_a_n)
 
     # One row per column n = 1..width: turns[n - 1] = t mu_n mod 1.
-    c = _SPLITTER * ts
+    c = _SPLITTER_0D * ts
     t_hi = c - (c - ts)
     width = _RS_BLOCK * -(-int(n[-1]) // _RS_BLOCK)
     mu_hi = _RS_MU_HI[:width, None]
-    turns, a, b = ws(0, (3, width, m))
+    block = ws(0, (3, width, m))
+    turns, a, b = block[0], block[1], block[2]
     np.multiply(mu_hi, t_hi, out=turns)
     turns -= np.trunc(turns, out=a)
     np.add(np.multiply(mu_hi, ts - t_hi, out=a), np.multiply(_RS_MU_LO[:width, None], ts, out=b),
            out=a)
     turns += a
-    g = (ts * log_a_n + theta_tail(ts, 2)) / TWO_PI - 0.0625
+    tail = (_THETA_COEFFS_0D[1] * (_ONE / (ts * ts)) + _THETA_COEFFS_0D[0]) / ts  # theta_tail(t, 2)
+    g = (ts * log_a_n + tail) / _TWO_PI_0D - _SIXTEENTH
     n_idx = n.astype(np.intp)
-    theta = turns[n_idx - 1, np.arange(m)] + (g - np.rint(g))
+    theta = turns[n_idx - _INTP_ONE, _RS_COLUMNS[:m]] + (g - np.rint(g))
     phase = np.subtract(theta + turns[0], turns, out=turns)
     np.subtract(phase, np.rint(phase, out=a), out=phase)
     # mode="clip" takes the columns straight into b; every N is in range.
     weights = _RS_TRUNCATED_WEIGHTS[:width].take(n_idx, axis=1, out=b, mode="clip")
     # The cosine runs on the columns n <= N alone; the rest keep a finite
     # phase, which their zero weight makes an exact zero.
-    terms = np.cos(np.multiply(TWO_PI, phase, out=phase), out=phase, where=weights != 0.0)
-    terms *= weights
+    terms = np.cos(np.multiply(_TWO_PI_0D, phase, out=phase), out=phase, where=weights != _ZERO)
+    terms *= weights  # 2 n^(-1/2): main is the whole first term of Z
     main = np.add.reduce(np.add.reduce(terms.reshape(-1, _RS_BLOCK, m), axis=1), axis=0)
 
     # C_k / x^(k % 2) = sum_j b_kj T_j(y), y = 2x^2 - 1, x = 2p - 1, with
     # T_j(y) = Re w^j for w = e^(i arccos y) = (x + i sqrt(1 - x^2))^2
     # (abs: a rounded N may leave p a hair outside [0, 1]).
-    x = 2.0 * p - 1.0
-    e_psi = x + 2j * np.sqrt(np.abs(p * (1.0 - p)))
+    x = _TWO * p - _ONE
+    e_psi = x + _TWO_J * np.sqrt(np.abs(p * (_ONE - p)))
     powers, products = ws(1, (2, _RS_CHEBYSHEV.shape[1], m), np.complex128)
-    powers[0] = 1.0
+    powers[0] = _RS_SIGNS[n_idx]  # the remainder's sign (-1)^(N-1)
     powers[1:] = e_psi * e_psi
     table, exponents = _RS_BANDS[rows]
     corrections = np.multiply(powers.cumprod(axis=0, out=products).real, table,
                               out=ws(0, table.shape[:2] + (m,)))
-    corrections = np.add.reduce(np.add.reduce(corrections.reshape(rows, 2, -1, m), axis=2), axis=1)
+    halves = np.add.reduce(corrections.reshape(rows, 2, -1, m), axis=2)
+    corrections = np.add(halves[:, 0], halves[:, 1])
     # a^-(k + 1/2), times x for odd k: C_k carries that factor.
     scale = np.exp(exponents * np.log(n + p))
-    scale[1::2] *= x
-    remainder = (corrections * scale).reshape(2, -1, m)
-    remainder = np.add.reduce(np.add.reduce(remainder, axis=1), axis=0)
-    return 2.0 * main + _RS_SIGNS[n_idx] * remainder, TWO_PI * theta
+    np.multiply(scale[1::2], x, out=scale[1::2])
+    halves = np.add.reduce((corrections * scale).reshape(2, -1, m), axis=1)
+    return main + np.add(halves[0], halves[1]), _TWO_PI_0D * theta
 
 
 def _critical_line(ts: np.ndarray,
@@ -707,10 +725,10 @@ def _critical_line(ts: np.ndarray,
         return z, zeta
     order = ts.argsort(kind="stable")
     sorted_ts = ts[order]
-    # NaN sorts last.
-    if not (sorted_ts[0] >= 0.0 and sorted_ts[-1] < T_Z_MAX):
+    # NaN sorts last, after T_Z_MAX.
+    below, split, short, inside = sorted_ts.searchsorted(_DISPATCH_EDGES).tolist()
+    if below or inside < len(ts):
         raise ValueError(f"t outside [0, 2 pi 43^2 = {T_Z_MAX!r})")
-    split, short = sorted_ts.searchsorted((T_RS, _T_RS_SHORT)).tolist()
     ws = _workspace(split, len(ts) - split)
     for pos in range(0, split, _CHUNK):
         chunk = sorted_ts[pos:min(pos + _CHUNK, split)]
@@ -734,7 +752,7 @@ def _critical_line(ts: np.ndarray,
 def _z_from_zeta(ts: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """Z for ascending ordinates: -|zeta| below T_NO_ZERO, Re(e^(i theta) zeta) from there."""
     k = bisect_left(ts, T_NO_ZERO)
-    th = theta_vec(ts[k:])
+    th = _theta_series_vec(ts[k:])  # the dispatcher has checked the domain
     high = zeta[k:]
     return np.concatenate([-np.abs(zeta[:k]), np.cos(th) * high.real - np.sin(th) * high.imag])
 
@@ -752,7 +770,7 @@ def _z_zeta_at(t: float) -> tuple[float, complex]:
     same values.
     """
     z, zeta = _critical_line(np.array([t]))
-    return float(z[0]), complex(zeta[0])
+    return z.item(), zeta.item()
 
 
 def _z_zeta(t):
@@ -818,11 +836,11 @@ def arg_zeta_principal(t):
     the first height where |zeta| < 1e-12, on every call.
     """
     ts = np.asarray(t, dtype=np.float64)
-    flat = ts.ravel()
-    zeta = np.ravel(_z_zeta(ts)[1]).tolist()
+    zeta = _z_zeta(ts)[1]
+    zeta = [zeta] if ts.ndim == 0 else zeta.ravel().tolist()
     at_zero = [k for k, z in enumerate(zeta) if abs(z) < 1e-12]
     if at_zero:
-        raise AtZeroError(f"zeta vanishes at t = {float(flat[at_zero[0]])} to working precision")
+        raise AtZeroError(f"zeta vanishes at t = {float(ts.flat[at_zero[0]])} to working precision")
     # libm's atan2 is within 0.52 ulp of the true angle at the integer
     # heights 1..1e4, where numpy's vectorized arctan2 reaches 0.73 ulp.
     phase = [math.atan2(z.imag, z.real) / math.pi for z in zeta]

@@ -402,8 +402,8 @@ def floor_counter(n: int, alpha: float) -> int:
     n = operator.index(n)
     if not 0 <= n < 2 ** 53:
         raise ValueError(f"n must be in [0, 2^53), where n + 1 is exact in binary64, got {n}")
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    if not 0.0 <= (n + 1) * alpha < math.inf:
+        raise ValueError(f"alpha and (n + 1) alpha must be finite, >= 0: n = {n}, alpha = {alpha}")
     return math.floor((n + 1) * alpha) - math.floor(n * alpha)
 
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from zetaphase import (
+    UnitIntervalCounts,
     arg_zeta_principal,
     carrier_g,
     carrier_gamma,
+    render_counts,
     staircase,
     staircase_jumps,
     staircase_levels,
@@ -190,3 +192,26 @@ class TestStaircase:
         counts = [census_counts.counts[n - 1] for n in range(1, len(jumps) + 1)]
         assert int(np.sum(jumps[:899])) == sum(counts[:899])
         assert int(np.sum(jumps)) == sum(counts)
+
+
+class TestIntegerArguments:
+    # render_counts, staircase and staircase_jumps take width or n_max
+    # through operator.index at entry: a float raises TypeError there, a
+    # NumPy integer is taken.
+    CALLS = {
+        "render_counts width": lambda n: render_counts(UnitIntervalCounts(np.arange(20) % 3), n),
+        "staircase n_max": staircase,
+        "staircase_jumps n_max": staircase_jumps,
+    }
+
+    @pytest.mark.parametrize("n", [6.0, 2.5])
+    @pytest.mark.parametrize("name", CALLS)
+    def test_float_rejected(self, name, n):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            self.CALLS[name](n)
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_numpy_integer_taken(self, name):
+        got, want = self.CALLS[name](np.int64(6)), self.CALLS[name](6)
+        assert type(got) is type(want)
+        assert got == want if name.startswith("render") else np.array_equal(got, want)

@@ -24,6 +24,7 @@ from zetaphase import (
     ScanConfig,
     arg_gamma_quarter,
     arg_zeta_principal,
+    corrected_approx,
     hardy_z,
     lambert_w0,
     scan_zeros,
@@ -69,6 +70,7 @@ from zetaphase.special import (
     _z_zeta_at,
     _zeta_em_chunk,
     smooth_main,
+    theta_tail,
     theta_vec,
 )
 
@@ -271,6 +273,15 @@ class TestThetaSeries:
             theta_series(100.0, order=9)
         with pytest.raises(ValueError):
             theta_series(100.0, order=-1)
+
+
+    def test_python_floats(self):
+        # The scalar theta path, which the closed-form table reads, stays in
+        # Python floats: theta_tail sums an array with 0-d coefficients, a
+        # float with floats.
+        for value in (theta_tail(100.0, 8), theta_exact(100.0), corrected_approx(100, 4)):
+            assert type(value) is float
+        assert theta_tail(np.array([100.0]), 8)[0] == theta_tail(100.0, 8)
 
 
 class TestThetaVec:
@@ -800,6 +811,16 @@ class TestArrayAPI:
             assert np.array_equal(hardy_z(batch[idx]), z[idx])
             assert np.array_equal(zeta_critical_line(batch[idx]), zeta[idx])
             assert np.array_equal(arg_zeta_principal(batch[idx]), arg[idx])
+
+    # One height per band: Z = -|zeta|, Euler-Maclaurin, Riemann-Siegel with
+    # C0..C13 and with C0..C7.
+    @pytest.mark.parametrize("t", [5.0, 100.0, 500.0, 5000.0])
+    def test_zero_d_array_is_scalar(self, t):
+        for f, kind in ((hardy_z, float), (zeta_critical_line, complex), (arg_zeta_principal, float)):
+            _z_zeta_at.cache_clear()
+            got = f(np.array(t))
+            assert type(got) is kind
+            assert got == f(np.array([t]))[0]
 
     def test_scalar_types(self):
         assert type(hardy_z(1000.0)) is float

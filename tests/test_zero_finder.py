@@ -907,6 +907,9 @@ class TestFloorCounter:
         (3, -0.5, "alpha must be"),
         (3, math.inf, "alpha must be finite"),
         (3, math.nan, "alpha must be finite"),
+        # A finite alpha whose product with n + 1 overflows binary64.
+        (10, 1e308, r"\(n \+ 1\) alpha must be finite, >= 0: n = 10, alpha = 1e\+308"),
+        (2**52, 1e300, r"n = 4503599627370496, alpha = 1e\+300"),
     ])
     def test_domain(self, n, alpha, match):
         with pytest.raises(ValueError, match=match):
