@@ -19,11 +19,12 @@ lattice point.  A unit interval whose count disagrees with the
 smooth-phase prediction by two or more is flagged as suspect where the
 cumulative count has drifted too, which catches a faulty evaluator.
 
-Every count goes through two functions: interval_counts, the number of
-ordinates with floor(y) = n over a range of n (the census F(n), the
-scanner's suspect rule and the counter oracles), and smooth_count, the
-rounded smooth-phase count round(theta(t)/pi + 1), 0 below T_NO_ZERO,
-whose differences are the per-interval prediction.
+Counts go through two functions: interval_counts, the number of ordinates
+with floor(y) = n over a range of n (the census F(n) and the counter
+oracles), and smooth_count, the rounded smooth-phase count
+round(theta(t)/pi + 1), 0 below T_NO_ZERO, whose differences are the
+per-interval prediction; the scanner's suspect rule differences one
+searchsorted of its ascending ordinates at the integer heights.
 
 Also here: the interval-count container, floor-difference counters with
 their Bessel/Airy zero oracles, and the plain-text zero cache format.
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import GENERATOR_VERSION
-from .special import T_NO_ZERO, TWO_PI, hardy_z, theta_vec
+from .special import T_NO_ZERO, T_THETA_MAX, TWO_PI, hardy_z, theta_vec
 
 CACHE_MAGIC = "zetaphase zero cache v1"
 
@@ -56,11 +57,14 @@ _REFINE_TOL = 1e-9
 # brackets, 2.01 accurate rows per zero; degree 9 needs 2.65 and degree 7
 # 3.85, and degree 13 gains nothing more.
 _PAD = 5
-_NODES = np.arange(-_PAD, _PAD + 2)
-# On nodes one step apart the Newton-form coefficients are forward
-# differences over k!: coefficient k is the sum over j of f_j _TO_NEWTON[j, k].
-_TO_NEWTON = np.array([[(-1) ** (k - j) * math.comb(k, j) / math.factorial(k)
-                        for k in range(len(_NODES))] for j in range(len(_NODES))])
+_NODES = np.arange(-_PAD, _PAD + 2)[:, None]  # one row per node
+_SHIFTS = _NODES[:-1].astype(np.float64)
+# On nodes one step apart the Newton-form coefficient of degree k is the
+# forward difference over k!, the sum over j of f_j (-1)^(k-j) C(k, j) / k!.
+# _TO_NEWTON holds these weights per sample j, in the degree order 1..11, 0
+# of _lattice_roots' running sums.
+_TO_NEWTON = np.array([[[(-1) ** (k - j) * math.comb(k, j) / math.factorial(k)]
+                        for k in [*range(1, len(_NODES)), 0]] for j in range(len(_NODES))])
 _BLOCK = 256
 _NEWTON_STEPS = 3
 # A midpoint round halves a bracket: 27 of them take a SCAN_STEP bracket below
@@ -143,8 +147,8 @@ class ZeroList:
         )
 
 
-def _grid(t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Padded lattice samples of the window [t_lo, t_hi] and a mask of its core.
+def _grid(t_lo: float, t_hi: float) -> tuple[np.ndarray, slice]:
+    """Padded lattice samples of the window [t_lo, t_hi] and the slice of its core.
 
     The core runs from the last lattice point below t_lo (or t = 0) to the
     first above t_hi.  The _PAD samples on either side of it (fewer below
@@ -155,8 +159,8 @@ def _grid(t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:
     # there can round onto the end.
     first = max(math.ceil(t_lo / SCAN_STEP - 1e-9) - 1, 0)
     last = math.floor(t_hi / SCAN_STEP + 1e-9) + 1
-    k = np.arange(max(first - _PAD, 0), last + _PAD + 1)
-    return k * SCAN_STEP, (k >= first) & (k <= last)
+    k0 = max(first - _PAD, 0)
+    return np.arange(k0, last + _PAD + 1.0) * SCAN_STEP, slice(first - k0, last - k0 + 1)
 
 
 def _lattice_roots(sampled: np.ndarray, idx: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -165,30 +169,38 @@ def _lattice_roots(sampled: np.ndarray, idx: np.ndarray, start: np.ndarray) -> n
     Roots are in steps from sample idx.  Each takes _NEWTON_STEPS Newton
     steps on the Newton form of the interpolant from start; a bracket
     without all twelve samples keeps start.  A root may come out non-finite.
-    Only elementwise operations, running sums and products, and one reduce
-    are used, so no root depends on the rest of the batch.  The reduce sums
-    a C-contiguous array over an axis that is not its innermost, which
-    NumPy adds in index order, a whole inner row at a time, as a running
-    sum does, whatever the number of brackets.  Over the innermost axis, or
-    over a lone column, it would add pairwise, which differs.
+    Brackets run along the last axis; a step sums the terms of the value and
+    of the slope, the two layers of one array, in one product and one
+    running sum, the constant term last.  Only elementwise operations,
+    running sums and products, and one reduce are used, so no root depends
+    on the rest of the batch.  The reduce sums a C-contiguous array over its
+    outermost axis, which NumPy adds in index order, a whole row at a time,
+    as a running sum does, whatever the number of brackets.  Over the
+    innermost axis, or over a lone column, it would add pairwise.
     """
     # mode="clip" repeats the end samples where the nodes run past them.
-    f = sampled.take(np.add.outer(idx, _NODES), mode="clip")
+    f = sampled.take(_NODES + idx, mode="clip")
     full = (idx >= _PAD) & (idx < len(sampled) - _PAD - 1)
     # At most _BLOCK brackets at a time, which bounds the memory of the
-    # (brackets, node, node) products; without brackets, one empty block.
-    coef = [np.add.reduce(f[lo:lo + _BLOCK, :, None] * _TO_NEWTON, axis=1)
+    # (node, k, brackets) products; without brackets, one empty block.
+    coef = [np.add.reduce(f[:, None, lo:lo + _BLOCK] * _TO_NEWTON, axis=0)
             for lo in range(0, max(len(idx), 1), _BLOCK)]
-    coef = coef[0] if len(coef) == 1 else np.concatenate(coef)
-    c0, c1, nodes = coef[:, 0], coef[:, 1:], _NODES[:-1]
+    coef = coef[0] if len(coef) == 1 else np.concatenate(coef, axis=1)
+    # The Newton basis of degrees 1..11 and 1, then their slopes (the last unread).
+    terms = np.empty((2, len(_NODES), len(idx)))
+    terms[:, -1] = 1.0
+    basis, slope = terms[0, :-1], terms[1, :-1]
+    sums = np.empty_like(terms)
+    value, derivative = sums[0, -1], sums[1, -2]
     u = start
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_STEPS):
-            d = np.subtract.outer(u, nodes)
-            basis = np.multiply.accumulate(d, axis=1)  # Newton basis, degrees 1..11
-            slope = basis * np.add.accumulate(1.0 / d, axis=1)  # its derivative
-            p = c0 + np.add.accumulate(c1 * basis, axis=1)[:, -1]
-            u = u - p / np.add.accumulate(c1 * slope, axis=1)[:, -1]
+            d = u - _SHIFTS
+            np.multiply.accumulate(d, axis=0, out=basis)
+            np.add.accumulate(np.reciprocal(d, out=d), axis=0, out=d)
+            np.multiply(basis, d, out=slope)
+            np.add.accumulate(np.multiply(terms, coef, out=sums), axis=1, out=sums)
+            u = u - value / derivative
     return np.where(full, u, start)
 
 
@@ -201,52 +213,55 @@ def _refine(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
     far inside the bracket, in one hardy_z call for all open brackets,
     and keeps the piece of the bracket that holds the sign change: the pair
     itself where it straddles the root, which closes the bracket.  An exact
-    0.0 is the root.  Each closed bracket's ordinate is the linear
-    interpolant of its final bracket, clipped to it, and the round that
-    closes the last bracket ends the loop there.  The open ones go on from
-    the root of the pair's secant, a Newton step on an accurate slope, if it
-    lies inside the new bracket and moves less than half as far as the last
-    x did, and from the midpoint otherwise (the safeguard of rtsafe,
-    Numerical Recipes 9.4).  Only elementwise operations are used, so no
-    ordinate depends on the batch.
+    0.0 is the root.  A round interpolates all three pieces a bracket can
+    keep, each clipped to itself, writes the kept one's as the ordinate, and
+    the round that closes the last bracket ends the loop there.  The open
+    ones go on from the root of the pair's secant, a Newton step on an
+    accurate slope, if it lies inside the new bracket and moves less than
+    half as far as the last x did, and from the midpoint otherwise (the
+    safeguard of rtsafe, Numerical Recipes 9.4).  Only elementwise
+    operations are used, so no ordinate depends on the batch.
 
     Raises ArithmeticError if a bracket is still wider than tol after
     _ROUNDS rounds.
     """
-    half = 0.45 * tol
-    x = np.where(np.isfinite(x), x, 0.5 * (a + b))
-    moved = b - a  # how far x moved in the last round; the width to start
-    live = np.arange(len(a))  # the input rows of the open brackets
     out = np.empty(len(a))
     if not len(a):
         return out
+    half = 0.45 * tol
+    x = np.where(np.isfinite(x), x, 0.5 * (a + b))
+    moved = b - a  # how far x moved in the last round; the width to start
+    live = rows = np.arange(len(a))  # the open brackets' input rows; 0 .. n - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_ROUNDS):
             n = len(live)
             x = np.minimum(np.maximum(x, a + half), b - half)
-            # The bracket ends and the pair, a <= x - half < x + half <= b,
-            # in blocks of n.
+            # Points a <= x - half < x + half <= b, in blocks of n.
             xs = np.concatenate([a, np.maximum(x - half, a), np.minimum(x + half, b), b])
             fpair = hardy_z(xs[n:3 * n])
             fs = np.concatenate([fa, fpair, fb])
-            # The sign change lies past every point of the pair whose sign is
-            # fa's: block j holds the new a, block j + 1 the new b.
-            j = np.add.reduce(np.sign(fpair).reshape(2, n) == np.sign(fa), axis=0)
-            k = j * n + np.arange(n)
-            a, b, fa, fb = xs[k], xs[k + n], fs[k], fs[k + n]
-            a = np.where(fb == 0.0, b, a)  # a zero value closes on itself
-            done = b - a <= tol
-            interp = np.where(b > a, np.minimum(np.maximum(a - fa * (b - a) / (fb - fa), a), b), a)
-            if done.all():
-                out[live] = interp
+            # Blocks j = 0, 1, 2 of n: the piece from point j to point j + 1,
+            # its width and its interpolant (fmax takes the left end over the
+            # NaN of a piece closed on a zero value).
+            right, f_left, f_right = xs[n:], fs[:3 * n], fs[n:]
+            left = np.where(f_right == 0.0, right, xs[:3 * n])
+            width = right - left
+            interp = np.fmin(np.fmax(left - f_left * width / (f_right - f_left), left), right)
+            # The sign change lies past every point of the pair whose sign is fa's.
+            signs = np.sign(f_left).reshape(3, n)
+            k = np.add.reduce(signs[1:] == signs[0], axis=0) * n + rows
+            out[live] = interp[k]
+            done = width[k] <= tol
+            if np.count_nonzero(done) == n:
                 return out
-            out[live[done]] = interp[done]
+            a, b, fa, fb = left[k], right[k], f_left[k], f_right[k]
             lo, hi, flo, fhi = xs[n:2 * n], xs[2 * n:3 * n], fpair[:n], fpair[n:]
             newton = lo - flo * (hi - lo) / (fhi - flo)
             step = (newton > a) & (newton < b) & (np.abs(newton - x) < 0.5 * moved)
             nxt = np.where(step, newton, 0.5 * (a + b))
             moved, x = np.abs(nxt - x), nxt
             a, b, fa, fb, x, moved, live = (v[~done] for v in (a, b, fa, fb, x, moved, live))
+            rows = rows[:len(live)]
     raise ArithmeticError("bracket refinement did not reach refine_tol")
 
 
@@ -259,11 +274,13 @@ def _scan_ordinates(t_lo: float, t_hi: float) -> np.ndarray:
     """
     ts, core = _grid(t_lo, t_hi)
     zs = hardy_z(ts)
-    idx = ((np.sign(zs[:-1]) * np.sign(zs[1:]) < 0) & core[:-1] & core[1:]).nonzero()[0]
+    signs = np.sign(zs[core])
+    idx = (signs[:-1] * signs[1:] < 0).nonzero()[0] + core.start
     a, b, fa, fb = ts[idx], ts[idx + 1], zs[idx], zs[idx + 1]
     x0 = a + _lattice_roots(zs, idx, fa / (fa - fb)) * (b - a)
-    roots = np.concatenate([ts[core & (zs == 0.0)], _refine(a, b, fa, fb, x0, _REFINE_TOL)])
-    return np.sort(roots[(roots >= t_lo) & (roots <= t_hi)])
+    roots = np.concatenate([ts[core][signs == 0.0], _refine(a, b, fa, fb, x0, _REFINE_TOL)])
+    roots.sort()
+    return roots[roots.searchsorted(t_lo):roots.searchsorted(t_hi, "right")]
 
 
 def interval_counts(ordinates, n_lo: int, n_hi: int) -> np.ndarray:
@@ -284,11 +301,11 @@ def smooth_count(t):
     """Rounded smooth-phase zero count below t: round(theta(t)/pi + 1), 0 below T_NO_ZERO.
 
     Takes a float (returns an int) or an array (returns an int64 array).
-    Raises ValueError if any t is NaN or above theta_vec's T_THETA_MAX = 2e4.
+    Raises ValueError if any t is NaN or above T_THETA_MAX = 2e4.
     """
     ts = np.asarray(t, dtype=np.float64)
-    if not (ts < math.inf).all():
-        raise ValueError("smooth_count needs t below infinity, not NaN")
+    if not (ts <= T_THETA_MAX).all():
+        raise ValueError(f"smooth_count needs t <= T_THETA_MAX = {T_THETA_MAX:g}, not NaN")
     out = np.zeros(ts.shape, dtype=np.int64)
     above = ts >= T_NO_ZERO
     out[above] = np.rint(theta_vec(ts[above]) / math.pi + 1.0)
@@ -311,24 +328,21 @@ def scan_zeros(config: ScanConfig) -> ZeroList:
     """
     roots = _scan_ordinates(config.t_lo, config.t_hi)
 
-    n_lo = int(math.floor(config.t_lo))
-    n_hi = int(math.ceil(config.t_hi))
-    # The smooth counts at n_lo..n_hi, then at t_lo, from one call.
+    n_lo = math.floor(config.t_lo)
+    n_hi = math.ceil(config.t_hi)
+    # The drift at n_lo..n_hi, then t_lo: the ordinates below each height less
+    # its smooth count.  Across an interval it steps by count less prediction.
     heights = np.arange(n_lo, n_hi + 2, dtype=np.float64)
     heights[-1] = config.t_lo
-    smooth = smooth_count(heights)
-    predicted = smooth[1:-1] - smooth[:-2]
-    flagged = (np.abs(interval_counts(roots, n_lo, n_hi) - predicted) >= 2).nonzero()[0]
+    drift = roots.searchsorted(heights) - smooth_count(heights)
+    flagged = (np.abs(drift[1:-1] - drift[:-2]) >= 2).nonzero()[0].tolist()
     # The phase fluctuation routinely reaches 2 inside one interval, so a
     # local gap alone is not evidence of a missed zero.  Flag as suspect
     # only when the cumulative count has also drifted away from the smooth
-    # phase at this height.
-    expected = smooth[flagged + 1] - smooth[-1]
-    cum_gap = roots.searchsorted(n_lo + flagged + 1.0) - expected
-    # A scan anchored below the first zero has a noise-free left baseline;
-    # a partial scan carries phase noise at both ends.
+    # phase at this height.  A scan anchored below the first zero has a
+    # noise-free left baseline; a partial scan carries phase noise at both ends.
     limit = 2 if config.t_lo < T_NO_ZERO else 3
-    suspects = tuple((n_lo + flagged[np.abs(cum_gap) >= limit]).tolist())
+    suspects = tuple(n_lo + k for k in flagged if abs(drift[k + 1] - drift[-1]) >= limit)
 
     return ZeroList(
         ordinates=roots,
@@ -373,7 +387,8 @@ class UnitIntervalCounts:
 
 
 def unit_interval_counts(zeros: ZeroList, n_max: int) -> UnitIntervalCounts:
-    """Count zeros per unit interval [n, n+1) for n = 1..n_max."""
+    """Count zeros per unit interval [n, n+1) for n = 1..n_max; a float n_max raises TypeError."""
+    n_max = operator.index(n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if zeros.t_lo > 1.0 or zeros.t_hi < float(n_max + 1):

@@ -852,7 +852,7 @@ class TestSmoothCount:
     @pytest.mark.parametrize("t", [1e19, np.array([100.0, 20000.5])])
     def test_above_theta_domain_rejected(self, t):
         # Past T_THETA_MAX = 2e4 the count would overflow its int64 cast.
-        with pytest.raises(ValueError, match="14 <= t <= 20000"):
+        with pytest.raises(ValueError, match="smooth_count needs t <= T_THETA_MAX = 20000"):
             smooth_count(t)
 
     def test_frozen_prediction_on_first_edges(self):
@@ -917,12 +917,18 @@ class TestFloorCounter:
         assert floor_counter(2**53 - 1, 0.5) == 1
 
 
+# A zero list covering [0, 60].
+SIXTY = ZeroList(ordinates=(14.5, 21.5, 25.5), t_lo=0.0, t_hi=60.0)
+
+
 class TestIntegerArguments:
-    # The counters and interval_counts take their integer arguments through
-    # operator.index: a float raises TypeError, a NumPy integer is taken.
+    # The counters, interval_counts and unit_interval_counts take their
+    # integer arguments through operator.index: a float raises TypeError, a
+    # NumPy integer is taken.
     CALLS = {
         "interval_counts n_lo": lambda n: interval_counts([1.5, 2.5, 3.5], n, 4),
         "interval_counts n_hi": lambda n: interval_counts([1.5, 2.5, 3.5], 1, n),
+        "unit_interval_counts": lambda n: unit_interval_counts(SIXTY, n).counts,
         "floor_counter": lambda n: floor_counter(n, 0.5),
         "counter_from_counting_function": lambda n: counter_from_counting_function(math.sqrt, n),
         "bessel_j0_counter": bessel_j0_counter,
@@ -948,6 +954,12 @@ class TestIntegerArguments:
     def test_below_domain_rejected(self, name, n):
         with pytest.raises(ValueError, match="n must be"):
             self.CALLS[name](n)
+
+    def test_float_n_max_past_coverage_rejected(self):
+        # A float n_max is rejected on entry, before the coverage check
+        # could report it as a CoverageError.
+        with pytest.raises(TypeError):
+            unit_interval_counts(SIXTY, 100.5)
 
     @pytest.mark.parametrize("name", CALLS)
     def test_numpy_integer_taken(self, name):
@@ -1091,6 +1103,16 @@ class TestPartitionedScan:
         assert partitioned_census.count == census_zeros.count
         # Z(t) does not depend on its batch, so the ordinates are identical.
         assert np.array_equal(partitioned_census.ordinates, census_zeros.ordinates)
+
+    def test_seeded_windows_match_census(self, census_zeros):
+        # Every small scan [a, a + 2] gives exactly the census ordinates in
+        # its window, bit for bit, and flags nothing.
+        ys = census_zeros.ordinates
+        for a in np.random.default_rng(7).integers(14, 6500, size=200).tolist():
+            window = scan_zeros(ScanConfig(t_lo=float(a), t_hi=a + 2.0))
+            inside = ys[(ys >= a) & (ys <= a + 2.0)]
+            assert np.array_equal(window.ordinates, inside), a
+            assert window.suspect_intervals == (), a
 
     def test_identical_interval_counts(self, census_counts, partitioned_census):
         other = unit_interval_counts(partitioned_census, census_counts.n_max)
