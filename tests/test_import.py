@@ -48,7 +48,22 @@ def test_import_and_scan_commands_load_no_mpmath(tmp_path):
                     "from zetaphase.special import smooth_main\n"
                     "smooth_main(5.0)\n"
                     "print('mpmath' in sys.modules)")
-    assert out.splitlines() == ["[]", str([(0, [])] * len(commands)), "True"]
+    assert out.splitlines() == ["[]", str([(0, [])] * len(commands)), "False"]
+
+
+def test_phase_commands_load_mpmath_only_below_t_no_zero():
+    # smooth_main's logarithm is in-repo: the closed-form table, theta,
+    # Arg Gamma, the Lambert estimates and the staircase call no mpmath.
+    # theta below T_NO_ZERO = 14 is mpmath's siegeltheta.
+    commands = [["table", "--start", "1", "--end", "200"], ["theta", "100"], ["arg-gamma", "100"],
+                ["estimate", "1", "2", "1000"], ["staircase", "--max", "100"], ["theta", "5"]]
+    out = run_fresh("import contextlib, io, sys\n"
+                    "from zetaphase import cli\n"
+                    f"for argv in {commands!r}:\n"
+                    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                    "        status = cli.main(argv)\n"
+                    "    print(status, 'mpmath' in sys.modules)")
+    assert out.splitlines() == ["0 False"] * 5 + ["0 True"]
 
 
 def test_oracles_after_fresh_import():

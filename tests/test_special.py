@@ -56,6 +56,7 @@ from zetaphase.special import (
     _LN2_FIXED,
     _LN2_LOG_BITS,
     _LN_PI_FIXED,
+    _LN_TABLE,
     _LOG_BITS,
     _PI_FIXED,
     _RS_CHUNK,
@@ -349,8 +350,8 @@ class TestSmoothMain:
                 assert smooth_main(t) == float(f(mp.mpf(t) / (2 * mp.pi))), t
 
     def test_domain(self):
-        for t in (0.0, -1.0):
-            with pytest.raises(ValueError):
+        for t in (0.0, -1.0, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="requires t > 0"):
                 smooth_main(t)
         with pytest.raises(OverflowError):
             smooth_main(1e307)
@@ -389,6 +390,22 @@ class TestLnFixed:
             for m in cases:
                 assert abs(_ln_fixed(m) * unit - mp.log(m)) <= unit, m
 
+    def test_small_integers(self):
+        # m = 1..1024 puts x = m / 2^r on every node k / 512 of _LN_TABLE,
+        # where the series is empty, and between nodes.
+        with mp.workdps(60):
+            unit = mp.mpf(2) ** -_FIXED_BITS
+            for m in range(1, 1025):
+                assert abs(_ln_fixed(m) * unit - mp.log(m)) <= unit, m
+
+
+class TestCombinationOver8Pi:
+    @pytest.mark.parametrize("p", [0, 1, -3])
+    def test_p_below_two_rejected(self, p):
+        # ln p of such a p is no basis element, and _ln_fixed takes m >= 1.
+        with pytest.raises(ValueError, match=f"p = {p}"):
+            special.combination_over_8pi(0, 0, 0, ((p, 1),))
+
 
 class TestFrozenConstants:
     def test_rederived(self):
@@ -408,6 +425,15 @@ class TestFrozenConstants:
             b = abs(Fraction(*mp.bernfrac(2 * n)))
             derived.append(float((1 - Fraction(1, 2 ** (2 * n - 1))) * b / (4 * n * (2 * n - 1))))
         assert _THETA_COEFFS == tuple(derived)
+
+    def test_ln_table_rederived(self):
+        # Entry k - 256 is floor(ln(k / 512) * 2^_LOG_BITS) for k = 256..511,
+        # from mpmath.log at 400 bits.  The nearest of these values to an
+        # integer lies 2^-14 units from it, far above that precision's error.
+        assert len(_LN_TABLE) == 256
+        with mp.workprec(400):
+            for k, entry in enumerate(_LN_TABLE, 256):
+                assert entry == int(mp.floor(mp.log(mp.mpf(k) / 512) * mp.mpf(2) ** _LOG_BITS)), k
 
 
 class TestLambertW:
