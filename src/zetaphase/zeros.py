@@ -4,20 +4,18 @@ The scanner samples the Hardy Z function on a fixed lattice (anchored at
 t = 0 so that scans over sub-ranges land on identical sample points) in
 one call of hardy_z, the one Z evaluator, whose every value depends on
 its own t alone (below T_NO_ZERO = 14, where Z has no zero, every sample
-is -|zeta|); a sample that is exactly 0.0 is an ordinate itself.  Each
-bracket starts at the root of the degree-11 polynomial through the twelve
-lattice samples around it, and one closing loop refines every bracket
-with the same evaluator: a pair 0.45 refine_tol either side of the
-estimate, which closes the bracket where it straddles the root, and
-otherwise the pair's Newton point or the midpoint of what is left as the
-next estimate.  Every window sees the sign
-changes of the one 0.1 lattice, and on [0, 1e4] they are all 10,142
-zeros: the six gaps there narrower than the step, from 1977.1739,
-4292.7264, 5229.1986, 6093.1923, 7005.0629 (Lehmer's pair, 0.0377 wide,
-with 7005.1 0.00056 below its upper zero) and 9793.5500, each hold a
-lattice point.  A unit interval whose count disagrees with the
-smooth-phase prediction by two or more is flagged as suspect where the
-cumulative count has drifted too, which catches a faulty evaluator.
+is -|zeta|); a sample that is exactly 0.0 is an ordinate itself.  Every
+other ordinate is the root, in its sign-change bracket, of the degree-15
+polynomial through the sixteen lattice samples around it, with no further
+evaluation, and carries a derived error bound; a root whose bound exceeds
+1e-9, or whose samples fail a consistency check, makes its unit interval
+suspect.  Every window sees the sign changes of the one 0.1 lattice, and
+on [0, 1e4] they are all 10,142 zeros: the six gaps there narrower than the
+step, from 1977.1739, 4292.7264, 5229.1986, 6093.1923, 7005.0629 (Lehmer's
+pair, 0.0377 wide, with 7005.1 0.00056 below its upper zero) and
+9793.5500, each hold a lattice point.  A unit interval whose count
+disagrees with the smooth-phase prediction by two or more is suspect too
+where the cumulative count has drifted, which catches a faulty evaluator.
 
 Counts go through two functions: interval_counts, the number of ordinates
 with floor(y) = n over a range of n (the census F(n) and the counter
@@ -47,29 +45,32 @@ CACHE_MAGIC = "zetaphase zero cache v1"
 # Scans end by here, inside Z's domain [0, T_Z_MAX) with their padded lattice.
 T_WINDOW_MAX = 1.0e4
 
-# The scan lattice t = k SCAN_STEP, and the width every bracket is closed to.
+# The scan lattice t = k SCAN_STEP.
 SCAN_STEP = 0.1
-_REFINE_TOL = 1e-9
+# A root whose derived error bound exceeds this is not certified.
+_ORDINATE_TOL = 1e-9
 
-# Root estimates interpolate the lattice samples idx - _PAD .. idx + _PAD + 1
-# around the bracket [ts[idx], ts[idx + 1]], a polynomial of degree 11.  On
-# [0, 6501] its root lies inside the closing pair for all but 24 of the 6,148
-# brackets, 2.01 accurate rows per zero; degree 9 needs 2.65 and degree 7
-# 3.85, and degree 13 gains nothing more.
-_PAD = 5
+# Roots interpolate the 16 lattice samples idx - _PAD .. idx + _PAD + 1
+# around the bracket [ts[idx], ts[idx + 1]], a polynomial of degree 15, or
+# samples 0 .. 15 where fewer than _PAD lie below (t < 0.7).  Degree 11
+# leaves roots up to 4.4e-10 off on [0, 1e4]; degrees 19 to 31 gain nothing.
+_PAD = 7
 _NODES = np.arange(-_PAD, _PAD + 2)[:, None]  # one row per node
-_SHIFTS = _NODES[:-1].astype(np.float64)
 # On nodes one step apart the Newton-form coefficient of degree k is the
 # forward difference over k!, the sum over j of f_j (-1)^(k-j) C(k, j) / k!.
-# _TO_NEWTON holds these weights per sample j, in the degree order 1..11, 0
-# of _lattice_roots' running sums.
+# _TO_NEWTON holds these weights per sample j, in the degree order 1..15, 0
+# of _newton_form's running sums.
 _TO_NEWTON = np.array([[[(-1) ** (k - j) * math.comb(k, j) / math.factorial(k)]
                         for k in [*range(1, len(_NODES)), 0]] for j in range(len(_NODES))])
+# 1 / (j! (15 - j)!): |l_j(u)| = |omega(u)| / |u - x_j| times this on the nodes.
+_LAGRANGE = np.array([[1.0 / (math.factorial(j) * math.factorial(len(_NODES) - 1 - j))]
+                      for j in range(len(_NODES))])
 _BLOCK = 256
-_NEWTON_STEPS = 3
-# A midpoint round halves a bracket: 27 of them take a SCAN_STEP bracket below
-# _REFINE_TOL.  The cap leaves room for a Newton round between every two.
-_ROUNDS = 64
+# In _NEWTON_STEPS steps from the secant point all but 97 of the 10,143
+# brackets of [0, 1e4] reach a last step of at most _CONVERGED, and each of
+# those roots is the one 8 steps reach, bit for bit.
+_NEWTON_STEPS = 4
+_CONVERGED = 1e-10
 
 
 class CoverageError(ValueError):
@@ -151,136 +152,132 @@ def _grid(t_lo: float, t_hi: float) -> tuple[np.ndarray, slice]:
     """Padded lattice samples of the window [t_lo, t_hi] and the slice of its core.
 
     The core runs from the last lattice point below t_lo (or t = 0) to the
-    first above t_hi.  The _PAD samples on either side of it (fewer below
-    where they would reach past t = 0) only feed the root estimates.
+    first above t_hi.  The _PAD samples on either side of it (fewer below,
+    where they would pass t = 0, but 16 in all) only feed the interpolants.
     """
     # Anchored at t = 0, so disjoint sub-scans share sample points.  The
-    # core takes in the cells that end on a window end too: a root refined
+    # core takes in the cells that end on a window end too: a root found
     # there can round onto the end.
     first = max(math.ceil(t_lo / SCAN_STEP - 1e-9) - 1, 0)
     last = math.floor(t_hi / SCAN_STEP + 1e-9) + 1
     k0 = max(first - _PAD, 0)
-    return np.arange(k0, last + _PAD + 1.0) * SCAN_STEP, slice(first - k0, last - k0 + 1)
+    stop = max(last + _PAD + 1, len(_NODES))
+    return np.arange(float(k0), stop) * SCAN_STEP, slice(first - k0, last - k0 + 1)
 
 
-def _lattice_roots(sampled: np.ndarray, idx: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Root of the degree-11 interpolant through samples idx - 5 .. idx + 6, per bracket.
+def _newton_form(coef: np.ndarray, shifts: np.ndarray, u: np.ndarray, terms: np.ndarray):
+    """Value and slope in u, at u, of the interpolants with Newton coefficients coef.
 
-    Roots are in steps from sample idx.  Each takes _NEWTON_STEPS Newton
-    steps on the Newton form of the interpolant from start; a bracket
-    without all twelve samples keeps start.  A root may come out non-finite.
-    Brackets run along the last axis; a step sums the terms of the value and
-    of the slope, the two layers of one array, in one product and one
-    running sum, the constant term last.  Only elementwise operations,
-    running sums and products, and one reduce are used, so no root depends
-    on the rest of the batch.  The reduce sums a C-contiguous array over its
-    outermost axis, which NumPy adds in index order, a whole row at a time,
-    as a running sum does, whatever the number of brackets.  Over the
-    innermost axis, or over a lone column, it would add pairwise.
+    Brackets run along the last axis, and shifts holds their first 15 nodes.
+    terms, of shape (2,) + coef.shape and last row 1.0, takes the Newton
+    basis and its slopes; both sums take one product and one running sum.
     """
-    # mode="clip" repeats the end samples where the nodes run past them.
-    f = sampled.take(_NODES + idx, mode="clip")
-    full = (idx >= _PAD) & (idx < len(sampled) - _PAD - 1)
+    basis, slope = terms[0, :-1], terms[1, :-1]
+    d = u - shifts
+    np.multiply.accumulate(d, axis=0, out=basis)
+    np.add.accumulate(np.reciprocal(d, out=d), axis=0, out=d)
+    np.multiply(basis, d, out=slope)
+    sums = np.multiply(terms, coef)
+    np.add.accumulate(sums, axis=1, out=sums)
+    return sums[0, -1], sums[1, -2]
+
+
+def _safeguarded(coef: np.ndarray, shifts: np.ndarray, u: np.ndarray, sign_a: np.ndarray):
+    """Roots in (0, 1) of the interpolants, their slopes and the size of their last steps.
+
+    sign_a is each interpolant's sign at 0, opposite to the one at 1.  A
+    round evaluates every open interpolant at its u and keeps the part of
+    (0, 1) that holds the sign change.  The next u is the Newton point if it
+    lies inside that part and moves less than half as far as the last u
+    did, and the part's midpoint otherwise (rtsafe, Numerical Recipes 9.4).
+    An interpolant stops after a step of at most _CONVERGED, or 64 rounds.
+    """
+    lo, hi, moved = np.zeros_like(u), np.ones_like(u), np.ones_like(u)
+    u = np.where((u > 0.0) & (u < 1.0), u, 0.5)
+    out, live = np.empty((3, len(u))), np.arange(len(u))
+    for _ in range(64):
+        terms = np.ones((2, len(_NODES), len(live)))
+        value, slope = _newton_form(coef[:, live], shifts[:, live], u, terms)
+        step = value / slope
+        above = np.sign(value) == sign_a[live]
+        lo, hi = np.where(above, u, lo), np.where(above, hi, u)
+        ok = ((lo < u - step) & (u - step < hi) | (step == 0.0)) & (abs(step) < 0.5 * moved)
+        nxt = np.where(ok, u - step, 0.5 * (lo + hi))
+        moved, u = np.abs(nxt - u), nxt
+        out[:, live] = u, slope, moved
+        live, lo, hi, moved, u = (v[moved > _CONVERGED] for v in (live, lo, hi, moved, u))
+        if not live.size:
+            break
+    return out
+
+
+def _lattice_roots(ts: np.ndarray, zs: np.ndarray, idx: np.ndarray):
+    """Roots of the degree-15 lattice interpolants P, per bracket [ts[idx], ts[idx + 1]].
+
+    Returns the roots u, in steps from sample idx, and whether each is
+    certified.  Every P takes _NEWTON_STEPS Newton steps on its Newton form
+    from the secant point; one whose u then lies outside (0, 1), is not
+    finite or moved by more than _CONVERGED in the last step goes on in
+    _safeguarded, on P alone.  A root is certified when its bound
+        (R + eps L(u)) h / |P'(u)| + r h,  R = h^16 / 16! |omega(u)| M_16,
+    is at most _ORDINATE_TOL and the 15th forward difference of its samples
+    is at most h^15 M_15 + 2^15 eps.  Here h is the step, r the size of the
+    last step, L the Lebesgue function, P' the slope where that step began,
+    M_k = 4 sqrt(N) (ln(t / 2 pi) / 2)^k with N = floor(sqrt(t / 2 pi)) the
+    main-sum bound on |Z^(k)| (0 below 2 pi), and eps = 5e-15 max(t, 100)
+    the kernel's error bound, both at the top node t.  No root depends on
+    the rest of the batch: beyond elementwise operations, running sums and
+    products there is one reduce, over the outermost axis of a C-contiguous
+    array, which NumPy adds in index order, a row at a time, for any number
+    of brackets (over the innermost axis, or a lone column, it adds pairwise).
+    """
+    # Below t = 0.7 (where k0 = 0) the stencil starts at sample 0, e steps up.
+    e = np.maximum(_PAD - idx, 0)
+    centre = idx + e
+    f = zs.take(_NODES + centre)
     # At most _BLOCK brackets at a time, which bounds the memory of the
     # (node, k, brackets) products; without brackets, one empty block.
     coef = [np.add.reduce(f[:, None, lo:lo + _BLOCK] * _TO_NEWTON, axis=0)
             for lo in range(0, max(len(idx), 1), _BLOCK)]
     coef = coef[0] if len(coef) == 1 else np.concatenate(coef, axis=1)
-    # The Newton basis of degrees 1..11 and 1, then their slopes (the last unread).
-    terms = np.empty((2, len(_NODES), len(idx)))
-    terms[:, -1] = 1.0
-    basis, slope = terms[0, :-1], terms[1, :-1]
-    sums = np.empty_like(terms)
-    value, derivative = sums[0, -1], sums[1, -2]
-    u = start
+    nodes = _NODES + e.astype(np.float64)
+    fa = zs[idx]
+    u = fa / (fa - zs[idx + 1])
+    terms = np.ones((2,) + coef.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_STEPS):
-            d = u - _SHIFTS
-            np.multiply.accumulate(d, axis=0, out=basis)
-            np.add.accumulate(np.reciprocal(d, out=d), axis=0, out=d)
-            np.multiply(basis, d, out=slope)
-            np.add.accumulate(np.multiply(terms, coef, out=sums), axis=1, out=sums)
-            u = u - value / derivative
-    return np.where(full, u, start)
+            value, slope = _newton_form(coef, nodes[:-1], u, terms)
+            step = value / slope
+            u = u - step
+        residual = np.abs(step)
+        redo = ~((u > 0.0) & (u < 1.0) & (residual <= _CONVERGED))
+        if redo.any():
+            u[redo], slope[redo], residual[redo] = _safeguarded(
+                coef[:, redo], nodes[:-1, redo], u[redo], np.sign(fa[redo]))
+        x = ts[centre + (_PAD + 1)] * (1.0 / TWO_PI)  # t / 2 pi at the top node
+        eps = 5e-15 * np.maximum(TWO_PI * x, 100.0)
+        hf = (0.5 * SCAN_STEP) * np.log(np.maximum(x, 1.0))  # h M_(k+1) / M_k
+        m15 = 4.0 * np.sqrt(np.floor(np.sqrt(x))) * hf ** 15  # h^15 M_15
+        d = np.maximum(np.abs(u - nodes), 1e-300)  # a root on a node has L(u) = 1
+        omega = np.multiply.accumulate(d, axis=0)[-1]
+        lebesgue = np.add.accumulate(_LAGRANGE / d, axis=0)[-1]  # L(u) / omega(u)
+        bound = omega * (m15 * hf / math.factorial(16) + eps * lebesgue) / abs(slope) + residual
+        consistent = np.abs(coef[-2]) * math.factorial(15) <= m15 + 2.0 ** 15 * eps
+    return u, (bound <= _ORDINATE_TOL / SCAN_STEP) & consistent  # the bound is in steps
 
 
-def _refine(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
-            x: np.ndarray, tol: float) -> np.ndarray:
-    """Close sign-change brackets [a, b] from their starts x to width at most tol.
-
-    fa and fb are values at the ends with the accurate evaluator's signs,
-    opposite.  Each round evaluates the pair x -/+ 0.45 tol, x clipped that
-    far inside the bracket, in one hardy_z call for all open brackets,
-    and keeps the piece of the bracket that holds the sign change: the pair
-    itself where it straddles the root, which closes the bracket.  An exact
-    0.0 is the root.  A round interpolates all three pieces a bracket can
-    keep, each clipped to itself, writes the kept one's as the ordinate, and
-    the round that closes the last bracket ends the loop there.  The open
-    ones go on from the root of the pair's secant, a Newton step on an
-    accurate slope, if it lies inside the new bracket and moves less than
-    half as far as the last x did, and from the midpoint otherwise (the
-    safeguard of rtsafe, Numerical Recipes 9.4).  Only elementwise
-    operations are used, so no ordinate depends on the batch.
-
-    Raises ArithmeticError if a bracket is still wider than tol after
-    _ROUNDS rounds.
-    """
-    out = np.empty(len(a))
-    if not len(a):
-        return out
-    half = 0.45 * tol
-    x = np.where(np.isfinite(x), x, 0.5 * (a + b))
-    moved = b - a  # how far x moved in the last round; the width to start
-    live = rows = np.arange(len(a))  # the open brackets' input rows; 0 .. n - 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_ROUNDS):
-            n = len(live)
-            x = np.minimum(np.maximum(x, a + half), b - half)
-            # Points a <= x - half < x + half <= b, in blocks of n.
-            xs = np.concatenate([a, np.maximum(x - half, a), np.minimum(x + half, b), b])
-            fpair = hardy_z(xs[n:3 * n])
-            fs = np.concatenate([fa, fpair, fb])
-            # Blocks j = 0, 1, 2 of n: the piece from point j to point j + 1,
-            # its width and its interpolant (fmax takes the left end over the
-            # NaN of a piece closed on a zero value).
-            right, f_left, f_right = xs[n:], fs[:3 * n], fs[n:]
-            left = np.where(f_right == 0.0, right, xs[:3 * n])
-            width = right - left
-            interp = np.fmin(np.fmax(left - f_left * width / (f_right - f_left), left), right)
-            # The sign change lies past every point of the pair whose sign is fa's.
-            signs = np.sign(f_left).reshape(3, n)
-            k = np.add.reduce(signs[1:] == signs[0], axis=0) * n + rows
-            out[live] = interp[k]
-            done = width[k] <= tol
-            if np.count_nonzero(done) == n:
-                return out
-            a, b, fa, fb = left[k], right[k], f_left[k], f_right[k]
-            lo, hi, flo, fhi = xs[n:2 * n], xs[2 * n:3 * n], fpair[:n], fpair[n:]
-            newton = lo - flo * (hi - lo) / (fhi - flo)
-            step = (newton > a) & (newton < b) & (np.abs(newton - x) < 0.5 * moved)
-            nxt = np.where(step, newton, 0.5 * (a + b))
-            moved, x = np.abs(nxt - x), nxt
-            a, b, fa, fb, x, moved, live = (v[~done] for v in (a, b, fa, fb, x, moved, live))
-            rows = rows[:len(live)]
-    raise ArithmeticError("bracket refinement did not reach refine_tol")
-
-
-def _scan_ordinates(t_lo: float, t_hi: float) -> np.ndarray:
-    """Ordinates in the closed window [t_lo, t_hi], ascending.
-
-    Each bracket starts from the root of the lattice interpolant
-    (_lattice_roots) and is closed by _refine, whose first round evaluates
-    the pair around every start in one hardy_z call.
-    """
+def _scan_ordinates(t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ordinates in the closed window [t_lo, t_hi], ascending, and the roots not certified."""
     ts, core = _grid(t_lo, t_hi)
     zs = hardy_z(ts)
     signs = np.sign(zs[core])
     idx = (signs[:-1] * signs[1:] < 0).nonzero()[0] + core.start
-    a, b, fa, fb = ts[idx], ts[idx + 1], zs[idx], zs[idx + 1]
-    x0 = a + _lattice_roots(zs, idx, fa / (fa - fb)) * (b - a)
-    roots = np.concatenate([ts[core][signs == 0.0], _refine(a, b, fa, fb, x0, _REFINE_TOL)])
+    u, certified = _lattice_roots(ts, zs, idx)
+    a = ts[idx]
+    found = a + u * (ts[idx + 1] - a)
+    roots = np.concatenate([ts[core][signs == 0.0], found])
     roots.sort()
-    return roots[roots.searchsorted(t_lo):roots.searchsorted(t_hi, "right")]
+    return roots[roots.searchsorted(t_lo):roots.searchsorted(t_hi, "right")], found[~certified]
 
 
 def interval_counts(ordinates, n_lo: int, n_hi: int) -> np.ndarray:
@@ -315,18 +312,18 @@ def smooth_count(t):
 def scan_zeros(config: ScanConfig) -> ZeroList:
     """Locate all critical-line zeros in [t_lo, t_hi].
 
-    Sign changes of the accurate Z between samples of the 0.1 lattice
-    (SCAN_STEP) are closed to brackets of width at most refine_tol = 1e-9 by
-    accurate pairs 0.45 refine_tol either side of an estimate: first the
-    root of the degree-11 lattice interpolant, then, where a pair does not
-    straddle the root, its Newton point or a midpoint; refinement stops in
-    the round that closes the last bracket.  A unit interval whose count
-    disagrees with the smooth-phase prediction by two or more is flagged as
-    suspect when the cumulative count has drifted from the smooth phase
-    there too.  One smooth_count call gives the prediction at every integer
-    height n_lo..n_hi and the count at t_lo.
+    Each sign change of Z between samples of the 0.1 lattice (SCAN_STEP)
+    gives the root of the degree-15 interpolant of the sixteen samples
+    around it, from the one hardy_z call: four Newton steps from the secant
+    point, then a safeguarded iteration on the interpolant where those leave
+    the bracket or have not converged.  A unit interval is suspect where it
+    holds a root whose derived bound exceeds 1e-9 or whose samples fail the
+    consistency check (_lattice_roots), and where its count disagrees with
+    the smooth-phase prediction by two or more when the cumulative count has
+    drifted there too.  One smooth_count call gives the prediction at every
+    integer height n_lo..n_hi and the count at t_lo.
     """
-    roots = _scan_ordinates(config.t_lo, config.t_hi)
+    roots, doubtful = _scan_ordinates(config.t_lo, config.t_hi)
 
     n_lo = math.floor(config.t_lo)
     n_hi = math.ceil(config.t_hi)
@@ -342,13 +339,14 @@ def scan_zeros(config: ScanConfig) -> ZeroList:
     # phase at this height.  A scan anchored below the first zero has a
     # noise-free left baseline; a partial scan carries phase noise at both ends.
     limit = 2 if config.t_lo < T_NO_ZERO else 3
-    suspects = tuple(n_lo + k for k in flagged if abs(drift[k + 1] - drift[-1]) >= limit)
+    suspects = {n_lo + k for k in flagged if abs(drift[k + 1] - drift[-1]) >= limit}
+    suspects.update(math.floor(y) for y in doubtful.tolist() if config.t_lo <= y <= config.t_hi)
 
     return ZeroList(
         ordinates=roots,
         t_lo=config.t_lo,
         t_hi=config.t_hi,
-        suspect_intervals=suspects,
+        suspect_intervals=tuple(sorted(suspects)),
     )
 
 

@@ -1,4 +1,5 @@
-"""Bit pins: the exact bits of the census ordinates, of hardy_z and of zeta.
+"""Bit pins: the exact bits of the census ordinates, of hardy_z and of zeta,
+and of the unrounded fixed-point logarithm that _ln_fixed rounds.
 
 The 1e-9 reference census and the 12-decimal CLI digests let a value move
 by an ulp unseen; these SHA-256 digests do not.  NumPy's float64 loops for
@@ -15,34 +16,46 @@ hardy_z(pinned_heights()) on the X86_V4 loops.
 """
 
 import hashlib
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zetaphase import ScanConfig, hardy_z, scan_zeros, zeta_critical_line
-from zetaphase.special import T_Z_MAX
+from zetaphase.special import T_Z_MAX, _ln_wide
 
 PINS = Path(__file__).resolve().parent / "data" / "hardy_z_pins.txt"
-CENSUS_1E4_SHA256 = "07b7deff22da1af378230bfb9341bfc7b31e21a18fa52ec52c53fc26554cb0a3"
+CENSUS_1E4_SHA256 = "fe06104b030d2832cbb6e649b70b84692eccaa1ce213afe720ca07fe0744acc5"
 HARDY_Z_SHA256 = "c0b009cc5a8541c7f9f4159db7b8a9549a3d78cd0a6086dae66aca66d0f79957"
 # zeta_critical_line(pinned_heights()) as little-endian complex128 bytes.
 ZETA_SHA256 = "46b88a38923def97e6e7c6f9c5b6f8a11ce00210721ed90b5addc19c558c8085"
+# str(_ln_wide(m)) for m in pinned_integers(), one per line, as ASCII.  The
+# sum is integer arithmetic alone, so one digest holds on every map.
+LN_WIDE_SHA256 = "b5f5402744b1ea52d275029f3115215e066f18bdcbc95b87b960b459721d8bdc"
 PINNED_LOOPS = ("cos", "sin", "log", "exp", "log1p", "expm1")
 _V4, _V3, _BASE = "X86_V4", "X86_V3", "baseline(X86_V2)"
-# (census, hardy_z, zeta) digests per loop map, its targets in PINNED_LOOPS
-# order.  The census digest is the same on the two maps without X86_V4.
+# The [0, 2001] census written as a cache file, which test_zero_finder's
+# test_census_bytes_frozen pins: the X86_V4 loops put the ordinate
+# 1841.4785825706433 an ulp below the other maps' 1841.4785825706435, on
+# either side of a rounding to 12 decimals.
+CACHE_2001_SHA256 = "299c0396d0e614e45a31a82d7d0bd5737c1c51b16725928c0772adf5b2bcccd6"
+_CACHE_2001_NO_V4 = "9659a9baaa94481a107cafd88588b5b1443b2615102ee4c6e335a1ece0dc40ed"
+# (census, hardy_z, zeta, cache) digests per loop map, its targets in
+# PINNED_LOOPS order.
 DIGESTS = {
-    (_V4,) * 6: (CENSUS_1E4_SHA256, HARDY_Z_SHA256, ZETA_SHA256),
+    (_V4,) * 6: (CENSUS_1E4_SHA256, HARDY_Z_SHA256, ZETA_SHA256, CACHE_2001_SHA256),
     (_V3, _V3, _V3, _V3, _BASE, _BASE): (
-        "9c7badd3b25718f70a21ec4a1f50a3bf3e2c9a24355f386795f0a0f4a27dc9a7",
+        "343e4729fc802c00b4b7e605fec0648590fe94b388d452e7f9849489264b09f9",
         "3ca3a66535ed478134f9f90a6879790ee4b94501d9dfcaf341550a2254f8f754",
         "250073929915e11d464d604c262812b0a2edc774642e3b3921d03106fbb00e5f",
+        _CACHE_2001_NO_V4,
     ),
     (_BASE,) * 6: (
-        "9c7badd3b25718f70a21ec4a1f50a3bf3e2c9a24355f386795f0a0f4a27dc9a7",
+        "a98a77b9fdcdbda187ecf7f7b79cb69f50bc05f468d2ac5c04b986bf26273dcd",
         "5ad3842557ab3973247bffc999183a6b388fd1237c2f9f87ddb671dcc813a817",
         "926be2be77f9aaf955bc3f02c76dcd6c24b6e881ce21a4035838d190f0227709",
+        _CACHE_2001_NO_V4,
     ),
 }
 
@@ -57,7 +70,7 @@ def _float64_loop_targets() -> dict:
 
 
 LOOP_MAP = tuple(_float64_loop_targets().get(name) for name in PINNED_LOOPS)
-CENSUS, HARDY_Z, ZETA = DIGESTS.get(LOOP_MAP, (None, None, None))
+CENSUS, HARDY_Z, ZETA, CACHE_2001 = DIGESTS.get(LOOP_MAP, (None,) * 4)
 
 pytestmark = pytest.mark.skipif(
     LOOP_MAP not in DIGESTS,
@@ -69,6 +82,13 @@ def pinned_heights() -> np.ndarray:
     """2,000 heights in [0, T_Z_MAX), one in each of 2,000 equal strata at a golden-ratio offset."""
     k = np.arange(2000.0)
     return (k + k * 0.6180339887498949 % 1.0) * (T_Z_MAX / 2000)
+
+
+def pinned_integers() -> list[int]:
+    """m = 1..10^5, then 20,000 seeded integers of 150 to 400 bits."""
+    rng = random.Random(40)
+    bits = [rng.randint(150, 400) for _ in range(20000)]
+    return [*range(1, 10 ** 5 + 1), *(rng.getrandbits(b) | 1 << b - 1 for b in bits)]
 
 
 def sha256(values: np.ndarray) -> str:
@@ -103,6 +123,14 @@ def test_hardy_z_at_stratified_heights():
             message += (f", the first hardy_z({float(ts[k])!r}) = {float(got[k])!r},"
                         f" pinned {float(pinned[k])!r}")
         pytest.fail(message)
+
+
+def test_ln_wide_sum():
+    # _ln_fixed rounds this sum to _FIXED_BITS, which hides most changes in
+    # its low bits: rounding u up instead of down moves the sum at 58,937 of
+    # these integers and _ln_fixed at 2.
+    text = "\n".join(str(_ln_wide(m)) for m in pinned_integers())
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == LN_WIDE_SHA256
 
 
 def test_zeta_at_stratified_heights():
