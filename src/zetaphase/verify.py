@@ -167,19 +167,16 @@ def check_census_landmarks(zero_list: zmod.ZeroList,
 
 
 def check_count_consistency(zero_list: zmod.ZeroList) -> CheckResult:
-    """Cumulative zero counts must track the smooth phase within 2, and no
-    unit interval of the scan may be suspect."""
-    checkpoints = np.append(np.arange(250.0, int(zero_list.t_hi) + 1, 250.0), zero_list.t_hi)
-    below = np.searchsorted(zero_list.ordinates, checkpoints, side="right")
-    gaps = np.abs(below - zmod.smooth_count(checkpoints))
-    worst, worst_t = int(gaps.max()), float(checkpoints[gaps.argmax()])
+    """No unit interval may be one where the zero count has drifted from the
+    smooth count (zeros.drifted_intervals), and none may be suspect."""
+    drifted = zmod.drifted_intervals(zero_list.ordinates, zero_list.t_lo, zero_list.t_hi)
     suspects = zero_list.suspect_intervals
     return CheckResult(
         name="count consistency",
-        passed=worst <= 2 and not suspects,
-        expected="counts within 2 of the smooth phase at all checkpoints",
-        got=f"worst gap {worst} at t = {worst_t:g}",
-        tolerance="2",
+        passed=not drifted and not suspects,
+        expected="no unit interval drifted from the smooth count or suspect",
+        got=f"{len(drifted)} drifted" + (f" from {drifted[0]}" if drifted else ""),
+        tolerance="0",
         detail=f"suspect intervals {list(suspects)}" if suspects else "",
     )
 

@@ -13,16 +13,15 @@ suspect.  Every window sees the sign changes of the one 0.1 lattice, and
 on [0, 1e4] they are all 10,142 zeros: the six gaps there narrower than the
 step, from 1977.1739, 4292.7264, 5229.1986, 6093.1923, 7005.0629 (Lehmer's
 pair, 0.0377 wide, with 7005.1 0.00056 below its upper zero) and
-9793.5500, each hold a lattice point.  A unit interval whose count
-disagrees with the smooth-phase prediction by two or more is suspect too
-where the cumulative count has drifted, which catches a faulty evaluator.
+9793.5500, each hold a lattice point.  A unit interval is suspect too
+where the count from the window's start has drifted from the smooth-phase
+count (drifted_intervals), which catches a faulty evaluator.
 
 Counts go through two functions: interval_counts, the number of ordinates
 with floor(y) = n over a range of n (the census F(n) and the counter
 oracles), and smooth_count, the rounded smooth-phase count
-round(theta(t)/pi + 1), 0 below T_NO_ZERO, whose differences are the
-per-interval prediction; the scanner's suspect rule differences one
-searchsorted of its ascending ordinates at the integer heights.
+round(theta(t)/pi + 1), 0 below T_NO_ZERO, which drifted_intervals, the
+one drift rule of the scanner and of verify, compares with the ordinates.
 
 Also here: the interval-count container, floor-difference counters with
 their Bessel/Airy zero oracles, and the plain-text zero cache format.
@@ -309,6 +308,23 @@ def smooth_count(t):
     return int(out) if out.ndim == 0 else out
 
 
+def drifted_intervals(ordinates, t_lo: float, t_hi: float) -> list[int]:
+    """Unit intervals n, floor(t_lo) <= n < ceil(t_hi), where the zero count has drifted.
+
+    ordinates is an ascending array in [t_lo, t_hi].  Interval n is listed when
+    the ordinates from t_lo to min(n + 1, t_hi), less the change of smooth_count
+    over that span, are 2 or more in size from t_lo < T_NO_ZERO (where both
+    counts start at 0) and 3 or more from any other t_lo.  On [0, 1e4] N(t)
+    less smooth_count(t) is -1, 0 or 1, so the true zeros reach neither limit.
+    """
+    n_lo = math.floor(t_lo)
+    heights = np.arange(n_lo, math.ceil(t_hi) + 1, dtype=np.float64)
+    heights[0], heights[-1] = t_lo, t_hi
+    drift = ordinates.searchsorted(heights) - smooth_count(heights)
+    limit = 2 if t_lo < T_NO_ZERO else 3
+    return [n_lo + k for k in (abs(drift[1:] - drift[0]) >= limit).nonzero()[0].tolist()]
+
+
 def scan_zeros(config: ScanConfig) -> ZeroList:
     """Locate all critical-line zeros in [t_lo, t_hi].
 
@@ -318,28 +334,11 @@ def scan_zeros(config: ScanConfig) -> ZeroList:
     point, then a safeguarded iteration on the interpolant where those leave
     the bracket or have not converged.  A unit interval is suspect where it
     holds a root whose derived bound exceeds 1e-9 or whose samples fail the
-    consistency check (_lattice_roots), and where its count disagrees with
-    the smooth-phase prediction by two or more when the cumulative count has
-    drifted there too.  One smooth_count call gives the prediction at every
-    integer height n_lo..n_hi and the count at t_lo.
+    consistency check (_lattice_roots), and where the count from t_lo has
+    drifted from the smooth count (drifted_intervals, one smooth_count call).
     """
     roots, doubtful = _scan_ordinates(config.t_lo, config.t_hi)
-
-    n_lo = math.floor(config.t_lo)
-    n_hi = math.ceil(config.t_hi)
-    # The drift at n_lo..n_hi, then t_lo: the ordinates below each height less
-    # its smooth count.  Across an interval it steps by count less prediction.
-    heights = np.arange(n_lo, n_hi + 2, dtype=np.float64)
-    heights[-1] = config.t_lo
-    drift = roots.searchsorted(heights) - smooth_count(heights)
-    flagged = (np.abs(drift[1:-1] - drift[:-2]) >= 2).nonzero()[0].tolist()
-    # The phase fluctuation routinely reaches 2 inside one interval, so a
-    # local gap alone is not evidence of a missed zero.  Flag as suspect
-    # only when the cumulative count has also drifted away from the smooth
-    # phase at this height.  A scan anchored below the first zero has a
-    # noise-free left baseline; a partial scan carries phase noise at both ends.
-    limit = 2 if config.t_lo < T_NO_ZERO else 3
-    suspects = {n_lo + k for k in flagged if abs(drift[k + 1] - drift[-1]) >= limit}
+    suspects = set(drifted_intervals(roots, config.t_lo, config.t_hi))
     suspects.update(math.floor(y) for y in doubtful.tolist() if config.t_lo <= y <= config.t_hi)
 
     return ZeroList(

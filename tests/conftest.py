@@ -27,6 +27,12 @@ def census():
 
 
 @pytest.fixture(scope="session")
+def ten_thousand_zeros():
+    """Full zero scan over [0, 1e4], the whole scan domain."""
+    return scan_zeros(ScanConfig(t_lo=0.0, t_hi=1e4))
+
+
+@pytest.fixture(scope="session")
 def census_zeros(census):
     return census[0]
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from test_zero_finder import _patch_evaluators, _thirds
 
@@ -137,8 +138,9 @@ class TestZerosCommand:
 
     @pytest.mark.parametrize("earlier", [None, b"an earlier file\n"], ids=["absent", "present"])
     def test_suspect_scan_writes_nothing(self, capsys, monkeypatch, tmp_path, earlier):
-        # Z sabotaged on [6000, 6010]: the cache format cannot carry the
-        # suspects, so they go to stderr, --out is left as it was, exit 1.
+        # Z sabotaged on [6000, 6010], whose surplus of zeros keeps 6011-6014
+        # suspect too: the cache format cannot carry the suspects, so they go
+        # to stderr, --out is left as it was, exit 1.
         out_path = tmp_path / "z.txt"
         if earlier is not None:
             out_path.write_bytes(earlier)
@@ -147,7 +149,7 @@ class TestZerosCommand:
             capsys, "zeros", "--min", "5995", "--max", "6015", "--out", str(out_path),
         )
         assert code == 1 and out == ""
-        suspects = ", ".join(str(n) for n in range(6000, 6011))
+        suspects = ", ".join(str(n) for n in range(6000, 6015))
         assert f"suspect intervals: [{suspects}]" in err
         if earlier is None:
             assert not out_path.exists()
@@ -535,7 +537,7 @@ class TestVerifyCommand:
         lines = census_cache.read_text().splitlines()
         header = [s for s in lines if s.startswith("#")]
         ordinates = [s for s in lines if not s.startswith("#")]
-        del ordinates[2000:2004]
+        del ordinates[2000]
         fixed_header = [
             f"# count: {len(ordinates)}" if s.startswith("# count:") else s
             for s in header
@@ -549,6 +551,19 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
         assert "count consistency" in out
+
+    @pytest.mark.parametrize("case", ["first lost", "middle lost", "last lost", "one extra"])
+    def test_one_zero_off_fails_consistency(self, census_zeros, case):
+        ys = census_zeros.ordinates
+        edited = {
+            "first lost": ys[1:],
+            "middle lost": np.delete(ys, 3074),
+            "last lost": ys[:-1],
+            "one extra": np.insert(ys, 3074, 0.5 * (ys[3073] + ys[3074])),
+        }[case]
+        zero_list = zmod.ZeroList(edited, census_zeros.t_lo, census_zeros.t_hi)
+        result = verify.check_count_consistency(zero_list)
+        assert not result.passed and " drifted from " in result.got
 
     def test_empty_census_fails_landmarks(self, capsys, tmp_path):
         empty = tmp_path / "empty.txt"
@@ -568,8 +583,8 @@ class TestVerifyCommand:
             "--only", "count consistency",
         )
         assert code == 0
-        assert out == ("pass  count consistency: expected counts within 2 of the smooth "
-                       "phase at all checkpoints, got worst gap 1 at t = 500 (tolerance 2)\n")
+        assert out == ("pass  count consistency: expected no unit interval drifted from the "
+                       "smooth count or suspect, got 0 drifted (tolerance 0)\n")
 
     def test_suspect_scan_fails_consistency(self, capsys, monkeypatch, census_zeros):
         # The counts of a scan that flags an interval still track the smooth
@@ -580,4 +595,4 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--only", "count consistency")
         assert code == 1
         assert out.startswith("FAIL  count consistency:")
-        assert out.endswith("(tolerance 2) -- suspect intervals [4242]\n")
+        assert out.endswith("got 0 drifted (tolerance 0) -- suspect intervals [4242]\n")

@@ -149,10 +149,10 @@ class TestScanZeros:
         b = scan_zeros(ScanConfig(t_lo=100.0, t_hi=200.0))
         assert np.array_equal(a.ordinates, b.ordinates)
 
-    def test_all_zeros_below_ten_thousand(self):
+    def test_all_zeros_below_ten_thousand(self, ten_thousand_zeros):
         # Only the six NARROW_PAIRS below 1e4 are narrower than the 0.1
         # step, and a lattice point splits each pair.
-        zeros = scan_zeros(ScanConfig(0.0, 1e4))
+        zeros = ten_thousand_zeros
         assert zeros.count == mpmath.nzeros(10000) == 10142
         assert zeros.suspect_intervals == ()
         narrow = np.flatnonzero(np.diff(zeros.ordinates) < SCAN_STEP)
@@ -378,9 +378,10 @@ def _patch_evaluators(monkeypatch, wrap):
 def _thirds(evaluator):
     """evaluator with Z on [6000, 6010] replaced by one with a zero every third of a unit.
 
-    That is 3 zeros per interval where 1 or 2 are predicted, so the
-    intervals there are flagged, and suspect once the surplus has
-    accumulated.  Every integer in [6000, 6010] is a zero.  The sabotage is
+    That is 3 zeros per interval where 1 or 2 are predicted, so the count
+    drifts from the smooth count, and every interval at whose end the
+    surplus has reached the drift limit is suspect, up to the window's end.
+    Every integer in [6000, 6010] is a zero.  The sabotage is
     smooth, sin(3 pi t) (2 + cos t), so the lattice interpolants follow it,
     but its frequency is far above Z's, so its roots fail the consistency
     check and their intervals are suspect too.
@@ -393,6 +394,16 @@ def _thirds(evaluator):
     return sabotaged
 
 
+def _bump(c):
+    """A wrap adding c exp(-((t - 6005)/3)^2) to the evaluator: smooth, it loses zeros."""
+    def wrap(evaluator):
+        def shifted(ts):
+            ts = np.asarray(ts, dtype=np.float64)
+            return evaluator(ts) + c * np.exp(-((ts - 6005.0) / 3.0) ** 2)
+        return shifted
+    return wrap
+
+
 class TestSuspectRule:
     # The suspect rule on the unit intervals whose count is off the
     # smooth-phase prediction, under a Z sabotaged on [6000, 6010].
@@ -400,22 +411,22 @@ class TestSuspectRule:
     @pytest.mark.parametrize(
         "t_lo, t_hi",
         [
-            (5995.0, 6015.0),  # ten adjacent flagged intervals
-            (6003.5, 6012.0),  # the first flagged interval clipped by t_lo
-            (5990.0, 6004.5),  # the last flagged interval clipped by t_hi
+            (5995.0, 6015.0),  # the sabotage inside the window
+            (6003.5, 6012.0),  # the sabotage clipped by t_lo
+            (5990.0, 6004.5),  # the sabotage clipped by t_hi
         ],
     )
     def test_sabotaged_scan_counts_and_suspects(self, monkeypatch, t_lo, t_hi):
         # Frozen counts and suspects.  With every root taken as certified,
-        # the suspects are the drift rule's: the flagged intervals at whose
-        # end the cumulative count has also drifted from the smooth count by
-        # the limit.  The certificates add every interval that holds a
-        # sabotaged root, or one whose interpolant reaches the sabotage.
+        # the suspects are drifted_intervals': those at whose end, or at
+        # t_hi, the count from t_lo has drifted from the smooth count by the
+        # limit, which holds past 6010 too, where the surplus stays about 20.
+        # The certificates add every interval that holds a sabotaged root,
+        # or one whose interpolant reaches the sabotage.
         count, drifted, suspects = {
-            5995.0: (43, (6000, 6002, 6003, 6004, 6005, 6006, 6007, 6008, 6009),
-                     tuple(range(6000, 6011))),
-            6003.5: (22, (6005, 6006, 6007, 6008, 6009), tuple(range(6003, 6011))),
-            5990.0: (25, (6002, 6003), tuple(range(6000, 6005))),
+            5995.0: (43, tuple(range(6000, 6015)), tuple(range(6000, 6015))),
+            6003.5: (22, tuple(range(6005, 6012)), tuple(range(6003, 6012))),
+            5990.0: (25, (6001, 6002, 6003, 6004), tuple(range(6000, 6005))),
         }[t_lo]
         _patch_evaluators(monkeypatch, _thirds)
         zeros = scan_zeros(ScanConfig(t_lo=t_lo, t_hi=t_hi))
@@ -432,7 +443,8 @@ class TestSuspectRule:
         # The interpolants follow the thirds between them to 2.7e-7, but
         # 1.6e-4 and 2.2e-4 next to 6000 and 6010, where they reach past the
         # sabotage, and 6010.19 above it moves by 2.5e-3: every interval of
-        # [6000, 6010] is suspect.  Roots whose interpolants do not reach
+        # [6000, 6010] is suspect, and the surplus keeps 6011-6014 suspect
+        # too.  Roots whose interpolants do not reach
         # the sabotage are the clean scan's, bit for bit.
         want = scan_zeros(ScanConfig(t_lo=5995.0, t_hi=6015.0)).ordinates
         _patch_evaluators(monkeypatch, _thirds)
@@ -444,10 +456,41 @@ class TestSuspectRule:
         assert {6008.0, 6009.0} <= set(ys.tolist())
         assert ys[inside][2:-2] == pytest.approx(thirds[2:-2], abs=3e-7)
         assert ys[inside] == pytest.approx(thirds, abs=3e-4)
-        assert zeros.suspect_intervals == tuple(range(6000, 6011))
+        assert zeros.suspect_intervals == tuple(range(6000, 6015))
         clear = (ys < 5999.2) | (ys > 6010.8)
         assert np.array_equal(ys[clear], want[(want < 5999.2) | (want > 6010.8)])
         assert zeros.count == 43
+
+    @pytest.mark.parametrize("c", [3.0, 4.0])
+    @pytest.mark.parametrize("t_lo, t_hi", [(5995.0, 6015.0), (6003.5, 6012.0), (0.0, 6015.0)])
+    def test_smooth_fault_is_suspect(self, monkeypatch, c, t_lo, t_hi):
+        # The bump lifts Z over the zeros near 6005 without a frequency the
+        # consistency check sees; only the drift of the count can show it.
+        _patch_evaluators(monkeypatch, _bump(c))
+        assert scan_zeros(ScanConfig(t_lo=t_lo, t_hi=t_hi)).suspect_intervals != ()
+
+    @pytest.mark.parametrize("t_lo, t_hi, count", [
+        (7067.3348, 7072.1278, 4),
+        (6932.1328, 6935.0298, 2),
+    ])
+    def test_non_integer_top_end_not_suspect(self, t_lo, t_hi, count):
+        # The drift of the last interval is read at t_hi, not at ceil(t_hi),
+        # so the zeros between the two do not count.
+        zeros = scan_zeros(ScanConfig(t_lo=t_lo, t_hi=t_hi))
+        assert zeros.count == count
+        assert zeros.suspect_intervals == ()
+
+    def test_drift_band_below_ten_thousand(self, ten_thousand_zeros):
+        # N(t) - smooth_count(t) stays in {-1, 0, 1} on the whole scan
+        # domain, at the integers and on both sides of every ordinate, where
+        # N jumps.  This band is why drifted_intervals' limits are 2 from
+        # below T_NO_ZERO (the drift at t_lo is 0 there) and 3 from any
+        # other t_lo (the drift at t_lo is in the band too): the true zeros
+        # never reach them.
+        ys = ten_thousand_zeros.ordinates
+        for t in (np.arange(0.0, 1e4 + 1.0), np.nextafter(ys, -np.inf), np.nextafter(ys, np.inf)):
+            drift = ys.searchsorted(t) - smooth_count(t)
+            assert set(drift.tolist()) <= {-1, 0, 1}
 
     def test_flagged_intervals_add_no_evaluator_calls(self, monkeypatch):
         # [0, 2001] flags 36 intervals, which the suspect rule reads off the
