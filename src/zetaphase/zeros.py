@@ -1,21 +1,28 @@
 """Zero location on the critical line and unit-interval censuses.
 
-The scanner samples the Hardy Z function on a fixed lattice (anchored at
-t = 0 so that scans over sub-ranges land on identical sample points) in
-one call of hardy_z, the one Z evaluator, whose every value depends on
-its own t alone (below T_NO_ZERO = 14, where Z has no zero, every sample
-is -|zeta|); a sample that is exactly 0.0 is an ordinate itself.  Every
-other ordinate is the root, in its sign-change bracket, of the degree-15
-polynomial through the sixteen lattice samples around it, with no further
-evaluation, and carries a derived error bound; a root whose bound exceeds
-1e-9, or whose samples fail a consistency check, makes its unit interval
-suspect.  Every window sees the sign changes of the one 0.1 lattice, and
-on [0, 1e4] they are all 10,142 zeros: the six gaps there narrower than the
-step, from 1977.1739, 4292.7264, 5229.1986, 6093.1923, 7005.0629 (Lehmer's
-pair, 0.0377 wide, with 7005.1 0.00056 below its upper zero) and
-9793.5500, each hold a lattice point.  A unit interval is suspect too
-where the count from the window's start has drifted from the smooth-phase
-count (drifted_intervals), which catches a faulty evaluator.
+The scanner samples the Hardy Z function on a fixed lattice of three
+bands, each anchored at t = 0 so that scans over sub-ranges land on
+identical sample points: step 0.2 on [0, 200), 0.125 on [200, 1600) and
+0.1 from 1600 up (_BANDS).  A band's step h keeps h ln(T / 2 pi), with T
+its top, at or below 0.1 ln(1e4 / 2 pi), so that no band's interpolation
+bound exceeds the 0.1 band's at 1e4; each edge is a lattice point of both
+bands it joins, so every cell between neighbouring samples lies in one
+band.  The samples come from one call of hardy_z, the one Z evaluator,
+whose every value depends on its own t alone (below T_NO_ZERO = 14, where
+Z has no zero, every sample is -|zeta|); a sample that is exactly 0.0 is
+an ordinate itself.  Every other ordinate is the root, in its sign-change
+bracket, of the degree-15 polynomial through the sixteen samples of its
+band's lattice around it, with no further evaluation, and carries a
+derived error bound; a root whose bound exceeds 1e-9, or whose samples
+fail a consistency check, makes its unit interval suspect.  Every window
+sees the sign changes of the one lattice, and on [0, 1e4] they are all
+10,142 zeros.  Below 1600 every gap is wider than its band's step (the
+narrowest is 0.72 below 200 and 0.16 on [200, 1600)); the six gaps
+narrower than 0.1, from 1977.1739, 4292.7264, 5229.1986, 6093.1923,
+7005.0629 (Lehmer's pair, 0.0377 wide, with 7005.1 0.00056 below its
+upper zero) and 9793.5500, each hold a lattice point.  A unit interval is
+suspect too where the count from the window's start has drifted from the
+smooth-phase count (drifted_intervals), which catches a faulty evaluator.
 
 Counts go through two functions: interval_counts, the number of ordinates
 with floor(y) = n over a range of n (the census F(n) and the counter
@@ -37,21 +44,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import GENERATOR_VERSION
-from .special import T_NO_ZERO, T_THETA_MAX, TWO_PI, hardy_z, theta_vec
+from .special import T_NO_ZERO, T_THETA_MAX, TWO_PI, hardy_z, theta_series_vec
 
 CACHE_MAGIC = "zetaphase zero cache v1"
 
 # Scans end by here, inside Z's domain [0, T_Z_MAX) with their padded lattice.
 T_WINDOW_MAX = 1.0e4
 
-# The scan lattice t = k SCAN_STEP.
-SCAN_STEP = 0.1
+# The scan lattice t = k h, per band (h, first k, last k): step 0.2 on
+# [0, 200], 0.125 on [200, 1600] and 0.1 from 1600 on past T_WINDOW_MAX.
+_BANDS = ((0.2, 0, 1000), (0.125, 1600, 12800), (0.1, 16000, math.inf))
 # A root whose derived error bound exceeds this is not certified.
 _ORDINATE_TOL = 1e-9
 
 # Roots interpolate the 16 lattice samples idx - _PAD .. idx + _PAD + 1
 # around the bracket [ts[idx], ts[idx + 1]], a polynomial of degree 15, or
-# samples 0 .. 15 where fewer than _PAD lie below (t < 0.7).  Degree 11
+# samples 0 .. 15 where fewer than _PAD lie below (t < 7 h = 1.4).  Degree 11
 # leaves roots up to 4.4e-10 off on [0, 1e4]; degrees 19 to 31 gain nothing.
 _PAD = 7
 _NODES = np.arange(-_PAD, _PAD + 2)[:, None]  # one row per node
@@ -65,9 +73,10 @@ _TO_NEWTON = np.array([[[(-1) ** (k - j) * math.comb(k, j) / math.factorial(k)]
 _LAGRANGE = np.array([[1.0 / (math.factorial(j) * math.factorial(len(_NODES) - 1 - j))]
                       for j in range(len(_NODES))])
 _BLOCK = 256
-# In _NEWTON_STEPS steps from the secant point all but 97 of the 10,143
+# In _NEWTON_STEPS steps from the secant point all but 100 of the 10,143
 # brackets of [0, 1e4] reach a last step of at most _CONVERGED, and each of
-# those roots is the one 8 steps reach, bit for bit.
+# those roots is the one 8 steps reach, bit for bit, but 111.0295 and
+# 1501.1193, an ulp off.
 _NEWTON_STEPS = 4
 _CONVERGED = 1e-10
 
@@ -147,21 +156,31 @@ class ZeroList:
         )
 
 
-def _grid(t_lo: float, t_hi: float) -> tuple[np.ndarray, slice]:
-    """Padded lattice samples of the window [t_lo, t_hi] and the slice of its core.
+def _grid(t_lo: float, t_hi: float) -> tuple[np.ndarray, list[tuple[slice, float]]]:
+    """Padded lattice samples of the window [t_lo, t_hi], and per band its core and step.
 
-    The core runs from the last lattice point below t_lo (or t = 0) to the
-    first above t_hi.  The _PAD samples on either side of it (fewer below,
-    where they would pass t = 0, but 16 in all) only feed the interpolants.
+    In each band the window meets, the core runs from the last lattice
+    point below t_lo, or the band's lower edge, to the first above t_hi,
+    or the band's upper edge, so the cores of neighbouring bands share the
+    edge's sample.  The _PAD samples of the band's lattice on either side
+    of a core (fewer below, where they would pass t = 0, but 16 in all)
+    only feed the interpolants.  The bands' pieces follow each other in t.
     """
     # Anchored at t = 0, so disjoint sub-scans share sample points.  The
     # core takes in the cells that end on a window end too: a root found
     # there can round onto the end.
-    first = max(math.ceil(t_lo / SCAN_STEP - 1e-9) - 1, 0)
-    last = math.floor(t_hi / SCAN_STEP + 1e-9) + 1
-    k0 = max(first - _PAD, 0)
-    stop = max(last + _PAD + 1, len(_NODES))
-    return np.arange(float(k0), stop) * SCAN_STEP, slice(first - k0, last - k0 + 1)
+    pieces, cores, size = [], [], 0
+    for h, k_lo, k_hi in _BANDS:
+        if not (k_lo * h <= t_hi and t_lo <= k_hi * h):
+            continue
+        first = max(math.ceil(t_lo / h - 1e-9) - 1, k_lo)
+        last = min(math.floor(t_hi / h + 1e-9) + 1, k_hi)
+        k0 = max(first - _PAD, 0)
+        stop = max(last + _PAD + 1, len(_NODES))
+        pieces.append(np.arange(float(k0), stop) * h)
+        cores.append((slice(size + first - k0, size + last - k0 + 1), h))
+        size += stop - k0
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces), cores
 
 
 def _newton_form(coef: np.ndarray, shifts: np.ndarray, u: np.ndarray, terms: np.ndarray):
@@ -210,8 +229,8 @@ def _safeguarded(coef: np.ndarray, shifts: np.ndarray, u: np.ndarray, sign_a: np
     return out
 
 
-def _lattice_roots(ts: np.ndarray, zs: np.ndarray, idx: np.ndarray):
-    """Roots of the degree-15 lattice interpolants P, per bracket [ts[idx], ts[idx + 1]].
+def _lattice_roots(ts: np.ndarray, zs: np.ndarray, idx: np.ndarray, h: float):
+    """Roots of the degree-15 interpolants P, per bracket [ts[idx], ts[idx + 1]] of step h.
 
     Returns the roots u, in steps from sample idx, and whether each is
     certified.  Every P takes _NEWTON_STEPS Newton steps on its Newton form
@@ -230,7 +249,7 @@ def _lattice_roots(ts: np.ndarray, zs: np.ndarray, idx: np.ndarray):
     array, which NumPy adds in index order, a row at a time, for any number
     of brackets (over the innermost axis, or a lone column, it adds pairwise).
     """
-    # Below t = 0.7 (where k0 = 0) the stencil starts at sample 0, e steps up.
+    # Below t = 7 h (where k0 = 0) the stencil starts at sample 0, e steps up.
     e = np.maximum(_PAD - idx, 0)
     centre = idx + e
     f = zs.take(_NODES + centre)
@@ -255,28 +274,35 @@ def _lattice_roots(ts: np.ndarray, zs: np.ndarray, idx: np.ndarray):
                 coef[:, redo], nodes[:-1, redo], u[redo], np.sign(fa[redo]))
         x = ts[centre + (_PAD + 1)] * (1.0 / TWO_PI)  # t / 2 pi at the top node
         eps = 5e-15 * np.maximum(TWO_PI * x, 100.0)
-        hf = (0.5 * SCAN_STEP) * np.log(np.maximum(x, 1.0))  # h M_(k+1) / M_k
+        hf = (0.5 * h) * np.log(np.maximum(x, 1.0))  # h M_(k+1) / M_k
         m15 = 4.0 * np.sqrt(np.floor(np.sqrt(x))) * hf ** 15  # h^15 M_15
         d = np.maximum(np.abs(u - nodes), 1e-300)  # a root on a node has L(u) = 1
         omega = np.multiply.accumulate(d, axis=0)[-1]
         lebesgue = np.add.accumulate(_LAGRANGE / d, axis=0)[-1]  # L(u) / omega(u)
         bound = omega * (m15 * hf / math.factorial(16) + eps * lebesgue) / abs(slope) + residual
         consistent = np.abs(coef[-2]) * math.factorial(15) <= m15 + 2.0 ** 15 * eps
-    return u, (bound <= _ORDINATE_TOL / SCAN_STEP) & consistent  # the bound is in steps
+    return u, (bound <= _ORDINATE_TOL / h) & consistent  # the bound is in steps
 
 
-def _scan_ordinates(t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:
+def _scan_ordinates(t_lo: float, t_hi: float) -> tuple[np.ndarray, list[float]]:
     """Ordinates in the closed window [t_lo, t_hi], ascending, and the roots not certified."""
-    ts, core = _grid(t_lo, t_hi)
+    ts, cores = _grid(t_lo, t_hi)
     zs = hardy_z(ts)
-    signs = np.sign(zs[core])
-    idx = (signs[:-1] * signs[1:] < 0).nonzero()[0] + core.start
-    u, certified = _lattice_roots(ts, zs, idx)
-    a = ts[idx]
-    found = a + u * (ts[idx + 1] - a)
-    roots = np.concatenate([ts[core][signs == 0.0], found])
+    parts, doubtful = [], []
+    for n, (core, h) in enumerate(cores):
+        signs = np.sign(zs[core])
+        idx = (signs[:-1] * signs[1:] < 0).nonzero()[0] + core.start
+        u, certified = _lattice_roots(ts, zs, idx, h)
+        a = ts[idx]
+        found = a + u * (ts[idx + 1] - a)
+        exact = signs == 0.0
+        if n:  # the band's first sample is the edge the one below ends on
+            exact[0] = False
+        parts += [ts[core][exact], found]
+        doubtful += found[~certified].tolist()
+    roots = np.concatenate(parts)
     roots.sort()
-    return roots[roots.searchsorted(t_lo):roots.searchsorted(t_hi, "right")], found[~certified]
+    return roots[roots.searchsorted(t_lo):roots.searchsorted(t_hi, "right")], doubtful
 
 
 def interval_counts(ordinates, n_lo: int, n_hi: int) -> np.ndarray:
@@ -304,7 +330,7 @@ def smooth_count(t):
         raise ValueError(f"smooth_count needs t <= T_THETA_MAX = {T_THETA_MAX:g}, not NaN")
     out = np.zeros(ts.shape, dtype=np.int64)
     above = ts >= T_NO_ZERO
-    out[above] = np.rint(theta_vec(ts[above]) / math.pi + 1.0)
+    out[above] = np.rint(theta_series_vec(ts[above]) / math.pi + 1.0)
     return int(out) if out.ndim == 0 else out
 
 
@@ -328,18 +354,19 @@ def drifted_intervals(ordinates, t_lo: float, t_hi: float) -> list[int]:
 def scan_zeros(config: ScanConfig) -> ZeroList:
     """Locate all critical-line zeros in [t_lo, t_hi].
 
-    Each sign change of Z between samples of the 0.1 lattice (SCAN_STEP)
-    gives the root of the degree-15 interpolant of the sixteen samples
-    around it, from the one hardy_z call: four Newton steps from the secant
-    point, then a safeguarded iteration on the interpolant where those leave
-    the bracket or have not converged.  A unit interval is suspect where it
+    Each sign change of Z between samples of the lattice (_BANDS: step
+    0.2 below 200, 0.125 below 1600, 0.1 above) gives the root of the
+    degree-15 interpolant of the sixteen samples of its band around it,
+    from the one hardy_z call: four Newton steps from the secant point,
+    then a safeguarded iteration on the interpolant where those leave the
+    bracket or have not converged.  A unit interval is suspect where it
     holds a root whose derived bound exceeds 1e-9 or whose samples fail the
     consistency check (_lattice_roots), and where the count from t_lo has
     drifted from the smooth count (drifted_intervals, one smooth_count call).
     """
     roots, doubtful = _scan_ordinates(config.t_lo, config.t_hi)
     suspects = set(drifted_intervals(roots, config.t_lo, config.t_hi))
-    suspects.update(math.floor(y) for y in doubtful.tolist() if config.t_lo <= y <= config.t_hi)
+    suspects.update(math.floor(y) for y in doubtful if config.t_lo <= y <= config.t_hi)
 
     return ZeroList(
         ordinates=roots,

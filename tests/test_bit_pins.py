@@ -26,7 +26,7 @@ from zetaphase import ScanConfig, hardy_z, scan_zeros, zeta_critical_line
 from zetaphase.special import T_Z_MAX, _ln_wide
 
 PINS = Path(__file__).resolve().parent / "data" / "hardy_z_pins.txt"
-CENSUS_1E4_SHA256 = "fe06104b030d2832cbb6e649b70b84692eccaa1ce213afe720ca07fe0744acc5"
+CENSUS_1E4_SHA256 = "71637d25332d637dab589a0a9b72281dd399ce889b92764f136d28410badbcd8"
 HARDY_Z_SHA256 = "c0b009cc5a8541c7f9f4159db7b8a9549a3d78cd0a6086dae66aca66d0f79957"
 # zeta_critical_line(pinned_heights()) as little-endian complex128 bytes.
 ZETA_SHA256 = "46b88a38923def97e6e7c6f9c5b6f8a11ce00210721ed90b5addc19c558c8085"
@@ -39,20 +39,20 @@ _V4, _V3, _BASE = "X86_V4", "X86_V3", "baseline(X86_V2)"
 # test_census_bytes_frozen pins: the X86_V4 loops put the ordinate
 # 1841.4785825706433 an ulp below the other maps' 1841.4785825706435, on
 # either side of a rounding to 12 decimals.
-CACHE_2001_SHA256 = "299c0396d0e614e45a31a82d7d0bd5737c1c51b16725928c0772adf5b2bcccd6"
-_CACHE_2001_NO_V4 = "9659a9baaa94481a107cafd88588b5b1443b2615102ee4c6e335a1ece0dc40ed"
+CACHE_2001_SHA256 = "05925fd71f06306a862a68dbaf86d24035321e5a95f6ec17645facaf3c711d8f"
+_CACHE_2001_NO_V4 = "7d3019a396725b2462903b9e33505a587cfa8257dbf43e6c1ff8cca591fd3e4f"
 # (census, hardy_z, zeta, cache) digests per loop map, its targets in
 # PINNED_LOOPS order.
 DIGESTS = {
     (_V4,) * 6: (CENSUS_1E4_SHA256, HARDY_Z_SHA256, ZETA_SHA256, CACHE_2001_SHA256),
     (_V3, _V3, _V3, _V3, _BASE, _BASE): (
-        "343e4729fc802c00b4b7e605fec0648590fe94b388d452e7f9849489264b09f9",
+        "4d11589676c8d44290df7eb0914127c45559ed3032628ac86db16682c39cc58f",
         "3ca3a66535ed478134f9f90a6879790ee4b94501d9dfcaf341550a2254f8f754",
         "250073929915e11d464d604c262812b0a2edc774642e3b3921d03106fbb00e5f",
         _CACHE_2001_NO_V4,
     ),
     (_BASE,) * 6: (
-        "a98a77b9fdcdbda187ecf7f7b79cb69f50bc05f468d2ac5c04b986bf26273dcd",
+        "0ca861a7a03a8ba7125e135a6f7de3cc3f707ff58af1790352d712fe4582a76f",
         "5ad3842557ab3973247bffc999183a6b388fd1237c2f9f87ddb671dcc813a817",
         "926be2be77f9aaf955bc3f02c76dcd6c24b6e881ce21a4035838d190f0227709",
         _CACHE_2001_NO_V4,

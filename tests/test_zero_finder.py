@@ -42,7 +42,6 @@ from zetaphase import (
     unit_interval_counts,
     write_zero_cache,
 )
-from zetaphase.zeros import SCAN_STEP
 
 # The [0, 6501] census as frozen for the benchmark, in cache format.
 REFERENCE_CENSUS = (Path(__file__).resolve().parents[1]
@@ -65,8 +64,8 @@ FIRST_ORDINATES = [
     59.347044002602354,
 ]
 
-# The six pairs of consecutive zeros below 1e4 closer than the scan step,
-# from mp.findroot on mp.siegelz at 25 digits.
+# The six pairs of consecutive zeros below 1e4 closer than the scan step of
+# their band, from mp.findroot on mp.siegelz at 25 digits.
 NARROW_PAIRS = [
     (1977.17394369804, 1977.27144619975),
     (4292.72644497523, 4292.81726339051),
@@ -95,6 +94,12 @@ ORACLE_ORDINATES = {
 }
 
 
+def _band_step(t):
+    """The lattice step of the band that holds each t."""
+    steps, starts = zip(*((h, k_lo * h) for h, k_lo, _ in zeros_module._BANDS))
+    return np.array(steps)[np.searchsorted(starts, t, side="right") - 1]
+
+
 def _seeded_ordinates(seed, count, t_hi):
     """count ordinates t_hi * random(), ascending; Python keeps random.Random's sequence."""
     rng = random.Random(seed)
@@ -103,9 +108,20 @@ def _seeded_ordinates(seed, count, t_hi):
 
 class TestScanConfig:
     def test_defaults(self):
-        # The lattice step and the bound a certified ordinate keeps to are
+        # The lattice bands and the bound a certified ordinate keeps to are
         # module constants.
-        assert (SCAN_STEP, zeros_module._ORDINATE_TOL) == (0.1, 1e-9)
+        bands = ((0.2, 0, 1000), (0.125, 1600, 12800), (0.1, 16000, math.inf))
+        assert (zeros_module._BANDS, zeros_module._ORDINATE_TOL) == (bands, 1e-9)
+
+    def test_bands_keep_the_worst_bound(self):
+        # Each edge is a lattice point of both bands it joins, and each
+        # band's h ln(T / 2 pi), T its top, is at most the 0.1 step's at 1e4.
+        bands = zeros_module._BANDS
+        assert [k_hi * h for h, _, k_hi in bands[:-1]] == [k_lo * h for h, k_lo, _ in bands[1:]]
+        assert [k_lo * h for h, k_lo, _ in bands] == [0.0, 200.0, 1600.0]
+        for h, _, k_hi in bands:
+            top = min(k_hi * h, zeros_module.T_WINDOW_MAX)
+            assert h * math.log(top / (2 * math.pi)) <= 0.1 * math.log(1e4 / (2 * math.pi))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -150,18 +166,22 @@ class TestScanZeros:
         assert np.array_equal(a.ordinates, b.ordinates)
 
     def test_all_zeros_below_ten_thousand(self, ten_thousand_zeros):
-        # Only the six NARROW_PAIRS below 1e4 are narrower than the 0.1
-        # step, and a lattice point splits each pair.
+        # Every gap below 1600 is wider than the step of the bands of both
+        # its zeros; only the six NARROW_PAIRS, all in the 0.1 band, are
+        # narrower, and a lattice point splits each pair.
         zeros = ten_thousand_zeros
+        ys = zeros.ordinates
         assert zeros.count == mpmath.nzeros(10000) == 10142
         assert zeros.suspect_intervals == ()
-        narrow = np.flatnonzero(np.diff(zeros.ordinates) < SCAN_STEP)
-        assert zeros.ordinates[narrow] == pytest.approx([lo for lo, _ in NARROW_PAIRS], abs=1e-9)
+        narrow = np.flatnonzero(np.diff(ys) < np.maximum(_band_step(ys[:-1]), _band_step(ys[1:])))
+        assert ys[narrow] == pytest.approx([lo for lo, _ in NARROW_PAIRS], abs=1e-9)
+        assert _band_step(ys[narrow]).tolist() == [0.1] * 6
 
     @pytest.mark.parametrize("lo, hi", NARROW_PAIRS)
     def test_one_lattice_point_splits_each_narrow_pair(self, lo, hi):
-        k = np.arange(math.floor(lo / SCAN_STEP) - 1, math.ceil(hi / SCAN_STEP) + 2)
-        lattice = k * SCAN_STEP
+        h = _band_step(lo)
+        k = np.arange(math.floor(lo / h) - 1, math.ceil(hi / h) + 2)
+        lattice = k * h
         assert np.count_nonzero((lattice > lo) & (lattice < hi)) == 1
 
     def test_riemann_siegel_window_ordinates_are_roots(self):
@@ -186,6 +206,7 @@ class TestRefinement:
         cases = [
             (1000.0, 1100.0, 81),
             (3000.0, 3100.0, 98),  # old fast-sampler sign error near 3046.05
+            (195.0, 1605.0, 1085),  # all three bands, concatenated
         ]
         for t_lo, t_hi, count in cases:
             evaluated.clear()
@@ -205,7 +226,7 @@ class TestRefinement:
 
         def perturbed(ts):
             ts = np.asarray(ts, dtype=np.float64)
-            return accurate(ts) + np.where(ts == 35341 * SCAN_STEP, 1e-9, 0.0)
+            return accurate(ts) + np.where(ts == 35341 * 0.1, 1e-9, 0.0)
 
         monkeypatch.setattr(zeros_module, "hardy_z", perturbed)
         got = scan_zeros(config)
@@ -213,12 +234,13 @@ class TestRefinement:
         assert got.count == 3
         assert np.max(np.abs(got.ordinates - clean.ordinates)) <= 1e-9
 
-    @pytest.mark.parametrize("root", [0.02, 0.07, 0.1, 0.33])
+    @pytest.mark.parametrize("root", [0.02, 0.07, 0.1, 0.2, 0.33, 1.3])
     def test_bracket_near_origin(self, monkeypatch, root):
-        # Below t = 0.7 a bracket has fewer than _PAD samples below it, so
-        # its interpolant runs through the first 16, the whole grid of
-        # [0, 0.4].  For a linear Z it gives the root to rounding, certified,
-        # from the one lattice call.  0.1 is a lattice point.
+        # Below t = 7 h = 1.4, in the 0.2 band, a bracket has fewer than
+        # _PAD samples below it, so its interpolant runs through the first
+        # 16, the whole grid of [0, 1.4].  For a linear Z it gives the root
+        # to rounding, certified, from the one lattice call.  0.2 is a
+        # lattice point.
         calls = []
 
         def linear(ts):
@@ -226,7 +248,7 @@ class TestRefinement:
             return np.asarray(ts, dtype=np.float64) - root
 
         _patch_evaluators(monkeypatch, lambda _: linear)
-        zeros = scan_zeros(ScanConfig(t_lo=0.0, t_hi=0.4))
+        zeros = scan_zeros(ScanConfig(t_lo=0.0, t_hi=1.4))
         assert zeros.ordinates.tolist() == pytest.approx([root], abs=1e-13)
         assert zeros.suspect_intervals == ()
         assert calls == [len(zeros_module._NODES)]
@@ -274,34 +296,54 @@ class TestRefinement:
         # to the safeguarded iteration: 4292.7264, 4292.8173, 5010.8112,
         # 5010.9332 and 7005.0629.
         ts, zs, idx = _fallback_batch()
-        full = zeros_module._lattice_roots(ts, zs, idx)
+        full = zeros_module._lattice_roots(ts, zs, idx, 0.1)
         keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(idx), max_size=len(idx))))
-        part = zeros_module._lattice_roots(ts, zs, idx[keep])
+        part = zeros_module._lattice_roots(ts, zs, idx[keep], 0.1)
         assert np.array_equal(part[0], full[0][keep]) and np.array_equal(part[1], full[1][keep])
 
     def test_lattice_roots_batch_independent(self):
-        # The root and certificate of every bracket of [0, 2001], six blocks
-        # of _BLOCK, are the same from a one-bracket call as from the batch.
-        ts, core = zeros_module._grid(0.0, 2001.0)
+        # The root and certificate of every bracket of [0, 2001], in each of
+        # its three bands (one, five and two blocks of _BLOCK), are the same
+        # from a one-bracket call as from the band's batch.
+        ts, cores = zeros_module._grid(0.0, 2001.0)
         zs = hardy_z(ts)
-        signs = np.sign(zs[core])
-        idx = np.flatnonzero(signs[:-1] * signs[1:] < 0) + core.start
-        full = zeros_module._lattice_roots(ts, zs, idx)
-        alone = [zeros_module._lattice_roots(ts, zs, idx[k:k + 1]) for k in range(len(idx))]
-        assert len(idx) > 5 * zeros_module._BLOCK
-        assert np.array_equal([u[0] for u, _ in alone], full[0])
-        assert np.array_equal([ok[0] for _, ok in alone], full[1])
+        brackets = []
+        for core, h in cores:
+            signs = np.sign(zs[core])
+            idx = np.flatnonzero(signs[:-1] * signs[1:] < 0) + core.start
+            full = zeros_module._lattice_roots(ts, zs, idx, h)
+            alone = [zeros_module._lattice_roots(ts, zs, idx[k:k + 1], h) for k in range(len(idx))]
+            assert np.array_equal([u[0] for u, _ in alone], full[0])
+            assert np.array_equal([ok[0] for _, ok in alone], full[1])
+            brackets.append((h, len(idx)))
+        assert brackets == [(0.2, 79), (0.125, 1078), (0.1, 362)]
 
-    @pytest.mark.parametrize("root", [10.25, 1000.25, 102 * SCAN_STEP, 10002 * SCAN_STEP])
+    @pytest.mark.parametrize("root", [10.25, 1000.2, 2000.25, 51 * 0.2, 8002 * 0.125, 20002 * 0.1])
     def test_zero_on_lattice_reported_once(self, monkeypatch, root):
-        # 10.2 and 1000.2 are lattice points, where the sample is exactly
-        # 0.0; 10.25 and 1000.25 lie halfway between two.  10.2 and 10.25 are
-        # in the Euler-Maclaurin range, 1000.2 and 1000.25 in the
-        # Riemann-Siegel one.  Each root is reported once, to rounding.
+        # 10.2, 1000.25 and 2000.2 are lattice points of their bands (steps
+        # 0.2, 0.125 and 0.1), where the sample is exactly 0.0; 10.25,
+        # 1000.2 and 2000.25 lie between two.  10.2 and 10.25 are in the
+        # Euler-Maclaurin range, the others in the Riemann-Siegel one.  Each
+        # root is reported once, to rounding.
         _patch_evaluators(monkeypatch, lambda _: lambda ts: np.asarray(ts, dtype=np.float64) - root)
         zeros = scan_zeros(ScanConfig(t_lo=root - 0.75, t_hi=root + 0.75))
         assert zeros.count == 1
         assert zeros.ordinates[0] == pytest.approx(root, rel=1e-15)
+        assert zeros.suspect_intervals == ()
+
+    @pytest.mark.parametrize("edge", [200.0, 1600.0])
+    @pytest.mark.parametrize("offset", [-0.01, 0.0, 0.01])
+    @pytest.mark.parametrize("below, above", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
+    def test_root_at_band_edge_reported_once(self, monkeypatch, edge, offset, below, above):
+        # Z a line through a band edge, or just off it, in windows across
+        # the edge and ending on it.  The bands' cores share the edge's
+        # sample, exactly 0.0 for a root on it, and every cell lies in one
+        # band, so the root comes out once, certified.
+        root = edge + offset
+        _patch_evaluators(monkeypatch, lambda _: lambda ts: np.asarray(ts, dtype=np.float64) - root)
+        zeros = scan_zeros(ScanConfig(t_lo=edge - below, t_hi=edge + above))
+        assert zeros.ordinates.tolist() == ([pytest.approx(root, rel=1e-15)]
+                                            if edge - below <= root <= edge + above else [])
         assert zeros.suspect_intervals == ()
 
     def test_no_euler_maclaurin_rows_above_cutoff(self, monkeypatch):
@@ -360,8 +402,8 @@ class TestRefinement:
 
 @functools.cache
 def _fallback_batch():
-    """Lattice, samples and brackets of [4292, 4293], [5000, 5100] and [7005, 7006]."""
-    ts, core = zeros_module._grid(4292.0, 7006.0)
+    """Lattice, samples and brackets of [4292, 4293], [5000, 5100] and [7005, 7006], step 0.1."""
+    ts, [(core, _)] = zeros_module._grid(4292.0, 7006.0)
     zs = hardy_z(ts)
     signs = np.sign(zs[core])
     idx = np.flatnonzero(signs[:-1] * signs[1:] < 0) + core.start
@@ -506,19 +548,20 @@ class TestSuspectRule:
 
         _patch_evaluators(monkeypatch, counting)
         assert scan_zeros(ScanConfig(t_lo=0.0, t_hi=2001.0)).count == 1519
-        assert calls == [20019]
+        assert calls == [16249]
 
     def test_one_theta_vec_call_per_scan(self, monkeypatch):
         # One smooth_count call gives the prediction at every integer height
-        # of the window and the count at t_lo.
+        # of the window and the count at t_lo, from one call of theta's
+        # series, whose domain smooth_count has checked.
         calls = []
-        theta_vec = zeros_module.theta_vec
+        series = zeros_module.theta_series_vec
 
         def counting(ts):
             calls.append(np.size(ts))
-            return theta_vec(ts)
+            return series(ts)
 
-        monkeypatch.setattr(zeros_module, "theta_vec", counting)
+        monkeypatch.setattr(zeros_module, "theta_series_vec", counting)
         for t_lo, t_hi in [(0.0, 50.0), (195.0, 205.0), (5000.5, 5002.5), (0.0, 10.0)]:
             calls.clear()
             scan_zeros(ScanConfig(t_lo=t_lo, t_hi=t_hi))
@@ -1166,6 +1209,17 @@ class TestPartitionedScan:
             inside = ys[(ys >= a) & (ys <= a + 2.0)]
             assert np.array_equal(window.ordinates, inside), a
             assert window.suspect_intervals == (), a
+
+    @pytest.mark.parametrize("t_lo, t_hi", [
+        (195.0, 205.0), (1595.0, 1605.0), (199.9, 200.1), (0.0, 200.0), (200.0, 1600.0),
+    ])
+    def test_band_edge_windows_match_census(self, census_zeros, t_lo, t_hi):
+        # Windows across a band edge, or ending on one, give the census
+        # ordinates in their range bit for bit, and flag nothing.
+        ys = census_zeros.ordinates
+        window = scan_zeros(ScanConfig(t_lo=t_lo, t_hi=t_hi))
+        assert np.array_equal(window.ordinates, ys[(ys >= t_lo) & (ys <= t_hi)])
+        assert window.suspect_intervals == ()
 
     def test_identical_interval_counts(self, census_counts, partitioned_census):
         other = unit_interval_counts(partitioned_census, census_counts.n_max)
