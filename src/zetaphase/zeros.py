@@ -7,7 +7,10 @@ identical sample points: step 0.2 on [0, 200), 0.125 on [200, 1600) and
 its top, at or below 0.1 ln(1e4 / 2 pi), so that no band's interpolation
 bound exceeds the 0.1 band's at 1e4; each edge is a lattice point of both
 bands it joins, so every cell between neighbouring samples lies in one
-band.  The samples come from one call of hardy_z, the one Z evaluator,
+band.  Only _grid reads the bands: it gives each sample its band's step
+and marks the cores, and the scan takes every sign change between
+neighbouring core samples in one pass, with one _lattice_roots call.
+The samples come from one call of hardy_z, the one Z evaluator,
 whose every value depends on its own t alone (below T_NO_ZERO = 14, where
 Z has no zero, every sample is -|zeta|); a sample that is exactly 0.0 is
 an ordinate itself.  Every other ordinate is the root, in its sign-change
@@ -156,20 +159,23 @@ class ZeroList:
         )
 
 
-def _grid(t_lo: float, t_hi: float) -> tuple[np.ndarray, list[tuple[slice, float]]]:
-    """Padded lattice samples of the window [t_lo, t_hi], and per band its core and step.
+def _grid(t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Padded lattice samples of the window [t_lo, t_hi], the band step of each, and its core.
 
     In each band the window meets, the core runs from the last lattice
     point below t_lo, or the band's lower edge, to the first above t_hi,
     or the band's upper edge, so the cores of neighbouring bands share the
     edge's sample.  The _PAD samples of the band's lattice on either side
     of a core (fewer below, where they would pass t = 0, but 16 in all)
-    only feed the interpolants.  The bands' pieces follow each other in t.
+    only feed the interpolants.  The bands' pieces follow each other in t,
+    and the padding above a core is never cut, so it separates the core
+    from the next band's: no two neighbouring core samples lie in different
+    bands, and a sign change between them brackets a cell of one band.
     """
     # Anchored at t = 0, so disjoint sub-scans share sample points.  The
     # core takes in the cells that end on a window end too: a root found
     # there can round onto the end.
-    pieces, cores, size = [], [], 0
+    pieces = []
     for h, k_lo, k_hi in _BANDS:
         if not (k_lo * h <= t_hi and t_lo <= k_hi * h):
             continue
@@ -177,27 +183,29 @@ def _grid(t_lo: float, t_hi: float) -> tuple[np.ndarray, list[tuple[slice, float
         last = min(math.floor(t_hi / h + 1e-9) + 1, k_hi)
         k0 = max(first - _PAD, 0)
         stop = max(last + _PAD + 1, len(_NODES))
-        pieces.append(np.arange(float(k0), stop) * h)
-        cores.append((slice(size + first - k0, size + last - k0 + 1), h))
-        size += stop - k0
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces), cores
+        core = np.zeros(stop - k0, dtype=bool)
+        core[first - k0:last - k0 + 1] = True
+        pieces.append((np.arange(float(k0), stop) * h, np.full(stop - k0, h), core))
+    return pieces[0] if len(pieces) == 1 else tuple(np.concatenate(p) for p in zip(*pieces))
 
 
 def _newton_form(coef: np.ndarray, shifts: np.ndarray, u: np.ndarray, terms: np.ndarray):
     """Value and slope in u, at u, of the interpolants with Newton coefficients coef.
 
     Brackets run along the last axis, and shifts holds their first 15 nodes.
-    terms, of shape (2,) + coef.shape and last row 1.0, takes the Newton
-    basis and its slopes; both sums take one product and one running sum.
+    terms, of shape (2,) + coef.shape, takes the Newton basis and its
+    slopes, with 1.0 in its last row; both sums take one product and one
+    running sum in terms' place, so the next call overwrites the returns.
     """
+    terms[:, -1] = 1.0
     basis, slope = terms[0, :-1], terms[1, :-1]
     d = u - shifts
     np.multiply.accumulate(d, axis=0, out=basis)
     np.add.accumulate(np.reciprocal(d, out=d), axis=0, out=d)
     np.multiply(basis, d, out=slope)
-    sums = np.multiply(terms, coef)
-    np.add.accumulate(sums, axis=1, out=sums)
-    return sums[0, -1], sums[1, -2]
+    np.multiply(terms, coef, out=terms)
+    np.add.accumulate(terms, axis=1, out=terms)
+    return terms[0, -1], terms[1, -2]
 
 
 def _safeguarded(coef: np.ndarray, shifts: np.ndarray, u: np.ndarray, sign_a: np.ndarray):
@@ -214,7 +222,7 @@ def _safeguarded(coef: np.ndarray, shifts: np.ndarray, u: np.ndarray, sign_a: np
     u = np.where((u > 0.0) & (u < 1.0), u, 0.5)
     out, live = np.empty((3, len(u))), np.arange(len(u))
     for _ in range(64):
-        terms = np.ones((2, len(_NODES), len(live)))
+        terms = np.empty((2, len(_NODES), len(live)))
         value, slope = _newton_form(coef[:, live], shifts[:, live], u, terms)
         step = value / slope
         above = np.sign(value) == sign_a[live]
@@ -229,9 +237,10 @@ def _safeguarded(coef: np.ndarray, shifts: np.ndarray, u: np.ndarray, sign_a: np
     return out
 
 
-def _lattice_roots(ts: np.ndarray, zs: np.ndarray, idx: np.ndarray, h: float):
+def _lattice_roots(ts: np.ndarray, zs: np.ndarray, idx: np.ndarray, h):
     """Roots of the degree-15 interpolants P, per bracket [ts[idx], ts[idx + 1]] of step h.
 
+    h is one step for every bracket or an array of one step per bracket.
     Returns the roots u, in steps from sample idx, and whether each is
     certified.  Every P takes _NEWTON_STEPS Newton steps on its Newton form
     from the secant point; one whose u then lies outside (0, 1), is not
@@ -261,7 +270,7 @@ def _lattice_roots(ts: np.ndarray, zs: np.ndarray, idx: np.ndarray, h: float):
     nodes = _NODES + e.astype(np.float64)
     fa = zs[idx]
     u = fa / (fa - zs[idx + 1])
-    terms = np.ones((2,) + coef.shape)
+    terms = np.empty((2,) + coef.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_STEPS):
             value, slope = _newton_form(coef, nodes[:-1], u, terms)
@@ -276,33 +285,16 @@ def _lattice_roots(ts: np.ndarray, zs: np.ndarray, idx: np.ndarray, h: float):
         eps = 5e-15 * np.maximum(TWO_PI * x, 100.0)
         hf = (0.5 * h) * np.log(np.maximum(x, 1.0))  # h M_(k+1) / M_k
         m15 = 4.0 * np.sqrt(np.floor(np.sqrt(x))) * hf ** 15  # h^15 M_15
-        d = np.maximum(np.abs(u - nodes), 1e-300)  # a root on a node has L(u) = 1
+        # In place where it can be: one batch holds every bracket of a scan,
+        # so each (node, bracket) array is as large as the census's.
+        d = np.abs(u - nodes)
+        np.maximum(d, 1e-300, out=d)  # a root on a node has L(u) = 1
         omega = np.multiply.accumulate(d, axis=0)[-1]
-        lebesgue = np.add.accumulate(_LAGRANGE / d, axis=0)[-1]  # L(u) / omega(u)
+        # L(u) / omega(u), in d's place.
+        lebesgue = np.add.accumulate(np.divide(_LAGRANGE, d, out=d), axis=0, out=d)[-1]
         bound = omega * (m15 * hf / math.factorial(16) + eps * lebesgue) / abs(slope) + residual
         consistent = np.abs(coef[-2]) * math.factorial(15) <= m15 + 2.0 ** 15 * eps
     return u, (bound <= _ORDINATE_TOL / h) & consistent  # the bound is in steps
-
-
-def _scan_ordinates(t_lo: float, t_hi: float) -> tuple[np.ndarray, list[float]]:
-    """Ordinates in the closed window [t_lo, t_hi], ascending, and the roots not certified."""
-    ts, cores = _grid(t_lo, t_hi)
-    zs = hardy_z(ts)
-    parts, doubtful = [], []
-    for n, (core, h) in enumerate(cores):
-        signs = np.sign(zs[core])
-        idx = (signs[:-1] * signs[1:] < 0).nonzero()[0] + core.start
-        u, certified = _lattice_roots(ts, zs, idx, h)
-        a = ts[idx]
-        found = a + u * (ts[idx + 1] - a)
-        exact = signs == 0.0
-        if n:  # the band's first sample is the edge the one below ends on
-            exact[0] = False
-        parts += [ts[core][exact], found]
-        doubtful += found[~certified].tolist()
-    roots = np.concatenate(parts)
-    roots.sort()
-    return roots[roots.searchsorted(t_lo):roots.searchsorted(t_hi, "right")], doubtful
 
 
 def interval_counts(ordinates, n_lo: int, n_hi: int) -> np.ndarray:
@@ -354,24 +346,37 @@ def drifted_intervals(ordinates, t_lo: float, t_hi: float) -> list[int]:
 def scan_zeros(config: ScanConfig) -> ZeroList:
     """Locate all critical-line zeros in [t_lo, t_hi].
 
-    Each sign change of Z between samples of the lattice (_BANDS: step
-    0.2 below 200, 0.125 below 1600, 0.1 above) gives the root of the
-    degree-15 interpolant of the sixteen samples of its band around it,
-    from the one hardy_z call: four Newton steps from the secant point,
-    then a safeguarded iteration on the interpolant where those leave the
-    bracket or have not converged.  A unit interval is suspect where it
-    holds a root whose derived bound exceeds 1e-9 or whose samples fail the
-    consistency check (_lattice_roots), and where the count from t_lo has
-    drifted from the smooth count (drifted_intervals, one smooth_count call).
+    From the one hardy_z call on the lattice of _grid, in one pass: a
+    sample of a core that is exactly 0.0 is an ordinate, kept once where it
+    is a band edge, and each sign change between neighbouring core samples
+    gives the root of the degree-15 interpolant of the sixteen samples of
+    its band around it (_lattice_roots, one call with a step per bracket):
+    four Newton steps from the secant point, then a safeguarded iteration
+    on the interpolant where those leave the bracket or have not converged.
+    A unit interval is suspect where it holds a root whose derived bound
+    exceeds 1e-9 or whose samples fail the consistency check, and where the
+    count from t_lo has drifted from the smooth count (drifted_intervals,
+    one smooth_count call).
     """
-    roots, doubtful = _scan_ordinates(config.t_lo, config.t_hi)
-    suspects = set(drifted_intervals(roots, config.t_lo, config.t_hi))
-    suspects.update(math.floor(y) for y in doubtful if config.t_lo <= y <= config.t_hi)
-
+    t_lo, t_hi = config.t_lo, config.t_hi
+    ts, hs, core = _grid(t_lo, t_hi)
+    zs = hardy_z(ts)
+    signs = np.sign(zs)
+    idx = ((signs[:-1] * signs[1:] < 0) & core[:-1] & core[1:]).nonzero()[0]
+    u, certified = _lattice_roots(ts, zs, idx, hs[idx])
+    a = ts[idx]
+    found = a + u * (ts[idx + 1] - a)
+    # A band edge is a core sample of both bands it joins: the set keeps it once.
+    exact = set(ts[core & (signs == 0.0)].tolist())
+    roots = np.concatenate([list(exact), found])
+    roots.sort()
+    roots = roots[roots.searchsorted(t_lo):roots.searchsorted(t_hi, "right")]
+    suspects = set(drifted_intervals(roots, t_lo, t_hi))
+    suspects.update(math.floor(y) for y in found[~certified].tolist() if t_lo <= y <= t_hi)
     return ZeroList(
         ordinates=roots,
-        t_lo=config.t_lo,
-        t_hi=config.t_hi,
+        t_lo=t_lo,
+        t_hi=t_hi,
         suspect_intervals=tuple(sorted(suspects)),
     )
 

@@ -57,7 +57,7 @@ def test_no_private_name_crosses_modules(path):
 
 def test_guard_flags_both_forms():
     source = (
-        "from .special import _THETA_COEFFS, theta_vec\n"
+        "from .special import _THETA_COEFFS, theta_series_vec\n"
         "from . import zeros as zmod\n"
         "import zetaphase.render as zr\n"
         "import zetaphase\n"

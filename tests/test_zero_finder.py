@@ -302,21 +302,35 @@ class TestRefinement:
         assert np.array_equal(part[0], full[0][keep]) and np.array_equal(part[1], full[1][keep])
 
     def test_lattice_roots_batch_independent(self):
-        # The root and certificate of every bracket of [0, 2001], in each of
-        # its three bands (one, five and two blocks of _BLOCK), are the same
-        # from a one-bracket call as from the band's batch.
-        ts, cores = zeros_module._grid(0.0, 2001.0)
-        zs = hardy_z(ts)
-        brackets = []
-        for core, h in cores:
-            signs = np.sign(zs[core])
-            idx = np.flatnonzero(signs[:-1] * signs[1:] < 0) + core.start
-            full = zeros_module._lattice_roots(ts, zs, idx, h)
-            alone = [zeros_module._lattice_roots(ts, zs, idx[k:k + 1], h) for k in range(len(idx))]
-            assert np.array_equal([u[0] for u, _ in alone], full[0])
-            assert np.array_equal([ok[0] for _, ok in alone], full[1])
-            brackets.append((h, len(idx)))
-        assert brackets == [(0.2, 79), (0.125, 1078), (0.1, 362)]
+        # The root and certificate of every bracket of [0, 2001], from one
+        # call over its three bands (six blocks of _BLOCK) with a step per
+        # bracket, are the same from a one-bracket call with a scalar step.
+        ts, hs, zs, idx = _lattice_brackets(0.0, 2001.0)
+        full = zeros_module._lattice_roots(ts, zs, idx, hs[idx])
+        alone = [zeros_module._lattice_roots(ts, zs, idx[k:k + 1], hs[idx[k]]) for k in range(len(idx))]
+        assert np.array_equal([u[0] for u, _ in alone], full[0])
+        assert np.array_equal([ok[0] for _, ok in alone], full[1])
+        steps, counts = np.unique(hs[idx], return_counts=True)
+        assert list(zip(steps.tolist(), counts.tolist())) == [(0.1, 362), (0.125, 1078), (0.2, 79)]
+
+    @pytest.mark.parametrize("t_lo, t_hi, steps", [
+        (1000.0, 1100.0, [0.125]),
+        (195.0, 1605.0, [0.1, 0.125, 0.2]),
+        (0.0, 2001.0, [0.1, 0.125, 0.2]),
+    ])
+    def test_one_lattice_roots_call_per_scan(self, monkeypatch, t_lo, t_hi, steps):
+        # Every bracket of the window, in whichever band it lies, goes to
+        # one _lattice_roots call with its band's step.
+        calls = []
+        lattice_roots = zeros_module._lattice_roots
+
+        def recording(ts, zs, idx, h):
+            calls.append((len(idx), np.unique(h).tolist()))
+            return lattice_roots(ts, zs, idx, h)
+
+        monkeypatch.setattr(zeros_module, "_lattice_roots", recording)
+        zeros = scan_zeros(ScanConfig(t_lo=t_lo, t_hi=t_hi))
+        assert calls == [(zeros.count, steps)]
 
     @pytest.mark.parametrize("root", [10.25, 1000.2, 2000.25, 51 * 0.2, 8002 * 0.125, 20002 * 0.1])
     def test_zero_on_lattice_reported_once(self, monkeypatch, root):
@@ -347,8 +361,8 @@ class TestRefinement:
         assert zeros.suspect_intervals == ()
 
     def test_no_euler_maclaurin_rows_above_cutoff(self, monkeypatch):
-        # From T_RS up, lattice samples and refinement steps alike go to
-        # the Riemann-Siegel evaluator: every Euler-Maclaurin row lies below.
+        # From T_RS up, every lattice sample goes to the Riemann-Siegel
+        # evaluator: every Euler-Maclaurin row lies below.
         rows = []
         kernel = special._zeta_em_chunk
 
@@ -400,13 +414,21 @@ class TestRefinement:
 
 
 
+def _lattice_brackets(t_lo, t_hi):
+    """Lattice, band steps and samples of [t_lo, t_hi], and its scan's brackets.
+
+    A bracket is a sign change between neighbouring core samples.
+    """
+    ts, hs, core = zeros_module._grid(t_lo, t_hi)
+    zs = hardy_z(ts)
+    signs = np.sign(zs)
+    return ts, hs, zs, np.flatnonzero((signs[:-1] * signs[1:] < 0) & core[:-1] & core[1:])
+
+
 @functools.cache
 def _fallback_batch():
     """Lattice, samples and brackets of [4292, 4293], [5000, 5100] and [7005, 7006], step 0.1."""
-    ts, [(core, _)] = zeros_module._grid(4292.0, 7006.0)
-    zs = hardy_z(ts)
-    signs = np.sign(zs[core])
-    idx = np.flatnonzero(signs[:-1] * signs[1:] < 0) + core.start
+    ts, _, zs, idx = _lattice_brackets(4292.0, 7006.0)
     t = ts[idx]
     keep = (t >= 4291.9) & (t < 4293.0) | (t >= 4999.9) & (t < 5100.0) | (t >= 7004.9)
     return ts, zs, idx[keep]
