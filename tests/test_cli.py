@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from test_import import run_fresh
 from test_zero_finder import _patch_evaluators, _thirds
 
 from zetaphase import ScanConfig, scan_zeros, verify, write_zero_cache
@@ -76,6 +77,15 @@ class TestArgCommands:
         assert code == 2
         assert "error:" in err
 
+    def test_arg_zeta_domain_end(self, capsys):
+        # Z and zeta take [0, 2 pi 43^2), 2 pi 43^2 = 11617.61: the last
+        # height just inside prints a value, one just past it is an error.
+        code, out, _ = run_cli(capsys, "arg-zeta", "11617.5")
+        assert code == 0 and -1.0 < float(out) <= 1.0
+        code, out, err = run_cli(capsys, "arg-zeta", "11617.7")
+        assert code == 2 and out == ""
+        assert "2 pi 43^2" in err
+
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_arg_gamma_non_finite_is_error(self, capsys, t):
         code, out, err = run_cli(capsys, "arg-gamma", t)
@@ -102,6 +112,24 @@ class TestGoldenBytes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    def test_table_columns_digest(self, capsys):
+        # Columns n, approx and expr come from integer and fixed-point
+        # arithmetic alone, so their digest does not depend on the
+        # platform's libm; the true column does and is cut out.  The
+        # fixed-point logarithm is in-repo: with every mpmath import blocked
+        # the table is the same.
+        argv = ["table", "--start", "1", "--end", "10000", "--format", "csv"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        rows = [row.split(",") for row in out.splitlines()]
+        columns = "".join(f"{n},{approx},{expr}\n" for n, _, approx, expr in rows)
+        assert hashlib.sha256(columns.encode("ascii")).hexdigest() == (
+            "3d8a44d97da456f0227ff1c5c2bef000ca42f54fc0fc4639df99d0e689cff891")
+        assert run_fresh("import sys\n"
+                         "sys.modules['mpmath'] = None\n"
+                         "from zetaphase import cli\n"
+                         f"sys.exit(cli.main({argv!r}))") == out
 
 
 class TestZerosCommand:
@@ -382,6 +410,12 @@ class TestEstimateCommand:
             "20.655740355700",
             "1419.517764572191",
         ]
+
+    def test_overflow_is_usage_error(self, capsys):
+        # From n = 2.9e307 up 2 pi (n - 11/8) overflows binary64.
+        code, out, err = run_cli(capsys, "estimate", str(3 * 10**307))
+        assert code == 2 and out == ""
+        assert "overflows binary64" in err
 
 
 class TestStaircaseCommand:

@@ -4,13 +4,14 @@ The counter oracles and the functions that compute in extended precision
 import mpmath when called; no code in the package imports scipy.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from zetaphase import airy_neg_zeros, bessel_j0_zeros
+from zetaphase import airy_neg_zeros, bessel_j0_zeros, verify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -76,11 +77,14 @@ def test_oracles_after_fresh_import():
     assert len(j0) == 80 and len(ai) == 700
 
 
-def test_counters_with_scipy_blocked():
-    # A None entry in sys.modules makes every `import scipy...` fail.
+def test_verify_with_scipy_blocked():
+    # A None entry in sys.modules makes every `import scipy...` fail; every
+    # verify line passes without it.
     out = run_fresh("import sys\n"
                     "sys.modules['scipy'] = None\n"
                     "from zetaphase import verify\n"
-                    "print([(r.name, r.passed, r.got) for r in verify.run_checks(only='counters')])")
-    assert out.strip() == str([("counters vs oracles", True,
-                                "corrected match: True, first misses 8, 6")])
+                    "print([(r.name, bool(r.passed), r.got) for r in verify.run_checks()])")
+    results = ast.literal_eval(out)
+    assert [(name, passed) for name, passed, _ in results] == [
+        (name, True) for name, _, _ in verify._CHECKS]
+    assert ("counters vs oracles", True, "corrected match: True, first misses 8, 6") in results

@@ -244,11 +244,11 @@ class TestThetaSeries:
         # bit; from 50 up the order-4 default rounds to the same double.
         edges = np.linspace(T_NO_ZERO, 50.0, 101)
         ts = np.random.default_rng(29).uniform(edges[:-1], edges[1:]).tolist()
-        for t in ts + [T_NO_ZERO, 17.845599540410861, math.nextafter(50.0, 0.0)]:
+        for t in [T_NO_ZERO, 17.845599540410861, 30.0, 49.99, math.nextafter(50.0, 0.0)] + ts:
             assert theta_series(t, MAX_SERIES_ORDER) == theta_exact(t), t
-        for t in (50.0, 63.7, 200.0, 1234.5, 9999.0):
-            assert theta_series(t) == theta_exact(t)
-            assert theta_series(t, MAX_SERIES_ORDER) == theta_exact(t)
+        for t in (50.0, 63.7, 200.0, 1234.5, 9999.0, T_THETA_MAX):
+            assert theta_series(t) == theta_exact(t), t
+            assert theta_series(t, MAX_SERIES_ORDER) == theta_exact(t), t
 
     def test_error_ladder_at_ten(self):
         # Error after k correction terms, frozen from the mpmath value.

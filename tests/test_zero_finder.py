@@ -712,12 +712,14 @@ class TestZeroCache:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_read_back_rewrites_byte_identical(self, tmp_path):
-        # A cache is a fixed point of read then write.
+        # A cache is a fixed point of read then write, below T_RS and the
+        # band edge at 200 and across both.
         p1 = tmp_path / "a.txt"
         p2 = tmp_path / "b.txt"
-        write_zero_cache(scan_zeros(ScanConfig(t_lo=0.0, t_hi=60.0)), p1)
-        write_zero_cache(read_zero_cache(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        for t_hi in (60.0, 2001.0):
+            write_zero_cache(scan_zeros(ScanConfig(t_lo=0.0, t_hi=t_hi)), p1)
+            write_zero_cache(read_zero_cache(p1), p2)
+            assert p1.read_bytes() == p2.read_bytes(), t_hi
 
     def test_malformed_line_reported_with_number(self, tmp_path):
         zeros = scan_zeros(ScanConfig(t_lo=0.0, t_hi=50.0))
@@ -1211,9 +1213,13 @@ class TestCensusLandmarks:
         assert ords[k] == pytest.approx(5229.199, abs=1e-2)
 
     def test_matches_frozen_reference(self, census_zeros):
+        # Each ordinate is a sign change of Z across y -/+ 1e-9, so within
+        # 1e-9 of a zero of the evaluator, and within 1e-9 of the reference.
         reference = read_zero_cache(REFERENCE_CENSUS)
+        ys = census_zeros.ordinates
         assert reference.count == census_zeros.count == 6148
-        assert np.max(np.abs(census_zeros.ordinates - reference.ordinates)) <= 1e-9
+        assert np.flatnonzero(hardy_z(ys - 1e-9) * hardy_z(ys + 1e-9) >= 0.0).tolist() == []
+        assert np.max(np.abs(ys - reference.ordinates)) <= 1e-9
 
 
 class TestPartitionedScan:
@@ -1234,10 +1240,12 @@ class TestPartitionedScan:
 
     @pytest.mark.parametrize("t_lo, t_hi", [
         (195.0, 205.0), (1595.0, 1605.0), (199.9, 200.1), (0.0, 200.0), (200.0, 1600.0),
+        (199.0, 201.0), (1000.0, 1002.0), (1599.0, 1601.0), (3046.0, 3048.0), (6499.0, 6501.0),
     ])
     def test_band_edge_windows_match_census(self, census_zeros, t_lo, t_hi):
         # Windows across a band edge, or ending on one, give the census
-        # ordinates in their range bit for bit, and flag nothing.
+        # ordinates in their range bit for bit, and flag nothing; so do
+        # windows [a, a + 2] inside one band and at the census's top end.
         ys = census_zeros.ordinates
         window = scan_zeros(ScanConfig(t_lo=t_lo, t_hi=t_hi))
         assert np.array_equal(window.ordinates, ys[(ys >= t_lo) & (ys <= t_hi)])
