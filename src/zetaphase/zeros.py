@@ -2,26 +2,27 @@
 
 The scanner samples the Hardy Z function on a fixed lattice of three
 bands, each anchored at t = 0 so that scans over sub-ranges land on
-identical sample points: step 0.2 on [0, 200), 0.125 on [200, 1600) and
-0.1 from 1600 up (_BANDS).  A band's step h keeps h ln(T / 2 pi), with T
-its top, at or below 0.1 ln(1e4 / 2 pi), so that no band's interpolation
-bound exceeds the 0.1 band's at 1e4; each edge is a lattice point of both
-bands it joins, so every cell between neighbouring samples lies in one
-band.  Only _grid reads the bands: it gives each sample its band's step
-and marks the cores, and the scan takes every sign change between
-neighbouring core samples in one pass, with one _lattice_roots call.
-The samples come from one call of hardy_z, the one Z evaluator,
-whose every value depends on its own t alone (below T_NO_ZERO = 14, where
-Z has no zero, every sample is -|zeta|); a sample that is exactly 0.0 is
-an ordinate itself.  Every other ordinate is the root, in its sign-change
-bracket, of the degree-15 polynomial through the sixteen samples of its
-band's lattice around it, with no further evaluation, and carries a
-derived error bound; a root whose bound exceeds 1e-9, or whose samples
-fail a consistency check, makes its unit interval suspect.  Every window
-sees the sign changes of the one lattice, and on [0, 1e4] they are all
-10,142 zeros.  Below 1600 every gap is wider than its band's step (the
-narrowest is 0.72 below 200 and 0.16 on [200, 1600)); the six gaps
-narrower than 0.1, from 1977.1739, 4292.7264, 5229.1986, 6093.1923,
+identical sample points: step 1/4 on [0, 200), 5/32 on [200, 1600) and
+0.1 from 1600 up (_BANDS).  Each lower step is below its band's narrowest
+zero gap, 0.72 below 200 and 0.16 on [200, 1600), so that every zero there
+has a bracket of its own, and keeps h ln(T / 2 pi), with T the band's top,
+at or below the 5/32 step's at 1600, 0.866, where the roots' derived
+bounds stay below 5e-11; each edge is a lattice point of both bands it
+joins, so every cell between neighbouring samples lies in one band.  Only
+_grid reads the bands: it gives each sample its band's step and marks the
+cores, and the scan takes every sign change between neighbouring core
+samples in one pass, with one _lattice_roots call.  The samples come from
+one call of hardy_z, the one Z evaluator, whose every value depends on its
+own t alone (below T_NO_ZERO = 14, where Z has no zero, every sample is
+-|zeta|); a sample that is exactly 0.0 is an ordinate itself.  Every
+other ordinate is the root, in its sign-change bracket, of the degree-15
+polynomial through the sixteen samples of its band's lattice around it,
+with no further evaluation, and carries a derived error bound; a root
+whose bound exceeds 1e-9, or whose samples fail a consistency check,
+makes its unit interval suspect.  Every window sees the sign changes of
+the one lattice, and on [0, 1e4] they are all 10,142 zeros.  Below 1600
+every gap is wider than its band's step; the six gaps narrower than 0.1,
+from 1977.1739, 4292.7264, 5229.1986, 6093.1923,
 7005.0629 (Lehmer's pair, 0.0377 wide, with 7005.1 0.00056 below its
 upper zero) and 9793.5500, each hold a lattice point.  A unit interval is
 suspect too where the count from the window's start has drifted from the
@@ -54,15 +55,15 @@ CACHE_MAGIC = "zetaphase zero cache v1"
 # Scans end by here, inside Z's domain [0, T_Z_MAX) with their padded lattice.
 T_WINDOW_MAX = 1.0e4
 
-# The scan lattice t = k h, per band (h, first k, last k): step 0.2 on
-# [0, 200], 0.125 on [200, 1600] and 0.1 from 1600 on past T_WINDOW_MAX.
-_BANDS = ((0.2, 0, 1000), (0.125, 1600, 12800), (0.1, 16000, math.inf))
+# The scan lattice t = k h, per band (h, first k, last k): step 1/4 on
+# [0, 200], 5/32 on [200, 1600] and 0.1 from 1600 on past T_WINDOW_MAX.
+_BANDS = ((0.25, 0, 800), (0.15625, 1280, 10240), (0.1, 16000, math.inf))
 # A root whose derived error bound exceeds this is not certified.
 _ORDINATE_TOL = 1e-9
 
 # Roots interpolate the 16 lattice samples idx - _PAD .. idx + _PAD + 1
 # around the bracket [ts[idx], ts[idx + 1]], a polynomial of degree 15, or
-# samples 0 .. 15 where fewer than _PAD lie below (t < 7 h = 1.4).  Degree 11
+# samples 0 .. 15 where fewer than _PAD lie below (t < 7 h = 1.75).  Degree 11
 # leaves roots up to 4.4e-10 off on [0, 1e4]; degrees 19 to 31 gain nothing.
 _PAD = 7
 _NODES = np.arange(-_PAD, _PAD + 2)[:, None]  # one row per node

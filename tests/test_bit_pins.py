@@ -13,20 +13,30 @@ expm1; and the baseline loops alone, with X86_V3 disabled too.  A
 deliberate change of the values updates the digests of every map and
 rewrites data/hardy_z_pins.txt, repr(v) per line for v in
 hardy_z(pinned_heights()) on the X86_V4 loops.
+
+A change of the scan lattice moves the census and [0, 2001] cache
+digests alone.  These three commands, run from the repository root, print
+each map's loop targets and those two digests, with the same
+NPY_DISABLE_CPU_FEATURES values as the CI steps that run the pins:
+
+    PYTHONPATH=src python tests/test_bit_pins.py
+    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" PYTHONPATH=src python tests/test_bit_pins.py
+    NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" PYTHONPATH=src python tests/test_bit_pins.py
 """
 
 import hashlib
 import random
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zetaphase import ScanConfig, hardy_z, scan_zeros, zeta_critical_line
+from zetaphase import ScanConfig, hardy_z, scan_zeros, write_zero_cache, zeta_critical_line
 from zetaphase.special import T_Z_MAX, _ln_wide
 
 PINS = Path(__file__).resolve().parent / "data" / "hardy_z_pins.txt"
-CENSUS_1E4_SHA256 = "71637d25332d637dab589a0a9b72281dd399ce889b92764f136d28410badbcd8"
+CENSUS_1E4_SHA256 = "51268b48fe55ab50b89a0d80ce4acbb5477b361c279c86fde470785a425f8b83"
 HARDY_Z_SHA256 = "c0b009cc5a8541c7f9f4159db7b8a9549a3d78cd0a6086dae66aca66d0f79957"
 # zeta_critical_line(pinned_heights()) as little-endian complex128 bytes.
 ZETA_SHA256 = "46b88a38923def97e6e7c6f9c5b6f8a11ce00210721ed90b5addc19c558c8085"
@@ -36,26 +46,26 @@ LN_WIDE_SHA256 = "b5f5402744b1ea52d275029f3115215e066f18bdcbc95b87b960b459721d8b
 PINNED_LOOPS = ("cos", "sin", "log", "exp", "log1p", "expm1")
 _V4, _V3, _BASE = "X86_V4", "X86_V3", "baseline(X86_V2)"
 # The [0, 2001] census written as a cache file, which test_zero_finder's
-# test_census_bytes_frozen pins: the X86_V4 loops put the ordinate
-# 1841.4785825706433 an ulp below the other maps' 1841.4785825706435, on
-# either side of a rounding to 12 decimals.
-CACHE_2001_SHA256 = "05925fd71f06306a862a68dbaf86d24035321e5a95f6ec17645facaf3c711d8f"
-_CACHE_2001_NO_V4 = "7d3019a396725b2462903b9e33505a587cfa8257dbf43e6c1ff8cca591fd3e4f"
+# test_census_bytes_frozen pins.  Each map has its own: the X86_V4 and AVX2
+# loops put the ordinates near 696.6261, 1122.4586, 1219.0500 and 1841.4786
+# on either side of a rounding to 12 decimals, and the AVX2 and baseline
+# loops the one near 1432.0497.
+CACHE_2001_SHA256 = "3dde7bd6425646ee449ed9ac220ab812e4a26df97691c4fa2b8ee4b5adb849fc"
 # (census, hardy_z, zeta, cache) digests per loop map, its targets in
 # PINNED_LOOPS order.
 DIGESTS = {
     (_V4,) * 6: (CENSUS_1E4_SHA256, HARDY_Z_SHA256, ZETA_SHA256, CACHE_2001_SHA256),
     (_V3, _V3, _V3, _V3, _BASE, _BASE): (
-        "4d11589676c8d44290df7eb0914127c45559ed3032628ac86db16682c39cc58f",
+        "3a7729243fac4a84f3b319dada419f6281b8ad7b30b9aa8b9b64567fdca66bd6",
         "3ca3a66535ed478134f9f90a6879790ee4b94501d9dfcaf341550a2254f8f754",
         "250073929915e11d464d604c262812b0a2edc774642e3b3921d03106fbb00e5f",
-        _CACHE_2001_NO_V4,
+        "73573cb4335ce20fc9a7d3998b643456ddb76986bdc3997902b1dce2a7ebde05",
     ),
     (_BASE,) * 6: (
-        "0ca861a7a03a8ba7125e135a6f7de3cc3f707ff58af1790352d712fe4582a76f",
+        "870fd8a7c0155a1d4f458dfc3c55606cd84a326e2faae2cde3996db66441f968",
         "5ad3842557ab3973247bffc999183a6b388fd1237c2f9f87ddb671dcc813a817",
         "926be2be77f9aaf955bc3f02c76dcd6c24b6e881ce21a4035838d190f0227709",
-        _CACHE_2001_NO_V4,
+        "3bfa75f5ed363288bf195ed1c644d4f01a5b5679019c30dcaaba95de951c1cf7",
     ),
 }
 
@@ -136,3 +146,12 @@ def test_ln_wide_sum():
 def test_zeta_at_stratified_heights():
     zeta = zeta_critical_line(pinned_heights())
     assert hashlib.sha256(np.asarray(zeta, dtype="<c16").tobytes()).hexdigest() == ZETA
+
+
+if __name__ == "__main__":
+    # The loop map, then its census digest and its [0, 2001] cache digest.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "zeros.txt"
+        write_zero_cache(scan_zeros(ScanConfig(0.0, 2001.0)), path)
+        cache = hashlib.sha256(path.read_bytes()).hexdigest()
+    print(LOOP_MAP, sha256(scan_zeros(ScanConfig(0.0, 1e4)).ordinates), cache, sep="\n")

@@ -82,6 +82,10 @@ NARROW_PAIRS = [
 #         [float(mpmath.findroot(mpmath.siegelz, y))
 #          for y in scan_zeros(ScanConfig(t_lo, t_lo + 1.0)).ordinates]
 ORACLE_ORDINATES = {
+    184.5: [184.8744678483875],
+    185.5: [185.59878367770747],
+    1329.0: [1329.0435179965186, 1329.2050187854836],
+    1599.0: [1599.6193489504628],
     3045.5: [3046.050030224876, 3046.4545042192885],
     3882.5: [3882.8999925504704],
     6213.5: [6213.799999957367],
@@ -110,18 +114,23 @@ class TestScanConfig:
     def test_defaults(self):
         # The lattice bands and the bound a certified ordinate keeps to are
         # module constants.
-        bands = ((0.2, 0, 1000), (0.125, 1600, 12800), (0.1, 16000, math.inf))
+        bands = ((0.25, 0, 800), (0.15625, 1280, 10240), (0.1, 16000, math.inf))
         assert (zeros_module._BANDS, zeros_module._ORDINATE_TOL) == (bands, 1e-9)
 
     def test_bands_keep_the_worst_bound(self):
-        # Each edge is a lattice point of both bands it joins, and each
-        # band's h ln(T / 2 pi), T its top, is at most the 0.1 step's at 1e4.
+        # Each edge, 0, 200 and 1600, is a lattice point of both bands it
+        # joins.  The two lower steps lie below their bands' narrowest zero
+        # gaps (test_all_zeros_below_ten_thousand), and h ln(T / 2 pi), T a
+        # band's top, is at most the 5/32 step's at 1600 in both; the 0.1
+        # band keeps its own at T_WINDOW_MAX.
         bands = zeros_module._BANDS
         assert [k_hi * h for h, _, k_hi in bands[:-1]] == [k_lo * h for h, k_lo, _ in bands[1:]]
         assert [k_lo * h for h, k_lo, _ in bands] == [0.0, 200.0, 1600.0]
-        for h, _, k_hi in bands:
-            top = min(k_hi * h, zeros_module.T_WINDOW_MAX)
-            assert h * math.log(top / (2 * math.pi)) <= 0.1 * math.log(1e4 / (2 * math.pi))
+        for h, _, k_hi in bands[:-1]:
+            assert h * math.log(k_hi * h / (2 * math.pi)) <= 0.15625 * math.log(1600 / (2 * math.pi))
+        h = bands[-1][0]
+        top = zeros_module.T_WINDOW_MAX
+        assert h * math.log(top / (2 * math.pi)) <= 0.1 * math.log(1e4 / (2 * math.pi))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -195,6 +204,7 @@ class TestRefinement:
     def test_evaluation_budget(self, monkeypatch):
         # Every ordinate comes from the lattice samples alone: a scan makes
         # one hardy_z call, the lattice's, however many brackets it holds.
+        # The last window, [0, 2001], takes 13,809 rows.
         evaluated = []
         accurate = zeros_module.hardy_z
 
@@ -207,12 +217,14 @@ class TestRefinement:
             (1000.0, 1100.0, 81),
             (3000.0, 3100.0, 98),  # old fast-sampler sign error near 3046.05
             (195.0, 1605.0, 1085),  # all three bands, concatenated
+            (0.0, 2001.0, 1519),
         ]
         for t_lo, t_hi, count in cases:
             evaluated.clear()
             zeros = scan_zeros(ScanConfig(t_lo=t_lo, t_hi=t_hi))
             assert zeros.count == count
             assert evaluated == [len(zeros_module._grid(t_lo, t_hi)[0])], (t_lo, evaluated)
+        assert evaluated == [13809]
 
     def test_perturbed_sample_makes_interval_suspect(self, monkeypatch):
         # The lattice sample 3534.1, next to the root 3534.0626, moved by
@@ -236,11 +248,11 @@ class TestRefinement:
 
     @pytest.mark.parametrize("root", [0.02, 0.07, 0.1, 0.2, 0.33, 1.3])
     def test_bracket_near_origin(self, monkeypatch, root):
-        # Below t = 7 h = 1.4, in the 0.2 band, a bracket has fewer than
+        # Below t = 7 h = 1.75, in the 1/4 band, a bracket has fewer than
         # _PAD samples below it, so its interpolant runs through the first
-        # 16, the whole grid of [0, 1.4].  For a linear Z it gives the root
-        # to rounding, certified, from the one lattice call.  0.2 is a
-        # lattice point.
+        # 16, 0 to 3.75, the whole grid of [0, 1.4].  For a linear Z it
+        # gives the root to rounding, certified, from the one lattice call.
+        # No root here is a lattice point.
         calls = []
 
         def linear(ts):
@@ -311,12 +323,12 @@ class TestRefinement:
         assert np.array_equal([u[0] for u, _ in alone], full[0])
         assert np.array_equal([ok[0] for _, ok in alone], full[1])
         steps, counts = np.unique(hs[idx], return_counts=True)
-        assert list(zip(steps.tolist(), counts.tolist())) == [(0.1, 362), (0.125, 1078), (0.2, 79)]
+        assert list(zip(steps.tolist(), counts.tolist())) == [(0.1, 362), (0.15625, 1078), (0.25, 79)]
 
     @pytest.mark.parametrize("t_lo, t_hi, steps", [
-        (1000.0, 1100.0, [0.125]),
-        (195.0, 1605.0, [0.1, 0.125, 0.2]),
-        (0.0, 2001.0, [0.1, 0.125, 0.2]),
+        (1000.0, 1100.0, [0.15625]),
+        (195.0, 1605.0, [0.1, 0.15625, 0.25]),
+        (0.0, 2001.0, [0.1, 0.15625, 0.25]),
     ])
     def test_one_lattice_roots_call_per_scan(self, monkeypatch, t_lo, t_hi, steps):
         # Every bracket of the window, in whichever band it lies, goes to
@@ -332,11 +344,11 @@ class TestRefinement:
         zeros = scan_zeros(ScanConfig(t_lo=t_lo, t_hi=t_hi))
         assert calls == [(zeros.count, steps)]
 
-    @pytest.mark.parametrize("root", [10.25, 1000.2, 2000.25, 51 * 0.2, 8002 * 0.125, 20002 * 0.1])
+    @pytest.mark.parametrize("root", [10.2, 1000.25, 2000.25, 41 * 0.25, 6402 * 0.15625, 20002 * 0.1])
     def test_zero_on_lattice_reported_once(self, monkeypatch, root):
-        # 10.2, 1000.25 and 2000.2 are lattice points of their bands (steps
-        # 0.2, 0.125 and 0.1), where the sample is exactly 0.0; 10.25,
-        # 1000.2 and 2000.25 lie between two.  10.2 and 10.25 are in the
+        # 10.25, 1000.3125 and 2000.2 are lattice points of their bands
+        # (steps 1/4, 5/32 and 0.1), where the sample is exactly 0.0; 10.2,
+        # 1000.25 and 2000.25 lie between two.  10.2 and 10.25 are in the
         # Euler-Maclaurin range, the others in the Riemann-Siegel one.  Each
         # root is reported once, to rounding.
         _patch_evaluators(monkeypatch, lambda _: lambda ts: np.asarray(ts, dtype=np.float64) - root)
@@ -395,6 +407,10 @@ class TestRefinement:
     @pytest.mark.parametrize(
         "t_lo, count",
         [
+            (184.5, 1),  # 184.8745, the largest error below 1600, 3.7e-12
+            (185.5, 1),  # 185.5988, the worst bound of the 1/4 band
+            (1329.0, 2),  # 1329.0435 and 1329.2050, gap 0.1615, the narrowest on [200, 1600)
+            (1599.0, 1),  # 1599.6193, the worst bound of the 5/32 band
             (3045.5, 2),  # old fast-sampler sign error near 3046.05
             (3882.5, 1),  # old fast-sampler sign error near 3882.9
             (6213.5, 1),  # old fast-sampler sign error near 6213.8
@@ -557,20 +573,23 @@ class TestSuspectRule:
             assert set(drift.tolist()) <= {-1, 0, 1}
 
     def test_flagged_intervals_add_no_evaluator_calls(self, monkeypatch):
-        # [0, 2001] flags 36 intervals, which the suspect rule reads off the
-        # counts alone, and every root comes from the lattice samples: one
-        # hardy_z call in all.
+        # Under the thirds sabotage [5995, 6015] flags 15 intervals, which
+        # the suspect rule reads off the counts and the certificates alone:
+        # the scan still makes one hardy_z call, the lattice's.
         calls = []
 
         def counting(evaluator):
+            sabotaged = _thirds(evaluator)
+
             def counted(ts):
                 calls.append(np.size(ts))
-                return evaluator(ts)
+                return sabotaged(ts)
             return counted
 
         _patch_evaluators(monkeypatch, counting)
-        assert scan_zeros(ScanConfig(t_lo=0.0, t_hi=2001.0)).count == 1519
-        assert calls == [16249]
+        zeros = scan_zeros(ScanConfig(t_lo=5995.0, t_hi=6015.0))
+        assert zeros.suspect_intervals == tuple(range(6000, 6015))
+        assert calls == [len(zeros_module._grid(5995.0, 6015.0)[0])]
 
     def test_one_theta_vec_call_per_scan(self, monkeypatch):
         # One smooth_count call gives the prediction at every integer height
@@ -824,10 +843,13 @@ class TestZeroCache:
         assert (loaded.t_lo, loaded.t_hi) == (t_lo, t_hi)
         assert loaded.ordinates[0] == pytest.approx(zeros.ordinates[0], abs=1e-12)
 
-    @pytest.mark.parametrize("t_hi", [14.134725141734709, 14.134725141734897])
+    @pytest.mark.parametrize("t_hi", [None, 14.134725141734897], ids=["first-zero", "14.134725141734897"])
     def test_ordinate_rounding_past_range_end(self, tmp_path, t_hi):
-        # The first zero, 14.134725141734709, is written as 14.134725141735,
-        # above either window's end; the written range widens to cover it.
+        # The first zero y, 14.134725141734753 on the X86_V4 loops, is
+        # written as 14.134725141735, above either window's end, y itself
+        # (None) or 14.134725141734897; the written range widens to cover it.
+        if t_hi is None:
+            t_hi = scan_zeros(ScanConfig(t_lo=14.0, t_hi=15.0)).ordinates[0]
         zeros = scan_zeros(ScanConfig(t_lo=14.0, t_hi=t_hi))
         assert zeros.count == 1
         path = tmp_path / "zeros.txt"
