@@ -16,7 +16,6 @@ from .argexpr import (
     SymbolicArgExpression,
     approx_arg_gamma,
     approx_arg_zeta,
-    approx_error,
     coeff_sequence,
     corrected_approx,
     main_term,
@@ -26,13 +25,12 @@ from .argexpr import (
 )
 from .estimate import (
     carrier_g,
-    carrier_gamma,
     staircase,
     staircase_jumps,
     staircase_levels,
     zero_estimate_lambert,
 )
-from .render import DensityImage, beat_width, read_pgm, render_counts, write_pgm
+from .render import DensityImage, beat_width, render_counts, write_pgm
 from .special import (
     AtZeroError,
     arg_gamma_quarter,
@@ -58,7 +56,6 @@ from .zeros import (
     counter_from_counting_function,
     floor_counter,
     interval_counts,
-    point_density_zeta,
     read_zero_cache,
     scan_zeros,
     smooth_count,
@@ -80,7 +77,6 @@ __all__ = [
     "airy_neg_zeros",
     "approx_arg_gamma",
     "approx_arg_zeta",
-    "approx_error",
     "arg_gamma_quarter",
     "arg_zeta_principal",
     "beat_width",
@@ -88,7 +84,6 @@ __all__ = [
     "bessel_j0_counter_corrected",
     "bessel_j0_zeros",
     "carrier_g",
-    "carrier_gamma",
     "coeff_sequence",
     "corrected_approx",
     "counter_from_counting_function",
@@ -98,8 +93,6 @@ __all__ = [
     "lambert_w0",
     "main_term",
     "p_adic_valuation",
-    "point_density_zeta",
-    "read_pgm",
     "read_zero_cache",
     "render_counts",
     "ruler_normalized",

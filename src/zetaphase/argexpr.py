@@ -30,10 +30,8 @@ import operator
 from dataclasses import dataclass
 
 from .special import (
-    EXTENDED_DPS,
     LN_PI,
     MAX_SERIES_ORDER,
-    T_NO_ZERO,
     TWO_PI,
     combination_over_8pi,
     smooth_main,
@@ -79,29 +77,6 @@ def corrected_approx(n: int, order: int) -> float:
     return approx_arg_zeta(n) - theta_tail(float(n), order) / math.pi
 
 
-def approx_error(n: int) -> float:
-    """Gap approx_arg_zeta(n) - (round(main_term(n)) - 1 - theta(n)/pi).
-
-    That is 1 - main + theta/pi, the theta series tail over pi: positive,
-    asymptotic to 1/(48 pi n).  From n = T_NO_ZERO = 14 up it is
-    theta_tail(n, 8) / pi, the tail corrected_approx subtracts, within 2
-    ulp of the 40-digit expression for n <= 10^4.  Below 14, where the
-    series is up to 33,000 ulp off, the expression is carried in 40 digits.
-    """
-    n = operator.index(n)
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if n >= T_NO_ZERO:
-        return theta_tail(float(n), MAX_SERIES_ORDER) / math.pi
-    import mpmath as mp
-
-    with mp.workdps(EXTENDED_DPS):
-        x = mp.mpf(n) / (2 * mp.pi)
-        main = x * mp.log(x) - x + mp.mpf(7) / 8
-        theta = mp.siegeltheta(n)
-        return float(1 - main + theta / mp.pi)
-
-
 def p_adic_valuation(p: int, n: int) -> int:
     """Largest e with p^e dividing n."""
     p, n = operator.index(p), operator.index(n)
@@ -142,7 +117,8 @@ def _factorize(n: int) -> list[tuple[int, int]]:
 class SymbolicArgExpression:
     """Integer combination (c_pi pi + c_const + c_lnpi ln pi + sum c_p ln p) / (8 pi).
 
-    Checks only that the p ascend from 2 and no c_p is 0; symbolic_expression yields prime p.
+    Checks only that every field is an integer (a float raises TypeError),
+    the p ascend from 2 and no c_p is 0; symbolic_expression yields prime p.
     """
 
     c_pi: int
@@ -151,11 +127,13 @@ class SymbolicArgExpression:
     prime_terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        index = operator.index
+        index(self.c_pi), index(self.c_const), index(self.c_lnpi)
         prev = 1
         for p, c in self.prime_terms:
-            if p <= prev:
+            if index(p) <= prev:
                 raise ValueError("prime_terms must hold p >= 2, ascending and distinct")
-            if c == 0:
+            if index(c) == 0:
                 raise ValueError("zero coefficients are omitted, not stored")
             prev = p
 

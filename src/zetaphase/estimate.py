@@ -42,14 +42,6 @@ def carrier_g(n: float) -> float:
     return smooth_main(float(n)) + 0.5
 
 
-def carrier_gamma(n: float) -> float:
-    """Linear carrier n ln(sqrt(pi)) / pi of the gamma-argument lattice."""
-    n = float(n)
-    if not math.isfinite(n):
-        raise ValueError("n must be finite")
-    return n * (0.5 * math.log(math.pi)) / math.pi
-
-
 def staircase(n_max: int) -> np.ndarray:
     """s(n) = g(n) + (1/pi) Arg zeta(1/2 + i n) for n = 1..n_max."""
     n_max = operator.index(n_max)

@@ -60,22 +60,3 @@ def beat_width(scale: float) -> float:
 def write_pgm(image: DensityImage, path: str | os.PathLike) -> None:
     with open(path, "wb") as fh:
         fh.write(image.to_pgm_bytes())
-
-
-def read_pgm(path: str | os.PathLike) -> DensityImage:
-    """Parse a binary P5 graymap written by write_pgm."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary graymap (no P5 magic)")
-    parts = data.split(b"\n", 3)
-    if len(parts) != 4:
-        raise ValueError(f"{path}: truncated graymap header")
-    dims = parts[1].split()
-    if len(dims) != 2 or not all(d.isdigit() for d in dims) or parts[2] != b"255":
-        raise ValueError(f"{path}: unsupported graymap header")
-    width, height = int(dims[0]), int(dims[1])
-    pixels = parts[3]
-    if len(pixels) != width * height:
-        raise ValueError(f"{path}: pixel payload size mismatch")
-    return DensityImage(width=width, height=height, pixels=pixels)

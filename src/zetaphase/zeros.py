@@ -430,14 +430,6 @@ def unit_interval_counts(zeros: ZeroList, n_max: int) -> UnitIntervalCounts:
     return UnitIntervalCounts(interval_counts(zeros.ordinates, 1, n_max + 1))
 
 
-def point_density_zeta(n: float) -> float:
-    """Mean zero density log(n)/(2 pi) per unit interval near height n."""
-    n = float(n)
-    if not TWO_PI * math.e < n < math.inf:
-        raise ValueError("density formula needs finite n > 2 pi e")
-    return math.log(n) / TWO_PI
-
-
 # ----------------------------------------------------------------------
 # floor-difference counters and their oracles
 

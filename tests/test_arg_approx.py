@@ -15,7 +15,6 @@ from zetaphase import (
     SymbolicArgExpression,
     approx_arg_gamma,
     approx_arg_zeta,
-    approx_error,
     arg_gamma_quarter,
     arg_zeta_principal,
     coeff_sequence,
@@ -28,7 +27,7 @@ from zetaphase import (
     zero_estimate_lambert,
 )
 from zetaphase import argexpr
-from zetaphase.special import smooth_main, theta_series
+from zetaphase.special import MAX_SERIES_ORDER, smooth_main, theta_series, theta_tail
 
 
 def _ln_p_law(p, n):
@@ -129,18 +128,20 @@ class TestCorrectedApprox:
 
 
 class TestApproxError:
+    # The gap approx_arg_zeta(n) - (round(main_term(n)) - 1 - theta(n)/pi),
+    # 1 - main + theta/pi, is the tail corrected_approx(n, 8) subtracts.
     def test_reference_value(self):
         # 40-digit evaluation of 1 - main + theta/pi at n = 10000.
-        assert approx_error(10000) == pytest.approx(6.6314559660306551e-07, rel=1e-9)
+        assert _gap(10000) == pytest.approx(6.6314559660306551e-07, rel=1e-9)
 
     def test_positive_and_decreasing(self):
-        values = [approx_error(n) for n in (10, 100, 1000, 10000)]
-        assert all(v > 0 for v in values)
+        values = [_gap(n) for n in (14, 100, 1000, 10000)]
         assert all(b < a for a, b in zip(values, values[1:]))
+        assert all(_gap(n) > 0.0 for n in range(14, 10001))
 
     def test_leading_asymptote(self):
         for n in (100, 1000, 10000):
-            assert approx_error(n) * 48.0 * math.pi * n == pytest.approx(
+            assert _gap(n) * 48.0 * math.pi * n == pytest.approx(
                 1.0, abs=0.01
             ), n
 
@@ -148,7 +149,7 @@ class TestApproxError:
         # After removing k leading correction terms the remainder scales
         # like n^-(2k+3); the log-log fit recovers the exponent.
         def tail(n, k):
-            r = approx_error(n)
+            r = _gap(n)
             for j in range(k + 1):
                 r -= _correction_term(n, j)
             return abs(r)
@@ -164,27 +165,16 @@ class TestApproxError:
         assert slope1 == pytest.approx(-5.0, abs=0.1)
 
     def test_series_within_two_ulp_from_14(self):
-        # From n = 14 up approx_error is theta_tail(n, 8)/pi, the tail that
-        # corrected_approx(n, 8) removes; 1 - main + theta/pi in 40 digits.
+        # 1 - main + theta/pi in 40 digits.
         with mp.workdps(40):
             for n in range(14, 61):
                 x = mp.mpf(n) / (2 * mp.pi)
                 want = float(1 - (x * mp.log(x) - x + mp.mpf(7) / 8) + mp.siegeltheta(n) / mp.pi)
-                assert abs(approx_error(n) - want) <= 2 * math.ulp(want), n
+                assert abs(_gap(n) - want) <= 2 * math.ulp(want), n
 
-    def test_domain(self):
-        for n in (1, 0):
-            with pytest.raises(ValueError, match="n must be >= 2"):
-                approx_error(n)
 
-    def test_series_needs_no_siegeltheta(self, monkeypatch):
-        def refuse(t):
-            raise AssertionError(f"siegeltheta({t}) called")
-
-        monkeypatch.setattr(mp, "siegeltheta", refuse)
-        assert all(approx_error(n) > 0.0 for n in range(14, 10001))
-        with pytest.raises(AssertionError, match="siegeltheta"):
-            approx_error(13)
+def _gap(n):
+    return theta_tail(float(n), MAX_SERIES_ORDER) / math.pi
 
 
 def _correction_term(n, k):
@@ -426,8 +416,9 @@ class TestApproxArgGamma:
         assert worst <= 0.02
 
 
-# Each closed form with an integer argument k at one position.  main_term
-# and carrier_g take real heights and are not here.
+# Each closed form, and each integer field of SymbolicArgExpression, with an
+# integer argument k at one position.  main_term and carrier_g take real
+# heights and are not here.
 INTEGER_CALLS = [
     pytest.param(approx_arg_zeta, lambda k: (k,), id="approx_arg_zeta-n"),
     pytest.param(approx_arg_gamma, lambda k: (k,), id="approx_arg_gamma-n"),
@@ -439,8 +430,13 @@ INTEGER_CALLS = [
     pytest.param(coeff_sequence, lambda k: (k - 1, 3), id="coeff_sequence-p"),
     pytest.param(ruler_normalized, lambda k: (k - 1, 10), id="ruler_normalized-p"),
     pytest.param(theta_series, lambda k: (100.0, k), id="theta_series-order"),
-    pytest.param(approx_error, lambda k: (k,), id="approx_error-n"),
-    pytest.param(approx_error, lambda k: (10 * k,), id="approx_error-series-n"),
+    pytest.param(SymbolicArgExpression, lambda k: (k, 0, 0, ()), id="SymbolicArgExpression-c_pi"),
+    pytest.param(SymbolicArgExpression, lambda k: (0, k, 0, ()), id="SymbolicArgExpression-c_const"),
+    pytest.param(SymbolicArgExpression, lambda k: (0, 0, k, ()), id="SymbolicArgExpression-c_lnpi"),
+    pytest.param(SymbolicArgExpression, lambda k: (0, 0, 0, ((k - 3, 1),)),
+                 id="SymbolicArgExpression-p"),
+    pytest.param(SymbolicArgExpression, lambda k: (0, 0, 0, ((2, k),)),
+                 id="SymbolicArgExpression-c_p"),
 ]
 
 
@@ -452,6 +448,7 @@ class TestIntegerArguments:
     @pytest.mark.parametrize("k", [2.5, 6.0])
     @pytest.mark.parametrize("fn, args", INTEGER_CALLS)
     def test_float_rejected(self, fn, args, k):
-        # A float n or p gave a value; a float order failed on a tuple index.
+        # A float n, p or expression coefficient gave a value; a float order
+        # failed on a tuple index and a float prime in evaluate().
         with pytest.raises(TypeError):
             fn(*args(k))

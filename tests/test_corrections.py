@@ -14,12 +14,12 @@ import pytest
 from zetaphase import (
     approx_arg_gamma,
     approx_arg_zeta,
-    approx_error,
     arg_gamma_quarter,
     arg_zeta_principal,
-    carrier_gamma,
     symbolic_expression,
+    theta_exact,
 )
+from zetaphase.special import MAX_SERIES_ORDER, theta_tail
 
 DATA = json.loads(
     (pathlib.Path(__file__).parent / "data" / "reference_corrections.json").read_text()
@@ -72,7 +72,9 @@ def test_double_intervals(census_counts):
 
 def test_gap_magnitude():
     entry = ENTRIES["gap-magnitude-n-10000"]
-    assert approx_error(10000) == pytest.approx(entry["canonical"], rel=1e-12)
+    # The gap 1 - main + theta/pi is the tail corrected_approx(n, 8) subtracts.
+    gap = theta_tail(10000.0, MAX_SERIES_ORDER) / math.pi
+    assert gap == pytest.approx(entry["canonical"], rel=1e-12)
     # Printed digits match, magnitude is ten times larger.
     assert float(entry["recorded"]) == pytest.approx(
         10.0 * entry["canonical"], rel=1e-10
@@ -81,8 +83,10 @@ def test_gap_magnitude():
 
 def test_gamma_carrier_value():
     entry = ENTRIES["gamma-carrier-slope-value"]
-    assert carrier_gamma(1) == pytest.approx(entry["canonical"], abs=1e-14)
-    assert abs(carrier_gamma(1) - entry["recorded"]) > 5e-7
+    # (1/pi) Arg Gamma(1/4 + it/2) = theta(t)/pi + t ln(pi)/(2 pi), wrapped.
+    slope = arg_gamma_quarter(1.0) - theta_exact(1.0) / math.pi
+    assert slope == pytest.approx(entry["canonical"], abs=1e-14)
+    assert abs(slope - entry["recorded"]) > 5e-7
 
 
 def test_gamma_gap_bound():

@@ -9,7 +9,6 @@ from zetaphase import (
     UnitIntervalCounts,
     arg_zeta_principal,
     carrier_g,
-    carrier_gamma,
     render_counts,
     staircase,
     staircase_jumps,
@@ -86,23 +85,12 @@ class TestCarriers:
         total = carrier_g(1) + arg_zeta_principal(1.0)
         assert total == pytest.approx(0.48596582, abs=1e-7)
 
-    def test_carrier_gamma_linear(self):
-        slope = math.log(math.pi) / (2.0 * math.pi)
-        assert carrier_gamma(1) == pytest.approx(0.18218941983795, abs=1e-12)
-        for n in (1, 7, 100):
-            assert carrier_gamma(n) == pytest.approx(n * slope, rel=1e-14)
-
     def test_carrier_g_domain(self):
         for n in (0.5, math.nan):
             with pytest.raises(ValueError, match="n must be >= 1"):
                 carrier_g(n)
         with pytest.raises(OverflowError):
             carrier_g(math.inf)
-
-    @pytest.mark.parametrize("n", [math.nan, math.inf])
-    def test_carrier_gamma_non_finite_rejected(self, n):
-        with pytest.raises(ValueError):
-            carrier_gamma(n)
 
 
 class TestStaircase:

@@ -1,7 +1,8 @@
 """`import zetaphase` loads numpy alone of the heavy modules.
 
-The counter oracles and the functions that compute in extended precision
-import mpmath when called; no code in the package imports scipy.
+Three functions import mpmath, when called: theta_exact below t = 14 and
+the Bessel and Airy counter oracles.  No code in the package imports
+scipy, and `__all__` lists exactly the public names the package binds.
 """
 
 import ast
@@ -9,8 +10,10 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import zetaphase
 from zetaphase import airy_neg_zeros, bessel_j0_zeros, verify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -22,6 +25,36 @@ def run_fresh(code: str) -> str:
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=60, check=True)
     return proc.stdout
+
+
+def test_all_lists_every_public_name():
+    bound = {name for name, value in vars(zetaphase).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(zetaphase.__all__) == bound
+    assert len(zetaphase.__all__) == len(bound)
+
+
+def test_mpmath_imported_in_three_functions_alone():
+    # A second extended-precision theta or main term would add a site here.
+    sites = []
+    for path in sorted((SRC / "zetaphase").glob("*.py")):
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, f"{owner}.{child.name}")
+                    continue
+                if isinstance(child, ast.Import):
+                    names = [alias.name for alias in child.names]
+                elif isinstance(child, ast.ImportFrom):
+                    names = [child.module or ""]
+                else:
+                    names = []
+                if any(name.split(".")[0] == "mpmath" for name in names):
+                    sites.append(owner)
+                visit(child, owner)
+
+        visit(ast.parse(path.read_text()), path.stem)
+    assert sites == ["special.theta_exact", "zeros.bessel_j0_zeros", "zeros.airy_neg_zeros"]
 
 
 def test_import_loads_no_scipy():

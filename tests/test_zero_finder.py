@@ -35,7 +35,6 @@ from zetaphase import (
     floor_counter,
     hardy_z,
     interval_counts,
-    point_density_zeta,
     read_zero_cache,
     scan_zeros,
     smooth_count,
@@ -1004,30 +1003,12 @@ class TestSmoothCount:
 
 
 class TestPointDensity:
-    def test_formula(self):
-        assert point_density_zeta(6500.0) == pytest.approx(1.3973, abs=1e-4)
-        for n in (20.0, 100.0, 6000.0):
-            assert point_density_zeta(n) == pytest.approx(
-                math.log(n) / (2.0 * math.pi), rel=1e-14
-            )
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            point_density_zeta(2.0 * math.pi * math.e)
-
-    @pytest.mark.parametrize("n", [math.nan, math.inf])
-    def test_non_finite_rejected(self, n):
-        with pytest.raises(ValueError):
-            point_density_zeta(n)
-
     def test_tracks_running_mean(self, census_counts):
         # The measured mean count over [5000, 6000] sits ln(2 pi)/(2 pi)
         # below the ln(n)/(2 pi) figure, matching the smooth zero count.
         window = [census_counts.counts[n - 1] for n in range(5000, 6000)]
         mean = sum(window) / len(window)
-        expected = point_density_zeta(5500.0) - math.log(2.0 * math.pi) / (
-            2.0 * math.pi
-        )
+        expected = (math.log(5500.0) - math.log(2.0 * math.pi)) / (2.0 * math.pi)
         assert mean == pytest.approx(expected, abs=0.02)
 
 
